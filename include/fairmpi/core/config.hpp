@@ -133,11 +133,13 @@ struct Config {
   // --- overload control & degradation (DESIGN.md §5h) ---
 
   /// Per-peer unexpected-queue depth cap (0 = unbounded, the historical
-  /// behaviour). At cap, `unexpected_policy` decides: kShed drops the
-  /// message at admission and NACKs the sender (whose tracked op fails
-  /// typed kReceiverOverloaded — requires `reliable`; without it the drop
-  /// is silent, exactly like fabric loss); kQueue latches the peer paused
-  /// and trickles RX drains so the producer backs off on its full ring.
+  /// behaviour). Universe auto-enables `reliable` whenever it is nonzero.
+  /// At cap, `unexpected_policy` decides: kShed drops the message at
+  /// admission and NACKs the sender (whose tracked op fails typed
+  /// kReceiverOverloaded); kQueue defers it unanswered, so the sender's
+  /// retransmit clock re-presents it once the consumer drains. kQueue
+  /// also counts out-of-sequence parked packets against the cap, which
+  /// bounds the queue at 2*cap - 1.
   std::size_t unexpected_cap = 0;
   overload::Policy unexpected_policy = overload::Policy::kShed;
 

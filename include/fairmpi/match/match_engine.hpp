@@ -27,6 +27,7 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -56,8 +57,8 @@ enum class Admission : std::uint8_t {
   kDuplicate,      ///< duplicate of an already-accepted packet — re-ack it
   kShed,           ///< dropped at admission (first time) — NACK it
   kShedDuplicate,  ///< retransmit of a shed packet — NACK again, no recount
-  kDeferred,       ///< kQueue at cap on a reliable fabric — answer nothing;
-                   ///< the sender's retransmit clock re-presents the packet
+  kDeferred,       ///< kQueue at cap — answer nothing; the sender's
+                   ///< retransmit clock re-presents the packet
 };
 
 /// Reorder window per (comm, src) stream: out-of-sequence arrivals up to
@@ -274,9 +275,27 @@ class MatchEngine : public p2p::CancelScope {
     std::size_t unexpected_n = 0;  ///< O(1) depth (admission watermark check)
     PostedList posted;  ///< source-specific posted receives
     bool dead = false;  ///< ft: source confirmed dead (fail_source ran)
-    bool paused = false;  ///< overload kQueue: latched over the cap
+    bool paused = false;  ///< overload kQueue: deferred with the queue at cap
     std::array<std::uint32_t, kShedMemory> shed_seqs{};  ///< re-NACK ring
     std::uint32_t shed_n = 0;  ///< total sheds (ring write cursor)
+
+    /// Packets parked out of sequence (reorder ring + spill map), derived
+    /// from the containers so it can never drift from them.
+    std::size_t parked() const noexcept {
+      const int in_ring = reorder != nullptr ? std::popcount(reorder->present) : 0;
+      return static_cast<std::size_t>(in_ring) + spill.size();
+    }
+
+    /// Is the future packet `seq` already parked (a retransmit whose ack
+    /// was lost)? Within the window it can only be in its ring slot,
+    /// beyond it only in the spill map.
+    bool holds(std::uint32_t seq) const {
+      const bool in_window = seq - expected_seq < kReorderWindow;
+      const bool in_ring = in_window && reorder != nullptr &&
+                           ((reorder->present >> (seq & (kReorderWindow - 1))) & 1) != 0;
+      const bool in_spill = !in_window && spill.contains(seq);
+      return in_ring || in_spill;
+    }
 
     bool was_shed(std::uint32_t seq) const noexcept {
       const std::uint32_t live = shed_n < kShedMemory ? shed_n : kShedMemory;

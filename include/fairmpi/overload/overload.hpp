@@ -20,18 +20,19 @@
 //     sender's reliability tracker fails the op typed kReceiverOverloaded
 //     instead of retransmitting into a full queue. Sender-side sheds
 //     (pool/tracker caps at injection) fail typed kLocalOverloaded.
-//   * kQueue — backpressure the producer through the existing
-//     EAGAIN/backoff machinery: the receiver trickles its RX drains
-//     (1 admitted visit in kRxTrickle) until the hot peer falls back under
-//     its low watermark, so the sender's ring fills and its injection loop
-//     backs off; sender-side caps spin (progressing) until pressure drains.
+//   * kQueue — backpressure the producer. The receiver defers a packet at
+//     admission (answers neither ack nor NACK; a cap implies `reliable`),
+//     so the sender's retransmit clock re-presents it once the consumer
+//     drains. Out-of-sequence parked packets count against the cap too,
+//     so the unexpected queue stays at or below 2*cap - 1. Sender-side
+//     caps spin (progressing) until pressure drains.
 //
 // The Governor is the per-rank control block: the degradation ladder
 // kHealthy -> kPressured -> kOverloaded (watermark crossings, with
-// hysteresis on the way down), the paused-peer latch count, and the RX
-// trickle gate. It is deliberately atomics-only — no lock, no rank in the
-// §5e hierarchy — because every consultation sits on a hot path where the
-// uncapped configuration must cost exactly one relaxed load.
+// hysteresis on the way down) and the paused-peer latch count. It is
+// deliberately atomics-only — no lock, no rank in the §5e hierarchy —
+// because every consultation sits on a hot path where the uncapped
+// configuration must cost exactly one relaxed load.
 #pragma once
 
 #include <atomic>
@@ -71,13 +72,6 @@ struct Limits {
 
 class Governor {
  public:
-  /// Progress visits admitted while paused: 1 in kRxTrickle. A full RX
-  /// pause would also starve inbound acks and heartbeats (ft false
-  /// positives); the trickle keeps the control plane alive while still
-  /// filling the producer's ring. The admitted fraction bounds unexpected
-  /// overshoot past the cap by (ring depth / kRxTrickle) per sweep.
-  static constexpr std::uint64_t kRxTrickle = 8;
-
   explicit Governor(const Limits& lim) noexcept
       : lim_(lim),
         enabled_(lim.unexpected_cap != 0 || lim.pool_cap_bytes != 0 ||
@@ -95,10 +89,10 @@ class Governor {
     return static_cast<Level>(level_.load(std::memory_order_relaxed));
   }
 
-  // --- kQueue backpressure: peers latched over their unexpected cap ---
+  // --- kQueue backpressure: peers deferred with their queue at cap ---
 
-  /// A peer crossed its unexpected cap under kQueue (match lock held by
-  /// the caller; the latch itself is just a count).
+  /// A peer was deferred at its unexpected cap under kQueue (match lock
+  /// held by the caller; the latch itself is just a count).
   void pause_peer() noexcept {
     paused_peers_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -108,14 +102,6 @@ class Governor {
   }
   std::size_t paused_peers() const noexcept {
     return paused_peers_.load(std::memory_order_relaxed);
-  }
-
-  /// RX trickle gate, consulted once per progress visit: true = skip the
-  /// RX/CQ drains this visit. One relaxed load when nothing is paused.
-  bool defer_rx() noexcept {
-    // lint: allow(relaxed-sync) advisory throttle; the match lock owns the latch
-    if (paused_peers_.load(std::memory_order_relaxed) == 0) return false;
-    return (rx_visits_.fetch_add(1, std::memory_order_relaxed) % kRxTrickle) != 0;
   }
 
   // --- sender-side admission (one relaxed load + compare each) ---
@@ -151,7 +137,6 @@ class Governor {
   const bool enabled_;
   std::atomic<std::uint8_t> level_{static_cast<std::uint8_t>(Level::kHealthy)};
   std::atomic<std::size_t> paused_peers_{0};
-  std::atomic<std::uint64_t> rx_visits_{0};
 };
 
 }  // namespace fairmpi::overload

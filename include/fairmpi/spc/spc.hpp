@@ -44,7 +44,6 @@ enum class Counter : int {
   kProgressCalls,          ///< entries into the progress engine
   kProgressCompletions,    ///< completions harvested by progress
   kInstanceTrylockFail,    ///< failed try_lock on a CRI (Alg. 2 skip)
-  kInstanceLockWaitNs,     ///< time spent blocked acquiring CRI locks
   kRmaPuts,                ///< one-sided put operations
   kRmaGets,                ///< one-sided get operations
   kRmaAccumulates,         ///< one-sided accumulate operations
@@ -71,7 +70,7 @@ enum class Counter : int {
   kOverloadShedMessages,   ///< messages dropped at admission (kShed policy)
   kOverloadNacksSent,      ///< receiver-side NACKs queued for shed packets
   kOverloadNacksReceived,  ///< sender-side NACKs processed (op failed typed)
-  kOverloadPausedPeers,    ///< peer RX pauses latched (kQueue backpressure)
+  kOverloadPausedPeers,    ///< peers latched paused (kQueue deferral at cap)
   kOverloadLevelChanges,   ///< degradation-ladder transitions (any direction)
   kOverloadPoolPeak,       ///< payload-pool in-use bytes high-water (max)
   kCancelledOps,           ///< requests settled kCancelled

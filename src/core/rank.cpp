@@ -253,16 +253,15 @@ std::size_t Rank::progress() {
     if (watchdog_ != nullptr) watchdog_->poll(now);
     if (ft_ != nullptr) ft_poll(now);
   }
+  const std::size_t completions = engine_.progress();
   // §5h sweeps are pay-for-what-you-use: a run with no caps and no armed
   // deadlines takes this branch on two relaxed loads and skips the call.
+  // They run after the drain, so a message that arrived this visit
+  // matches before its receive's deadline is checked.
   if (governor_.enabled() ||
       earliest_deadline_.load(std::memory_order_relaxed) != ~std::uint64_t{0}) {
     overload_poll(now_ns());
   }
-  // kQueue backpressure (RX trickle): while any peer is latched paused the
-  // governor admits only 1-in-kRxTrickle receive rounds, throttling the
-  // flood without starving acks/heartbeats entirely (ft liveness).
-  const std::size_t completions = governor_.defer_rx() ? 0 : engine_.progress();
   // Acks enqueued while the engine dispatched packets leave immediately —
   // waiting for the next drain_control would add an rto of latency per hop
   // under load.

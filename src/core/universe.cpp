@@ -57,8 +57,11 @@ Config apply_chaos_env(Config cfg) {
     FAIRMPI_CHECK_MSG(apply_cvar(cfg, name, value), "malformed FAIRMPI_* variable");
   }
   // A lossy fabric without the reliability protocol cannot keep MPI
-  // semantics; switching faults on implies switching reliability on.
-  if (cfg.faults.any()) cfg.reliable = true;
+  // semantics; switching faults on implies switching reliability on. So
+  // does an unexpected-queue cap: kShed answers with NACKs and kQueue
+  // defers onto the retransmit clock, and without acks either one would
+  // be silent loss (DESIGN.md §5h).
+  if (cfg.faults.any() || cfg.unexpected_cap != 0) cfg.reliable = true;
   // "FAIRMPI_TRACE=1" alone should record something exportable.
   if (cfg.trace_enabled && cfg.trace_entries == 0) cfg.trace_entries = 1 << 16;
   return cfg;

@@ -4,7 +4,6 @@
 
 #include "fairmpi/common/backoff.hpp"
 #include "fairmpi/common/error.hpp"
-#include "fairmpi/common/timing.hpp"
 #include "fairmpi/common/topology.hpp"
 
 namespace fairmpi::cri {
@@ -49,22 +48,19 @@ bool CommResourceInstance::inject(int dst, fabric::Packet& pkt, spc::CounterSet&
     return ok;
   }
 
-  auto spc = counters.cursor();
   if (!use_funnel_) {
     // Funnel disengaged (1-hardware-thread host, default ring size — see
     // the constructor): a blocking profiled acquire IS the optimal
     // contended path here, since no combiner can run while we poll. Still
     // flush: other pools' instances may have queued before we were built,
     // and the explicit-opt-in configs interleave with this path.
-    const std::uint64_t t0 = now_ns();
-    lock_.lock();
-    spc.add(spc::Counter::kInstanceLockWaitNs, now_ns() - t0);
-    LockGuard adopt(lock_, adopt_lock);
+    LockGuard guard(lock_);
     flush_submissions();
     const bool ok = endpoints_[static_cast<std::size_t>(dst)].try_send(std::move(pkt));
     if (ok) stats_.note_injection();
     return ok;
   }
+  auto spc = counters.cursor();
   fabric::SubmitTicket ticket;
   const fabric::SubmitPushOutcome push = submit_.try_push({&pkt, &ticket, dst});
   if (!push.ok) {
@@ -72,10 +68,7 @@ bool CommResourceInstance::inject(int dst, fabric::Packet& pkt, spc::CounterSet&
     // self-service flush is the productive move — queueing behind a full
     // ring would only deepen the backlog.
     spc.add(spc::Counter::kSubmitRingFull);
-    const std::uint64_t t0 = now_ns();
-    lock_.lock();
-    spc.add(spc::Counter::kInstanceLockWaitNs, now_ns() - t0);
-    LockGuard adopt(lock_, adopt_lock);
+    LockGuard guard(lock_);
     flush_submissions();
     const bool ok = endpoints_[static_cast<std::size_t>(dst)].try_send(std::move(pkt));
     if (ok) stats_.note_injection();
@@ -101,22 +94,17 @@ bool CommResourceInstance::inject(int dst, fabric::Packet& pkt, spc::CounterSet&
     if (st != fabric::SubmitStatus::kPending) {
       return st == fabric::SubmitStatus::kInjected;
     }
-    bool held;
+    // Our descriptor is published, so a flush retires it unless an earlier
+    // claim is still mid-fill (publish frontier short of us); loop to
+    // re-check — the hole closes within a few stores.
     if (escalated) {
-      const std::uint64_t t0 = now_ns();
-      // lint: allow(bare-lock) timed escalation acquire, adopted by the LockGuard in the if (held) branch below
-      lock_.lock();
-      spc.add(spc::Counter::kInstanceLockWaitNs, now_ns() - t0);
-      held = true;
-    } else {
-      held = lock_.try_lock();
+      LockGuard guard(lock_);
+      flush_submissions();
+      continue;
     }
-    if (held) {
+    if (lock_.try_lock()) {
       LockGuard adopt(lock_, adopt_lock);
       flush_submissions();
-      // Our descriptor is published, so the flush retired it unless an
-      // earlier claim is still mid-fill (publish frontier short of us);
-      // loop to re-check — the hole closes within a few stores.
       continue;
     }
     backoff.pause();

@@ -126,46 +126,30 @@ std::size_t MatchEngine::match_one(spc::CounterSet::Cursor& ctr, fabric::Packet&
   }
 
   // No posted receive: the message goes unexpected — the resource bounded
-  // admission caps (DESIGN.md §5h). The uncapped configuration pays one
-  // null-pointer branch here.
-  if (gov_ != nullptr) {
+  // admission caps (DESIGN.md §5h). kQueue already deferred at incoming();
+  // only kShed acts here. A reorder-drain packet (direct=false) was acked
+  // when it parked, so shedding it would be silent loss: it is admitted.
+  // The uncapped configuration pays one null-pointer branch here.
+  if (gov_ != nullptr && direct) {
     const overload::Limits& lim = gov_->limits();
-    if (lim.unexpected_cap != 0 && ps.unexpected_n >= lim.unexpected_cap) {
-      if (lim.unexpected_policy == overload::Policy::kShed) {
-        if (direct) {
-          // Shed at admission. The sequence number stays consumed (the
-          // caller already advanced expected_seq), so the retransmit hits
-          // the duplicate path — the shed ring there re-NACKs it. The rank
-          // answers this packet with kNack instead of an ack, failing the
-          // sender's tracked op typed kReceiverOverloaded.
-          ps.shed_seqs[ps.shed_n % kShedMemory] = pkt.hdr.seq;
-          ++ps.shed_n;
-          ctr.add(Counter::kOverloadShedMessages);
-          if (tracer_ != nullptr) {
-            tracer_->record(trace::Event::kOverloadShed,
-                            static_cast<std::uint32_t>(src), pkt.hdr.seq);
-          }
-          if (admission != nullptr) *admission = Admission::kShed;
-          fabric::Packet drop = std::move(pkt);
-          static_cast<void>(drop);
-          return 0;
-        }
-        // Reorder-drain packet under kShed: it was already acked when it
-        // parked, so shedding now would be silent loss. Admit — the
-        // overshoot is bounded by the reorder window.
-      } else if (!ps.paused) {
-        // kQueue: latch the peer paused; the rank's progress loop trickles
-        // its RX drains until post() observes the low watermark. The
-        // message itself is admitted — backpressure lands on the
-        // producer's ring, not on this already-delivered packet.
-        ps.paused = true;
-        gov_->pause_peer();
-        ctr.add(Counter::kOverloadPausedPeers);
-        if (tracer_ != nullptr) {
-          tracer_->record(trace::Event::kOverloadPause,
-                          static_cast<std::uint32_t>(src), 1);
-        }
+    if (lim.unexpected_cap != 0 && lim.unexpected_policy == overload::Policy::kShed &&
+        ps.unexpected_n >= lim.unexpected_cap) {
+      // Shed at admission. The sequence number stays consumed (the caller
+      // already advanced expected_seq), so the retransmit hits the
+      // duplicate path — the shed ring there re-NACKs it. The rank answers
+      // this packet with kNack instead of an ack, failing the sender's
+      // tracked op typed kReceiverOverloaded.
+      ps.shed_seqs[ps.shed_n % kShedMemory] = pkt.hdr.seq;
+      ++ps.shed_n;
+      ctr.add(Counter::kOverloadShedMessages);
+      if (tracer_ != nullptr) {
+        tracer_->record(trace::Event::kOverloadShed,
+                        static_cast<std::uint32_t>(src), pkt.hdr.seq);
       }
+      if (admission != nullptr) *admission = Admission::kShed;
+      fabric::Packet drop = std::move(pkt);
+      static_cast<void>(drop);
+      return 0;
     }
   }
 
@@ -219,20 +203,30 @@ std::size_t MatchEngine::incoming(fabric::Packet&& pkt, Admission* admission) {
     static_cast<void>(sink);
     return 0;
   }
-  // §5h kQueue on a reliable fabric: defer at admission *before* the
-  // sequence stream consumes this packet. The rank answers with neither
-  // ack nor NACK, so the sender's retransmit clock re-presents it after the
-  // queue drains below cap — the unexpected backlog is hard-bounded at the
-  // cap and nothing is lost. A lossy fabric cannot defer (an unanswered
-  // drop there is silent loss), so it falls through to the latch-and-
-  // trickle soft throttle in match_one instead.
-  if (admission != nullptr && gov_ != nullptr && reliable_) {
+  PeerState& ps = peer(src);
+  // §5h kQueue: defer at admission *before* the sequence stream consumes
+  // this packet. The rank answers with neither ack nor NACK, so the
+  // sender's retransmit clock re-presents it after the queue drains (a cap
+  // implies `reliable`, so that clock always runs). Any packet waits while
+  // the unexpected queue is at cap, so a receiver waiting on the in-sequence
+  // head can always get it. A packet that would newly park also counts the
+  // parked backlog, because the head admits parked packets unconditionally
+  // when it drains them: fewer than cap packets ever park, and the
+  // unexpected queue stays at or below 2*cap - 1. Repeats (stale or already
+  // parked) take no slot and keep the plain rule, so their re-ack is not
+  // held back.
+  if (admission != nullptr && gov_ != nullptr) {
     const overload::Limits& lim = gov_->limits();
-    PeerState& ps = peer(src);
-    if (lim.unexpected_cap != 0 &&
-        lim.unexpected_policy == overload::Policy::kQueue &&
-        ps.unexpected_n >= lim.unexpected_cap) {
-      if (!ps.paused) {
+    const std::size_t cap = lim.unexpected_cap;
+    const bool at_cap = ps.unexpected_n >= cap;
+    const auto would_park = [&] {
+      const bool future = static_cast<std::int32_t>(pkt.hdr.seq - ps.expected_seq) > 0;
+      return !allow_overtaking_ && future && ps.unexpected_n + ps.parked() + 1 >= cap &&
+             !ps.holds(pkt.hdr.seq);
+    };
+    if (cap != 0 && lim.unexpected_policy == overload::Policy::kQueue &&
+        (at_cap || would_park())) {
+      if (!ps.paused && at_cap) {
         ps.paused = true;
         gov_->pause_peer();
         ctr.add(Counter::kOverloadPausedPeers);
@@ -257,7 +251,6 @@ std::size_t MatchEngine::incoming(fabric::Packet&& pkt, Admission* admission) {
       // reliable mode filters repeats through the per-peer SeenTracker.
       bool fresh = true;
       if (reliable_) {
-        PeerState& ps = peer(src);
         if (!ps.seen) {
           // lint: allow(hotpath-alloc) lazy one-time tracker, lossy mode only
           ps.seen = std::make_unique<SeenTracker>();
@@ -271,7 +264,7 @@ std::size_t MatchEngine::incoming(fabric::Packet&& pkt, Admission* admission) {
         // includes originals that were then shed. Those must be re-NACKed,
         // not re-acked (an ack would retire the sender's tracker entry and
         // the shed would never surface typed).
-        if (admission != nullptr && peer(src).was_shed(pkt.hdr.seq)) {
+        if (admission != nullptr && ps.was_shed(pkt.hdr.seq)) {
           *admission = Admission::kShedDuplicate;
         } else if (admission != nullptr) {
           *admission = Admission::kDuplicate;
@@ -279,7 +272,6 @@ std::size_t MatchEngine::incoming(fabric::Packet&& pkt, Admission* admission) {
         ctr.add(Counter::kDupDiscards);
       }
     } else {
-      PeerState& ps = peer(src);
       const std::uint32_t seq = pkt.hdr.seq;
       if (seq != ps.expected_seq) {
         // Sequence numbers never repeat per (comm, src->dst) stream and the
@@ -290,13 +282,8 @@ std::size_t MatchEngine::incoming(fabric::Packet&& pkt, Admission* admission) {
         // reliable mode discards to keep delivery exactly-once.
         const bool future = static_cast<std::int32_t>(seq - ps.expected_seq) > 0;
         if (reliable_) {
-          const std::uint32_t delta = seq - ps.expected_seq;
-          const bool parked_in_ring =
-              future && delta < kReorderWindow && ps.reorder != nullptr &&
-              ((ps.reorder->present >> (seq & (kReorderWindow - 1))) & 1) != 0;
-          const bool parked_in_spill =
-              future && delta >= kReorderWindow && ps.spill.contains(seq);
-          if (!future || parked_in_ring || parked_in_spill) {
+          const bool already_parked = future && ps.holds(seq);
+          if (!future || already_parked) {
             // A shed consumes its seq (expected_seq advanced past it), so a
             // retransmit of a shed packet lands here as !future. Re-NACK it
             // from the shed ring; any other repeat re-acks as a duplicate.

@@ -53,20 +53,6 @@ WindowGroup::WindowGroup(Universe& universe, const std::vector<Region>& regions)
   }
 }
 
-namespace {
-/// Lock an instance, timing the wait only when contended (same accounting
-/// as the two-sided send path).
-void lock_timed(cri::CommResourceInstance& inst, spc::CounterSet& counters)
-    FAIRMPI_ACQUIRE(inst.lock()) {
-  if (inst.lock().try_lock()) return;
-  const std::uint64_t t0 = now_ns();
-  // lint: allow(bare-lock) timed-acquire helper; every caller immediately
-  // adopts with LockGuard(inst.lock(), adopt_lock)
-  inst.lock().lock();
-  counters.add(Counter::kInstanceLockWaitNs, now_ns() - t0);
-}
-}  // namespace
-
 void Window::post_completion(cri::CommResourceInstance& inst) {
   PendingSlot& slot = thread_slot();
   slot.count->fetch_add(1, std::memory_order_relaxed);
@@ -98,9 +84,8 @@ void Window::put(int target, std::size_t disp, const void* src, std::size_t n) {
   if (fail_if_dead(target)) return;
 
   cri::CommResourceInstance& inst = rank_->pool().instance(rank_->pool().id_for_thread());
-  lock_timed(inst, rank_->counters());
   {
-    LockGuard adopt(inst.lock(), adopt_lock);
+    LockGuard guard(inst.lock());
     if (n != 0) {
       std::memcpy(static_cast<std::byte*>(tw.base_) + disp, src, n);
     }
@@ -118,9 +103,8 @@ void Window::get(int target, std::size_t disp, void* dst, std::size_t n) {
   if (fail_if_dead(target)) return;
 
   cri::CommResourceInstance& inst = rank_->pool().instance(rank_->pool().id_for_thread());
-  lock_timed(inst, rank_->counters());
   {
-    LockGuard adopt(inst.lock(), adopt_lock);
+    LockGuard guard(inst.lock());
     if (n != 0) {
       std::memcpy(dst, static_cast<const std::byte*>(tw.base_) + disp, n);
     }
@@ -144,10 +128,9 @@ std::uint64_t Window::fetch_add_u64(int target, std::size_t disp, std::uint64_t 
   if (fail_if_dead(target)) return 0;
 
   cri::CommResourceInstance& inst = rank_->pool().instance(rank_->pool().id_for_thread());
-  lock_timed(inst, rank_->counters());
   std::uint64_t old = 0;
   {
-    LockGuard adopt(inst.lock(), adopt_lock);
+    LockGuard guard(inst.lock());
     {
       // Target-side atomicity: accumulates to one location serialize on the
       // target window's stripe lock, regardless of initiating rank/thread.
@@ -192,15 +175,14 @@ void Window::drain_until(DonePredicate done) {
     // Every instance busy. This used to pause silently — a flush that
     // polled nothing was indistinguishable from one that worked. Record
     // the miss, back off adaptively, and once the backoff saturates stop
-    // try-locking: block on our own instance (timed, so the wait is
-    // attributed like every other contended acquire) and drain it for
-    // real. Bounded: the hold we are waiting out is a ring pop or an RMA
-    // op, never unbounded user code.
+    // try-locking: block on our own instance (the contention profiler
+    // attributes the wait like every other contended acquire) and drain it
+    // for real. Bounded: the hold we are waiting out is a ring pop or an
+    // RMA op, never unbounded user code.
     rank_->counters().add(Counter::kRmaFlushAllBusy);
     if (waiter.saturated()) {
       cri::CommResourceInstance& inst = pool.instance(own);
-      lock_timed(inst, rank_->counters());
-      LockGuard adopt(inst.lock(), adopt_lock);
+      LockGuard guard(inst.lock());
       rank_->engine().progress_instance_locked(inst);
       waiter.reset();
       continue;

@@ -21,7 +21,6 @@ const char* counter_name(Counter c) noexcept {
     case Counter::kProgressCalls: return "ProgressCalls";
     case Counter::kProgressCompletions: return "ProgressCompletions";
     case Counter::kInstanceTrylockFail: return "InstanceTrylockFail";
-    case Counter::kInstanceLockWaitNs: return "InstanceLockWaitNs";
     case Counter::kRmaPuts: return "RmaPuts";
     case Counter::kRmaGets: return "RmaGets";
     case Counter::kRmaAccumulates: return "RmaAccumulates";

@@ -52,8 +52,11 @@ TEST(Multirate, TwoPairsSharedCommCompletes) {
   cfg.engine.assignment = cri::Assignment::kRoundRobin;
   const auto res = run_pairwise(cfg);
   EXPECT_GT(res.delivered, 200u);
-  // Receiver-side SPC saw the traffic.
-  EXPECT_GE(res.receiver_spc.get(Counter::kMessagesReceived), res.delivered);
+  // Receiver-side SPC saw the traffic. A receiver preempted between its
+  // window's wait_all and the timing check counts that window although its
+  // messages landed before the SPC baseline: at most one window per pair.
+  EXPECT_GE(res.receiver_spc.get(Counter::kMessagesReceived) + cfg.window * cfg.pairs,
+            res.delivered);
 }
 
 TEST(Multirate, CommPerPairMode) {

@@ -10,6 +10,7 @@
 // selects these tests by that regex.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <sstream>
@@ -204,44 +205,57 @@ TEST(Overload, ShedMultiProducerPerPeerCap) {
             static_cast<std::uint64_t>(3 * kPerProducer));
 }
 
-// --- bounded admission: kQueue (latch + RX trickle backpressure) ---
+// --- bounded admission: kQueue (deferred admission on the retransmit clock) ---
 
-TEST(Overload, QueuePolicyBoundsQueueWithoutLoss) {
-  // kQueue on a reliable fabric must lose nothing AND hard-bound the
-  // unexpected queue: at cap the receiver defers admission (answers with
-  // neither ack nor NACK, before the sequence stream consumes the packet),
-  // so the sender's retransmit clock re-presents it once the slow consumer
-  // has drained below the cap. The sampled queue depth must never exceed
-  // cap + the reorder-window overshoot (packets parked out-of-sequence
-  // were acked at park time and are always admitted when drained).
+/// One kQueue flood: rank 0 sends kSent messages to a slow consumer on
+/// rank 1 that reads one at a time, sampling its queues on every progress
+/// visit. kQueue must lose nothing AND bound the unexpected queue on any
+/// placement: at cap the receiver defers admission (answers with neither
+/// ack nor NACK), so the sender's retransmit clock re-presents the packet
+/// once the consumer drains. An out-of-sequence packet also counts the
+/// peer's parked backlog against the cap, so fewer than kCap packets ever
+/// park and the queue never exceeds 2*kCap - 1. With `fill_first` the
+/// consumer posts nothing until the deferral latch fires, so the bound is
+/// checked with the queue full; without it the consumer streams from the
+/// start, so fresh packets keep arriving while a deferred head waits.
+void check_queue_flood(bool fill_first) {
   constexpr std::size_t kCap = 16;
   constexpr int kSent = 256;
   Config cfg;
-  cfg.reliable = true;       // deferred admission leans on the retransmit clock
-  cfg.unexpected_cap = kCap;
+  cfg.unexpected_cap = kCap;  // implies reliable: deferral needs the retransmit clock
   cfg.unexpected_policy = overload::Policy::kQueue;
   cfg.rto_ns = 200'000;      // fast retries so deferrals re-present quickly
   cfg.rto_max_ns = 2'000'000;
   cfg.max_retries = 1'000'000;  // deferral is backpressure, not exhaustion
   Universe uni(cfg);
+  ErrorCapture sender_errors;
+  uni.rank(0).set_error_sink(ErrorCapture::sink, &sender_errors);
 
   std::atomic<int> received{0};
   std::atomic<bool> consumer_stuck{false};
   std::size_t max_unexpected = 0;
+  std::size_t max_parked = 0;
   std::thread consumer([&] {
-    // The slow consumer: reads one message at a time, sampling the queue
-    // depth on every progress visit.
     auto& match = uni.rank(1).comm_state(kWorldComm).match();
+    const auto progress_and_sample = [&] {
+      uni.rank(1).progress();
+      max_unexpected = std::max(max_unexpected, match.unexpected_count());
+      max_parked = std::max(max_parked, match.reorder_buffered());
+    };
+    // Fill: progress without posting until the peer is deferred at cap.
+    const std::uint64_t fill_deadline = now_ns() + 10'000'000'000ULL;
+    while (fill_first &&
+           uni.rank(1).counters().get(Counter::kOverloadPausedPeers) == 0 &&
+           now_ns() < fill_deadline) {
+      progress_and_sample();
+    }
+    // Drain: the slow consumer reads one message at a time.
     for (int i = 0; i < kSent; ++i) {
       Request req;
       char got = 0;
       uni.rank(1).irecv(kWorldComm, 0, /*tag=*/3, &got, 1, req);
       const std::uint64_t deadline = now_ns() + 10'000'000'000ULL;
-      while (!req.done() && now_ns() < deadline) {
-        uni.rank(1).progress();
-        const std::size_t n = match.unexpected_count();
-        if (n > max_unexpected) max_unexpected = n;
-      }
+      while (!req.done() && now_ns() < deadline) progress_and_sample();
       if (!req.done() || req.failed()) {
         consumer_stuck.store(true, std::memory_order_release);
         return;
@@ -271,14 +285,42 @@ TEST(Overload, QueuePolicyBoundsQueueWithoutLoss) {
   ASSERT_FALSE(consumer_stuck.load(std::memory_order_acquire));
   ASSERT_EQ(received.load(std::memory_order_acquire), kSent);
 
-  // Backpressure engaged (the latch fired) and the queue stayed hard-
-  // bounded: cap + kReorderWindow overshoot, far below the 256-flood.
+  ::testing::Test::RecordProperty("max_unexpected", static_cast<int>(max_unexpected));
+  ::testing::Test::RecordProperty("max_parked", static_cast<int>(max_parked));
   const auto snap = uni.rank(1).counters().snapshot();
-  EXPECT_GE(snap.get(Counter::kOverloadPausedPeers), 1u);
-  EXPECT_LE(max_unexpected, kCap + 64);
+  if (fill_first) {
+    // Backpressure engaged with the queue full.
+    EXPECT_GE(snap.get(Counter::kOverloadPausedPeers), 1u);
+    EXPECT_GE(max_unexpected, kCap);
+  }
+  // The invariants: fewer than kCap parked, the queue within 2*kCap.
+  EXPECT_LE(max_unexpected, 2 * kCap);
+  EXPECT_LT(max_parked, kCap);
   // Zero loss, zero shed: kQueue never drops.
   EXPECT_EQ(snap.get(Counter::kOverloadShedMessages), 0u);
   EXPECT_EQ(snap.get(Counter::kOverloadNacksSent), 0u);
+  // No tracked send failed: deferral never strands a delivered packet's
+  // re-ack behind the cap (the sender would end in kRetryExhausted).
+  EXPECT_TRUE(sender_errors.errors.empty()) << sender_errors.errors.size() << " sender errors";
+}
+
+TEST(Overload, QueuePolicyBoundsQueueWithoutLoss) { check_queue_flood(/*fill_first=*/true); }
+
+TEST(Overload, QueuePolicyBoundsQueueWhileStreaming) {
+  check_queue_flood(/*fill_first=*/false);
+}
+
+TEST(Overload, UnexpectedCapImpliesReliable) {
+  // Without acks a shed packet is silent loss and a deferred one is never
+  // re-presented, so any unexpected-queue cap switches reliability on.
+  for (const overload::Policy policy : {overload::Policy::kShed, overload::Policy::kQueue}) {
+    Config cfg;
+    cfg.unexpected_cap = 4;
+    cfg.unexpected_policy = policy;
+    ASSERT_FALSE(cfg.reliable);
+    Universe uni(cfg);
+    ASSERT_TRUE(uni.config().reliable) << overload::policy_name(policy);
+  }
 }
 
 // --- sender-side admission: payload-pool and tracker caps ---
