@@ -1,6 +1,6 @@
 // Ablation: fabric building blocks — RX ring throughput under different
-// producer counts, inline vs heap payload transfer, and the end-to-end
-// injection path through an endpoint.
+// producer counts, inline vs heap payload transfer, the wire checksum, and
+// the end-to-end injection path through an endpoint.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -22,6 +22,8 @@ using fairmpi::fabric::Packet;
 using fairmpi::fabric::SubmitDesc;
 using fairmpi::fabric::SubmitRing;
 using fairmpi::fabric::SubmitTicket;
+using fairmpi::fabric::WireHeader;
+using fairmpi::fabric::wire_checksum;
 
 void BM_RingPushPopSingleThread(benchmark::State& state) {
   MpscRing<std::uint64_t> ring(4096);
@@ -179,6 +181,23 @@ void BM_PacketInlinePayload(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_PacketInlinePayload)->Arg(0)->Arg(32)->Arg(64)->Arg(256)->Arg(4096);
+
+/// The reliability layer's per-packet hash (header + payload), stamped at
+/// injection under the CRI lock and verified again at the receiver.
+void BM_WireChecksum(benchmark::State& state) {
+  const std::string payload(static_cast<std::size_t>(state.range(0)), 'x');
+  const auto* bytes = reinterpret_cast<const std::byte*>(payload.data());
+  WireHeader hdr;
+  hdr.opcode = Opcode::kEager;
+  hdr.payload_size = static_cast<std::uint32_t>(payload.size());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(hdr);
+    benchmark::DoNotOptimize(wire_checksum(hdr, bytes, payload.size()));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(sizeof hdr + payload.size()));
+}
+BENCHMARK(BM_WireChecksum)->Arg(64)->Arg(4096)->Arg(32768);
 
 void BM_EndpointInjection(benchmark::State& state) {
   Fabric fabric({1, 1});

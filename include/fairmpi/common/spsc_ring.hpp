@@ -69,6 +69,16 @@ class SpscRing {
     return true;
   }
 
+  /// True when a try_push would succeed now. PRODUCER SIDE ONLY: the
+  /// consumer can only free slots, so the answer holds until this
+  /// producer's next push.
+  bool has_room() noexcept {
+    const std::uint64_t t = tail_.load(std::memory_order_relaxed);
+    if (t - head_cache_ < capacity_) return true;
+    head_cache_ = head_.load(std::memory_order_acquire);
+    return t - head_cache_ < capacity_;
+  }
+
   /// Dequeue into `out`; false when empty. CONSUMER SIDE ONLY.
   FAIRMPI_ALWAYS_INLINE bool try_pop(T& out) noexcept {
     const std::uint64_t h = head_.load(std::memory_order_relaxed);  // [C1]

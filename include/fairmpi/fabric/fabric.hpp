@@ -312,29 +312,32 @@ class Fabric {
 
  private:
   /// Slow path: run the packet through the link's fault model and push the
-  /// resulting batch. Only a full lane under the *primary* packet reports
-  /// backpressure; lost duplicates/releases are ordinary wire losses. The
-  /// whole batch lands on the caller's lane (the caller is its serialized
-  /// producer) — a parked-then-released reordered packet may therefore hop
-  /// streams, which is exactly the cross-stream reordering the fault model
-  /// exists to produce.
+  /// resulting batch. Backpressure is decided before the model runs: a
+  /// packet the wire never carried must come back exactly as offered —
+  /// handing back a corrupted one would let the retry stamp a valid
+  /// checksum over the flipped bit. (A dead link still eats the packet, as
+  /// it would any other.) With one free slot the primary (always pkts[0]
+  /// when it survives) cannot meet a full lane, because the caller is the
+  /// lane's only producer; lost duplicates/releases behind it are ordinary
+  /// wire losses. The whole batch lands on the caller's lane — a
+  /// parked-then-released reordered packet may therefore hop streams, which
+  /// is exactly the cross-stream reordering the fault model exists to
+  /// produce.
   bool deliver_faulty(NetworkContext& ctx, std::size_t lane, int dst_rank, Packet&& pkt) {
     const int src = static_cast<int>(pkt.hdr.src_rank);
+    if (!ctx.rx().lane_ring(lane)->has_room() && !injector_->rank_dead(src) &&
+        !injector_->rank_dead(dst_rank)) {
+      return false;
+    }
     FaultInjector::Batch batch;
     injector_->process(src, dst_rank, std::move(pkt), batch);
-    bool ok = true;
     for (std::size_t i = 0; i < batch.n; ++i) {
-      const bool is_primary = static_cast<int>(i) == batch.primary;
-      if (ctx.rx().try_push_lane(lane, std::move(batch.pkts[i]))) {
-        // delivered() is derived from the lanes' push cursors; nothing to do.
-      } else if (is_primary) {
-        pkt = std::move(batch.pkts[i]);  // hand it back for the retry
-        ok = false;
-      } else {
+      if (!ctx.rx().try_push_lane(lane, std::move(batch.pkts[i]))) {
+        FAIRMPI_DCHECK(static_cast<int>(i) != batch.primary);
         injector_->stats().ring_losses.fetch_add(1, std::memory_order_relaxed);
       }
     }
-    return ok;
+    return true;
   }
 
   FabricParams params_;

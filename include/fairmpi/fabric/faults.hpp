@@ -86,8 +86,8 @@ class FaultInjector {
 
   /// One injection's outcome: `pkts[0..n)` must be pushed toward the
   /// destination in order. `primary` is the index of the caller's own
-  /// packet within pkts, or -1 when it was dropped or parked (the caller
-  /// reports success to the sender in that case).
+  /// packet within pkts (always 0: released holdbacks follow it), or -1
+  /// when it was dropped or parked.
   struct Batch {
     std::array<Packet, kMaxEmit> pkts;
     std::size_t n = 0;
@@ -97,8 +97,9 @@ class FaultInjector {
   FaultInjector(int num_ranks, const FaultParams& params);
 
   /// Run one packet through the link's fault model. Consumes `pkt`; fills
-  /// `out`. If the caller later fails to push the primary packet (ring
-  /// full), it must move it back out of the batch and report backpressure.
+  /// `out`. Call only once the packet is sure to reach the wire: the
+  /// decisions cannot be undone, so backpressure is the caller's check to
+  /// make first (Fabric::deliver_faulty checks for lane room).
   void process(int src, int dst, Packet&& pkt, Batch& out);
 
   const FaultParams& params() const noexcept { return params_; }

@@ -217,9 +217,12 @@ struct Packet {
   }
 };
 
-/// Checksum of a header (with its csum field zeroed) plus `n` payload bytes.
-/// FNV-1a folded to 16 bits — error detection for the fault injector, not
-/// cryptography.
+/// Checksum of a header (with its csum field zeroed) plus `n` payload bytes:
+/// the complemented 16-bit ones'-complement sum of RFC 1071 (the Internet
+/// checksum) over the bytes in host order, computed 8 bytes at a time with a
+/// zero-padded tail. Flipping any single bit moves the sum by 2^k mod 0xffff,
+/// which is never 0, so every single-bit fault is detected. Error detection
+/// for the fault injector, not cryptography.
 std::uint16_t wire_checksum(const WireHeader& hdr, const std::byte* payload,
                             std::size_t n) noexcept;
 

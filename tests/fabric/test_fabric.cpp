@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -51,6 +52,73 @@ TEST(Wire, MoveTransfersHeapOwnership) {
   EXPECT_EQ(std::memcmp(b.payload(), big.data(), big.size()), 0);
 }
 
+/// RFC 1071 the slow way: 16-bit little-endian words, one at a time, with
+/// end-around carry after every add. The oracle for wire_checksum's
+/// word-at-a-time sum and fold.
+std::uint16_t reference_checksum(const WireHeader& hdr, const std::byte* payload,
+                                 std::size_t n) {
+  WireHeader h = hdr;
+  h.csum = 0;
+  std::vector<unsigned char> bytes(sizeof h + n);
+  std::memcpy(bytes.data(), &h, sizeof h);
+  if (n != 0) std::memcpy(bytes.data() + sizeof h, payload, n);
+  if (bytes.size() % 2 != 0) bytes.push_back(0);
+  std::uint32_t sum = 0;
+  for (std::size_t i = 0; i < bytes.size(); i += 2) {
+    sum += static_cast<std::uint32_t>(bytes[i] | (bytes[i + 1] << 8));
+    sum = (sum & 0xffffu) + (sum >> 16);
+  }
+  return static_cast<std::uint16_t>(~sum & 0xffffu);
+}
+
+WireHeader sample_header(std::uint32_t payload_size) {
+  WireHeader h;
+  h.opcode = Opcode::kEager;
+  h.src_rank = 2;
+  h.comm_id = 3;
+  h.tag = 4;
+  h.seq = 5;
+  h.payload_size = payload_size;
+  h.src_ctx = 6;
+  h.csum = 0xbeef;  // excluded from the sum
+  h.imm = 7;
+  return h;
+}
+
+TEST(Wire, ChecksumKnownAnswer) {
+  if constexpr (std::endian::native != std::endian::little) {
+    GTEST_SKIP() << "the known answer is for little-endian header bytes";
+  }
+  // Header words sum to 1+2+3+4+5+11+6+7 = 0x27; payload 01..0b as LE words
+  // (tail zero-padded) to 0x1e24. ~(0x27 + 0x1e24) = 0xe1b4.
+  std::byte payload[11];
+  for (int i = 0; i < 11; ++i) payload[i] = static_cast<std::byte>(i + 1);
+  EXPECT_EQ(wire_checksum(sample_header(11), payload, 11), 0xe1b4);
+}
+
+TEST(Wire, ChecksumMatchesReferenceAtEveryTailLength) {
+  if constexpr (std::endian::native != std::endian::little) {
+    GTEST_SKIP() << "the reference sums little-endian words";
+  }
+  std::vector<std::byte> payload(kInlineBytes * 2 + 1);
+  std::uint32_t x = 0x9e3779b9u;
+  for (auto& b : payload) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<std::byte>(x >> 24);
+  }
+  for (std::size_t n = 0; n <= payload.size(); ++n) {
+    const WireHeader h = sample_header(static_cast<std::uint32_t>(n));
+    EXPECT_EQ(wire_checksum(h, payload.data(), n), reference_checksum(h, payload.data(), n))
+        << "n=" << n;
+  }
+  // All 0xff bytes: every word is 0xffff, the fold's worst case.
+  std::vector<std::byte> ones(4096, std::byte{0xff});
+  WireHeader h;
+  std::memset(static_cast<void*>(&h), 0xff, sizeof h);
+  EXPECT_EQ(wire_checksum(h, ones.data(), ones.size()),
+            reference_checksum(h, ones.data(), ones.size()));
+}
+
 TEST(Fabric, RouteModulo) {
   Fabric fabric({4, 2});
   // Sender context i lands in receiver context i mod n_receiver.
@@ -84,6 +152,52 @@ TEST(Fabric, BackpressureWhenRingFull) {
   Packet out;
   ASSERT_TRUE(fabric.nic(1).context(0).rx().try_pop(out));
   EXPECT_TRUE(fabric.try_deliver(1, 0, 0, make_packet(0, 99)));
+}
+
+TEST(Fabric, BackpressuredPacketComesBackAsOffered) {
+  // A packet the wire never carried must come back untouched: were the
+  // fault model run first, the caller would retry a corrupted packet and
+  // the retry would stamp a valid checksum over the flipped bit.
+  FabricParams params;
+  params.rx_ring_entries = 2;
+  Fabric fabric({1, 1}, params);
+  FaultParams faults;
+  faults.corrupt = 1.0;
+  fabric.configure_reliability(faults, /*checksums=*/true);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(fabric.try_deliver(1, 0, 0, make_packet(0, static_cast<std::uint32_t>(i))));
+  }
+  for (const std::size_t n : {std::size_t{16}, kInlineBytes + 1, std::size_t{4096}}) {
+    std::string body(n, '\0');
+    for (std::size_t i = 0; i < n; ++i) body[i] = static_cast<char>(i * 31 + 7);
+    Packet pkt = make_packet(0, 42, body);
+    pkt.hdr.comm_id = 5;
+    stamp_checksum(pkt);
+    const WireHeader offered = pkt.hdr;
+    const std::uint64_t corrupted = fabric.injector()->stats().corrupted.load();
+
+    EXPECT_FALSE(fabric.try_deliver(1, 0, 0, std::move(pkt)));
+    // NOLINTNEXTLINE(bugprone-use-after-move): a refused packet is handed back
+    EXPECT_EQ(std::memcmp(&pkt.hdr, &offered, sizeof offered), 0) << "n=" << n;
+    ASSERT_EQ(pkt.hdr.payload_size, n);
+    EXPECT_EQ(std::memcmp(pkt.payload(), body.data(), n), 0) << "n=" << n;
+    EXPECT_TRUE(verify_checksum(pkt)) << "n=" << n;
+    EXPECT_EQ(fabric.injector()->stats().corrupted.load(), corrupted);
+  }
+}
+
+TEST(Fabric, DeadLinkEatsPacketsEvenWhenLaneFull) {
+  FabricParams params;
+  params.rx_ring_entries = 2;
+  Fabric fabric({1, 1}, params);
+  fabric.configure_reliability(FaultParams{}, /*checksums=*/true, /*force_injector=*/true);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(fabric.try_deliver(1, 0, 0, make_packet(0, static_cast<std::uint32_t>(i))));
+  }
+  EXPECT_FALSE(fabric.try_deliver(1, 0, 0, make_packet(0, 2)));
+  fabric.injector()->kill_rank(1);
+  EXPECT_TRUE(fabric.try_deliver(1, 0, 0, make_packet(0, 3)));
+  EXPECT_EQ(fabric.injector()->stats().kill_drops.load(), 1u);
 }
 
 TEST(Fabric, EndpointStampsSourceContext) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -183,25 +184,53 @@ TEST(FaultInjector, ConservationUnderMixedFaults) {
 }
 
 TEST(FaultInjector, CorruptionIsDetectedByChecksum) {
+  // Invariant: every single-bit flip corrupt_packet can make is detected.
+  // Its flip space is every header bit except the 4-byte payload_size
+  // field, plus every payload bit; sizes straddle the 8-byte word, the
+  // inline/heap boundary and a page.
+  constexpr std::size_t kHdr = sizeof(WireHeader);
+  const std::size_t size_off = offsetof(WireHeader, payload_size);
+  for (const std::size_t n : {0, 1, 7, 8, 63, 64, 65, 4095, 4096, 4097}) {
+    std::string body(n, '\0');
+    for (std::size_t i = 0; i < n; ++i) body[i] = static_cast<char>(i * 131 + 7);
+    Packet pkt = make_packet(0x2a, body);
+    pkt.hdr.comm_id = 0x12345;
+    pkt.hdr.imm = 0xfeedfacecafebeefULL;
+    stamp_checksum(pkt);
+    ASSERT_TRUE(verify_checksum(pkt));
+    std::size_t missed = 0;
+    for (std::size_t byte = 0; byte < kHdr + n; ++byte) {
+      if (byte >= size_off && byte < size_off + sizeof(std::uint32_t)) continue;
+      for (int bit = 0; bit < 8; ++bit) {
+        const auto mask = static_cast<unsigned char>(1u << bit);
+        unsigned char* p = byte < kHdr
+                               ? reinterpret_cast<unsigned char*>(&pkt.hdr) + byte
+                               : reinterpret_cast<unsigned char*>(pkt.mutable_payload()) +
+                                     (byte - kHdr);
+        *p ^= mask;
+        if (verify_checksum(pkt)) ++missed;
+        *p ^= mask;
+      }
+    }
+    EXPECT_EQ(missed, 0u) << "payload " << n << " B";
+    EXPECT_TRUE(verify_checksum(pkt));
+  }
+
+  // And through the injector itself: corrupt = 1.0 must never slip by.
   FaultParams params;
   params.corrupt = 1.0;
   params.seed = 0xc0;
   FaultInjector inj(2, params);
-  int detected = 0;
   for (int i = 0; i < 100; ++i) {
     // Stamp before injection, exactly as Fabric::try_deliver does.
     Packet pkt = make_packet(static_cast<std::uint32_t>(i), "corruptible payload");
     stamp_checksum(pkt);
-    ASSERT_TRUE(verify_checksum(pkt));
     FaultInjector::Batch batch;
     inj.process(0, 1, std::move(pkt), batch);
     ASSERT_EQ(batch.n, 1u);
-    if (!verify_checksum(batch.pkts[0])) ++detected;
+    EXPECT_FALSE(verify_checksum(batch.pkts[0])) << "packet " << i;
   }
   EXPECT_EQ(inj.stats().corrupted.load(), 100u);
-  // A 16-bit folded FNV cannot promise 100% detection in principle, but a
-  // single flipped bit should essentially never collide.
-  EXPECT_GT(detected, 90);
 }
 
 TEST(FaultInjector, KillRankAtEatsFromTheNthInjection) {
