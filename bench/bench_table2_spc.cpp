@@ -13,7 +13,6 @@
 #include "fairmpi/core/universe.hpp"
 #include "fairmpi/model/msgrate.hpp"
 #include "fairmpi/obs/contention.hpp"
-#include "fairmpi/obs/utilization.hpp"
 
 using namespace fairmpi;
 
@@ -150,15 +149,15 @@ int main(int argc, char** argv) {
     Table util({"instance", "injections", "pkts drained", "drain visits",
                 "own-trylock miss", "orphan sweeps"});
     for (int r = 0; r < uni.num_ranks(); ++r) {
-      cri::CriPool& pool = uni.rank(r).pool();
-      for (int i = 0; i < pool.size(); ++i) {
-        const obs::InstanceUtilization u = pool.instance(i).stats().snapshot();
+      using spc::CriMetric;
+      const spc::Snapshot snap = uni.rank(r).counters().snapshot();
+      for (int i = 0; i < uni.rank(r).pool().size(); ++i) {
         util.add_row({"r" + std::to_string(r) + ".cri" + std::to_string(i),
-                      std::to_string(u.injections),
-                      std::to_string(u.packets_drained),
-                      std::to_string(u.drain_visits),
-                      std::to_string(u.own_trylock_misses),
-                      std::to_string(u.orphan_sweeps)});
+                      std::to_string(snap.get(CriMetric::kInjections, i)),
+                      std::to_string(snap.get(CriMetric::kPacketsDrained, i)),
+                      std::to_string(snap.get(CriMetric::kDrainVisits, i)),
+                      std::to_string(snap.get(CriMetric::kOwnTrylockMisses, i)),
+                      std::to_string(snap.get(CriMetric::kOrphanSweeps, i))});
       }
     }
     std::printf("Per-CRI utilization (obs layer)\n%s\n", util.render().c_str());

@@ -35,7 +35,7 @@
 #include "fairmpi/debug/thread_safety.hpp"
 #include "fairmpi/fabric/fabric.hpp"
 #include "fairmpi/fabric/submit_ring.hpp"
-#include "fairmpi/obs/utilization.hpp"
+#include "fairmpi/obs/contention.hpp"
 #include "fairmpi/spc/spc.hpp"
 
 namespace fairmpi::cri {
@@ -105,10 +105,11 @@ class alignas(kCacheLine) CommResourceInstance {
     return endpoints_[static_cast<std::size_t>(peer)];
   }
 
-  /// Per-instance utilization counters (observability; no-ops unless
-  /// obs::enabled()). Injection sites and the progress engine feed them.
-  obs::InstanceCounters& stats() noexcept { return stats_; }
-  const obs::InstanceCounters& stats() const noexcept { return stats_; }
+  /// Count one packet (or RMA CQ event) handed to this instance in its
+  /// per-CRI cell of `counters` (obs-only: one predicted branch when off).
+  void note_injection(spc::CounterSet& counters) const noexcept {
+    if (obs::enabled()) [[unlikely]] counters.add(spc::CriMetric::kInjections, id_);
+  }
 
   /// The lock-free submission ring (producer side; see submit_ring.hpp for
   /// the protocol). Exposed for tests/benches; production code goes
@@ -132,8 +133,9 @@ class alignas(kCacheLine) CommResourceInstance {
 
   /// Drain the submission ring, injecting each queued descriptor and
   /// resolving its ticket. Single consumer: callers hold the instance
-  /// lock. Returns descriptors retired.
-  std::size_t flush_submissions() FAIRMPI_REQUIRES(lock_);
+  /// lock. Returns descriptors retired; `counters` is the owning rank's
+  /// registry (per-CRI injection and flush-batch cells).
+  std::size_t flush_submissions(spc::CounterSet& counters) FAIRMPI_REQUIRES(lock_);
 
  private:
   const int id_;
@@ -142,7 +144,6 @@ class alignas(kCacheLine) CommResourceInstance {
   InstanceLock lock_{LockRank::kCriInstance, "cri.instance"};
   fabric::SubmitRing submit_;
   const bool use_funnel_;  ///< see ctor: spin-profitable host or explicit size
-  obs::InstanceCounters stats_;
 };
 
 /// The pool of CRIs owned by one rank, plus the "centralized body" (§III-B)

@@ -25,8 +25,8 @@
 // Determinism: the injector kills at a packet *index*, and confirmation
 // only requires sustained silence, so a killed rank is always eventually
 // confirmed dead — the detector's outcome is deterministic even though the
-// wall-clock detection latency is not (it is recorded in a histogram for
-// dump_observability()).
+// wall-clock detection latency is not (it is recorded in the rank
+// registry's spc::Hist::kFtDetectionMs histogram for dump_observability()).
 //
 // Lock discipline: note_alive is one relaxed store (it runs on the packet
 // dispatch path, which progress_instance_locked executes under a CRI lock).
@@ -37,7 +37,6 @@
 // are lock-free reads for the send paths and the watchdog.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <vector>
@@ -74,13 +73,12 @@ inline const char* peer_state_name(PeerState s) noexcept {
   return "unknown";
 }
 
+/// Counts (kFtSuspects, kFtDeaths) and the detection-latency histogram
+/// (spc::Hist::kFtDetectionMs: bucket i counts confirmations < 2^i ms
+/// after last contact, the last bucket overflows) live in the rank's
+/// spc::CounterSet.
 class FailureDetector {
  public:
-  /// Detection-latency histogram: bucket i counts confirmations whose
-  /// last-contact-to-confirmation latency was < 2^i milliseconds (last
-  /// bucket is the overflow).
-  static constexpr int kLatencyBuckets = 8;
-
   FailureDetector(int num_ranks, int self, const FtParams& params,
                   spc::CounterSet& counters, trace::Tracer& tracer);
   FailureDetector(const FailureDetector&) = delete;
@@ -117,23 +115,6 @@ class FailureDetector {
   /// Lock-free; the watchdog reads this to attribute a stall escalation.
   const std::atomic<int>* suspect_hint() const noexcept { return &suspect_hint_; }
 
-  std::uint64_t suspects() const noexcept {
-    return suspects_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t deaths() const noexcept {
-    return deaths_.load(std::memory_order_relaxed);
-  }
-
-  /// Copy of the detection-latency histogram (see kLatencyBuckets).
-  std::array<std::uint64_t, kLatencyBuckets> latency_hist() const noexcept {
-    std::array<std::uint64_t, kLatencyBuckets> out{};
-    for (int i = 0; i < kLatencyBuckets; ++i) {
-      out[static_cast<std::size_t>(i)] =
-          lat_hist_[static_cast<std::size_t>(i)].load(std::memory_order_relaxed);
-    }
-    return out;
-  }
-
   const FtParams& params() const noexcept { return params_; }
 
  private:
@@ -163,9 +144,6 @@ class FailureDetector {
   std::vector<Cold> cold_ FAIRMPI_GUARDED_BY(lock_);
   std::atomic<std::uint64_t> last_poll_ns_{0};
   std::atomic<int> suspect_hint_{-1};
-  std::atomic<std::uint64_t> suspects_{0};
-  std::atomic<std::uint64_t> deaths_{0};
-  std::array<std::atomic<std::uint64_t>, kLatencyBuckets> lat_hist_{};
 };
 
 }  // namespace fairmpi::ft

@@ -10,15 +10,13 @@
 // can report, e.g., that 80% of blocked time sits on `cri.instance` under
 // serial progress and migrates to `match.engine` once CRIs are replicated.
 //
-// Design (mirrors the sharded SPC CounterSet):
-//   * process-global registry of lock classes (RankedLock instances cache
-//     their interned id, so steady state never re-interns);
-//   * per-thread shards (common/thread_slot.hpp): the owning thread writes
-//     its cells with plain relaxed stores, snapshot() sums across shards;
-//     threads past the slot registry share one overflow shard with real
-//     RMWs — correct, just contended;
-//   * wait time is measured in TSC cycles (common/timing.hpp CycleClock)
-//     and converted to ns only when a snapshot is rendered.
+// Design: the counts are labelled cells of the engine's one metrics store
+// (spc::ShardStore, per-thread shards — see spc/spc.hpp); the label is the
+// lock class, interned into one process-global registry because lock
+// classes are process-global (RankedLock instances cache their interned id,
+// so steady state never re-interns). Wait time is measured in TSC cycles
+// (common/timing.hpp CycleClock) and converted to ns only when a snapshot
+// is rendered.
 //
 // Disabled-cost policy: everything is gated on one process-global relaxed
 // load (enabled()). RankedLock's fast paths test it before touching any
@@ -37,7 +35,7 @@
 namespace fairmpi::obs {
 
 /// Master switch for the observability layer (lock-contention profiling and
-/// per-CRI utilization). Off by default; Universe flips it on when
+/// the obs-only per-CRI cells). Off by default; Universe flips it on when
 /// Config::obs_enabled (cvar `obs`, env FAIRMPI_OBS=1) is set. Process-
 /// global and sticky by design: lock classes are process-global (RankedLock
 /// exists below any Universe), so the profile is too.
@@ -88,13 +86,13 @@ struct ClassContention {
   std::uint64_t trylock_fails = 0;  ///< failed try_lock probes
 };
 
-/// Sum over all shards for every interned class, in intern order. Classes
+/// Totals for every interned class, in intern order. Classes
 /// with no recorded activity are included (all-zero rows), so reports can
 /// distinguish "never contended" from "not instrumented".
 std::vector<ClassContention> contention_snapshot();
 
-/// Zero every shard cell (test isolation only; racing writers may survive
-/// into the next epoch, exactly like spc::CounterSet::reset's caveat).
+/// Rebase every class to zero (test isolation only; a racing writer lands in
+/// the old or the new epoch, as with spc::CounterSet::reset).
 void reset_contention_for_test() noexcept;
 
 }  // namespace fairmpi::obs

@@ -104,7 +104,7 @@ class ProgressEngine {
   void drain_locked(cri::CommResourceInstance& inst, DrainBatch& b)
       FAIRMPI_REQUIRES(inst.lock());
   /// Observability bookkeeping for one finished drain visit (lock already
-  /// released): per-instance counters + the kCriDrain trace event.
+  /// released): the obs-only per-CRI cells + the kCriDrain trace event.
   void note_drain(cri::CommResourceInstance& inst, const DrainBatch& b, bool sweep);
   /// Hand a drained batch to the sink; returns completions. No locks held
   /// (the sink takes the match lock itself).

@@ -1,4 +1,5 @@
-// Software-based Performance Counters (SPCs).
+// Software-based Performance Counters (SPCs) and the engine's one metrics
+// registry.
 //
 // Mirrors the Open MPI SPC infrastructure the paper uses (ref [9]) to expose
 // low-overhead internal statistics. Table II of the paper is built from two
@@ -9,19 +10,29 @@
 // Sharding: every thread of a rank updates every counter on every message,
 // so a single shared atomic per counter serializes the whole engine on the
 // counter cache line (the contention arXiv:2002.02509 measures dominating
-// multi-VCI scaling). CounterSet is therefore internally sharded: each
-// registered thread gets a private shard (common/thread_slot.hpp), written
-// with plain relaxed stores — the owning thread is the only writer — and
-// snapshot()/get() sum the shards. The public add/get/update_max/snapshot
-// API and the Table II semantics are unchanged; totals are exact, only the
-// interleaving of a snapshot against in-flight adds is approximate, exactly
-// as with the previous shared-atomic design.
+// multi-VCI scaling). Every counter in the engine therefore lives in a
+// ShardStore: each registered thread gets a private shard
+// (common/thread_slot.hpp), written with plain relaxed stores — the owning
+// thread is the only writer — and reads sum the shards. Totals are exact;
+// only the interleaving of a snapshot against in-flight adds is approximate.
+//
+// Cells come in three kinds — sum, high-water (max) and log2 histogram (a
+// run of sum cells, one per bucket) — and carry at most one label:
+//   * a CRI id, in a rank's CounterSet (CriMetric / CriHist, DESIGN.md §5d);
+//   * a lock class, in the process-global contention registry
+//     (obs/contention.hpp), since lock classes are process-global.
+// A rank total that is also tracked per CRI is recorded once, in the
+// labelled cell, and read as the sum over labels (see rollup()).
 #pragma once
 
 #include <array>
 #include <atomic>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "fairmpi/common/align.hpp"
 #include "fairmpi/common/thread_slot.hpp"
@@ -99,69 +110,120 @@ constexpr bool is_high_water(Counter c) noexcept {
   return c == Counter::kOosBufferPeak || c == Counter::kOverloadPoolPeak;
 }
 
-/// Point-in-time copy of all counters; supports delta and merge so benches
-/// can report per-phase numbers (Table II is the delta over the timed loop).
+/// Bucket of a log2 histogram with `buckets` cells: 0 lands in bucket 0,
+/// [2^(i-1), 2^i) in bucket i, and the last bucket overflows.
+constexpr int log2_bucket(std::uint64_t v, int buckets) noexcept {
+  const int b = static_cast<int>(std::bit_width(v));
+  return b < buckets ? b : buckets - 1;
+}
+
+/// Per-CRI cells of a rank's registry, labelled by instance id. Metrics
+/// marked "obs" are recorded only while obs::enabled(); the others are the
+/// single write behind an always-on rank SPC (see rollup()).
+enum class CriMetric : int {
+  kInjections = 0,     ///< packets / RMA CQ events handed to the instance (obs)
+  kPacketsDrained,     ///< packets popped by progress visits (obs)
+  kCompletionsDrained, ///< CQ events popped by progress visits (obs)
+  kOwnTrylockMisses,   ///< Alg. 2 try_lock misses on the thread's own instance
+  kOrphanSweeps,       ///< non-empty visits by a non-owner thread (obs)
+  kDrainVisits,        ///< progress visits, empty or not (obs)
+  kSubmitClaimed,      ///< submission-ring slots claimed by producers
+  kSubmitDoorbells,    ///< batched doorbells rung
+  kSubmitCasRetries,   ///< producer tail-CAS collisions
+  kCount
+};
+inline constexpr int kNumCriMetrics = static_cast<int>(CriMetric::kCount);
+
+/// The rank SPC a per-CRI metric sums into (Counter::kCount: none). The
+/// rank total reads the Counter's own cell plus every label's cell, so
+/// kInstanceTrylockFail still counts sweep, serial-gate and RMA misses.
+constexpr Counter rollup(CriMetric m) noexcept {
+  switch (m) {
+    case CriMetric::kOwnTrylockMisses: return Counter::kInstanceTrylockFail;
+    case CriMetric::kSubmitClaimed: return Counter::kSubmitQueued;
+    case CriMetric::kSubmitDoorbells: return Counter::kSubmitDoorbells;
+    case CriMetric::kSubmitCasRetries: return Counter::kSubmitCasRetries;
+    default: return Counter::kCount;
+  }
+}
+
+/// Per-CRI batch-size histograms (obs). A batch of n >= 1 lands in
+/// log2_bucket(n - 1): 1 | 2 | 3-4 | 5-8 | 9-16 | 17-32 | 33+.
+enum class CriHist : int { kDrainBatch = 0, kSubmitFlush, kCount };
+inline constexpr int kBatchHistBuckets = 7;
+
+/// Unlabelled rank histograms (always on): value v lands in
+/// log2_bucket(v, kHistBuckets).
+enum class Hist : int {
+  kFtDetectionMs = 0,  ///< ft last-contact-to-confirmed-dead latency, ms
+  kCount
+};
+inline constexpr int kHistBuckets = 8;
+
+/// Point-in-time copy of a rank registry: the rank SPCs (rollups included)
+/// plus every histogram and per-CRI cell. Supports delta and merge so
+/// benches can report per-phase numbers (Table II is the delta over the
+/// timed loop).
 struct Snapshot {
   std::array<std::uint64_t, kNumCounters> values{};
+  /// Cells past the Counter block: the Hist buckets, then one block per
+  /// CRI label (CriMetric cells, then CriHist buckets).
+  std::vector<std::uint64_t> cells;
 
   std::uint64_t get(Counter c) const noexcept { return values[static_cast<int>(c)]; }
+  /// 0 for a label this snapshot does not carry.
+  std::uint64_t get(CriMetric m, int cri) const noexcept;
+  std::array<std::uint64_t, kBatchHistBuckets> hist(CriHist h, int cri) const noexcept;
+  std::array<std::uint64_t, kHistBuckets> hist(Hist h) const noexcept;
 
-  /// Counter-wise difference (this - earlier); kOosBufferPeak keeps the
-  /// later (max-style) value since it is a high-water mark, not a sum.
-  Snapshot delta_since(const Snapshot& earlier) const noexcept;
+  /// Cell-wise difference (this - earlier); high-water counters keep the
+  /// later (max-style) value since they are marks, not sums.
+  Snapshot delta_since(const Snapshot& earlier) const;
 
-  /// Sum (max for high-water counters) across engines — e.g. both ranks.
-  void merge(const Snapshot& other) noexcept;
+  /// Sum (max for high-water counters) across engines — e.g. both ranks;
+  /// per-CRI cells add up label by label.
+  void merge(const Snapshot& other);
 
   std::string to_string() const;
 };
 
-/// One set of counters, shared by all threads of a rank. Internally sharded
-/// per thread (see file comment); reads sum the shards, so get()/snapshot()
-/// are O(threads) — fine, they are off-path.
+/// The per-thread shard store behind every counter in the engine: `width`
+/// uint64 cells per shard, one shard per thread slot plus a shared overflow
+/// shard for threads past the slot registry. Owners write their cells with
+/// plain relaxed load+store (no lock prefix); overflow writers use real
+/// RMWs. Reads sum the shards (max for high-water cells), so they are
+/// O(threads) — fine, they are off-path.
 ///
-/// reset() is a *rebase*, not a destructive zeroing: it records the current
-/// totals as the new baseline, so adds racing a reset are never lost (the
-/// old design's store-zero could swallow a concurrent fetch_add's worth of
-/// updates between the snapshot and the store). High-water counters are
-/// lifetime maxima and are NOT lowered by reset(), matching
-/// Snapshot::delta_since, which also keeps the later absolute value for
-/// them. Benches that need per-phase numbers should prefer delta_since.
-class CounterSet {
- private:
-  /// Per-thread counter block. Cells are written only by the owning thread
-  /// (plain-speed relaxed stores) and read by anyone via snapshot(). The
-  /// whole block is one thread's property, so counters within it may share
-  /// cache lines; the alignas keeps separate shards off each other's lines.
-  struct alignas(fairmpi::kCacheLine) Shard {
-    std::array<std::atomic<std::uint64_t>, kNumCounters> cells{};
-  };
-
+/// rebase() is a reset that never writes a cell: it records the current
+/// totals as a baseline that rebased reads subtract, so adds racing it land
+/// in one epoch or the other, never nowhere. High-water cells are lifetime
+/// maxima and ignore the baseline.
+class ShardStore {
  public:
-  CounterSet() = default;
-  CounterSet(const CounterSet&) = delete;
-  CounterSet& operator=(const CounterSet&) = delete;
-  ~CounterSet();
+  /// `is_max(i)` marks high-water cells (nullptr: all cells are sums).
+  explicit ShardStore(std::size_t width, bool (*is_max)(std::size_t) = nullptr);
+  ShardStore(const ShardStore&) = delete;
+  ShardStore& operator=(const ShardStore&) = delete;
+  ~ShardStore();
 
-  /// A resolved handle to the calling thread's shard: hot code that issues
-  /// several updates back-to-back (the matching engine does up to five per
-  /// envelope) takes one cursor and skips the per-call slot lookup. Must
-  /// not outlive the statement block it was taken in — in particular never
-  /// across a point where the thread could change (it cannot, within one
-  /// function) or the CounterSet could die.
-  class Cursor {
+  /// The calling thread's shard, resolved once: hot code that issues
+  /// several updates back-to-back skips the per-call slot lookup. Must not
+  /// outlive the statement block it was taken in.
+  class Writer {
    public:
-    void add(Counter c, std::uint64_t n = 1) noexcept {
-      auto& cell = shard_->cells[static_cast<std::size_t>(c)];
+    void add(std::size_t i, std::uint64_t n) noexcept {
+      auto& cell = cells_[i];
       if (shared_) {
         cell.fetch_add(n, std::memory_order_relaxed);
         return;
       }
+      // Single-writer cell: a relaxed load+store is a data-race-free
+      // increment and avoids the lock prefix a fetch_add would pay.
       cell.store(cell.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
     }
 
-    void update_max(Counter c, std::uint64_t candidate) noexcept {
-      auto& cell = shard_->cells[static_cast<std::size_t>(c)];
+    void update_max(std::size_t i, std::uint64_t candidate) noexcept {
+      auto& cell = cells_[i];
       // lint: allow(relaxed-sync) single-writer cell (CAS loop below covers shared)
       std::uint64_t cur = cell.load(std::memory_order_relaxed);
       if (!shared_) {
@@ -174,79 +236,136 @@ class CounterSet {
     }
 
    private:
-    friend class CounterSet;
-    Cursor(Shard* shard, bool shared) noexcept : shard_(shard), shared_(shared) {}
-    Shard* shard_;
+    friend class ShardStore;
+    Writer(std::atomic<std::uint64_t>* cells, bool shared) noexcept
+        : cells_(cells), shared_(shared) {}
+    std::atomic<std::uint64_t>* cells_;
     bool shared_;  ///< overflow shard: concurrent writers, RMWs required
   };
 
-  Cursor cursor() noexcept {
+  Writer writer() noexcept {
     const int slot = common::this_thread_slot();
-    if (slot == common::kNoThreadSlot) {
-      return Cursor(&overflow_shard(), /*shared=*/true);
+    if (slot == common::kNoThreadSlot) return Writer(shard(common::kMaxThreadSlots), true);
+    return Writer(shard(static_cast<std::size_t>(slot)), false);
+  }
+
+  /// Every cell, summed (maxed) over shards; `rebased` subtracts the
+  /// baseline from sum cells.
+  std::vector<std::uint64_t> read_all(bool rebased) const;
+
+  /// Record the current totals as the baseline (see class comment).
+  void rebase() noexcept;
+
+ private:
+  /// The shard for slot `idx`, allocated on first touch. Shards outlive
+  /// their thread: a recycled slot simply adopts the shard (and its totals)
+  /// — the slot registry's lock orders the handover.
+  std::atomic<std::uint64_t>* shard(std::size_t idx) noexcept {
+    std::atomic<std::uint64_t>* s = shards_[idx].load(std::memory_order_acquire);
+    if (s != nullptr) return s;
+    return slow_shard(idx);
+  }
+  /// Allocates the slot's shard; out of line to keep writer() small.
+  std::atomic<std::uint64_t>* slow_shard(std::size_t idx) noexcept;
+
+  const std::size_t width_;
+  /// Cells allocated per shard: width_ rounded up to whole cache lines, so
+  /// no two shards share a line.
+  const std::size_t padded_;
+  std::vector<std::uint8_t> is_max_;
+  std::array<std::atomic<std::atomic<std::uint64_t>*>, common::kMaxThreadSlots + 1> shards_{};
+  /// Reset baseline, subtracted from sum cells on rebased reads. Written
+  /// only by rebase() (rare, off-path).
+  std::unique_ptr<std::atomic<std::uint64_t>[]> base_;
+};
+
+/// A rank's registry: the SPCs, the unlabelled histograms and one block of
+/// per-CRI cells per instance, shared by all threads of the rank.
+///
+/// reset() is a *rebase* (see ShardStore): adds racing a reset are never
+/// lost, high-water counters are not lowered, and lifetime_snapshot() keeps
+/// the reset-immune totals. Benches that need per-phase numbers should
+/// prefer delta_since.
+class CounterSet {
+ public:
+  /// `cri_labels`: instances whose per-CRI cells this set carries (a
+  /// rank's pool size; 0 for sets that only count rank SPCs).
+  explicit CounterSet(int cri_labels = 0);
+  CounterSet(const CounterSet&) = delete;
+  CounterSet& operator=(const CounterSet&) = delete;
+
+  int cri_labels() const noexcept { return cri_labels_; }
+
+  /// The calling thread's shard, resolved once (the matching engine does up
+  /// to five updates per envelope). Same lifetime rule as ShardStore::Writer.
+  class Cursor {
+   public:
+    void add(Counter c, std::uint64_t n = 1) noexcept { w_.add(index(c), n); }
+    void update_max(Counter c, std::uint64_t candidate) noexcept {
+      w_.update_max(index(c), candidate);
     }
-    return Cursor(&owned_shard(slot), /*shared=*/false);
-  }
+    void add(CriMetric m, int cri, std::uint64_t n = 1) noexcept { w_.add(index(m, cri), n); }
+    /// One batch of `n` >= 1 items in `cri`'s histogram `h`.
+    void record(CriHist h, int cri, std::size_t n) noexcept {
+      w_.add(index(h, cri) + static_cast<std::size_t>(log2_bucket(n - 1, kBatchHistBuckets)),
+             1);
+    }
 
-  void add(Counter c, std::uint64_t n = 1) noexcept {
-    const int slot = common::this_thread_slot();
-    if (slot == common::kNoThreadSlot) return add_shared(c, n);
-    auto& cell = owned_shard(slot).cells[static_cast<std::size_t>(c)];
-    // Single-writer cell: a relaxed load+store is a data-race-free
-    // increment and avoids the lock prefix a fetch_add would pay.
-    cell.store(cell.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
-  }
+   private:
+    friend class CounterSet;
+    explicit Cursor(ShardStore::Writer w) noexcept : w_(w) {}
+    ShardStore::Writer w_;
+  };
 
+  Cursor cursor() noexcept { return Cursor(store_.writer()); }
+
+  void add(Counter c, std::uint64_t n = 1) noexcept { cursor().add(c, n); }
   /// Update a high-water-mark counter to max(current, candidate).
   void update_max(Counter c, std::uint64_t candidate) noexcept {
-    const int slot = common::this_thread_slot();
-    if (slot == common::kNoThreadSlot) return max_shared(c, candidate);
-    auto& cell = owned_shard(slot).cells[static_cast<std::size_t>(c)];
-    // lint: allow(relaxed-sync) single-writer cell, branch skips a same-thread rewrite
-    if (candidate > cell.load(std::memory_order_relaxed)) {
-      cell.store(candidate, std::memory_order_relaxed);
-    }
+    cursor().update_max(c, candidate);
+  }
+  /// `cri` must be below cri_labels().
+  void add(CriMetric m, int cri, std::uint64_t n = 1) noexcept { cursor().add(m, cri, n); }
+  void record(CriHist h, int cri, std::size_t n) noexcept { cursor().record(h, cri, n); }
+  void record(Hist h, std::uint64_t v) noexcept {
+    store_.writer().add(kNumCounters + static_cast<std::size_t>(h) * kHistBuckets +
+                            static_cast<std::size_t>(log2_bucket(v, kHistBuckets)),
+                        1);
   }
 
-  /// Current value (sum or max over shards, minus the reset baseline).
-  std::uint64_t get(Counter c) const noexcept;
+  /// Current value of one rank SPC (rollups included, minus the baseline).
+  std::uint64_t get(Counter c) const { return snapshot().get(c); }
 
-  Snapshot snapshot() const noexcept;
+  Snapshot snapshot() const;
 
   /// Reset-immune lifetime totals: the raw shard sums, ignoring the reset
   /// baseline. Monotone non-decreasing, so delta_since over lifetime
   /// snapshots gives exact per-phase accounting no matter who calls
   /// reset() in between — benches should prefer this over reset().
-  Snapshot lifetime_snapshot() const noexcept;
+  Snapshot lifetime_snapshot() const;
 
-  /// Rebase all sum counters to zero (see class comment).
-  void reset() noexcept;
+  /// Rebase all sum cells to zero (see class comment).
+  void reset() noexcept { store_.rebase(); }
 
  private:
-  /// The calling thread's private shard, allocated on first touch. Shards
-  /// outlive their thread: when a slot is recycled to a later thread the
-  /// shard (and its accumulated totals) is simply adopted — the slot
-  /// registry's lock orders the handover.
-  Shard& owned_shard(int slot) noexcept {
-    Shard* s = shards_[static_cast<std::size_t>(slot)].load(std::memory_order_acquire);
-    if (s != nullptr) return *s;
-    return slow_shard(static_cast<std::size_t>(slot));
+  static constexpr std::size_t kFixedCells =
+      kNumCounters + static_cast<std::size_t>(Hist::kCount) * kHistBuckets;
+  static constexpr std::size_t kCriCells =
+      kNumCriMetrics + static_cast<std::size_t>(CriHist::kCount) * kBatchHistBuckets;
+
+  static constexpr std::size_t index(Counter c) noexcept { return static_cast<std::size_t>(c); }
+  static constexpr std::size_t index(CriMetric m, int cri) noexcept {
+    return kFixedCells + static_cast<std::size_t>(cri) * kCriCells + static_cast<std::size_t>(m);
   }
+  static constexpr std::size_t index(CriHist h, int cri) noexcept {
+    return index(CriMetric::kCount, cri) + static_cast<std::size_t>(h) * kBatchHistBuckets;
+  }
+  Snapshot make_snapshot(bool rebased) const;
 
-  /// Allocates the slot's shard; out of line to keep add() small.
-  Shard& slow_shard(std::size_t idx) noexcept;
-  /// Sum (max for high-water) over shards, ignoring the reset baseline.
-  std::uint64_t raw_total(Counter c) const noexcept;
-  /// The shard shared by all threads past the slot registry's capacity
-  /// (last index); writes to it need real atomic RMWs.
-  Shard& overflow_shard() noexcept;
-  void add_shared(Counter c, std::uint64_t n) noexcept;
-  void max_shared(Counter c, std::uint64_t candidate) noexcept;
+  const int cri_labels_;
+  ShardStore store_;
 
-  std::array<std::atomic<Shard*>, common::kMaxThreadSlots + 1> shards_{};
-  /// Reset baseline, subtracted from sum counters on read. Written only by
-  /// reset() (rare, off-path), read by get()/snapshot().
-  std::array<std::atomic<std::uint64_t>, kNumCounters> base_{};
+  friend struct Snapshot;
 };
 
 }  // namespace fairmpi::spc

@@ -28,7 +28,8 @@ overload::Limits limits_from(const Config& cfg) noexcept {
 }  // namespace
 
 Rank::Rank(Universe& uni, int id)
-    : uni_(&uni), id_(id), tracer_(uni.config().trace_entries),
+    : uni_(&uni), id_(id), spc_(uni.fabric().nic(id).num_contexts()),
+      tracer_(uni.config().trace_entries),
       pool_(uni.fabric(), id, uni.config().assignment, uni.config().submit_ring_entries),
       engine_(pool_, *this, uni.config().progress_mode, spc_, uni.config().progress_batch,
               &tracer_),

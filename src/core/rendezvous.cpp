@@ -209,7 +209,7 @@ void Rank::inject_control(int dst, Packet&& pkt) {
     {
       LockGuard guard(inst.lock());
       injected = inst.endpoint(dst).try_send(std::move(pkt));
-      if (injected) inst.stats().note_injection();
+      if (injected) inst.note_injection(spc_);
     }
     if (injected) return;
     spc_.add(Counter::kSendBackpressure);

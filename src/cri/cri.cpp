@@ -18,12 +18,12 @@ const char* assignment_name(Assignment a) noexcept {
 
 std::atomic<std::uint64_t> CriPool::next_pool_key_{0};
 
-std::size_t CommResourceInstance::flush_submissions() {
-  const std::size_t n = submit_.drain([this](const fabric::SubmitDesc& d) {
+std::size_t CommResourceInstance::flush_submissions(spc::CounterSet& counters) {
+  const std::size_t n = submit_.drain([this, &counters](const fabric::SubmitDesc& d) {
     // The [C1] acquire in drain() made the producer's packet fully visible;
     // inject it exactly as the producer would have under the lock.
     const bool ok = endpoints_[static_cast<std::size_t>(d.dst)].try_send(std::move(*d.pkt));
-    if (ok) stats_.note_injection();
+    if (ok) note_injection(counters);
     // [T1] resolve: release publishes the injection (or, on backpressure,
     // the fact that try_send left *pkt intact) to the waiting producer.
     // Past this store the producer owns its packet and ticket again.
@@ -32,7 +32,7 @@ std::size_t CommResourceInstance::flush_submissions() {
                                      : fabric::SubmitStatus::kBackpressure),
         std::memory_order_release);
   });
-  stats_.note_submit_flush(n);
+  if (n != 0 && obs::enabled()) [[unlikely]] counters.record(spc::CriHist::kSubmitFlush, id_, n);
   return n;
 }
 
@@ -42,9 +42,9 @@ bool CommResourceInstance::inject(int dst, fabric::Packet& pkt, spc::CounterSet&
   // usually a single empty-frontier load.
   if (lock_.try_lock()) {
     LockGuard adopt(lock_, adopt_lock);
-    flush_submissions();
+    flush_submissions(counters);
     const bool ok = endpoints_[static_cast<std::size_t>(dst)].try_send(std::move(pkt));
-    if (ok) stats_.note_injection();
+    if (ok) note_injection(counters);
     return ok;
   }
 
@@ -55,9 +55,9 @@ bool CommResourceInstance::inject(int dst, fabric::Packet& pkt, spc::CounterSet&
     // flush: other pools' instances may have queued before we were built,
     // and the explicit-opt-in configs interleave with this path.
     LockGuard guard(lock_);
-    flush_submissions();
+    flush_submissions(counters);
     const bool ok = endpoints_[static_cast<std::size_t>(dst)].try_send(std::move(pkt));
-    if (ok) stats_.note_injection();
+    if (ok) note_injection(counters);
     return ok;
   }
   auto spc = counters.cursor();
@@ -69,16 +69,17 @@ bool CommResourceInstance::inject(int dst, fabric::Packet& pkt, spc::CounterSet&
     // ring would only deepen the backlog.
     spc.add(spc::Counter::kSubmitRingFull);
     LockGuard guard(lock_);
-    flush_submissions();
+    flush_submissions(counters);
     const bool ok = endpoints_[static_cast<std::size_t>(dst)].try_send(std::move(pkt));
-    if (ok) stats_.note_injection();
+    if (ok) note_injection(counters);
     return ok;
   }
 
-  spc.add(spc::Counter::kSubmitQueued);
-  if (push.rang_doorbell) spc.add(spc::Counter::kSubmitDoorbells);
-  if (push.cas_retries != 0) spc.add(spc::Counter::kSubmitCasRetries, push.cas_retries);
-  stats_.note_submit_claim(push.cas_retries, push.rang_doorbell);
+  // Per-CRI cells; the rank's SubmitQueued/SubmitDoorbells/SubmitCasRetries
+  // SPCs are their sums over instances (spc::rollup).
+  spc.add(spc::CriMetric::kSubmitClaimed, id_);
+  if (push.rang_doorbell) spc.add(spc::CriMetric::kSubmitDoorbells, id_);
+  if (push.cas_retries != 0) spc.add(spc::CriMetric::kSubmitCasRetries, id_, push.cas_retries);
 
   // Wait for the ticket, re-electing as flusher whenever the lock frees up
   // (the combining funnel: one acquisition retires every queued
@@ -99,12 +100,12 @@ bool CommResourceInstance::inject(int dst, fabric::Packet& pkt, spc::CounterSet&
     // re-check — the hole closes within a few stores.
     if (escalated) {
       LockGuard guard(lock_);
-      flush_submissions();
+      flush_submissions(counters);
       continue;
     }
     if (lock_.try_lock()) {
       LockGuard adopt(lock_, adopt_lock);
-      flush_submissions();
+      flush_submissions(counters);
       continue;
     }
     backoff.pause();

@@ -73,7 +73,6 @@ bool FailureDetector::poll(std::uint64_t now_ns, std::vector<int>& probes,
       c.strikes = 0;
       c.last_strike_ns = now_ns;
       c.last_probe_ns = now_ns;
-      suspects_.fetch_add(1, std::memory_order_relaxed);
       spc_.add(Counter::kFtSuspects);
       tracer_.record(trace::Event::kPeerSuspect, static_cast<std::uint32_t>(p), 1);
       suspect_hint_.store(p, std::memory_order_relaxed);
@@ -93,12 +92,9 @@ bool FailureDetector::poll(std::uint64_t now_ns, std::vector<int>& probes,
     // Confirmed dead (terminal). Detection latency = last contact to now.
     c.state = PeerState::kDead;
     cell.dead.store(true, std::memory_order_release);
-    deaths_.fetch_add(1, std::memory_order_relaxed);
     spc_.add(Counter::kFtDeaths);
     const std::uint64_t ms = silence / 1'000'000;
-    int bucket = 0;
-    while (bucket < kLatencyBuckets - 1 && ms >= (std::uint64_t{1} << bucket)) ++bucket;
-    lat_hist_[static_cast<std::size_t>(bucket)].fetch_add(1, std::memory_order_relaxed);
+    spc_.record(spc::Hist::kFtDetectionMs, ms);
     tracer_.record(trace::Event::kPeerDead, static_cast<std::uint32_t>(p),
                    static_cast<std::uint32_t>(ms));
     suspect_hint_.store(p, std::memory_order_relaxed);

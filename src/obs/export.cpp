@@ -18,6 +18,7 @@
 // converts to the format's microseconds with 3 decimals, so ns resolution
 // survives the JSON round-trip.
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <ostream>
@@ -74,6 +75,13 @@ void emit_spc(std::ostream& os, const spc::Snapshot& snap, const char* indent) {
        << "\": " << snap.values[static_cast<std::size_t>(c)];
   }
   os << "\n" << indent << "}";
+}
+
+template <std::size_t N>
+void emit_hist(std::ostream& os, const std::array<std::uint64_t, N>& hist) {
+  os << '[';
+  for (std::size_t b = 0; b < N; ++b) os << (b == 0 ? "" : ", ") << hist[b];
+  os << ']';
 }
 
 }  // namespace
@@ -164,31 +172,31 @@ void Universe::dump_observability(std::ostream& os) const {
   os << "\n  ],\n";
 
   os << "  \"ranks\": [";
+  spc::Snapshot total;  // spc_total: the sum of exactly the rows printed
   for (std::size_t r = 0; r < ranks_.size(); ++r) {
     Rank& rank = *ranks_[r];
+    // One read of the rank's registry feeds every section below.
+    const spc::Snapshot snap = rank.counters().snapshot();
+    total.merge(snap);
     os << (r == 0 ? "" : ",") << "\n    {\"rank\": " << rank.id()
        << ", \"instances\": [";
-    cri::CriPool& pool = rank.pool();
-    for (int i = 0; i < pool.size(); ++i) {
-      const obs::InstanceUtilization u = pool.instance(i).stats().snapshot();
+    for (int i = 0; i < rank.pool().size(); ++i) {
+      using spc::CriMetric;
       os << (i == 0 ? "" : ",") << "\n      {\"id\": " << i
-         << ", \"injections\": " << u.injections
-         << ", \"packets_drained\": " << u.packets_drained
-         << ", \"completions_drained\": " << u.completions_drained
-         << ", \"own_trylock_misses\": " << u.own_trylock_misses
-         << ", \"orphan_sweeps\": " << u.orphan_sweeps
-         << ", \"drain_visits\": " << u.drain_visits << ", \"drain_hist\": [";
-      for (int b = 0; b < obs::kDrainHistBuckets; ++b) {
-        os << (b == 0 ? "" : ", ") << u.drain_hist[static_cast<std::size_t>(b)];
-      }
-      os << "], \"submit_claimed\": " << u.submit_claimed
-         << ", \"submit_doorbells\": " << u.submit_doorbells
-         << ", \"submit_cas_retries\": " << u.submit_cas_retries
-         << ", \"submit_flush_hist\": [";
-      for (int b = 0; b < obs::kSubmitHistBuckets; ++b) {
-        os << (b == 0 ? "" : ", ") << u.submit_flush_hist[static_cast<std::size_t>(b)];
-      }
-      os << "]}";
+         << ", \"injections\": " << snap.get(CriMetric::kInjections, i)
+         << ", \"packets_drained\": " << snap.get(CriMetric::kPacketsDrained, i)
+         << ", \"completions_drained\": " << snap.get(CriMetric::kCompletionsDrained, i)
+         << ", \"own_trylock_misses\": " << snap.get(CriMetric::kOwnTrylockMisses, i)
+         << ", \"orphan_sweeps\": " << snap.get(CriMetric::kOrphanSweeps, i)
+         << ", \"drain_visits\": " << snap.get(CriMetric::kDrainVisits, i)
+         << ", \"drain_hist\": ";
+      emit_hist(os, snap.hist(spc::CriHist::kDrainBatch, i));
+      os << ", \"submit_claimed\": " << snap.get(CriMetric::kSubmitClaimed, i)
+         << ", \"submit_doorbells\": " << snap.get(CriMetric::kSubmitDoorbells, i)
+         << ", \"submit_cas_retries\": " << snap.get(CriMetric::kSubmitCasRetries, i)
+         << ", \"submit_flush_hist\": ";
+      emit_hist(os, snap.hist(spc::CriHist::kSubmitFlush, i));
+      os << "}";
     }
     os << "\n    ], \"ft\": ";
     // Liveness view (null with ft off): this rank's verdict on every peer,
@@ -203,13 +211,11 @@ void Universe::dump_observability(std::ostream& os) const {
         os << (p == 0 ? "" : ", ") << '"'
            << (p == rank.id() ? "self" : ft::peer_state_name(det->state(p))) << '"';
       }
-      os << "], \"suspects\": " << det->suspects() << ", \"deaths\": " << det->deaths()
-         << ", \"detection_latency_ms_hist\": [";
-      const auto hist = det->latency_hist();
-      for (int b = 0; b < ft::FailureDetector::kLatencyBuckets; ++b) {
-        os << (b == 0 ? "" : ", ") << hist[static_cast<std::size_t>(b)];
-      }
-      os << "]}";
+      os << "], \"suspects\": " << snap.get(spc::Counter::kFtSuspects)
+         << ", \"deaths\": " << snap.get(spc::Counter::kFtDeaths)
+         << ", \"detection_latency_ms_hist\": ";
+      emit_hist(os, snap.hist(spc::Hist::kFtDetectionMs));
+      os << "}";
     }
     os << ", \"overload\": ";
     // Overload-control view (§5h; null when no cap is configured): the
@@ -232,7 +238,7 @@ void Universe::dump_observability(std::ostream& os) const {
          << "}";
     }
     os << ", \"spc\": ";
-    emit_spc(os, rank.counters().snapshot(), "    ");
+    emit_spc(os, snap, "    ");
     os << "}";
   }
   os << "\n  ],\n";
@@ -244,7 +250,7 @@ void Universe::dump_observability(std::ostream& os) const {
      << ", \"high_water_bytes\": " << pool_stats.high_water_bytes << "},\n";
 
   os << "  \"spc_total\": ";
-  emit_spc(os, aggregate_counters(), "  ");
+  emit_spc(os, total, "  ");
   os << "\n}\n";
 }
 

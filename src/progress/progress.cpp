@@ -19,6 +19,7 @@ ProgressEngine::ProgressEngine(cri::CriPool& pool, PacketSink& sink, ProgressMod
     : pool_(pool), sink_(sink), mode_(mode), spc_(counters), batch_(batch),
       tracer_(tracer) {
   FAIRMPI_CHECK(batch >= 1);
+  FAIRMPI_CHECK_MSG(counters.cri_labels() >= pool.size(), "one CRI label per pool instance");
 }
 
 void ProgressEngine::drain_locked(cri::CommResourceInstance& inst, DrainBatch& b) {
@@ -29,7 +30,7 @@ void ProgressEngine::drain_locked(cri::CommResourceInstance& inst, DrainBatch& b
   // below can then harvest in the same visit (and the producers parked on
   // their tickets wake). This is the consumer half of the doorbell
   // protocol — we hold the instance lock, so we are *the* flusher.
-  inst.flush_submissions();
+  inst.flush_submissions(spc_);
   // Completion queue first: completions release resources (RMA pending
   // counts, send credits) that the packet path may be waiting on. The
   // per-visit cap bounds lock hold time; wait loops call progress()
@@ -40,8 +41,17 @@ void ProgressEngine::drain_locked(cri::CommResourceInstance& inst, DrainBatch& b
 
 void ProgressEngine::note_drain(cri::CommResourceInstance& inst, const DrainBatch& b,
                                 bool sweep) {
-  inst.stats().note_drain(b.n_pkts, b.n_comps, sweep);
   const std::size_t total = b.n_pkts + b.n_comps;
+  if (obs::enabled()) [[unlikely]] {
+    auto c = spc_.cursor();
+    c.add(spc::CriMetric::kDrainVisits, inst.id());
+    if (total != 0) {
+      c.add(spc::CriMetric::kPacketsDrained, inst.id(), b.n_pkts);
+      c.add(spc::CriMetric::kCompletionsDrained, inst.id(), b.n_comps);
+      c.record(spc::CriHist::kDrainBatch, inst.id(), total);
+      if (sweep) c.add(spc::CriMetric::kOrphanSweeps, inst.id());
+    }
+  }
   if (total != 0 && tracer_ != nullptr) {
     tracer_->record(trace::Event::kCriDrain, static_cast<std::uint32_t>(inst.id()),
                     static_cast<std::uint32_t>(total));
@@ -106,8 +116,8 @@ std::size_t ProgressEngine::progress_concurrent() {
       note_drain(inst, b, /*sweep=*/false);
       completions = dispatch(b);
     } else {
-      spc_.add(Counter::kInstanceTrylockFail);
-      inst.stats().note_own_trylock_miss();
+      // Rolls up into kInstanceTrylockFail (spc::rollup).
+      spc_.add(spc::CriMetric::kOwnTrylockMisses, own);
     }
   }
   // ... and only if it yielded nothing, sweep the others (guaranteeing

@@ -56,7 +56,7 @@ WindowGroup::WindowGroup(Universe& universe, const std::vector<Region>& regions)
 void Window::post_completion(cri::CommResourceInstance& inst) {
   PendingSlot& slot = thread_slot();
   slot.count->fetch_add(1, std::memory_order_relaxed);
-  inst.stats().note_injection();  // RMA ops inject a CQ event, not a packet
+  inst.note_injection(rank_->counters());  // RMA ops inject a CQ event, not a packet
   const fabric::Completion done{fabric::Completion::Kind::kRmaDone, &slot.count.value};
   while (!inst.context().cq().try_push(fabric::Completion{done})) {
     // CQ overrun: harvest one event inline (the NIC analog is a CQ poll

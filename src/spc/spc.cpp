@@ -1,5 +1,8 @@
 #include "fairmpi/spc/spc.hpp"
 
+#include <algorithm>
+#include <memory>
+#include <new>
 #include <sstream>
 
 namespace fairmpi::spc {
@@ -67,17 +70,51 @@ const char* counter_name(Counter c) noexcept {
   return "Unknown";
 }
 
-Snapshot Snapshot::delta_since(const Snapshot& earlier) const noexcept {
-  Snapshot out;
+std::uint64_t Snapshot::get(CriMetric m, int cri) const noexcept {
+  const std::size_t i = CounterSet::index(m, cri) - kNumCounters;
+  return i < cells.size() ? cells[i] : 0;
+}
+
+namespace {
+
+/// The run of `N` histogram buckets starting at cells[first] (zeros past
+/// the end: a snapshot from a set with fewer labels).
+template <std::size_t N>
+std::array<std::uint64_t, N> bucket_run(const std::vector<std::uint64_t>& cells,
+                                        std::size_t first) noexcept {
+  std::array<std::uint64_t, N> out{};
+  for (std::size_t b = 0; b < N && first + b < cells.size(); ++b) out[b] = cells[first + b];
+  return out;
+}
+
+bool rank_cell_is_max(std::size_t i) {
+  return i < static_cast<std::size_t>(kNumCounters) && is_high_water(static_cast<Counter>(i));
+}
+
+}  // namespace
+
+std::array<std::uint64_t, kBatchHistBuckets> Snapshot::hist(CriHist h,
+                                                            int cri) const noexcept {
+  return bucket_run<kBatchHistBuckets>(cells, CounterSet::index(h, cri) - kNumCounters);
+}
+
+std::array<std::uint64_t, kHistBuckets> Snapshot::hist(Hist h) const noexcept {
+  return bucket_run<kHistBuckets>(cells, static_cast<std::size_t>(h) * kHistBuckets);
+}
+
+Snapshot Snapshot::delta_since(const Snapshot& earlier) const {
+  Snapshot out = *this;
   for (int i = 0; i < kNumCounters; ++i) {
-    const auto c = static_cast<Counter>(i);
     const auto idx = static_cast<std::size_t>(i);
-    out.values[idx] = is_high_water(c) ? values[idx] : values[idx] - earlier.values[idx];
+    if (!is_high_water(static_cast<Counter>(i))) out.values[idx] -= earlier.values[idx];
+  }
+  for (std::size_t i = 0; i < out.cells.size() && i < earlier.cells.size(); ++i) {
+    out.cells[i] -= earlier.cells[i];
   }
   return out;
 }
 
-void Snapshot::merge(const Snapshot& other) noexcept {
+void Snapshot::merge(const Snapshot& other) {
   for (int i = 0; i < kNumCounters; ++i) {
     const auto c = static_cast<Counter>(i);
     const auto idx = static_cast<std::size_t>(i);
@@ -87,6 +124,8 @@ void Snapshot::merge(const Snapshot& other) noexcept {
       values[idx] += other.values[idx];
     }
   }
+  if (cells.size() < other.cells.size()) cells.resize(other.cells.size(), 0);
+  for (std::size_t i = 0; i < other.cells.size(); ++i) cells[i] += other.cells[i];
 }
 
 std::string Snapshot::to_string() const {
@@ -98,90 +137,93 @@ std::string Snapshot::to_string() const {
   return os.str();
 }
 
-CounterSet::~CounterSet() {
+ShardStore::ShardStore(std::size_t width, bool (*is_max)(std::size_t))
+    : width_(width),
+      padded_((width * sizeof(std::uint64_t) + kCacheLine - 1) / kCacheLine * kCacheLine /
+              sizeof(std::uint64_t)),
+      is_max_(width, 0),
+      base_(std::make_unique<std::atomic<std::uint64_t>[]>(width)) {
+  for (std::size_t i = 0; i < width && is_max != nullptr; ++i) is_max_[i] = is_max(i) ? 1 : 0;
+}
+
+ShardStore::~ShardStore() {
   for (auto& slot : shards_) {
-    delete slot.load(std::memory_order_acquire);
+    std::atomic<std::uint64_t>* s = slot.load(std::memory_order_acquire);
+    if (s == nullptr) continue;
+    std::destroy_n(s, padded_);
+    ::operator delete(s, std::align_val_t{kCacheLine});
   }
 }
 
-CounterSet::Shard& CounterSet::slow_shard(std::size_t idx) noexcept {
-  auto* fresh = new Shard();
-  Shard* expected = nullptr;
+std::atomic<std::uint64_t>* ShardStore::slow_shard(std::size_t idx) noexcept {
+  void* raw = ::operator new(padded_ * sizeof(std::uint64_t), std::align_val_t{kCacheLine});
+  auto* fresh = static_cast<std::atomic<std::uint64_t>*>(raw);
+  std::uninitialized_value_construct_n(fresh, padded_);
+  std::atomic<std::uint64_t>* expected = nullptr;
   // For a private slot only the owning thread installs, but the overflow
-  // slot (and a snapshot() racing first-touch) makes CAS the safe idiom;
-  // the loser frees its copy and adopts the winner's shard.
+  // slot makes CAS the safe idiom; the loser frees its copy and adopts the
+  // winner's shard.
   if (shards_[idx].compare_exchange_strong(expected, fresh, std::memory_order_acq_rel,
                                            std::memory_order_acquire)) {
-    return *fresh;
+    return fresh;
   }
-  delete fresh;
-  return *expected;
+  std::destroy_n(fresh, padded_);
+  ::operator delete(raw, std::align_val_t{kCacheLine});
+  return expected;
 }
 
-CounterSet::Shard& CounterSet::overflow_shard() noexcept {
-  Shard* s = shards_[common::kMaxThreadSlots].load(std::memory_order_acquire);
-  if (s != nullptr) return *s;
-  return slow_shard(common::kMaxThreadSlots);
-}
-
-void CounterSet::add_shared(Counter c, std::uint64_t n) noexcept {
-  // Shared cell: many overflow threads write it, so a real RMW is required.
-  overflow_shard().cells[static_cast<std::size_t>(c)].fetch_add(n, std::memory_order_relaxed);
-}
-
-void CounterSet::max_shared(Counter c, std::uint64_t candidate) noexcept {
-  auto& cell = overflow_shard().cells[static_cast<std::size_t>(c)];
-  std::uint64_t cur = cell.load(std::memory_order_relaxed);
-  while (candidate > cur &&
-         !cell.compare_exchange_weak(cur, candidate, std::memory_order_relaxed)) {
-  }
-}
-
-std::uint64_t CounterSet::raw_total(Counter c) const noexcept {
-  const auto idx = static_cast<std::size_t>(c);
-  std::uint64_t total = 0;
+std::vector<std::uint64_t> ShardStore::read_all(bool rebased) const {
+  std::vector<std::uint64_t> out(width_, 0);
   for (const auto& slot : shards_) {
-    const Shard* s = slot.load(std::memory_order_acquire);
+    const std::atomic<std::uint64_t>* s = slot.load(std::memory_order_acquire);
     if (s == nullptr) continue;
-    const std::uint64_t v = s->cells[idx].load(std::memory_order_relaxed);
-    total = is_high_water(c) ? (v > total ? v : total) : total + v;
+    for (std::size_t i = 0; i < width_; ++i) {
+      const std::uint64_t v = s[i].load(std::memory_order_relaxed);
+      out[i] = is_max_[i] != 0 ? (v > out[i] ? v : out[i]) : out[i] + v;
+    }
   }
-  return total;
-}
-
-std::uint64_t CounterSet::get(Counter c) const noexcept {
-  const std::uint64_t total = raw_total(c);
-  if (is_high_water(c)) return total;
-  const std::uint64_t base = base_[static_cast<std::size_t>(c)].load(std::memory_order_relaxed);
-  // Sums are monotone, so total >= base except mid-race; clamp for safety.
-  return total >= base ? total - base : 0;
-}
-
-Snapshot CounterSet::snapshot() const noexcept {
-  Snapshot out;
-  for (int i = 0; i < kNumCounters; ++i) {
-    out.values[static_cast<std::size_t>(i)] = get(static_cast<Counter>(i));
+  if (rebased) {
+    for (std::size_t i = 0; i < width_; ++i) {
+      if (is_max_[i] != 0) continue;
+      const std::uint64_t base = base_[i].load(std::memory_order_relaxed);
+      // Sums are monotone, so total >= base except mid-race; clamp for safety.
+      out[i] = out[i] >= base ? out[i] - base : 0;
+    }
   }
   return out;
 }
 
-Snapshot CounterSet::lifetime_snapshot() const noexcept {
+void ShardStore::rebase() noexcept {
+  const std::vector<std::uint64_t> now = read_all(/*rebased=*/false);
+  // Rebase instead of zeroing the cells: an add racing this reset lands in
+  // its shard either before or after the read above — never lost, only
+  // attributed to the old or the new epoch.
+  for (std::size_t i = 0; i < width_; ++i) {
+    if (is_max_[i] == 0) base_[i].store(now[i], std::memory_order_relaxed);
+  }
+}
+
+CounterSet::CounterSet(int cri_labels)
+    : cri_labels_(cri_labels),
+      store_(kFixedCells + static_cast<std::size_t>(cri_labels) * kCriCells, rank_cell_is_max) {}
+
+Snapshot CounterSet::make_snapshot(bool rebased) const {
+  std::vector<std::uint64_t> all = store_.read_all(rebased);
   Snapshot out;
-  for (int i = 0; i < kNumCounters; ++i) {
-    out.values[static_cast<std::size_t>(i)] = raw_total(static_cast<Counter>(i));
+  std::copy_n(all.begin(), kNumCounters, out.values.begin());
+  out.cells.assign(all.begin() + kNumCounters, all.end());
+  for (int m = 0; m < kNumCriMetrics; ++m) {
+    const Counter total = rollup(static_cast<CriMetric>(m));
+    if (total == Counter::kCount) continue;
+    for (int cri = 0; cri < cri_labels_; ++cri) {
+      out.values[index(total)] += all[index(static_cast<CriMetric>(m), cri)];
+    }
   }
   return out;
 }
 
-void CounterSet::reset() noexcept {
-  for (int i = 0; i < kNumCounters; ++i) {
-    const auto c = static_cast<Counter>(i);
-    if (is_high_water(c)) continue;  // lifetime maxima survive reset()
-    // Rebase instead of zeroing the cells: an add() racing this reset lands
-    // in its shard either before or after the sum above — never lost, only
-    // attributed to the old or the new epoch.
-    base_[static_cast<std::size_t>(i)].store(raw_total(c), std::memory_order_relaxed);
-  }
-}
+Snapshot CounterSet::snapshot() const { return make_snapshot(/*rebased=*/true); }
+
+Snapshot CounterSet::lifetime_snapshot() const { return make_snapshot(/*rebased=*/false); }
 
 }  // namespace fairmpi::spc

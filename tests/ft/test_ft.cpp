@@ -103,7 +103,7 @@ TEST(Ft, IdlePeersStayAliveViaHeartbeats) {
 
   for (int r = 0; r < 2; ++r) {
     ft::FailureDetector* det = uni.rank(r).failure_detector();
-    EXPECT_EQ(det->deaths(), 0u) << "rank " << r;
+    EXPECT_EQ(uni.rank(r).counters().get(Counter::kFtDeaths), 0u) << "rank " << r;
     EXPECT_EQ(det->state(1 - r), ft::PeerState::kAlive) << "rank " << r;
     EXPECT_FALSE(uni.rank(r).peer_failed(1 - r));
   }
@@ -174,7 +174,8 @@ TEST(Ft, KilledRankOpsFailTypedWithoutHanging) {
   EXPECT_NE(snap.find("FtPeerFailedOps"), std::string::npos);
 
   std::uint64_t hist_total = 0;
-  for (const std::uint64_t b : uni.rank(0).failure_detector()->latency_hist()) {
+  for (const std::uint64_t b :
+       uni.rank(0).counters().snapshot().hist(spc::Hist::kFtDetectionMs)) {
     hist_total += b;
   }
   EXPECT_EQ(hist_total, 1u);  // exactly one confirmation recorded on rank 0

@@ -2,7 +2,8 @@
 // CRI-utilization conservation against SPC totals, and exporter structure.
 //
 // obs::enabled() is a process-global switch; every test that flips it on
-// restores it (and resets the shards) so suites stay order-independent.
+// restores it (and resets the contention counts) so suites stay
+// order-independent.
 // The one exception is the intern-past-cap test, which permanently fills
 // the class registry — it is declared LAST so its suite runs last.
 #include <gtest/gtest.h>
@@ -22,41 +23,14 @@
 #include "fairmpi/core/universe.hpp"
 #include "fairmpi/debug/lockcheck.hpp"
 #include "fairmpi/obs/contention.hpp"
-#include "fairmpi/obs/utilization.hpp"
+#include "support/scoped_chaos_env.hpp"
 
 namespace fairmpi {
 namespace {
 
-/// Unsets the chaos fault-injection environment for the lifetime of a test
-/// and restores it afterwards (same idiom as test_chaos.cpp): the
-/// conservation assertions below equate injections with messages sent,
-/// which only holds on a pristine fabric — a retransmitting universe
-/// injects the same message several times by design.
-class ScopedChaosEnvClear {
- public:
-  ScopedChaosEnvClear() {
-    for (const char* name : kVars) {
-      const char* value = std::getenv(name);
-      saved_.emplace_back(name, value == nullptr ? std::string() : std::string(value));
-      if (value != nullptr) ::unsetenv(name);
-    }
-  }
-  ~ScopedChaosEnvClear() {
-    for (const auto& [name, value] : saved_) {
-      if (!value.empty()) ::setenv(name, value.c_str(), 1);
-    }
-  }
+using test_support::ScopedChaosEnvClear;
 
- private:
-  static constexpr const char* kVars[] = {
-      "FAIRMPI_FAULT_DROP",    "FAIRMPI_FAULT_DUP",  "FAIRMPI_FAULT_DELAY",
-      "FAIRMPI_FAULT_REORDER", "FAIRMPI_FAULT_CORRUPT", "FAIRMPI_FAULT_SEED",
-      "FAIRMPI_RELIABLE",
-  };
-  std::vector<std::pair<const char*, std::string>> saved_;
-};
-
-/// RAII: obs on for the scope, shards zeroed on both edges.
+/// RAII: obs on for the scope, contention counts rebased to zero on both edges.
 struct ObsScope {
   ObsScope() {
     obs::reset_contention_for_test();
@@ -67,6 +41,32 @@ struct ObsScope {
     obs::reset_contention_for_test();
   }
 };
+
+/// Occurrences of `"key":` in an exported JSON document.
+std::size_t count_key(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  std::size_t n = 0;
+  for (std::size_t at = json.find(needle); at != std::string::npos;
+       at = json.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+/// Element count of every flat numeric array exported under `"key": [...]`.
+std::vector<std::size_t> array_lengths(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\": [";
+  std::vector<std::size_t> out;
+  for (std::size_t at = json.find(needle); at != std::string::npos;
+       at = json.find(needle, at + 1)) {
+    const std::size_t open = at + needle.size();
+    const std::size_t close = json.find(']', open);
+    const std::string body = json.substr(open, close - open);
+    out.push_back(body.empty() ? 0 : 1 + static_cast<std::size_t>(
+                                             std::count(body.begin(), body.end(), ',')));
+  }
+  return out;
+}
 
 const obs::ClassContention* find_class(const std::vector<obs::ClassContention>& all,
                                        const char* name) {
@@ -189,20 +189,6 @@ TEST(LockContention, ShardsSumExactlyAcrossThreads) {
 
 // --- CriUtilization.* (name matches the CI TSan job's test filter) ---
 
-TEST(CriUtilization, DrainHistogramBuckets) {
-  using obs::InstanceCounters;
-  EXPECT_EQ(InstanceCounters::bucket(1), 0);
-  EXPECT_EQ(InstanceCounters::bucket(2), 1);
-  EXPECT_EQ(InstanceCounters::bucket(3), 2);
-  EXPECT_EQ(InstanceCounters::bucket(4), 2);
-  EXPECT_EQ(InstanceCounters::bucket(5), 3);
-  EXPECT_EQ(InstanceCounters::bucket(8), 3);
-  EXPECT_EQ(InstanceCounters::bucket(16), 4);
-  EXPECT_EQ(InstanceCounters::bucket(32), 5);
-  EXPECT_EQ(InstanceCounters::bucket(33), 6);
-  EXPECT_EQ(InstanceCounters::bucket(64), 6);
-}
-
 /// Conservation: with a pristine fabric, reliability off and only eager
 /// traffic, every completed send is exactly one injection into some CRI and
 /// exactly one packet drained from some CRI — so at quiescence the
@@ -237,14 +223,13 @@ TEST(CriUtilization, InjectionsAndDrainsConserveAgainstSpc) {
   const spc::Snapshot total = uni.aggregate_counters();
   std::uint64_t injections = 0, pkts = 0, comps = 0, visits = 0, hist = 0;
   for (int r = 0; r < uni.num_ranks(); ++r) {
-    cri::CriPool& pool = uni.rank(r).pool();
-    for (int i = 0; i < pool.size(); ++i) {
-      const obs::InstanceUtilization u = pool.instance(i).stats().snapshot();
-      injections += u.injections;
-      pkts += u.packets_drained;
-      comps += u.completions_drained;
-      visits += u.drain_visits;
-      for (const std::uint64_t h : u.drain_hist) hist += h;
+    const spc::Snapshot snap = uni.rank(r).counters().snapshot();
+    for (int i = 0; i < uni.rank(r).pool().size(); ++i) {
+      injections += snap.get(spc::CriMetric::kInjections, i);
+      pkts += snap.get(spc::CriMetric::kPacketsDrained, i);
+      comps += snap.get(spc::CriMetric::kCompletionsDrained, i);
+      visits += snap.get(spc::CriMetric::kDrainVisits, i);
+      for (const std::uint64_t h : snap.hist(spc::CriHist::kDrainBatch, i)) hist += h;
     }
   }
   EXPECT_EQ(injections, total.get(spc::Counter::kMessagesSent));
@@ -265,10 +250,9 @@ TEST(CriUtilization, ObsOffLeavesCountersZero) {
   uni.rank(0).send(kWorldComm, 1, 0, "off", 4);
   peer.join();
   for (int r = 0; r < uni.num_ranks(); ++r) {
-    const obs::InstanceUtilization u =
-        uni.rank(r).pool().instance(0).stats().snapshot();
-    EXPECT_EQ(u.injections, 0u);
-    EXPECT_EQ(u.drain_visits, 0u);
+    const spc::Snapshot snap = uni.rank(r).counters().snapshot();
+    EXPECT_EQ(snap.get(spc::CriMetric::kInjections, 0), 0u);
+    EXPECT_EQ(snap.get(spc::CriMetric::kDrainVisits, 0), 0u);
   }
 }
 
@@ -339,6 +323,42 @@ TEST(ObsExport, DumpObservabilityHasAllSections) {
   // Braces balance (cheap structural sanity without a JSON parser).
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
+
+  // Schema pin: every per-instance row (2 ranks x 2 CRIs) carries every
+  // utilization key, and both histograms keep their 7 buckets.
+  constexpr std::size_t kRows = 4;
+  for (const char* key :
+       {"injections", "packets_drained", "completions_drained", "own_trylock_misses",
+        "orphan_sweeps", "drain_visits", "submit_claimed", "submit_doorbells",
+        "submit_cas_retries"}) {
+    EXPECT_EQ(count_key(json, key), kRows) << key;
+  }
+  EXPECT_EQ(array_lengths(json, "drain_hist"), std::vector<std::size_t>(kRows, 7));
+  EXPECT_EQ(array_lengths(json, "submit_flush_hist"), std::vector<std::size_t>(kRows, 7));
+  // Every contention row carries the same six keys.
+  const std::size_t classes = count_key(json, "wait_ns");
+  EXPECT_GE(classes, 1u);
+  for (const char* key : {"name", "rank", "acquires", "contended", "trylock_fails"}) {
+    EXPECT_GE(count_key(json, key), classes) << key;
+  }
+  // ft off: the per-rank ft section is null.
+  EXPECT_EQ(count_key(json, "detection_latency_ms_hist"), 0u);
+}
+
+TEST(ObsExport, DumpObservabilityFtSectionSchema) {
+  Config cfg;
+  cfg.num_ranks = 2;
+  cfg.ft_enabled = true;
+  Universe uni(cfg);
+  std::ostringstream os;
+  uni.dump_observability(os);
+  const std::string json = os.str();
+  EXPECT_NE(json.find("\"ft\": true"), std::string::npos);
+  EXPECT_EQ(count_key(json, "peers"), 2u);
+  EXPECT_EQ(count_key(json, "suspects"), 2u);
+  EXPECT_EQ(count_key(json, "deaths"), 2u);
+  EXPECT_EQ(array_lengths(json, "detection_latency_ms_hist"),
+            std::vector<std::size_t>(2, 8));
 }
 
 // --- declared last on purpose: exhausts the process-global class registry ---

@@ -60,7 +60,7 @@ class ProgressTest : public ::testing::Test {
     }
   }
 
-  spc::CounterSet spc_;
+  spc::CounterSet spc_{4};  // one CRI label per instance build() creates (max 4)
   CountingSink sink_;
   std::unique_ptr<fabric::Fabric> fabric_;
   std::unique_ptr<cri::CriPool> pool_;

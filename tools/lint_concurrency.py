@@ -135,12 +135,13 @@ HOTPATH_FILES = {
     "src/p2p/reliability.cpp",
     "src/progress/watchdog.cpp",
     "src/fabric/faults.cpp",
-    # Observability hooks run inside every lock acquisition and every CRI
-    # drain; the only allocation allowed is the annotated first-touch shard
-    # allocation in contention.cpp.
+    # Counter and observability hooks run on every message, inside every
+    # lock acquisition and every CRI drain; the only allocation allowed is
+    # the annotated one-time registry construction in contention.cpp (shards
+    # are allocated on first touch, out of line in src/spc/spc.cpp).
     "src/obs/contention.cpp",
     "include/fairmpi/obs/contention.hpp",
-    "include/fairmpi/obs/utilization.hpp",
+    "include/fairmpi/spc/spc.hpp",
     # The lock-free injection path (DESIGN.md §5f): the submission funnel,
     # the per-source RX lanes, the producer backoff, and the inject/flush
     # logic itself all run per-packet. Everything here must be setup-time

@@ -12,7 +12,9 @@ Two roles, combinable in one invocation:
                            events also carries thread_name metadata.
 
   --report OBS.json        Render Universe::dump_observability() output as
-                           lock-contention and per-CRI utilization tables.
+                           lock-contention and per-CRI utilization tables,
+                           after rejecting schema drift (missing keys,
+                           wrong histogram lengths).
                            --require-wait CLASS (repeatable) turns "class
                            CLASS recorded zero wait time" into a failure —
                            CI uses it to assert the profiler attributes
@@ -33,6 +35,7 @@ EXPECTED_EVENT_NAMES = {
     "Send", "RecvPost", "RecvDone", "Progress", "RmaPut", "RmaGet", "RmaFlush",
     "RndvRts", "RndvDone", "Retransmit", "WatchdogStall",
     "AckSent", "AckRecv", "CsumDrop", "CriDrain",
+    "PeerSuspect", "PeerDead", "CommRevoke",
     "OverloadShed", "OverloadLevel", "OverloadPause", "Cancel", "Deadline",
     "CollOp",
 }
@@ -53,6 +56,20 @@ COLL_SPC_NAMES = (
     "CollLaneWaits", "CollBinomialOps", "CollRsagOps", "CollPipelinedOps",
     "ReservedTagRejects",
 )
+
+
+# dump_observability() schema (DESIGN.md §5d): --report fails before
+# rendering if a per-CRI row, contention row or ft section lacks a key, or
+# a histogram changes length (its buckets are read by position).
+INSTANCE_KEYS = (
+    "id", "injections", "packets_drained", "completions_drained",
+    "own_trylock_misses", "orphan_sweeps", "drain_visits", "submit_claimed",
+    "submit_doorbells", "submit_cas_retries",
+)
+INSTANCE_HIST_LENGTHS = {"drain_hist": 7, "submit_flush_hist": 7}
+CONTENTION_KEYS = ("name", "rank", "acquires", "contended", "wait_ns", "trylock_fails")
+FT_KEYS = ("peers", "suspects", "deaths")
+FT_HIST_LENGTHS = {"detection_latency_ms_hist": 8}
 
 
 def fail(msg: str) -> None:
@@ -168,6 +185,30 @@ def fmt_ns(ns: int) -> str:
     return f"{ns}ns"
 
 
+def missing_fields(row: dict, keys, hist_lengths: dict[str, int], where: str) -> list[str]:
+    out = [f"{where} is missing {k!r}" for k in keys if k not in row]
+    for key, want in hist_lengths.items():
+        got = row.get(key)
+        if not isinstance(got, list) or len(got) != want:
+            out.append(f"{where}: {key!r} must be a {want}-bucket list, got {got!r}")
+    return out
+
+
+def schema_drift(doc: dict) -> list[str]:
+    """Every failure of the §5d snapshot schema (see INSTANCE_KEYS & co.)."""
+    out = []
+    for c in doc["contention"]:
+        out += missing_fields(c, CONTENTION_KEYS, {}, f"contention row {c.get('name')!r}")
+    for rank in doc["ranks"]:
+        r = rank.get("rank")
+        for inst in rank.get("instances", []):
+            out += missing_fields(inst, INSTANCE_KEYS, INSTANCE_HIST_LENGTHS,
+                                  f"r{r}.cri{inst.get('id')}")
+        if rank.get("ft") is not None:
+            out += missing_fields(rank["ft"], FT_KEYS, FT_HIST_LENGTHS, f"r{r}.ft")
+    return out
+
+
 def report_obs(path: str, require_wait: list[str]) -> None:
     try:
         with open(path, encoding="utf-8") as f:
@@ -178,6 +219,9 @@ def report_obs(path: str, require_wait: list[str]) -> None:
     for key in ("obs_enabled", "contention", "ranks", "spc_total"):
         if key not in doc:
             fail(f"{path}: missing top-level key {key!r}")
+    drift = schema_drift(doc)
+    if drift:
+        fail(f"{path}: schema drift: " + "; ".join(drift))
 
     cfg = doc.get("config", {})
     print(f"fairmpi observability report — {path}")
@@ -223,12 +267,9 @@ def report_obs(path: str, require_wait: list[str]) -> None:
     print()
 
     # --- per-CRI submission ring (lock-free injection path, DESIGN.md §5f) ---
-    # Older snapshots (pre-PR-7) have no submit fields; skip the table then.
     submit_rows = []
     for rank in doc["ranks"]:
         for inst in rank["instances"]:
-            if "submit_claimed" not in inst:
-                continue
             submit_rows.append([
                 f"r{rank['rank']}.cri{inst['id']}",
                 str(inst["submit_claimed"]), str(inst["submit_doorbells"]),
