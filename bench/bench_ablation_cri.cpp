@@ -95,4 +95,35 @@ BENCHMARK(BM_SendPath)
     ->Setup(send_path_setup)
     ->Teardown(send_path_teardown);
 
+/// Empty-queue Rank::progress() on a 4-CRI concurrent rank: the cost every
+/// polling thread pays per call when there is nothing to do — the engine
+/// drain plus the service gate, with reliability off (arg 0) or on (arg 1).
+void progress_idle_setup(const benchmark::State& state) {
+  Config cfg;
+  cfg.num_instances = 4;
+  cfg.assignment = Assignment::kDedicated;
+  cfg.progress_mode = fairmpi::progress::ProgressMode::kConcurrent;
+  cfg.reliable = state.range(0) != 0;
+  g_uni = new Universe(cfg);
+}
+
+void progress_idle_teardown(const benchmark::State&) {
+  delete g_uni;
+  g_uni = nullptr;
+}
+
+void BM_ProgressIdle(benchmark::State& state) {
+  for (auto _ : state) benchmark::DoNotOptimize(g_uni->rank(0).progress());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ProgressIdle)
+    ->ArgName("reliable")
+    ->Arg(0)
+    ->Arg(1)
+    ->Threads(1)
+    ->Threads(4)
+    ->Iterations(200000)  // fixed, as for BM_SendPath: one universe per run
+    ->Setup(progress_idle_setup)
+    ->Teardown(progress_idle_teardown);
+
 }  // namespace

@@ -1,6 +1,7 @@
 // Wall-clock timing utilities for the real backend and the benches.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 
@@ -12,6 +13,18 @@ inline std::uint64_t now_ns() noexcept {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+/// Due time of a service with nothing scheduled.
+inline constexpr std::uint64_t kNever = ~std::uint64_t{0};
+
+/// Lower a due-time gate to `t` (atomic min); never raises it. Relaxed: the
+/// caller orders it after publishing the work that is due (DESIGN.md
+/// "Progress service step").
+inline void lower_due(std::atomic<std::uint64_t>& gate, std::uint64_t t) noexcept {
+  std::uint64_t cur = gate.load(std::memory_order_relaxed);
+  while (t < cur && !gate.compare_exchange_weak(cur, t, std::memory_order_relaxed)) {
+  }
 }
 
 /// Cheap cycle counter for hot-path interval timing.

@@ -24,6 +24,7 @@
 
 #include "fairmpi/common/error.hpp"
 #include "fairmpi/common/spinlock.hpp"
+#include "fairmpi/common/timing.hpp"
 #include "fairmpi/core/config.hpp"
 #include "fairmpi/debug/lockcheck.hpp"
 #include "fairmpi/debug/thread_safety.hpp"
@@ -230,8 +231,19 @@ class Rank final : public progress::PacketSink,
   Rank(Universe& uni, int id);
   void install_comm(CommId id, std::vector<int> members = {});
 
+  // --- progress service step (DESIGN.md "Progress service step") ---
+  /// The periodic services, run by one thread at a time once the gate
+  /// (service_due_, or the universe's retransmit due time) has passed:
+  /// deadline expiry, the cooperative retransmit sweep, and the watchdog,
+  /// ft detector and ladder each on its own cadence. Raises the gate
+  /// before it scans and lowers it to the earliest next due time after.
+  void service(std::uint64_t now);
+  /// Lower the service gate to `due` after publishing the work that is
+  /// due then (the fence pairs with the one in service()).
+  void arm_service(std::uint64_t due) noexcept;
+
   // --- ft layer (see ft/failure_detector.hpp; DESIGN.md §5g) ---
-  /// One detection sweep from progress(): classify under the detector lock,
+  /// One detection sweep from service(): classify under the detector lock,
   /// then (lock-free) inject heartbeats toward idle links and run failure
   /// propagation for newly confirmed deaths.
   void ft_poll(std::uint64_t now);
@@ -250,7 +262,7 @@ class Rank final : public progress::PacketSink,
   std::size_t handle_rndv_ack(const fabric::Packet& pkt);
   std::size_t handle_rndv_data(const fabric::Packet& pkt);
   /// Execute deferred protocol sends; called from progress() with no
-  /// engine lock held.
+  /// engine lock held. Returns on one relaxed load when nothing is queued.
   void drain_control();
   /// Inject one protocol packet, retrying on backpressure (bounded by the
   /// send budget when reliable; tracked for retransmit unless it is an ack).
@@ -260,35 +272,31 @@ class Rank final : public progress::PacketSink,
   /// One injection attempt with no tracking and no backpressure loop: used
   /// for retransmits and acks, whose loss the protocol already absorbs.
   bool inject_raw(int dst, fabric::Packet&& pkt);
-  /// Defer an ack echoing `hdr`'s key through the ack queue.
-  void enqueue_packet_ack(const fabric::WireHeader& hdr);
-  /// Defer an overload NACK (Opcode::kNack) echoing a shed packet's key
-  /// through the same queue (DESIGN.md §5h).
-  void enqueue_packet_nack(const fabric::WireHeader& hdr);
+  /// Defer an ack (kSendPacketAck) or an overload NACK (kSendPacketNack,
+  /// DESIGN.md §5h) echoing `hdr`'s key through the ack queue.
+  void enqueue_ack(const fabric::WireHeader& hdr, p2p::ControlMsg::Kind kind);
   /// Process an inbound NACK: retire the named tracker entry, surface the
   /// failure typed kReceiverOverloaded, and fail the owning rendezvous
   /// send when the NACKed packet was an RTS.
   void handle_nack(const fabric::WireHeader& hdr);
 
   // --- overload control & deadlines (DESIGN.md §5h) ---
-  /// Deadline/ladder poll from progress(): expire posted receives (per
-  /// match engine) and rendezvous transfers past their deadline, then
-  /// re-sample the degradation ladder (throttled). Gated so the
-  /// no-deadline, no-cap configuration pays two relaxed loads.
-  void overload_poll(std::uint64_t now);
-  /// Lower the rank-level deadline gate to `deadline_ns` (CAS-min).
-  void arm_deadline(std::uint64_t deadline_ns) noexcept;
-  /// Tombstone + fail rendezvous transfers past their deadline; lowers
-  /// `*next` to the earliest surviving rendezvous deadline.
-  void expire_rendezvous_deadlines(std::uint64_t now, std::uint64_t* next);
+  /// Expire posted receives (per match engine) and tombstone + fail
+  /// rendezvous transfers past their deadline; returns the earliest
+  /// surviving deadline.
+  std::uint64_t expire_deadlines(std::uint64_t now);
+  /// One degradation-ladder sample over the capped resources.
+  void sample_ladder();
   /// Transmit deferred acks (single injection attempt each; a full ring
   /// stops the flush — the peer retransmits and we re-ack). Kept separate
   /// from drain_control so every backpressure wait loop can call it: acks
   /// must keep flowing while a sender blocks, or two flooding ranks
-  /// deadlock waiting for each other's acks.
+  /// deadlock waiting for each other's acks. Returns on one relaxed load
+  /// when nothing is queued.
   void flush_acks();
   /// Retransmit expired in-flight packets; fail retry-exhausted ones typed.
-  void reliability_sweep(std::uint64_t now);
+  /// Returns the tracker's earliest remaining deadline.
+  std::uint64_t reliability_sweep(std::uint64_t now);
   /// Report a typed error through the installed sink (if any).
   void report_error(const common::Error& err) noexcept;
 
@@ -303,27 +311,23 @@ class Rank final : public progress::PacketSink,
   /// Overload control block (§5h): constructed from the Config caps;
   /// atomics-only, so it takes no rank in the lock hierarchy.
   overload::Governor governor_;
-  /// Earliest sweepable deadline on this rank (~0 = none): posted receives
-  /// and rendezvous transfers arm it; overload_poll's one-relaxed-load
-  /// gate. Raised after a sweep only by a CAS conditioned on the pre-sweep
-  /// value, so a concurrent arm is never lost.
-  std::atomic<std::uint64_t> earliest_deadline_{~std::uint64_t{0}};
-  /// Progress-visit counter throttling governor ladder sampling.
-  std::atomic<std::uint64_t> overload_visits_{0};
+  /// The service gate: no service is due before this time (kNever = none).
+  /// Deadline arms lower it; only service() raises it. 0 runs the first
+  /// call's services, which schedule themselves from there.
+  std::atomic<std::uint64_t> service_due_{0};
+  /// Single-runner guard for service(); the cadence times below are
+  /// written only by the thread holding it.
+  std::atomic<bool> servicing_{false};
+  std::uint64_t watchdog_due_ = 0;
+  std::uint64_t ft_due_ = 0;
+  std::uint64_t ladder_due_ = 0;
 
   std::unique_ptr<p2p::ReliabilityTracker> tracker_;  ///< Config::reliable only
   std::unique_ptr<progress::Watchdog> watchdog_;
   std::unique_ptr<ft::FailureDetector> ft_;  ///< Config::ft_enabled only
   common::ErrorSink err_sink_ = nullptr;
   void* err_user_ = nullptr;
-  /// Reentrancy guard: a retransmit injection can recurse into progress(),
-  /// which must not start a second sweep on the same stack (or convoy
-  /// concurrent threads into duplicate retransmit bursts).
-  std::atomic<bool> sweeping_{false};
-  /// Same shape for the detector sweep: exactly one thread at a time runs
-  /// ft_poll, which makes the probe/death scratch vectors below safely
-  /// single-writer without per-poll allocation.
-  std::atomic<bool> ft_polling_{false};
+  /// ft_poll scratch, single-writer under servicing_: no per-poll allocation.
   std::vector<int> ft_probes_;
   std::vector<int> ft_newly_dead_;
 
@@ -342,6 +346,10 @@ class Rank final : public progress::PacketSink,
   /// Reliability acks ride their own queue (same lock) so flush_acks can
   /// run from wait loops without reentering the full control drain.
   std::deque<p2p::ControlMsg> acks_ FAIRMPI_GUARDED_BY(control_lock_);
+  /// "Queue may be non-empty" flags, written only under control_lock_: an
+  /// idle progress() reads them instead of taking the lock.
+  std::atomic<bool> control_pending_{false};
+  std::atomic<bool> acks_pending_{false};
 };
 
 class Universe {
@@ -409,17 +417,21 @@ class Universe {
   /// SPCs. Rendered by tools/obs_report.py.
   void dump_observability(std::ostream& os) const;
 
-  /// Retransmit sweep over EVERY rank's in-flight table, called from any
-  /// rank's progress(). Cooperative by design: a real NIC retransmits
-  /// autonomously, so recovery must not depend on the victim rank's
-  /// application threads still driving its progress loop (a sender that
-  /// fire-and-forgets eager traffic and then blocks elsewhere would
-  /// otherwise strand its own dropped packets forever).
-  void sweep_reliability(std::uint64_t now_ns) noexcept;
-
  private:
   friend class Rank;
+  /// Retransmit sweep over EVERY live rank's in-flight table once
+  /// retransmit_due_ has passed, run from any rank's service step.
+  /// Cooperative by design: a real NIC retransmits autonomously, so
+  /// recovery must not depend on the victim rank's application threads
+  /// still driving its progress loop (a sender that fire-and-forgets eager
+  /// traffic and then blocks elsewhere would otherwise strand its own
+  /// dropped packets forever).
+  void sweep_reliability(std::uint64_t now) noexcept;
+
   Config cfg_;
+  /// Earliest retransmit deadline across every rank's tracker (kNever =
+  /// none). Trackers lower it; sweep_reliability raises it before it scans.
+  std::atomic<std::uint64_t> retransmit_due_{kNever};
   fabric::Fabric fabric_;
   std::vector<std::unique_ptr<Rank>> ranks_;
   std::atomic<CommId> next_comm_{kWorldComm + 1};

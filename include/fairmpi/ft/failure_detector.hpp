@@ -30,9 +30,11 @@
 //
 // Lock discipline: note_alive is one relaxed store (it runs on the packet
 // dispatch path, which progress_instance_locked executes under a CRI lock).
-// poll() try-locks the detector table (rank kFtDetector, 25 — above the CRI
+// poll() locks the detector table (rank kFtDetector, 25 — above the CRI
 // locks for the same reason), *collects* probe targets and newly confirmed
-// deaths under it, and returns; the caller injects heartbeats and runs
+// deaths under it, and returns; the owning rank calls it every half
+// heartbeat interval from its single-runner service step, so it has no
+// cadence gate of its own, and the caller injects heartbeats and runs
 // failure propagation with no detector lock held. is_dead()/suspect hint
 // are lock-free reads for the send paths and the watchdog.
 #pragma once
@@ -103,9 +105,8 @@ class FailureDetector {
   /// has not been probed for a heartbeat interval land in `probes` (the
   /// caller injects Opcode::kHeartbeat toward them), peers whose suspicion just ran out
   /// of strikes land in `newly_dead` (the caller runs failure
-  /// propagation). Returns false when gated by cadence or when another
-  /// thread holds the sweep. Both vectors are appended to, not cleared.
-  bool poll(std::uint64_t now_ns, std::vector<int>& probes,
+  /// propagation). Both vectors are appended to, not cleared.
+  void poll(std::uint64_t now_ns, std::vector<int>& probes,
             std::vector<int>& newly_dead);
 
   /// Current state of one peer (takes the table lock; obs/test hook).
@@ -142,7 +143,6 @@ class FailureDetector {
   std::vector<Padded<Cell>> cells_;
   mutable RankedLock<Spinlock> lock_{debug::LockRank::kFtDetector, "ft.detector"};
   std::vector<Cold> cold_ FAIRMPI_GUARDED_BY(lock_);
-  std::atomic<std::uint64_t> last_poll_ns_{0};
   std::atomic<int> suspect_hint_{-1};
 };
 

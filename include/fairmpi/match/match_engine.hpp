@@ -37,6 +37,7 @@
 #include "fairmpi/common/intrusive_list.hpp"
 #include "fairmpi/common/slab_pool.hpp"
 #include "fairmpi/common/spinlock.hpp"
+#include "fairmpi/common/timing.hpp"
 #include "fairmpi/debug/lockcheck.hpp"
 #include "fairmpi/debug/thread_safety.hpp"
 #include "fairmpi/fabric/wire.hpp"
@@ -204,14 +205,9 @@ class MatchEngine : public p2p::CancelScope {
   /// Progress-driven deadline sweep: settle every posted receive whose
   /// deadline passed as kDeadlineExceeded and unlink it. Gated by an
   /// atomic min-deadline, so a stream with no deadlines costs one relaxed
-  /// load per call. Returns the number of receives expired.
-  std::size_t expire_deadlines(std::uint64_t now_ns);
-
-  /// The expire sweep's gate value (~0 = no posted deadline), for the
-  /// rank-level sweep scheduler.
-  std::uint64_t next_deadline_relaxed() const noexcept {
-    return next_deadline_.load(std::memory_order_relaxed);
-  }
+  /// load per call. Returns the earliest surviving deadline (kNever = none),
+  /// the rank's next due time for this engine.
+  std::uint64_t expire_deadlines(std::uint64_t now_ns);
 
   /// p2p::CancelScope: cancel a posted receive. Takes the match lock,
   /// scans the posted queue the request would sit on, and only settles
@@ -362,7 +358,7 @@ class MatchEngine : public p2p::CancelScope {
   std::atomic<std::size_t> unexpected_mirror_{0};
   /// Earliest posted-receive deadline (~0 = none): the expire sweep's
   /// one-relaxed-load gate, maintained on post and recomputed on sweep.
-  std::atomic<std::uint64_t> next_deadline_{~std::uint64_t{0}};
+  std::atomic<std::uint64_t> next_deadline_{kNever};
 };
 
 }  // namespace fairmpi::match

@@ -80,7 +80,12 @@ inline PacketKey key_of_ack(const fabric::WireHeader& ack) noexcept {
 
 class ReliabilityTracker {
  public:
-  ReliabilityTracker(std::uint64_t rto_ns, std::uint64_t rto_max_ns, int max_retries);
+  /// `due` is the retransmit due time shared by every tracker of a
+  /// universe: track() and confirm_retransmit() lower it, under this
+  /// tracker's lock, to the entry's deadline (DESIGN.md "Progress service
+  /// step").
+  ReliabilityTracker(std::uint64_t rto_ns, std::uint64_t rto_max_ns, int max_retries,
+                     std::atomic<std::uint64_t>& due);
   ReliabilityTracker(const ReliabilityTracker&) = delete;
   ReliabilityTracker& operator=(const ReliabilityTracker&) = delete;
 
@@ -124,9 +129,10 @@ class ReliabilityTracker {
   /// A retransmit that dies on a full ring costs nothing — under
   /// backpressure storms the budget must measure genuine losses, not the
   /// sender's own congestion, or entries exhaust and messages vanish.
-  /// Caller injects with no tracker lock held.
-  void sweep(std::uint64_t now_ns, std::vector<Resend>& resends,
-             std::vector<Failure>& failures);
+  /// Caller injects with no tracker lock held. Returns the earliest
+  /// deadline left in the table (kNever when empty).
+  std::uint64_t sweep(std::uint64_t now_ns, std::vector<Resend>& resends,
+                      std::vector<Failure>& failures);
 
   /// Record that a swept clone was injected: charges one retry and doubles
   /// the rto (bounded by rto_max). No-op when the entry was acked between
@@ -143,12 +149,6 @@ class ReliabilityTracker {
 
   /// True once fail_peer(peer) has run (fail-fast gate for new tracks).
   bool peer_failed(int peer) const noexcept;
-
-  /// Earliest deadline across tracked entries (relaxed; ~0 when empty).
-  /// Cheap progress-path gate: no lock, no sweep until this passes.
-  std::uint64_t next_deadline() const noexcept {
-    return next_deadline_.load(std::memory_order_relaxed);
-  }
 
   /// Tracked-but-unacked entry count (relaxed). The send window gate: a
   /// sender blocks (progressing) while this is at Config::reliability_window
@@ -177,7 +177,7 @@ class ReliabilityTracker {
   /// Peers confirmed dead (ft). Grown on fail_peer only; sweeps and tracks
   /// consult it so no entry to a dead peer ever retransmits.
   std::vector<bool> failed_peers_ FAIRMPI_GUARDED_BY(lock_);
-  std::atomic<std::uint64_t> next_deadline_{~std::uint64_t{0}};
+  std::atomic<std::uint64_t>& due_;
   std::atomic<std::size_t> in_flight_{0};
 };
 

@@ -14,9 +14,11 @@
 //   2. trace::Event::kWatchdogStall
 //   3. the rank's error sink (common::Error, typed)
 //
-// Lock discipline: poll() try-locks its own state (rank kWatchdog, 42) so
-// concurrent progress threads never convoy on it, and may acquire the
-// rendezvous registries (rank 50) while held — never any CRI or match lock.
+// Cadence belongs to the owning rank: Rank::progress() runs one sweep per
+// watchdog_interval_ns from its single-runner service step, so poll() has
+// no time gate of its own. Lock discipline: poll() holds its own state lock
+// (rank kWatchdog, 42) and may acquire the rendezvous registries (rank 50)
+// while held — never any CRI or match lock.
 #pragma once
 
 #include <atomic>
@@ -47,11 +49,10 @@ class StallProbe {
 
 class Watchdog {
  public:
-  /// @param interval_ns  min time between sweeps (0 = every poll; ~0 = off)
   /// @param stall_sweeps consecutive frozen-backlog sweeps before escalation
   /// @param rndv_stall_ns age threshold handed to the StallProbe
   Watchdog(cri::CriPool& pool, spc::CounterSet& counters, trace::Tracer& tracer,
-           std::uint64_t interval_ns, int stall_sweeps, std::uint64_t rndv_stall_ns);
+           int stall_sweeps, std::uint64_t rndv_stall_ns);
 
   Watchdog(const Watchdog&) = delete;
   Watchdog& operator=(const Watchdog&) = delete;
@@ -71,9 +72,8 @@ class Watchdog {
     suspect_hint_ = hint;
   }
 
-  /// One watchdog check; returns the number of stalls escalated (0 almost
-  /// always — including when the interval has not elapsed or another
-  /// thread holds the sweep lock).
+  /// One watchdog sweep; returns the number of stalls escalated (0 almost
+  /// always).
   std::size_t poll(std::uint64_t now_ns);
 
   /// Stall episodes escalated so far (test hook).
@@ -91,7 +91,6 @@ class Watchdog {
   cri::CriPool& pool_;
   spc::CounterSet& spc_;
   trace::Tracer& tracer_;
-  const std::uint64_t interval_ns_;
   const int stall_sweeps_;
   const std::uint64_t rndv_stall_ns_;
 
@@ -101,7 +100,6 @@ class Watchdog {
   StallProbe* probe_ = nullptr;
   const std::atomic<int>* suspect_hint_ = nullptr;  ///< ft detector's, or null
 
-  std::atomic<std::uint64_t> last_sweep_ns_{0};
   RankedLock<Spinlock> lock_{debug::LockRank::kWatchdog, "progress.watchdog"};
   std::vector<InstanceState> instances_ FAIRMPI_GUARDED_BY(lock_);
   std::atomic<std::uint64_t> stalls_{0};

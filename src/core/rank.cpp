@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <vector>
 
 #include "fairmpi/common/error.hpp"
@@ -11,6 +12,11 @@ namespace fairmpi {
 using spc::Counter;
 
 namespace {
+
+/// Degradation-ladder sampling cadence (§5h): the resource sums walk every
+/// communicator, too heavy for every call; about one sample per 64 calls
+/// at 1–3 µs each.
+constexpr std::uint64_t kLadderCadenceNs = 100'000;
 
 overload::Limits limits_from(const Config& cfg) noexcept {
   overload::Limits lim;
@@ -40,12 +46,12 @@ Rank::Rank(Universe& uni, int id)
   if (cfg.trace_enabled) tracer_.enable(true);
   if (cfg.reliable) {
     tracker_ = std::make_unique<p2p::ReliabilityTracker>(cfg.rto_ns, cfg.rto_max_ns,
-                                                         cfg.max_retries);
+                                                         cfg.max_retries,
+                                                         uni.retransmit_due_);
   }
   if (cfg.watchdog_interval_ns != ~std::uint64_t{0}) {
     watchdog_ = std::make_unique<progress::Watchdog>(
-        pool_, spc_, tracer_, cfg.watchdog_interval_ns, cfg.watchdog_stall_sweeps,
-        cfg.rndv_stall_ns);
+        pool_, spc_, tracer_, cfg.watchdog_stall_sweeps, cfg.rndv_stall_ns);
     watchdog_->set_stall_probe(this);
     watchdog_->set_error_sink(err_sink_, err_user_, id_);
   }
@@ -161,11 +167,10 @@ void Rank::irecv(CommId comm, int src, int tag, void* buf, std::size_t capacity,
   req.init_recv(buf, capacity, src, tag, deadline_ns);
   tracer_.record(trace::Event::kRecvPost, static_cast<std::uint32_t>(src + 1),
                  static_cast<std::uint32_t>(tag));
-  // Arm the rank-level sweep gate before the request becomes visible to the
-  // engine: overload_poll must not be able to observe a posted deadline the
-  // gate does not yet cover.
-  if (deadline_ns != 0) arm_deadline(deadline_ns);
   comm_state(comm).match().post(&req);
+  // Post, then arm: a service step that scanned before the post sees this
+  // arm, one that scans after sees the posted deadline.
+  if (deadline_ns != 0) arm_service(deadline_ns);
 }
 
 void Rank::send(CommId comm, int dst, int tag, const void* buf, std::size_t n) {
@@ -245,28 +250,20 @@ std::size_t Rank::progress() {
   // Deferred rendezvous protocol work first (runs with no engine lock
   // held — see p2p/rendezvous.hpp), then the progress engine proper.
   drain_control();
-  if (tracker_ != nullptr || watchdog_ != nullptr || ft_ != nullptr) {
-    const std::uint64_t now = now_ns();
-    // Sweep every rank's tracker, not just ours: retransmission models the
-    // NIC's autonomous recovery, so it must run even when the packet's
-    // owner has stopped calling progress() (see Universe::sweep_reliability).
-    if (tracker_ != nullptr) uni_->sweep_reliability(now);
-    if (watchdog_ != nullptr) watchdog_->poll(now);
-    if (ft_ != nullptr) ft_poll(now);
-  }
   const std::size_t completions = engine_.progress();
-  // §5h sweeps are pay-for-what-you-use: a run with no caps and no armed
-  // deadlines takes this branch on two relaxed loads and skips the call.
-  // They run after the drain, so a message that arrived this visit
-  // matches before its receive's deadline is checked.
-  if (governor_.enabled() ||
-      earliest_deadline_.load(std::memory_order_relaxed) != ~std::uint64_t{0}) {
-    overload_poll(now_ns());
+  // Services run after the drain, so a message that arrived this visit
+  // matches before its receive's deadline is checked. Until one is due,
+  // this is two relaxed loads and at most one clock read.
+  const std::uint64_t due = std::min(service_due_.load(std::memory_order_relaxed),
+                                     uni_->retransmit_due_.load(std::memory_order_relaxed));
+  if (due != kNever) {
+    const std::uint64_t now = now_ns();
+    if (now >= due) service(now);
   }
   // Acks enqueued while the engine dispatched packets leave immediately —
   // waiting for the next drain_control would add an rto of latency per hop
   // under load.
-  if (tracker_ != nullptr) flush_acks();
+  flush_acks();
   if (completions != 0) {
     tracer_.record(trace::Event::kProgress, static_cast<std::uint32_t>(completions));
   }
@@ -282,30 +279,24 @@ bool Rank::inject_raw(int dst, fabric::Packet&& pkt) {
   return inst.inject(dst, pkt, spc_);
 }
 
-void Rank::enqueue_packet_ack(const fabric::WireHeader& hdr) {
+void Rank::enqueue_ack(const fabric::WireHeader& hdr, p2p::ControlMsg::Kind kind) {
   LockGuard guard(control_lock_);
-  acks_.push_back(p2p::ControlMsg{p2p::ControlMsg::Kind::kSendPacketAck,
-                                  static_cast<int>(hdr.src_rank), hdr.comm_id,
+  acks_.push_back(p2p::ControlMsg{kind, static_cast<int>(hdr.src_rank), hdr.comm_id,
                                   /*local_cookie=*/0, /*remote_cookie=*/hdr.imm,
                                   hdr.seq, static_cast<std::uint16_t>(hdr.opcode)});
-}
-
-void Rank::enqueue_packet_nack(const fabric::WireHeader& hdr) {
-  LockGuard guard(control_lock_);
-  acks_.push_back(p2p::ControlMsg{p2p::ControlMsg::Kind::kSendPacketNack,
-                                  static_cast<int>(hdr.src_rank), hdr.comm_id,
-                                  /*local_cookie=*/0, /*remote_cookie=*/hdr.imm,
-                                  hdr.seq, static_cast<std::uint16_t>(hdr.opcode)});
+  acks_pending_.store(true, std::memory_order_relaxed);
 }
 
 void Rank::flush_acks() {
-  for (;;) {
+  // lint: allow(relaxed-sync) emptiness hint only; the queue is read under control_lock_
+  while (acks_pending_.load(std::memory_order_relaxed)) {
     p2p::ControlMsg msg;
     {
       LockGuard guard(control_lock_);
       if (acks_.empty()) return;
       msg = acks_.front();
       acks_.pop_front();
+      acks_pending_.store(!acks_.empty(), std::memory_order_relaxed);
     }
     // Reliability ack: echo the received packet's identifying key so the
     // sender can retire its tracked clone. Unreliable by design — if this
@@ -325,6 +316,7 @@ void Rank::flush_acks() {
       // Peer's ring is full: requeue and stop — pushing harder only spins.
       LockGuard guard(control_lock_);
       acks_.push_front(msg);
+      acks_pending_.store(true, std::memory_order_relaxed);
       return;
     }
     if (!is_nack) {
@@ -335,12 +327,14 @@ void Rank::flush_acks() {
   }
 }
 
-void Rank::reliability_sweep(std::uint64_t now) {
-  if (sweeping_.exchange(true, std::memory_order_acquire)) return;
+std::uint64_t Rank::reliability_sweep(std::uint64_t now) {
+  // Any rank's service step may sweep this tracker, concurrently with
+  // another's: the sweep claims each expired entry under the tracker lock
+  // (its deadline moves one rto out), so no two sweeps clone one entry.
   // lint: allow(hotpath-alloc) only reached when packets expired (lossy run)
   std::vector<p2p::ReliabilityTracker::Resend> resends;
   std::vector<p2p::ReliabilityTracker::Failure> failures;
-  tracker_->sweep(now, resends, failures);
+  const std::uint64_t next = tracker_->sweep(now, resends, failures);
   for (auto& r : resends) {
     const p2p::PacketKey key = p2p::key_of(r.dst, r.pkt.hdr);
     // Single attempt: if the ring is full the tracker still holds the
@@ -362,26 +356,21 @@ void Rank::reliability_sweep(std::uint64_t now) {
                                                       : Counter::kReliabilityErrors);
     report_error(common::Error{f.code, id_, static_cast<int>(f.key.peer), f.key.seq});
   }
-  sweeping_.store(false, std::memory_order_release);
+  return next;
 }
 
 // --- ft layer (DESIGN.md §5g) ---
 
 void Rank::ft_poll(std::uint64_t now) {
-  // One sweeper at a time: the scratch vectors below are single-writer by
-  // this guard, so the steady-state poll allocates nothing.
-  if (ft_polling_.exchange(true, std::memory_order_acquire)) return;
   ft_probes_.clear();
   ft_newly_dead_.clear();
-  if (ft_->poll(now, ft_probes_, ft_newly_dead_)) {
-    // Classification done under the detector lock; everything below runs
-    // with NO detector lock held (heartbeat injection takes CRI locks,
-    // propagation takes match/reliability/rndv locks — all ranked away
-    // from kFtDetector in both directions; see lockcheck.hpp).
-    for (const int dst : ft_probes_) send_heartbeat(dst);
-    for (const int peer : ft_newly_dead_) on_peer_dead(peer);
-  }
-  ft_polling_.store(false, std::memory_order_release);
+  ft_->poll(now, ft_probes_, ft_newly_dead_);
+  // Classification done under the detector lock; everything below runs
+  // with NO detector lock held (heartbeat injection takes CRI locks,
+  // propagation takes match/reliability/rndv locks — all ranked away
+  // from kFtDetector in both directions; see lockcheck.hpp).
+  for (const int dst : ft_probes_) send_heartbeat(dst);
+  for (const int peer : ft_newly_dead_) on_peer_dead(peer);
 }
 
 void Rank::send_heartbeat(int dst) {
@@ -493,48 +482,73 @@ void Rank::handle_nack(const fabric::WireHeader& hdr) {
   }
 }
 
-void Rank::arm_deadline(std::uint64_t deadline_ns) noexcept {
-  std::uint64_t cur = earliest_deadline_.load(std::memory_order_relaxed);
-  while (deadline_ns < cur &&
-         !earliest_deadline_.compare_exchange_weak(cur, deadline_ns,
-                                                   std::memory_order_relaxed)) {
-  }
+void Rank::arm_service(std::uint64_t due) noexcept {
+  // Pairs with the fence in service(): either that step's scan sees what
+  // the caller published, or this load sees the step's raise and lowers it.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  lower_due(service_due_, due);
 }
 
-void Rank::expire_rendezvous_deadlines(std::uint64_t now, std::uint64_t* next) {
+void Rank::service(std::uint64_t now) {
+  if (servicing_.exchange(true, std::memory_order_acquire)) return;
+  // Raise, fence, then scan: an arm that lands after the raise survives it,
+  // and the scan sees anything published before the arm's fence.
+  service_due_.store(kNever, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  std::uint64_t next = expire_deadlines(now);
+  if (tracker_ != nullptr) uni_->sweep_reliability(now);
+  // Cadence services: each runs once its own due time passes and is then
+  // due one period later.
+  const auto every = [&](std::uint64_t& due, std::uint64_t period, auto run) {
+    if (now >= due) {
+      run();
+      due = period > kNever - now ? kNever : now + period;
+    }
+    next = std::min(next, due);
+  };
+  const Config& cfg = uni_->config();
+  if (watchdog_ != nullptr) {
+    every(watchdog_due_, cfg.watchdog_interval_ns, [&] { watchdog_->poll(now); });
+  }
+  // Half the probe interval, so a strike round is never skipped wholesale.
+  if (ft_ != nullptr) every(ft_due_, cfg.ft_heartbeat_ns / 2, [&] { ft_poll(now); });
+  if (governor_.enabled()) every(ladder_due_, kLadderCadenceNs, [&] { sample_ladder(); });
+  lower_due(service_due_, next);
+  servicing_.store(false, std::memory_order_release);
+}
+
+std::uint64_t Rank::expire_deadlines(std::uint64_t now) {
+  std::uint64_t next = kNever;
+  for (auto& slot : comms_) {
+    p2p::CommState* cs = slot.load(std::memory_order_acquire);
+    if (cs != nullptr) next = std::min(next, cs->match().expire_deadlines(now));
+  }
   struct Victim {
     p2p::Request* req;
     int peer;
   };
-  // lint: allow(hotpath-alloc) only reached when a deadline is armed
+  // lint: allow(hotpath-alloc) allocates only once a rendezvous transfer expires
   std::vector<Victim> victims;
+  // Tombstone, not extraction (the ft purge's rule): the peer's ack or data
+  // may still arrive, and the drains must find the state to discard it
+  // instead of touching a buffer the owner already reclaimed.
+  const auto expire = [&](auto& registry, auto peer_of) {
+    for (auto& [cookie, st] : registry) {
+      const std::uint64_t dl =
+          st->failed || st->request == nullptr ? 0 : st->request->deadline();
+      if (dl == 0) continue;
+      if (dl <= now) {
+        st->failed = true;
+        victims.push_back(Victim{st->request, peer_of(*st)});
+      } else {
+        next = std::min(next, dl);
+      }
+    }
+  };
   {
     LockGuard guard(rndv_lock_);
-    for (auto& [cookie, st] : rndv_sends_) {
-      if (st->failed || st->request == nullptr) continue;
-      const std::uint64_t dl = st->request->deadline();
-      if (dl == 0) continue;
-      if (dl <= now) {
-        // Tombstone, not extraction: the receiver's ack may still arrive,
-        // and the kSendData drain must find the state to discard it
-        // instead of streaming from a buffer the owner already reclaimed.
-        st->failed = true;
-        victims.push_back(Victim{st->request, st->dst});
-      } else if (dl < *next) {
-        *next = dl;
-      }
-    }
-    for (auto& [cookie, st] : rndv_recvs_) {
-      if (st->failed || st->request == nullptr) continue;
-      const std::uint64_t dl = st->request->deadline();
-      if (dl == 0) continue;
-      if (dl <= now) {
-        st->failed = true;  // same tombstone rule as the ft purge
-        victims.push_back(Victim{st->request, st->status.source});
-      } else if (dl < *next) {
-        *next = dl;
-      }
-    }
+    expire(rndv_sends_, [](const p2p::RndvSendState& st) { return st.dst; });
+    expire(rndv_recvs_, [](const p2p::RndvRecvState& st) { return st.status.source; });
   }
   for (const Victim& v : victims) {
     if (v.req->fail(common::ErrorCode::kDeadlineExceeded)) {
@@ -545,33 +559,10 @@ void Rank::expire_rendezvous_deadlines(std::uint64_t now, std::uint64_t* next) {
                                  v.peer, 0});
     }
   }
+  return next;
 }
 
-void Rank::overload_poll(std::uint64_t now) {
-  // Deadline expiry sweep, gated on the rank-level CAS-min gate.
-  const std::uint64_t observed = earliest_deadline_.load(std::memory_order_relaxed);
-  if (observed != ~std::uint64_t{0} && now >= observed) {
-    std::uint64_t next = ~std::uint64_t{0};
-    for (auto& slot : comms_) {
-      p2p::CommState* cs = slot.load(std::memory_order_acquire);
-      if (cs == nullptr) continue;
-      cs->match().expire_deadlines(now);
-      const std::uint64_t d = cs->match().next_deadline_relaxed();
-      if (d < next) next = d;
-    }
-    expire_rendezvous_deadlines(now, &next);
-    // Raise the gate only past the value observed before the sweep: a
-    // concurrent arm_deadline that lowered it mid-sweep wins the CAS, the
-    // gate stays conservatively low, and the next poll re-sweeps — an arm
-    // is never lost, at worst one sweep runs early.
-    std::uint64_t expected = observed;
-    (void)earliest_deadline_.compare_exchange_strong(expected, next,
-                                                     std::memory_order_relaxed);
-  }
-  // Degradation ladder, sampled 1-in-64 progress visits — resource sums
-  // walk every communicator, too heavy for every visit.
-  if (!governor_.enabled()) return;
-  if ((overload_visits_.fetch_add(1, std::memory_order_relaxed) & 63) != 0) return;
+void Rank::sample_ladder() {
   std::uint64_t unexpected = 0;
   for (auto& slot : comms_) {
     p2p::CommState* cs = slot.load(std::memory_order_acquire);
@@ -700,7 +691,7 @@ std::size_t Rank::handle_packet(fabric::Packet&& pkt) {
     // acking here would silently retire a packet the engine then sheds.
     if (pkt.hdr.opcode != fabric::Opcode::kEager &&
         pkt.hdr.opcode != fabric::Opcode::kRndvRts) {
-      enqueue_packet_ack(pkt.hdr);
+      enqueue_ack(pkt.hdr, p2p::ControlMsg::Kind::kSendPacketAck);
     }
   } else if (pkt.hdr.opcode == fabric::Opcode::kAck ||
              pkt.hdr.opcode == fabric::Opcode::kNack) {
@@ -724,9 +715,9 @@ std::size_t Rank::handle_packet(fabric::Packet&& pkt) {
           if (adm == fairmpi::match::Admission::kShed) {
             spc_.add(Counter::kOverloadNacksSent);
           }
-          enqueue_packet_nack(hdr);
+          enqueue_ack(hdr, p2p::ControlMsg::Kind::kSendPacketNack);
         } else if (adm != fairmpi::match::Admission::kDeferred) {
-          enqueue_packet_ack(hdr);
+          enqueue_ack(hdr, p2p::ControlMsg::Kind::kSendPacketAck);
         }
         // kDeferred: answer nothing — the sender's retransmit clock is the
         // backpressure (§5h kQueue).

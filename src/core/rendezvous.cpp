@@ -43,7 +43,7 @@ void Rank::rndv_isend(CommId comm, int dst, int tag, const void* buf, std::size_
     cookie = next_cookie_++;
     rndv_sends_.emplace(cookie, std::move(state));
   }
-  if (deadline_ns != 0) arm_deadline(deadline_ns);
+  if (deadline_ns != 0) arm_service(deadline_ns);
 
   // The RTS is a sequence-numbered envelope like any eager message — it is
   // what the receiver matches, preserving the non-overtaking guarantee for
@@ -96,12 +96,13 @@ void Rank::on_rts_matched(p2p::Request* req, const Packet& rts) {
   req->set_cancel_scope(this);
   // Re-arm the rank gate: the engine sweep may have raised it past this
   // request's deadline between the match and this registration.
-  if (req->deadline() != 0) arm_deadline(req->deadline());
+  if (req->deadline() != 0) arm_service(req->deadline());
   {
     LockGuard guard(control_lock_);
     control_.push_back(ControlMsg{ControlMsg::Kind::kSendAck,
                                   static_cast<int>(rts.hdr.src_rank), rts.hdr.comm_id,
                                   cookie, body.sender_cookie});
+    control_pending_.store(true, std::memory_order_relaxed);
   }
 }
 
@@ -115,6 +116,7 @@ std::size_t Rank::handle_rndv_ack(const Packet& pkt) {
     control_.push_back(ControlMsg{ControlMsg::Kind::kSendData,
                                   static_cast<int>(pkt.hdr.src_rank), pkt.hdr.comm_id,
                                   pkt.hdr.imm, recv_cookie});
+    control_pending_.store(true, std::memory_order_relaxed);
   }
   return 0;
 }
@@ -220,14 +222,15 @@ void Rank::inject_control(int dst, Packet&& pkt) {
 }
 
 void Rank::drain_control() {
-  if (tracker_ != nullptr) flush_acks();
-  for (;;) {
+  // lint: allow(relaxed-sync) emptiness hint only; the queue is read under control_lock_
+  while (control_pending_.load(std::memory_order_relaxed)) {
     ControlMsg msg;
     {
       LockGuard guard(control_lock_);
       if (control_.empty()) return;
       msg = control_.front();
       control_.pop_front();
+      control_pending_.store(!control_.empty(), std::memory_order_relaxed);
     }
 
     switch (msg.kind) {

@@ -1,5 +1,6 @@
 #include "fairmpi/core/universe.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <string>
@@ -214,20 +215,22 @@ CommId Universe::shrink(CommId id) {
   return create_communicator(survivors());
 }
 
-void Universe::sweep_reliability(std::uint64_t now_ns) noexcept {
+void Universe::sweep_reliability(std::uint64_t now) noexcept {
+  // lint: allow(relaxed-sync) due-time gate only; every deadline is re-read under its tracker lock
+  if (now < retransmit_due_.load(std::memory_order_relaxed)) return;
+  // Raise, then scan. Trackers lower the gate under their lock after the
+  // insert, so an entry this scan misses was lowered after the raise.
+  retransmit_due_.store(kNever, std::memory_order_relaxed);
+  std::uint64_t next = kNever;
   fabric::FaultInjector* injector = fabric_.injector();
   for (auto& rank : ranks_) {
     // A killed rank's NIC does not retransmit: its outbound packets are
     // eaten by the injector anyway, so sweeping its tracker would only
     // burn the survivors' progress cycles on a corpse's retry furnace.
     if (injector != nullptr && injector->rank_dead(rank->id())) continue;
-    p2p::ReliabilityTracker* tracker = rank->tracker_.get();
-    // lint: allow(relaxed-sync) next_deadline is a racy fast-path gate; the
-    // sweep itself re-checks every deadline under the tracker lock.
-    if (tracker != nullptr && now_ns >= tracker->next_deadline()) {
-      rank->reliability_sweep(now_ns);
-    }
+    next = std::min(next, rank->reliability_sweep(now));
   }
+  lower_due(retransmit_due_, next);
 }
 
 spc::Snapshot Universe::aggregate_counters() const {

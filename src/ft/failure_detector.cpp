@@ -16,19 +16,9 @@ FailureDetector::FailureDetector(int num_ranks, int self, const FtParams& params
   FAIRMPI_CHECK(params.heartbeat_ns >= 1 && params.suspect_ns >= params.heartbeat_ns);
 }
 
-bool FailureDetector::poll(std::uint64_t now_ns, std::vector<int>& probes,
+void FailureDetector::poll(std::uint64_t now_ns, std::vector<int>& probes,
                            std::vector<int>& newly_dead) {
-  // Cheap cadence gate before any lock traffic; a sweep observed slightly
-  // late just runs on the next poll. Half the probe interval so a strike
-  // round is never skipped wholesale by gate aliasing.
-  // lint: allow(relaxed-sync) cadence gate only; the try_lock owns the sweep
-  if (now_ns - last_poll_ns_.load(std::memory_order_relaxed) < params_.heartbeat_ns / 2) {
-    return false;
-  }
-  if (!lock_.try_lock()) return false;  // another thread is sweeping
-  LockGuard adopt(lock_, adopt_lock);
-  last_poll_ns_.store(now_ns, std::memory_order_relaxed);
-
+  LockGuard guard(lock_);
   for (int p = 0; p < num_ranks_; ++p) {
     if (p == self_) continue;
     Cold& c = cold_[static_cast<std::size_t>(p)];
@@ -100,7 +90,6 @@ bool FailureDetector::poll(std::uint64_t now_ns, std::vector<int>& probes,
     suspect_hint_.store(p, std::memory_order_relaxed);
     newly_dead.push_back(p);
   }
-  return true;
 }
 
 PeerState FailureDetector::state(int peer) const {

@@ -442,13 +442,7 @@ bool MatchEngine::post(p2p::Request* req) {
       }
       // Deadline gate: keep next_deadline_ a lower bound for every posted
       // deadline so expire_deadlines costs one relaxed load when idle.
-      const std::uint64_t dl = req->deadline();
-      if (dl != 0) {
-        std::uint64_t cur = next_deadline_.load(std::memory_order_relaxed);
-        while (dl < cur && !next_deadline_.compare_exchange_weak(
-                               cur, dl, std::memory_order_relaxed)) {
-        }
-      }
+      if (req->deadline() != 0) lower_due(next_deadline_, req->deadline());
     }
   }
   ctr.add(Counter::kMatchTimeNs, CycleClock::to_ns(cycles));
@@ -545,16 +539,15 @@ std::size_t MatchEngine::fail_all_posted() {
   return failed;
 }
 
-std::size_t MatchEngine::expire_deadlines(std::uint64_t now_ns) {
+std::uint64_t MatchEngine::expire_deadlines(std::uint64_t now_ns) {
   // One relaxed load answers the common case: nothing posted has a
   // deadline, or the earliest one is still in the future.
-  // lint: allow(relaxed-sync) sweep-cadence gate only; authoritative state is under lock_
-  if (next_deadline_.load(std::memory_order_relaxed) > now_ns) return 0;
+  const std::uint64_t gate = next_deadline_.load(std::memory_order_relaxed);
+  if (gate > now_ns) return gate;
 
   LockGuard guard(lock_);
   auto ctr = spc_.cursor();
-  std::uint64_t next = ~std::uint64_t{0};
-  std::size_t expired = 0;
+  std::uint64_t next = kNever;
   const auto sweep = [&](PostedList& list) {
     p2p::Request* r = list.front();
     while (r != nullptr) {
@@ -569,7 +562,6 @@ std::size_t MatchEngine::expire_deadlines(std::uint64_t now_ns) {
                             static_cast<std::uint32_t>(r->source_filter() + 1),
                             static_cast<std::uint32_t>(r->tag_filter()));
           }
-          ++expired;
         }
       } else if (dl != 0 && dl < next) {
         next = dl;
@@ -580,7 +572,7 @@ std::size_t MatchEngine::expire_deadlines(std::uint64_t now_ns) {
   for (auto& ps : peers_) sweep(ps.posted);
   sweep(posted_any_);
   next_deadline_.store(next, std::memory_order_relaxed);
-  return expired;
+  return next;
 }
 
 bool MatchEngine::cancel_request(p2p::Request* req) {

@@ -8,12 +8,13 @@
 #include "fairmpi/p2p/reliability.hpp"
 
 #include "fairmpi/common/error.hpp"
+#include "fairmpi/common/timing.hpp"
 
 namespace fairmpi::p2p {
 
 ReliabilityTracker::ReliabilityTracker(std::uint64_t rto_ns, std::uint64_t rto_max_ns,
-                                       int max_retries)
-    : rto_ns_(rto_ns), rto_max_ns_(rto_max_ns), max_retries_(max_retries) {
+                                       int max_retries, std::atomic<std::uint64_t>& due)
+    : rto_ns_(rto_ns), rto_max_ns_(rto_max_ns), max_retries_(max_retries), due_(due) {
   // max_retries == 0 is the fail-fast mode: the first unacked rto expiry
   // fails the entry typed without ever retransmitting.
   FAIRMPI_CHECK(rto_ns >= 1 && rto_max_ns >= rto_ns && max_retries >= 0);
@@ -35,10 +36,9 @@ void ReliabilityTracker::track(int dst, const fabric::Packet& pkt,
   if (inflight_.insert_or_assign(key, std::move(e)).second) {
     in_flight_.fetch_add(1, std::memory_order_relaxed);
   }
-  // lint: allow(relaxed-sync) advisory sweep hint; authoritative state is under lock_
-  if (deadline < next_deadline_.load(std::memory_order_relaxed)) {
-    next_deadline_.store(deadline, std::memory_order_relaxed);
-  }
+  // Lowered under lock_, after the insert: a sweep that missed the entry
+  // has raised the gate before this lowers it.
+  lower_due(due_, deadline);
 }
 
 bool ReliabilityTracker::ack(const PacketKey& key) {
@@ -67,10 +67,10 @@ bool ReliabilityTracker::nack(const PacketKey& key, Failure* out) {
   return true;
 }
 
-void ReliabilityTracker::sweep(std::uint64_t now_ns, std::vector<Resend>& resends,
-                               std::vector<Failure>& failures) {
+std::uint64_t ReliabilityTracker::sweep(std::uint64_t now_ns, std::vector<Resend>& resends,
+                                        std::vector<Failure>& failures) {
   LockGuard guard(lock_);
-  std::uint64_t earliest = ~std::uint64_t{0};
+  std::uint64_t earliest = kNever;
   for (auto it = inflight_.begin(); it != inflight_.end();) {
     Entry& e = it->second;
     if (static_cast<std::size_t>(e.dst) < failed_peers_.size() &&
@@ -106,7 +106,7 @@ void ReliabilityTracker::sweep(std::uint64_t now_ns, std::vector<Resend>& resend
     resends.push_back(Resend{e.dst, fabric::clone_packet(e.pkt)});
     ++it;
   }
-  next_deadline_.store(earliest, std::memory_order_relaxed);
+  return earliest;
 }
 
 void ReliabilityTracker::fail_peer(int peer, std::vector<Failure>& failures) {
@@ -144,10 +144,7 @@ void ReliabilityTracker::confirm_retransmit(const PacketKey& key,
   ++e.retries;
   e.rto_ns = e.rto_ns * 2 < rto_max_ns_ ? e.rto_ns * 2 : rto_max_ns_;
   e.deadline_ns = now_ns + e.rto_ns;
-  // lint: allow(relaxed-sync) advisory sweep hint; authoritative state is under lock_
-  if (e.deadline_ns < next_deadline_.load(std::memory_order_relaxed)) {
-    next_deadline_.store(e.deadline_ns, std::memory_order_relaxed);
-  }
+  lower_due(due_, e.deadline_ns);
 }
 
 }  // namespace fairmpi::p2p

@@ -8,28 +8,15 @@ namespace fairmpi::progress {
 using spc::Counter;
 
 Watchdog::Watchdog(cri::CriPool& pool, spc::CounterSet& counters,
-                   trace::Tracer& tracer, std::uint64_t interval_ns,
-                   int stall_sweeps, std::uint64_t rndv_stall_ns)
-    : pool_(pool), spc_(counters), tracer_(tracer), interval_ns_(interval_ns),
-      stall_sweeps_(stall_sweeps), rndv_stall_ns_(rndv_stall_ns),
+                   trace::Tracer& tracer, int stall_sweeps,
+                   std::uint64_t rndv_stall_ns)
+    : pool_(pool), spc_(counters), tracer_(tracer), stall_sweeps_(stall_sweeps), rndv_stall_ns_(rndv_stall_ns),
       instances_(static_cast<std::size_t>(pool.size())) {
   FAIRMPI_CHECK(stall_sweeps >= 1);
 }
 
 std::size_t Watchdog::poll(std::uint64_t now_ns) {
-  if (interval_ns_ == ~std::uint64_t{0}) return 0;  // disabled
-  // Cheap time gate before any lock traffic. A sweep observed slightly late
-  // (stale load) just runs on the next poll; the lock below serializes the
-  // sweep itself.
-  // lint: allow(relaxed-sync) interval gate only; the try_lock owns the sweep
-  if (interval_ns_ != 0 &&
-      now_ns - last_sweep_ns_.load(std::memory_order_relaxed) < interval_ns_) {
-    return 0;
-  }
-  if (!lock_.try_lock()) return 0;  // another thread is sweeping
-  LockGuard adopt(lock_, adopt_lock);
-  last_sweep_ns_.store(now_ns, std::memory_order_relaxed);
-
+  LockGuard guard(lock_);
   std::size_t flagged = 0;
   for (int i = 0; i < pool_.size(); ++i) {
     fabric::NetworkContext& ctx = pool_.instance(i).context();

@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <string>
 #include <vector>
+
+#include "fairmpi/common/timing.hpp"
 
 namespace fairmpi::p2p {
 namespace {
@@ -54,12 +57,13 @@ TEST(PacketKey, DistinguishesPacketKinds) {
 }
 
 TEST(ReliabilityTracker, AckRetiresEntry) {
-  ReliabilityTracker t(/*rto_ns=*/100, /*rto_max_ns=*/1000, /*max_retries=*/3);
+  std::atomic<std::uint64_t> due{kNever};
+  ReliabilityTracker t(/*rto_ns=*/100, /*rto_max_ns=*/1000, /*max_retries=*/3, due);
   const Packet pkt = make_packet(1);
   EXPECT_EQ(t.in_flight(), 0u);
   t.track(1, pkt, /*now_ns=*/0);
   EXPECT_EQ(t.in_flight(), 1u);
-  EXPECT_EQ(t.next_deadline(), 100u);
+  EXPECT_EQ(due.load(), 100u);  // track() lowered the shared due time
 
   EXPECT_TRUE(t.ack(key_of(1, pkt.hdr)));
   EXPECT_EQ(t.in_flight(), 0u);
@@ -68,7 +72,8 @@ TEST(ReliabilityTracker, AckRetiresEntry) {
 }
 
 TEST(ReliabilityTracker, UntrackRemovesFailedInjection) {
-  ReliabilityTracker t(100, 1000, 3);
+  std::atomic<std::uint64_t> due{kNever};
+  ReliabilityTracker t(100, 1000, 3, due);
   const Packet pkt = make_packet(2);
   t.track(1, pkt, 0);
   t.untrack(key_of(1, pkt.hdr));
@@ -82,7 +87,8 @@ TEST(ReliabilityTracker, UntrackRemovesFailedInjection) {
 }
 
 TEST(ReliabilityTracker, SweepClonesExpiredEntries) {
-  ReliabilityTracker t(100, 1000, 3);
+  std::atomic<std::uint64_t> due{kNever};
+  ReliabilityTracker t(100, 1000, 3, due);
   const std::string payload(fabric::kInlineBytes + 10, 'r');  // heap payload
   const Packet pkt = make_packet(3, 0, payload);
   t.track(2, pkt, 0);
@@ -101,7 +107,8 @@ TEST(ReliabilityTracker, SweepClonesExpiredEntries) {
 }
 
 TEST(ReliabilityTracker, SweepOnlyClaimsNoDoubleClone) {
-  ReliabilityTracker t(100, 1000, 3);
+  std::atomic<std::uint64_t> due{kNever};
+  ReliabilityTracker t(100, 1000, 3, due);
   t.track(1, make_packet(4), 0);
 
   std::vector<ReliabilityTracker::Resend> resends;
@@ -112,13 +119,13 @@ TEST(ReliabilityTracker, SweepOnlyClaimsNoDoubleClone) {
   // The claim pushed the deadline one rto out (150 + 100): an immediate
   // second sweep must not clone the same entry again.
   resends.clear();
-  t.sweep(151, resends, failures);
+  EXPECT_EQ(t.sweep(151, resends, failures), 250u);
   EXPECT_TRUE(resends.empty());
-  EXPECT_EQ(t.next_deadline(), 250u);
 }
 
 TEST(ReliabilityTracker, ConfirmChargesRetryAndBacksOff) {
-  ReliabilityTracker t(100, 1000, 3);
+  std::atomic<std::uint64_t> due{kNever};
+  ReliabilityTracker t(100, 1000, 3, due);
   const Packet pkt = make_packet(5);
   const PacketKey key = key_of(1, pkt.hdr);
   t.track(1, pkt, 0);
@@ -138,7 +145,8 @@ TEST(ReliabilityTracker, ConfirmChargesRetryAndBacksOff) {
 }
 
 TEST(ReliabilityTracker, ConfirmAfterAckIsNoOp) {
-  ReliabilityTracker t(100, 1000, 3);
+  std::atomic<std::uint64_t> due{kNever};
+  ReliabilityTracker t(100, 1000, 3, due);
   const Packet pkt = make_packet(6);
   const PacketKey key = key_of(1, pkt.hdr);
   t.track(1, pkt, 0);
@@ -148,7 +156,8 @@ TEST(ReliabilityTracker, ConfirmAfterAckIsNoOp) {
 }
 
 TEST(ReliabilityTracker, RtoBackoffIsBoundedByMax) {
-  ReliabilityTracker t(/*rto_ns=*/100, /*rto_max_ns=*/300, /*max_retries=*/10);
+  std::atomic<std::uint64_t> due{kNever};
+  ReliabilityTracker t(/*rto_ns=*/100, /*rto_max_ns=*/300, /*max_retries=*/10, due);
   const Packet pkt = make_packet(7);
   const PacketKey key = key_of(1, pkt.hdr);
   t.track(1, pkt, 0);
@@ -173,7 +182,8 @@ TEST(ReliabilityTracker, RtoBackoffIsBoundedByMax) {
 }
 
 TEST(ReliabilityTracker, ExhaustionAfterMaxConfirmedRetries) {
-  ReliabilityTracker t(100, 1000, /*max_retries=*/2);
+  std::atomic<std::uint64_t> due{kNever};
+  ReliabilityTracker t(100, 1000, /*max_retries=*/2, due);
   const Packet pkt = make_packet(8);
   const PacketKey key = key_of(1, pkt.hdr);
   t.track(1, pkt, 0);
@@ -203,7 +213,8 @@ TEST(ReliabilityTracker, ExhaustionAfterMaxConfirmedRetries) {
 TEST(ReliabilityTracker, UnconfirmedSweepsNeverExhaust) {
   // Ring-full retransmit attempts (sweep claims that were never confirmed)
   // must not burn the retry budget — the backpressure-storm regression.
-  ReliabilityTracker t(100, 1000, /*max_retries=*/2);
+  std::atomic<std::uint64_t> due{kNever};
+  ReliabilityTracker t(100, 1000, /*max_retries=*/2, due);
   t.track(1, make_packet(9), 0);
 
   std::vector<ReliabilityTracker::Resend> resends;
@@ -222,7 +233,8 @@ TEST(ReliabilityTracker, UnconfirmedSweepsNeverExhaust) {
 TEST(ReliabilityTracker, MaxRetriesZeroFailsFastWithoutResending) {
   // Fail-fast mode: the first unacked rto expiry fails the entry typed and
   // never retransmits. No resend clone may be emitted.
-  ReliabilityTracker t(100, 1000, /*max_retries=*/0);
+  std::atomic<std::uint64_t> due{kNever};
+  ReliabilityTracker t(100, 1000, /*max_retries=*/0, due);
   const Packet pkt = make_packet(11);
   const PacketKey key = key_of(1, pkt.hdr);
   t.track(1, pkt, 0);
@@ -244,7 +256,8 @@ TEST(ReliabilityTracker, MaxRetriesZeroFailsFastWithoutResending) {
 }
 
 TEST(ReliabilityTracker, FailPeerPurgesTypedAndLatchesDeath) {
-  ReliabilityTracker t(100, 1000, /*max_retries=*/2);
+  std::atomic<std::uint64_t> due{kNever};
+  ReliabilityTracker t(100, 1000, /*max_retries=*/2, due);
   t.track(1, make_packet(1), 0);
   t.track(1, make_packet(2), 0);
   t.track(2, make_packet(3), 0);

@@ -34,7 +34,7 @@ class WatchdogTest : public ::testing::Test {
   WatchdogTest()
       : fabric_(std::vector<int>{1}),
         pool_(fabric_, 0, cri::Assignment::kRoundRobin),
-        dog_(pool_, spc_, tracer_, /*interval_ns=*/0, /*stall_sweeps=*/2,
+        dog_(pool_, spc_, tracer_, /*stall_sweeps=*/2,
              /*rndv_stall_ns=*/~std::uint64_t{0}) {}
 
   fabric::RxQueue& rx() { return pool_.instance(0).context().rx(); }
