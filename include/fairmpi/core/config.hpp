@@ -134,19 +134,24 @@ struct Config {
 
   /// Per-peer unexpected-queue depth cap (0 = unbounded, the historical
   /// behaviour). Universe auto-enables `reliable` whenever it is nonzero.
-  /// At cap, `unexpected_policy` decides: kShed drops the message at
-  /// admission and NACKs the sender (whose tracked op fails typed
-  /// kReceiverOverloaded); kQueue defers it unanswered, so the sender's
-  /// retransmit clock re-presents it once the consumer drains. kQueue
-  /// also counts out-of-sequence parked packets against the cap, which
-  /// bounds the queue at 2*cap - 1.
+  /// Under both policies a packet parks out of sequence only while its
+  /// distance ahead of the in-order frontier plus the queue depth stays
+  /// below the cap; otherwise it is deferred and re-presented by its
+  /// sender. That keeps the queue within the cap. With the queue at cap
+  /// `unexpected_policy` decides: kShed drops the in-sequence head and
+  /// NACKs the sender (whose tracked op fails typed kReceiverOverloaded);
+  /// kQueue leaves every packet unanswered, so the sender's retransmit
+  /// clock re-presents it once the consumer drains.
   std::size_t unexpected_cap = 0;
   overload::Policy unexpected_policy = overload::Policy::kShed;
 
-  /// Payload-pool in-use byte cap, checked at eager injection (process
-  /// global, like the pool itself; 0 = unbounded). kQueue spins the sender
-  /// (progressing) until buffers recycle; kShed fails the op typed
-  /// kLocalOverloaded.
+  /// Payload-pool in-use byte cap (process global, like the pool itself;
+  /// 0 = unbounded), charged where eager payloads, tracked copies,
+  /// retransmit clones and fabric duplicates are made. A refused eager
+  /// send follows the policy: kQueue spins the sender (progressing) until
+  /// buffers recycle; kShed fails the op typed kLocalOverloaded. A refused
+  /// retransmit waits for the next rto (a stream's lowest unacked packet is
+  /// never refused); a refused duplicate is not sent.
   std::uint64_t payload_pool_cap_bytes = 0;
   overload::Policy payload_pool_policy = overload::Policy::kQueue;
 

@@ -292,13 +292,15 @@ class Fabric {
   /// Enable checksum stamping and (when params.any()) fault injection.
   /// `force_injector` builds the injector even with all-zero probabilities —
   /// the ft layer needs its peer-death mode (kill_rank) available on an
-  /// otherwise pristine fabric. Call before traffic flows; not thread-safe
-  /// against concurrent sends.
+  /// otherwise pristine fabric. `pool_cap_bytes` bounds the injector's
+  /// duplicate clones (FaultInjector). Call before traffic flows; not
+  /// thread-safe against concurrent sends.
   void configure_reliability(const FaultParams& faults, bool checksums,
-                             bool force_injector = false) {
+                             bool force_injector = false,
+                             std::uint64_t pool_cap_bytes = 0) {
     checksums_ = checksums;
     if (faults.any() || force_injector) {
-      injector_ = std::make_unique<FaultInjector>(num_ranks(), faults);
+      injector_ = std::make_unique<FaultInjector>(num_ranks(), faults, pool_cap_bytes);
     }
     plain_path_ = !checksums_ && injector_ == nullptr;
   }

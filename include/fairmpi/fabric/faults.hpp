@@ -16,7 +16,8 @@
 // Fault model:
 //   drop     packet vanishes; the sender still sees success (a lost wire
 //            packet, not backpressure).
-//   dup      a deep clone is delivered alongside the original.
+//   dup      a deep clone is delivered alongside the original (none when
+//            the payload pool is at its cap).
 //   delay    the packet parks in a per-link holdback slot and is released
 //            after 2..5 later packets on the same link (count-based, so
 //            deterministic — no wall clock).
@@ -94,7 +95,10 @@ class FaultInjector {
     int primary = -1;
   };
 
-  FaultInjector(int num_ranks, const FaultParams& params);
+  /// `pool_cap_bytes` (0 = none) bounds duplicate clones: a duplicate the
+  /// payload pool refuses is not emitted, because its original is already
+  /// on the wire (§5h).
+  FaultInjector(int num_ranks, const FaultParams& params, std::uint64_t pool_cap_bytes = 0);
 
   /// Run one packet through the link's fault model. Consumes `pkt`; fills
   /// `out`. Call only once the packet is sure to reach the wire: the
@@ -155,6 +159,7 @@ class FaultInjector {
   }
 
   const FaultParams params_;
+  const std::uint64_t pool_cap_bytes_;
   const std::size_t num_ranks_;
   std::vector<std::unique_ptr<LinkState>> links_;
   FaultStats stats_;

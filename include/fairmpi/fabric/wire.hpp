@@ -31,10 +31,11 @@ enum class Opcode : std::uint16_t {
   kAck,          ///< reliability acknowledgement (echoes the acked key)
   kHeartbeat,    ///< ft liveness probe (header-only; never acked or tracked)
   kNack,         ///< overload shed notice (echoes the shed packet's key)
+  kDefer,        ///< park-limit deferral notice (echoes the deferred packet's key)
 };
 
 /// Last opcode value that is valid on the wire (header validation).
-inline constexpr std::uint16_t kMaxOpcode = static_cast<std::uint16_t>(Opcode::kNack);
+inline constexpr std::uint16_t kMaxOpcode = static_cast<std::uint16_t>(Opcode::kDefer);
 
 /// The matching envelope. POD, fixed 32 bytes. The old 32-bit src_ctx
 /// diagnostic field donates its upper half to the reliability checksum so
@@ -106,8 +107,15 @@ void reset_payload_pool_high_water() noexcept;
 using PayloadBuffer = std::unique_ptr<std::byte[], PayloadDeleter>;
 
 /// Acquire an `n`-byte payload buffer from the size-classed pool
-/// (allocation-free in steady state; new[] above the largest class).
-PayloadBuffer make_payload(std::size_t n);
+/// (allocation-free in steady state; new[] above the largest class). A
+/// nonzero `pool_cap` makes the charge refusable (§5h): once in-use bytes
+/// have reached the cap the result is null and nothing is charged, so an
+/// admitted charge ends at most its own size above the cap.
+PayloadBuffer make_payload(std::size_t n, std::uint64_t pool_cap = 0);
+
+/// Pool bytes make_payload charges for `n` payload bytes: the size class
+/// (the exact size above the largest class); 0 for an inline payload.
+std::uint64_t payload_charge(std::size_t n) noexcept;
 
 // Relaxed-atomic-load header copy rationale (FAIRMPI_WIRE_FIELD_COPY
 // below): a whole-struct WireHeader copy compiles to 16-byte vector loads,
@@ -194,16 +202,20 @@ struct Packet {
   Packet& operator=(const Packet&) = delete;
 
   /// Copy `n` payload bytes in, choosing inline vs pooled-heap storage.
-  void set_payload(const void* data, std::size_t n) {
+  /// False when a nonzero `pool_cap` refuses the pooled buffer
+  /// (make_payload); the packet must then not be sent.
+  bool set_payload(const void* data, std::size_t n, std::uint64_t pool_cap = 0) {
     hdr.payload_size = static_cast<std::uint32_t>(n);
-    if (n == 0) return;
+    if (n == 0) return true;
     if (n <= kInlineBytes) {
       std::memcpy(inline_data.data(), data, n);
       heap.reset();
-    } else {
-      heap = make_payload(n);
-      std::memcpy(heap.get(), data, n);
+      return true;
     }
+    heap = make_payload(n, pool_cap);
+    if (heap == nullptr) return false;
+    std::memcpy(heap.get(), data, n);
+    return true;
   }
 
   const std::byte* payload() const noexcept {
@@ -234,9 +246,10 @@ void stamp_checksum(Packet& pkt) noexcept;
 /// with payload_size fails structural validation before this is called.
 bool verify_checksum(const Packet& pkt) noexcept;
 
-/// Deep copy (header + payload) for duplication and retransmit tracking;
-/// heap payloads are cloned through the pool.
-Packet clone_packet(const Packet& pkt);
+/// Deep copy (header + payload) into `out` for duplication and retransmit
+/// tracking; heap payloads are cloned through the pool. False when a
+/// nonzero `pool_cap` refuses the copy (set_payload).
+bool clone_packet(const Packet& pkt, Packet& out, std::uint64_t pool_cap = 0);
 
 /// Structural validation of an inbound packet, before it may reach matching:
 /// known opcode, source rank within the universe, and a payload pointer

@@ -27,7 +27,6 @@
 
 #include <array>
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -58,8 +57,10 @@ enum class Admission : std::uint8_t {
   kDuplicate,      ///< duplicate of an already-accepted packet — re-ack it
   kShed,           ///< dropped at admission (first time) — NACK it
   kShedDuplicate,  ///< retransmit of a shed packet — NACK again, no recount
-  kDeferred,       ///< kQueue at cap — answer nothing; the sender's
-                   ///< retransmit clock re-presents the packet
+  kDeferred,       ///< beyond the park limit — answer kDefer; the sender
+                   ///< re-presents the packet on its base rto
+  kPaused,         ///< kQueue with the queue at cap — answer nothing; the
+                   ///< sender's backed-off retransmit clock re-presents it
 };
 
 /// Reorder window per (comm, src) stream: out-of-sequence arrivals up to
@@ -274,13 +275,6 @@ class MatchEngine : public p2p::CancelScope {
     bool paused = false;  ///< overload kQueue: deferred with the queue at cap
     std::array<std::uint32_t, kShedMemory> shed_seqs{};  ///< re-NACK ring
     std::uint32_t shed_n = 0;  ///< total sheds (ring write cursor)
-
-    /// Packets parked out of sequence (reorder ring + spill map), derived
-    /// from the containers so it can never drift from them.
-    std::size_t parked() const noexcept {
-      const int in_ring = reorder != nullptr ? std::popcount(reorder->present) : 0;
-      return static_cast<std::size_t>(in_ring) + spill.size();
-    }
 
     /// Is the future packet `seq` already parked (a retransmit whose ack
     /// was lost)? Within the window it can only be in its ring slot,

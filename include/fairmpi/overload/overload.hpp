@@ -15,17 +15,22 @@
 //   payload-pool bytes       payload_pool_cap    kQueue (wait) / kShed
 //   reliability in-flight    tracker_cap         kQueue (wait) / kShed
 //
-//   * kShed — refuse at admission. Receiver-side sheds answer the sender
-//     with Opcode::kNack (echoing the packet key like an ack), so the
-//     sender's reliability tracker fails the op typed kReceiverOverloaded
-//     instead of retransmitting into a full queue. Sender-side sheds
-//     (pool/tracker caps at injection) fail typed kLocalOverloaded.
-//   * kQueue — backpressure the producer. The receiver defers a packet at
-//     admission (answers neither ack nor NACK; a cap implies `reliable`),
-//     so the sender's retransmit clock re-presents it once the consumer
-//     drains. Out-of-sequence parked packets count against the cap too,
-//     so the unexpected queue stays at or below 2*cap - 1. Sender-side
-//     caps spin (progressing) until pressure drains.
+// One admission rule per side of the wire:
+//
+//   * Receiver: a packet parks out of sequence only while its distance
+//     ahead of the in-order frontier plus the unexpected depth stays below
+//     the cap; otherwise it is deferred (Opcode::kDefer, echoing the key
+//     like an ack; a cap implies `reliable`, so the sender re-presents it).
+//     So fewer than cap packets park and the unexpected queue never
+//     exceeds the cap under both policies. The policy decides only what
+//     happens with the queue at cap: kShed NACKs the in-sequence head
+//     (Opcode::kNack), so the sender's tracker fails the op typed
+//     kReceiverOverloaded; kQueue leaves every packet unanswered.
+//   * Sender: one admission loop runs before the sequence number is
+//     ticketed — the reliability window (always waits), then the tracker
+//     and pool caps. At a refused cap kShed fails the op typed
+//     kLocalOverloaded and kQueue spins (progressing) until pressure
+//     drains.
 //
 // The Governor is the per-rank control block: the degradation ladder
 // kHealthy -> kPressured -> kOverloaded (watermark crossings, with
@@ -104,11 +109,8 @@ class Governor {
     return paused_peers_.load(std::memory_order_relaxed);
   }
 
-  // --- sender-side admission (one relaxed load + compare each) ---
+  // --- sender-side admission (the pool cap is charged in make_payload) ---
 
-  bool pool_at_cap(std::uint64_t in_use_bytes) const noexcept {
-    return lim_.pool_cap_bytes != 0 && in_use_bytes >= lim_.pool_cap_bytes;
-  }
   bool tracker_at_cap(std::size_t in_flight) const noexcept {
     return lim_.tracker_cap != 0 && in_flight >= lim_.tracker_cap;
   }

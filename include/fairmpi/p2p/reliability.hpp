@@ -32,6 +32,7 @@
 #include <atomic>
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "fairmpi/common/error.hpp"
@@ -83,15 +84,25 @@ class ReliabilityTracker {
   /// `due` is the retransmit due time shared by every tracker of a
   /// universe: track() and confirm_retransmit() lower it, under this
   /// tracker's lock, to the entry's deadline (DESIGN.md "Progress service
-  /// step").
+  /// step"). `pool_cap_bytes` (0 = none) bounds the sweep's retransmit
+  /// clones: a clone the payload pool refuses waits for the next rto,
+  /// except for its stream's lowest tracked sequence number (sweep).
   ReliabilityTracker(std::uint64_t rto_ns, std::uint64_t rto_max_ns, int max_retries,
-                     std::atomic<std::uint64_t>& due);
+                     std::atomic<std::uint64_t>& due, std::uint64_t pool_cap_bytes = 0);
   ReliabilityTracker(const ReliabilityTracker&) = delete;
   ReliabilityTracker& operator=(const ReliabilityTracker&) = delete;
 
-  /// Register a packet about to be injected; clones header + payload.
-  /// MUST happen before the injection so an immediate ack finds the entry.
-  void track(int dst, const fabric::Packet& pkt, std::uint64_t now_ns);
+  /// Register a packet about to be injected, keeping `copy` as its
+  /// retransmit master (the eager sender makes that copy under the pool
+  /// cap before it tickets the sequence number, §5h). MUST happen before
+  /// the injection so an immediate ack finds the entry.
+  void track(int dst, fabric::Packet&& copy, std::uint64_t now_ns);
+  /// As above, cloning `pkt` (header + payload) uncapped.
+  void track(int dst, const fabric::Packet& pkt, std::uint64_t now_ns) {
+    fabric::Packet copy;
+    fabric::clone_packet(pkt, copy);
+    track(dst, std::move(copy), now_ns);
+  }
 
   /// Retire the entry an ack names. False when unknown (already acked —
   /// the ack of a duplicate).
@@ -108,6 +119,11 @@ class ReliabilityTracker {
   /// `out` (may be null) receives the failure record.
   struct Failure;
   bool nack(const PacketKey& key, Failure* out);
+
+  /// The receiver deferred the packet at its park limit (Opcode::kDefer,
+  /// DESIGN.md §5h): it arrived, so refund the retry its transmission was
+  /// charged and re-present it one base rto from now. No-op when unknown.
+  void defer(const PacketKey& key, std::uint64_t now_ns);
 
   struct Resend {
     int dst = 0;
@@ -126,7 +142,8 @@ class ReliabilityTracker {
   /// Sweeping only *claims* an entry (its deadline moves one rto out); the
   /// retry budget and the exponential backoff are charged by
   /// confirm_retransmit once the clone actually made it onto the wire.
-  /// A retransmit that dies on a full ring costs nothing — under
+  /// A retransmit that dies on a full ring, or whose clone the payload
+  /// pool refuses, costs nothing — under
   /// backpressure storms the budget must measure genuine losses, not the
   /// sender's own congestion, or entries exhaust and messages vanish.
   /// Caller injects with no tracker lock held. Returns the earliest
@@ -169,6 +186,7 @@ class ReliabilityTracker {
   const std::uint64_t rto_ns_;
   const std::uint64_t rto_max_ns_;
   const int max_retries_;
+  const std::uint64_t pool_cap_bytes_;
 
   mutable RankedLock<Spinlock> lock_{debug::LockRank::kReliability,
                                      "p2p.reliability"};

@@ -112,6 +112,7 @@ struct ControlMsg {
     kSendData,        ///< rendezvous data burst
     kSendPacketAck,   ///< reliability ack echoing a received packet's key
     kSendPacketNack,  ///< overload NACK echoing a shed packet's key (§5h)
+    kSendPacketDefer, ///< deferral notice echoing a deferred packet's key (§5h)
   };
   Kind kind = Kind::kNone;
   int peer = 0;                     ///< rank to talk to

@@ -84,7 +84,9 @@ class Request {
     error_ = common::ErrorCode::kOk;
     deadline_ns_.store(deadline_ns, std::memory_order_relaxed);
     cancel_scope_.store(nullptr, std::memory_order_relaxed);
-    settled_.store(false, std::memory_order_relaxed);
+    // Release: a cancel() from another thread settles through the CAS on
+    // settled_, which then sees this cycle's fields initialised.
+    settled_.store(false, std::memory_order_release);
     done_.store(false, std::memory_order_relaxed);
   }
 
@@ -98,7 +100,9 @@ class Request {
     error_ = common::ErrorCode::kOk;
     deadline_ns_.store(deadline_ns, std::memory_order_relaxed);
     cancel_scope_.store(nullptr, std::memory_order_relaxed);
-    settled_.store(false, std::memory_order_relaxed);
+    // Release: a cancel() from another thread settles through the CAS on
+    // settled_, which then sees this cycle's fields initialised.
+    settled_.store(false, std::memory_order_release);
     done_.store(false, std::memory_order_relaxed);
   }
 

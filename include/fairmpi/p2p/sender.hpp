@@ -23,9 +23,10 @@ struct SendPolicy {
   /// 0 = retry forever. Bounding this turns a peer that never drains its
   /// ring from a livelock into a reported error.
   std::uint64_t retry_limit = 0;
-  /// Max tracked-unacked packets before a send blocks (progressing) until
-  /// acks open the window; 0 = unbounded. Self-clocks a flood: without it
-  /// thousands of unacked packets turn every sweep into a retransmit storm.
+  /// Max tracked-unacked packets before a send waits (progressing, before
+  /// its sequence number is ticketed) until acks open the window; 0 =
+  /// unbounded. Self-clocks a flood: without it thousands of unacked
+  /// packets turn every sweep into a retransmit storm.
   std::size_t window = 0;
   /// Full-rank progress hook for the wait loops. The engine alone cannot
   /// transmit deferred acks (they leave via the rank's control drain), so
@@ -34,24 +35,26 @@ struct SendPolicy {
   std::size_t (*progress)(void* user) = nullptr;
   void* progress_user = nullptr;
   /// ft hook: non-null when the failure detector runs. Checked at entry and
-  /// inside both wait loops so a send blocked on (or headed for) a peer that
-  /// is confirmed dead mid-wait escapes with kPeerFailed instead of burning
-  /// its whole EAGAIN/backpressure budget into a permanently-down link.
+  /// inside both wait loops (admission, injection) so a send blocked on (or
+  /// headed for) a peer that is confirmed dead mid-wait escapes with
+  /// kPeerFailed instead of burning its whole EAGAIN/backpressure budget
+  /// into a permanently-down link.
   bool (*peer_failed)(void* user, int dst) = nullptr;
   void* peer_failed_user = nullptr;
-  /// Overload admission (DESIGN.md §5h): non-null consults the payload-pool
-  /// and reliability-tracker caps *before* the sequence number is ticketed,
-  /// so a refused send never leaves a hole in the peer's ordered stream.
-  /// kQueue caps wait (progressing) like the window gate; kShed caps fail
-  /// the op typed kLocalOverloaded.
+  /// Overload admission (DESIGN.md §5h): non-null adds the payload-pool
+  /// and reliability-tracker caps to the window in the one admission loop
+  /// that runs *before* the sequence number is ticketed, so a refused send
+  /// never leaves a hole in the peer's ordered stream. kQueue caps wait
+  /// (progressing) like the window; kShed caps fail the op typed
+  /// kLocalOverloaded.
   overload::Governor* governor = nullptr;
   /// Absolute per-op deadline on the engine clock (now_ns; 0 = none): every
   /// wait loop abandons the send typed kDeadlineExceeded once passed.
   std::uint64_t deadline_ns = 0;
 };
 
-/// Execute one eager send: ticket the sequence number, acquire a CRI per
-/// the pool's policy, inject through the per-peer endpoint; on backpressure
+/// Execute one eager send: pass admission (window, tracker and pool caps),
+/// ticket the sequence number, acquire a CRI per the pool's policy, inject through the per-peer endpoint; on backpressure
 /// (full destination ring) release the instance, progress own resources,
 /// spin-then-yield and retry up to the policy's budget. Completes `req`
 /// before returning — normally (buffered-send semantics) or via

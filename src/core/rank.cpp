@@ -45,9 +45,9 @@ Rank::Rank(Universe& uni, int id)
   const Config& cfg = uni.config();
   if (cfg.trace_enabled) tracer_.enable(true);
   if (cfg.reliable) {
-    tracker_ = std::make_unique<p2p::ReliabilityTracker>(cfg.rto_ns, cfg.rto_max_ns,
-                                                         cfg.max_retries,
-                                                         uni.retransmit_due_);
+    tracker_ = std::make_unique<p2p::ReliabilityTracker>(
+        cfg.rto_ns, cfg.rto_max_ns, cfg.max_retries, uni.retransmit_due_,
+        cfg.payload_pool_cap_bytes);
   }
   if (cfg.watchdog_interval_ns != ~std::uint64_t{0}) {
     watchdog_ = std::make_unique<progress::Watchdog>(
@@ -301,12 +301,15 @@ void Rank::flush_acks() {
     // Reliability ack: echo the received packet's identifying key so the
     // sender can retire its tracked clone. Unreliable by design — if this
     // ack is lost the peer retransmits and we re-ack. A NACK (overload
-    // shed, §5h) rides the same queue and carries the same key; only the
-    // opcode differs, so the sender can fail the op typed instead of
-    // retiring it.
+    // shed, §5h) and a deferral notice ride the same queue and carry the
+    // same key; only the opcode differs, so the sender can fail the op
+    // typed, or keep it and re-present it soon, instead of retiring it.
+    const bool is_ack = msg.kind == p2p::ControlMsg::Kind::kSendPacketAck;
     const bool is_nack = msg.kind == p2p::ControlMsg::Kind::kSendPacketNack;
     fabric::Packet ack;
-    ack.hdr.opcode = is_nack ? fabric::Opcode::kNack : fabric::Opcode::kAck;
+    ack.hdr.opcode = is_ack    ? fabric::Opcode::kAck
+                     : is_nack ? fabric::Opcode::kNack
+                               : fabric::Opcode::kDefer;
     ack.hdr.src_rank = static_cast<std::uint16_t>(id_);
     ack.hdr.comm_id = msg.comm;
     ack.hdr.tag = static_cast<std::int32_t>(msg.ack_opcode);
@@ -319,7 +322,7 @@ void Rank::flush_acks() {
       acks_pending_.store(true, std::memory_order_relaxed);
       return;
     }
-    if (!is_nack) {
+    if (is_ack) {
       spc_.add(Counter::kAcksSent);
       tracer_.record(trace::Event::kAckSent, static_cast<std::uint32_t>(msg.peer),
                      msg.seq);
@@ -684,6 +687,12 @@ std::size_t Rank::handle_packet(fabric::Packet&& pkt) {
       handle_nack(pkt.hdr);
       return 0;
     }
+    if (pkt.hdr.opcode == fabric::Opcode::kDefer) {
+      // The receiver holds the packet back at its park limit (§5h): it
+      // arrived, so re-present it on the base rto, uncharged.
+      tracker_->defer(p2p::key_of_ack(pkt.hdr), now_ns());
+      return 0;
+    }
     // Ack every structurally valid packet — duplicates included, because
     // the duplicate usually means our previous ack was the casualty.
     // Matchable envelopes (kEager/kRndvRts) are the exception: their
@@ -694,7 +703,8 @@ std::size_t Rank::handle_packet(fabric::Packet&& pkt) {
       enqueue_ack(pkt.hdr, p2p::ControlMsg::Kind::kSendPacketAck);
     }
   } else if (pkt.hdr.opcode == fabric::Opcode::kAck ||
-             pkt.hdr.opcode == fabric::Opcode::kNack) {
+             pkt.hdr.opcode == fabric::Opcode::kNack ||
+             pkt.hdr.opcode == fabric::Opcode::kDefer) {
     // Reliability off: there is no tracker to retire the (n)ack against.
     spc_.add(Counter::kHeaderDrops);
     return 0;
@@ -716,11 +726,13 @@ std::size_t Rank::handle_packet(fabric::Packet&& pkt) {
             spc_.add(Counter::kOverloadNacksSent);
           }
           enqueue_ack(hdr, p2p::ControlMsg::Kind::kSendPacketNack);
-        } else if (adm != fairmpi::match::Admission::kDeferred) {
+        } else if (adm == fairmpi::match::Admission::kDeferred) {
+          enqueue_ack(hdr, p2p::ControlMsg::Kind::kSendPacketDefer);
+        } else if (adm != fairmpi::match::Admission::kPaused) {
           enqueue_ack(hdr, p2p::ControlMsg::Kind::kSendPacketAck);
         }
-        // kDeferred: answer nothing — the sender's retransmit clock is the
-        // backpressure (§5h kQueue).
+        // kPaused: answer nothing — the sender's backed-off retransmit
+        // clock is the backpressure (§5h kQueue).
       }
       return delivered;
     }
@@ -730,6 +742,7 @@ std::size_t Rank::handle_packet(fabric::Packet&& pkt) {
       return handle_rndv_data(pkt);
     case fabric::Opcode::kAck:
     case fabric::Opcode::kNack:
+    case fabric::Opcode::kDefer:
     case fabric::Opcode::kHeartbeat:
     case fabric::Opcode::kInvalid:
       break;  // all consumed above; unreachable

@@ -303,6 +303,7 @@ void Rank::drain_control() {
       }
       case ControlMsg::Kind::kSendPacketAck:
       case ControlMsg::Kind::kSendPacketNack:
+      case ControlMsg::Kind::kSendPacketDefer:
         // Handled by flush_acks ((n)acks ride their own queue); kept in
         // the enum so the message layout stays shared.
         break;

@@ -85,7 +85,8 @@ Universe::Universe(Config cfg)
   // Reliability plumbing must exist before any rank can inject. ft forces
   // the injector even on a pristine fabric: the detector's kill mode
   // (FaultInjector::kill_rank) is its ground truth for rank death.
-  fabric_.configure_reliability(cfg_.faults, cfg_.reliable, cfg_.ft_enabled);
+  fabric_.configure_reliability(cfg_.faults, cfg_.reliable, cfg_.ft_enabled,
+                                cfg_.payload_pool_cap_bytes);
   ranks_.reserve(static_cast<std::size_t>(cfg_.num_ranks));
   for (int r = 0; r < cfg_.num_ranks; ++r) {
     // make_unique can't reach the private constructor.

@@ -33,9 +33,11 @@ void corrupt_packet(Xoshiro256& rng, Packet& pkt) {
 
 }  // namespace
 
-FaultInjector::FaultInjector(int num_ranks, const FaultParams& params)
-    : params_(params), num_ranks_(static_cast<std::size_t>(num_ranks)),
-      kill_(num_ranks_), injected_by_(num_ranks_) {
+FaultInjector::FaultInjector(int num_ranks, const FaultParams& params,
+                             std::uint64_t pool_cap_bytes)
+    : params_(params), pool_cap_bytes_(pool_cap_bytes),
+      num_ranks_(static_cast<std::size_t>(num_ranks)), kill_(num_ranks_),
+      injected_by_(num_ranks_) {
   FAIRMPI_CHECK(num_ranks >= 1);
   Xoshiro256 master(params.seed);
   // lint: allow(hotpath-alloc) one-time construction of the link table
@@ -123,9 +125,10 @@ void FaultInjector::process(int src, int dst, Packet&& pkt, Batch& out) {
     const bool duplicate = params_.dup > 0.0 && rng.uniform() < params_.dup;
     out.primary = static_cast<int>(out.n);
     out.pkts[out.n++] = std::move(pkt);
-    if (duplicate) {
+    if (duplicate && clone_packet(out.pkts[static_cast<std::size_t>(out.primary)],
+                                  out.pkts[out.n], pool_cap_bytes_)) {
       stats_.duplicated.fetch_add(1, std::memory_order_relaxed);
-      out.pkts[out.n++] = clone_packet(out.pkts[static_cast<std::size_t>(out.primary)]);
+      ++out.n;
     }
   }
 

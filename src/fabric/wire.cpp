@@ -66,15 +66,31 @@ std::atomic<bool> pool_accounting_on{false};
 #define FAIRMPI_COLD
 #endif
 
-FAIRMPI_COLD void charge_pool_bytes_slow(std::uint64_t n) noexcept {
-  const std::uint64_t now =
-      pool_in_use_bytes.fetch_add(n, std::memory_order_relaxed) + n;
+void raise_high_water(std::uint64_t now) noexcept {
   // lint: allow(relaxed-sync) monotone high-water mark, no ordering needed
   std::uint64_t hw = pool_high_water_bytes.load(std::memory_order_relaxed);
   while (now > hw &&
          !pool_high_water_bytes.compare_exchange_weak(hw, now,
                                                       std::memory_order_relaxed)) {
   }
+}
+
+/// Charge `n` bytes; with a nonzero `cap`, only while in-use bytes are
+/// still below it. A compare-exchange rather than an add-then-roll-back,
+/// so a refused charge never shows in the gauge or its high-water mark.
+FAIRMPI_COLD bool charge_pool_bytes_slow(std::uint64_t n, std::uint64_t cap) noexcept {
+  std::uint64_t cur = 0;
+  if (cap == 0) {
+    cur = pool_in_use_bytes.fetch_add(n, std::memory_order_relaxed);
+  } else {
+    cur = pool_in_use_bytes.load(std::memory_order_relaxed);
+    do {
+      if (cur >= cap) return false;
+    } while (!pool_in_use_bytes.compare_exchange_weak(cur, cur + n,
+                                                      std::memory_order_relaxed));
+  }
+  raise_high_water(cur + n);
+  return true;
 }
 
 /// Saturating un-charge: a payload created before the accounting switch
@@ -87,11 +103,12 @@ FAIRMPI_COLD void uncharge_pool_bytes_slow(std::uint64_t n) noexcept {
   }
 }
 
-inline void charge_pool_bytes(std::uint64_t n) noexcept {
+inline bool charge_pool_bytes(std::uint64_t n, std::uint64_t cap) noexcept {
   // lint: allow(relaxed-sync) sticky diagnostics gate; counts order nothing
   if (pool_accounting_on.load(std::memory_order_relaxed)) [[unlikely]] {
-    charge_pool_bytes_slow(n);
+    return charge_pool_bytes_slow(n, cap);
   }
+  return true;
 }
 
 inline void uncharge_pool_bytes(std::uint64_t n) noexcept {
@@ -137,17 +154,23 @@ void reset_payload_pool_high_water() noexcept {
                               std::memory_order_relaxed);
 }
 
-PayloadBuffer make_payload(std::size_t n) {
+std::uint64_t payload_charge(std::size_t n) noexcept {
+  if (n <= kInlineBytes) return 0;
+  const int cls = class_for(n);
+  return cls < 0 ? n : std::uint64_t{1} << (kMinShift + cls);
+}
+
+PayloadBuffer make_payload(std::size_t n, std::uint64_t pool_cap) {
   const int cls = class_for(n);
   if (cls < 0) {
-    charge_pool_bytes(n);
+    if (!charge_pool_bytes(n, pool_cap)) return nullptr;
     // lint: allow(hotpath-alloc) >64KiB payloads exceed every pool class
     auto* raw = new std::byte[n + kHugeHeader];
     const std::uint64_t bytes = n;
     std::memcpy(raw, &bytes, sizeof bytes);
     return PayloadBuffer(raw + kHugeHeader, PayloadDeleter{-1});
   }
-  charge_pool_bytes(std::uint64_t{1} << (kMinShift + cls));
+  if (!charge_pool_bytes(std::uint64_t{1} << (kMinShift + cls), pool_cap)) return nullptr;
   return PayloadBuffer(static_cast<std::byte*>(arena(cls).acquire()),
                        PayloadDeleter{static_cast<std::int8_t>(cls)});
 }
@@ -198,18 +221,9 @@ bool verify_checksum(const Packet& pkt) noexcept {
   return pkt.hdr.csum == wire_checksum(pkt.hdr, pkt.payload(), pkt.hdr.payload_size);
 }
 
-Packet clone_packet(const Packet& pkt) {
-  Packet out;
+bool clone_packet(const Packet& pkt, Packet& out, std::uint64_t pool_cap) {
   out.hdr = pkt.hdr;
-  const std::size_t n = pkt.hdr.payload_size;
-  if (n == 0) return out;
-  if (n <= kInlineBytes) {
-    std::memcpy(out.inline_data.data(), pkt.inline_data.data(), n);
-  } else {
-    out.heap = make_payload(n);  // pooled — allocation-free in steady state
-    std::memcpy(out.heap.get(), pkt.heap.get(), n);
-  }
-  return out;
+  return out.set_payload(pkt.payload(), pkt.hdr.payload_size, pool_cap);
 }
 
 }  // namespace fairmpi::fabric

@@ -126,10 +126,12 @@ std::size_t MatchEngine::match_one(spc::CounterSet::Cursor& ctr, fabric::Packet&
   }
 
   // No posted receive: the message goes unexpected — the resource bounded
-  // admission caps (DESIGN.md §5h). kQueue already deferred at incoming();
-  // only kShed acts here. A reorder-drain packet (direct=false) was acked
-  // when it parked, so shedding it would be silent loss: it is admitted.
-  // The uncapped configuration pays one null-pointer branch here.
+  // admission caps (DESIGN.md §5h). At cap incoming() paused every kQueue
+  // packet, so only a kShed head reaches here; it is shed. A reorder-drain
+  // packet (direct=false) was acked when it parked, so shedding it would be
+  // silent loss: it is admitted, and incoming()'s park limit bounds how
+  // many follow the head. The uncapped configuration pays one null-pointer
+  // branch here.
   if (gov_ != nullptr && direct) {
     const overload::Limits& lim = gov_->limits();
     if (lim.unexpected_cap != 0 && lim.unexpected_policy == overload::Policy::kShed &&
@@ -204,29 +206,27 @@ std::size_t MatchEngine::incoming(fabric::Packet&& pkt, Admission* admission) {
     return 0;
   }
   PeerState& ps = peer(src);
-  // §5h kQueue: defer at admission *before* the sequence stream consumes
-  // this packet. The rank answers with neither ack nor NACK, so the
-  // sender's retransmit clock re-presents it after the queue drains (a cap
-  // implies `reliable`, so that clock always runs). Any packet waits while
-  // the unexpected queue is at cap, so a receiver waiting on the in-sequence
-  // head can always get it. A packet that would newly park also counts the
-  // parked backlog, because the head admits parked packets unconditionally
-  // when it drains them: fewer than cap packets ever park, and the
-  // unexpected queue stays at or below 2*cap - 1. Repeats (stale or already
-  // parked) take no slot and keep the plain rule, so their re-ack is not
-  // held back.
-  if (admission != nullptr && gov_ != nullptr) {
+  // §5h admission: hold a packet back *before* the sequence stream consumes
+  // it, so the sender re-presents it later (a cap implies `reliable`, so
+  // its retransmit clock always runs). The policies differ only at the
+  // queue's cap: kQueue pauses every packet unanswered, so the backed-off
+  // retransmit clock waits out the slow consumer and a receiver waiting on
+  // the head can always get it; kShed admits the head to match_one, which
+  // NACKs it unless a posted receive takes it. Below that, one park limit
+  // for both policies: a packet parks only while its distance ahead of the
+  // in-order frontier plus the unexpected count stays below the cap, else
+  // it is deferred and answered kDefer, so its sender re-presents it on the
+  // base rto, uncharged. The head admits parked packets unconditionally
+  // when it drains them (they were acked when they parked), but each
+  // admitted head or drained packet moves the frontier and the queue by
+  // one, so unexpected + farthest parked distance never grows while
+  // anything is parked: fewer than cap packets park and the unexpected
+  // queue never exceeds cap.
+  if (admission != nullptr && gov_ != nullptr && gov_->limits().unexpected_cap != 0) {
     const overload::Limits& lim = gov_->limits();
     const std::size_t cap = lim.unexpected_cap;
-    const bool at_cap = ps.unexpected_n >= cap;
-    const auto would_park = [&] {
-      const bool future = static_cast<std::int32_t>(pkt.hdr.seq - ps.expected_seq) > 0;
-      return !allow_overtaking_ && future && ps.unexpected_n + ps.parked() + 1 >= cap &&
-             !ps.holds(pkt.hdr.seq);
-    };
-    if (cap != 0 && lim.unexpected_policy == overload::Policy::kQueue &&
-        (at_cap || would_park())) {
-      if (!ps.paused && at_cap) {
+    if (ps.unexpected_n >= cap && lim.unexpected_policy == overload::Policy::kQueue) {
+      if (!ps.paused) {
         ps.paused = true;
         gov_->pause_peer();
         ctr.add(Counter::kOverloadPausedPeers);
@@ -235,6 +235,12 @@ std::size_t MatchEngine::incoming(fabric::Packet&& pkt, Admission* admission) {
                           static_cast<std::uint32_t>(src), 1);
         }
       }
+      *admission = Admission::kPaused;
+      return 0;
+    }
+    const std::int32_t ahead = static_cast<std::int32_t>(pkt.hdr.seq - ps.expected_seq);
+    if (!allow_overtaking_ && ahead > 0 &&
+        static_cast<std::size_t>(ahead) + ps.unexpected_n >= cap) {
       *admission = Admission::kDeferred;
       return 0;
     }

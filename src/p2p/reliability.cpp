@@ -7,28 +7,32 @@
 // size-classed pool (clone_packet).
 #include "fairmpi/p2p/reliability.hpp"
 
+#include <algorithm>
+#include <utility>
+
 #include "fairmpi/common/error.hpp"
 #include "fairmpi/common/timing.hpp"
 
 namespace fairmpi::p2p {
 
 ReliabilityTracker::ReliabilityTracker(std::uint64_t rto_ns, std::uint64_t rto_max_ns,
-                                       int max_retries, std::atomic<std::uint64_t>& due)
-    : rto_ns_(rto_ns), rto_max_ns_(rto_max_ns), max_retries_(max_retries), due_(due) {
+                                       int max_retries, std::atomic<std::uint64_t>& due,
+                                       std::uint64_t pool_cap_bytes)
+    : rto_ns_(rto_ns), rto_max_ns_(rto_max_ns), max_retries_(max_retries),
+      pool_cap_bytes_(pool_cap_bytes), due_(due) {
   // max_retries == 0 is the fail-fast mode: the first unacked rto expiry
   // fails the entry typed without ever retransmitting.
   FAIRMPI_CHECK(rto_ns >= 1 && rto_max_ns >= rto_ns && max_retries >= 0);
 }
 
-void ReliabilityTracker::track(int dst, const fabric::Packet& pkt,
-                               std::uint64_t now_ns) {
+void ReliabilityTracker::track(int dst, fabric::Packet&& copy, std::uint64_t now_ns) {
   Entry e;
   e.dst = dst;
   e.retries = 0;
   e.rto_ns = rto_ns_;
   e.deadline_ns = now_ns + rto_ns_;
-  e.pkt = fabric::clone_packet(pkt);
-  const PacketKey key = key_of(dst, pkt.hdr);
+  const PacketKey key = key_of(dst, copy.hdr);
+  e.pkt = std::move(copy);
 
   LockGuard guard(lock_);
   const std::uint64_t deadline = e.deadline_ns;
@@ -67,10 +71,29 @@ bool ReliabilityTracker::nack(const PacketKey& key, Failure* out) {
   return true;
 }
 
+void ReliabilityTracker::defer(const PacketKey& key, std::uint64_t now_ns) {
+  LockGuard guard(lock_);
+  const auto it = inflight_.find(key);
+  if (it == inflight_.end()) return;
+  Entry& e = it->second;
+  if (e.retries > 0) --e.retries;
+  e.rto_ns = rto_ns_;
+  e.deadline_ns = now_ns + rto_ns_;
+  lower_due(due_, e.deadline_ns);
+}
+
 std::uint64_t ReliabilityTracker::sweep(std::uint64_t now_ns, std::vector<Resend>& resends,
                                         std::vector<Failure>& failures) {
   LockGuard guard(lock_);
   std::uint64_t earliest = kNever;
+  // Lowest refused retransmit per stream (destination, communicator).
+  std::vector<std::pair<PacketKey, const Entry*>> refused;
+  const auto same_stream = [](const PacketKey& a, const PacketKey& b) {
+    return a.peer == b.peer && a.comm == b.comm;
+  };
+  const auto before = [](const PacketKey& a, const PacketKey& b) {
+    return static_cast<std::int32_t>(a.seq - b.seq) < 0;
+  };
   for (auto it = inflight_.begin(); it != inflight_.end();) {
     Entry& e = it->second;
     if (static_cast<std::size_t>(e.dst) < failed_peers_.size() &&
@@ -99,12 +122,49 @@ std::uint64_t ReliabilityTracker::sweep(std::uint64_t now_ns, std::vector<Resend
     }
     // Claim only: push the deadline one (current) rto out so concurrent
     // sweeps don't double-clone it. Backoff and the retry charge happen in
-    // confirm_retransmit, once the clone verifiably left the sender.
+    // confirm_retransmit, once the clone verifiably left the sender; a
+    // clone the pool refuses at its cap waits for the next rto, like a
+    // retransmit that finds the ring full.
     e.deadline_ns = now_ns + e.rto_ns;
     if (e.deadline_ns < earliest) earliest = e.deadline_ns;
-    // lint: allow(hotpath-alloc) resend batch exists only under injection
-    resends.push_back(Resend{e.dst, fabric::clone_packet(e.pkt)});
+    fabric::Packet clone;
+    if (fabric::clone_packet(e.pkt, clone, pool_cap_bytes_)) {
+      // lint: allow(hotpath-alloc) resend batch exists only under injection
+      resends.push_back(Resend{e.dst, std::move(clone)});
+    } else {
+      const auto low = std::find_if(refused.begin(), refused.end(),
+                                    [&](const auto& r) { return same_stream(r.first, it->first); });
+      if (low == refused.end()) {
+        // lint: allow(hotpath-alloc) reached only with the pool at its cap
+        refused.emplace_back(it->first, &e);
+      } else if (before(it->first, low->first)) {
+        *low = {it->first, &e};
+      }
+    }
     ++it;
+  }
+  // A refused retransmit waits for its next rto, except the lowest tracked
+  // sequence number of its stream: that one may be the gap its receiver
+  // parks later packets behind, and those parked payloads may be what
+  // holds the pool at its cap, so refusing it too could wedge the stream.
+  // It is cloned past the cap. Once it retires (delivered, or re-acked as a
+  // duplicate) the next lowest takes its place, so the gap is always
+  // reached, and only one entry per stream ever passes the cap.
+  if (!refused.empty()) {
+    for (const auto& kv : inflight_) {
+      for (auto& r : refused) {
+        if (r.second != nullptr && same_stream(kv.first, r.first) && before(kv.first, r.first)) {
+          r.second = nullptr;  // not its stream's lowest
+        }
+      }
+    }
+    for (const auto& [key, e] : refused) {
+      if (e == nullptr) continue;
+      fabric::Packet clone;
+      fabric::clone_packet(e->pkt, clone);
+      // lint: allow(hotpath-alloc) resend batch exists only under injection
+      resends.push_back(Resend{e->dst, std::move(clone)});
+    }
   }
   return earliest;
 }

@@ -79,65 +79,71 @@ common::ErrorCode eager_send(CommState& comm, cri::CriPool& pool,
     return common::ErrorCode::kOk;
   };
 
-  // Sender-side overload admission (DESIGN.md §5h), consulted before the
-  // sequence number is ticketed so a refused send never leaves a hole in
-  // the peer's ordered stream. Uncapped configurations pay one branch.
-  if (policy.governor != nullptr && policy.governor->enabled()) {
-    const overload::Limits& lim = policy.governor->limits();
-    if (lim.pool_cap_bytes != 0) {
-      while (policy.governor->pool_at_cap(fabric::payload_pool_stats().in_use_bytes)) {
-        if (lim.pool_policy == overload::Policy::kShed) {
-          req.fail(common::ErrorCode::kLocalOverloaded);
-          return common::ErrorCode::kLocalOverloaded;
-        }
-        const common::ErrorCode rc = wait_tick(nullptr);
-        if (rc != common::ErrorCode::kOk) return rc;
-      }
-      waiter.reset();
-    }
-    if (lim.tracker_cap != 0 && policy.tracker != nullptr) {
-      while (policy.governor->tracker_at_cap(policy.tracker->in_flight())) {
-        if (lim.tracker_policy == overload::Policy::kShed) {
-          req.fail(common::ErrorCode::kLocalOverloaded);
-          return common::ErrorCode::kLocalOverloaded;
-        }
-        const common::ErrorCode rc = wait_tick(nullptr);
-        if (rc != common::ErrorCode::kOk) return rc;
-      }
-      waiter.reset();
-    }
-  }
-
-  // Sequence ticketing happens before resource acquisition, as in OB1. Two
-  // threads that ticket back-to-back can inject in the opposite order (or
-  // into different contexts) — this is where out-of-sequence messages come
-  // from, even with a single instance.
   fabric::Packet pkt;
   pkt.hdr.opcode = fabric::Opcode::kEager;
   pkt.hdr.src_rank = static_cast<std::uint16_t>(src_rank);
   pkt.hdr.comm_id = comm.id();
   pkt.hdr.tag = tag;
-  pkt.hdr.seq = comm.next_seq(dst);
-  pkt.set_payload(buf, n);
+  fabric::Packet copy;  // the tracker's retransmit master
 
-  // Send-window gate: block (progressing, so acks keep flowing both ways)
-  // while the unacked backlog is at the window. Charged against the same
-  // retry budget as ring backpressure — a peer that never acks is the same
-  // livelock as a peer that never drains.
-  if (policy.tracker != nullptr && policy.window != 0) {
-    while (policy.tracker->in_flight() >= policy.window) {
-      const common::ErrorCode rc = wait_tick(nullptr);
-      if (rc != common::ErrorCode::kOk) return rc;
+  // One admission loop (DESIGN.md §5h), before the sequence number is
+  // ticketed: a send that leaves it typed (shed, deadline, cancel, budget,
+  // peer death) never leaves a hole in the peer's ordered stream. Three
+  // caps, in order:
+  //   - the reliability window, an in-flight cap that always waits (acks
+  //     self-clock a flood; a peer that never acks is the same livelock as
+  //     one that never drains, so it burns the same retry budget);
+  //   - the tracker cap, and
+  //   - the payload-pool cap, charged where the buffers are made: the
+  //     payload below the cap, its tracked copy below the cap plus that
+  //     payload, so a send admitted below the cap always gets its copy
+  //     and the pool stays below cap + two payloads on any thread count.
+  // At a refused cap that cap's policy decides: kShed fails the send typed
+  // kLocalOverloaded, kQueue waits. Uncapped, unreliable sends pass on the
+  // first iteration.
+  const overload::Governor* gov =
+      policy.governor != nullptr && policy.governor->enabled() ? policy.governor : nullptr;
+  const std::uint64_t pool_cap = gov != nullptr ? gov->limits().pool_cap_bytes : 0;
+  const std::uint64_t copy_cap = pool_cap != 0 ? pool_cap + fabric::payload_charge(n) : 0;
+  for (;;) {
+    overload::Policy at_cap = overload::Policy::kQueue;
+    const std::size_t in_flight = policy.tracker != nullptr ? policy.tracker->in_flight() : 0;
+    if (policy.window != 0 && in_flight >= policy.window) {
+      // the window always waits
+    } else if (gov != nullptr && gov->tracker_at_cap(in_flight)) {
+      at_cap = gov->limits().tracker_policy;
+    } else if (pkt.set_payload(buf, n, pool_cap) &&
+               (policy.tracker == nullptr || fabric::clone_packet(pkt, copy, copy_cap))) {
+      break;
+    } else {
+      // Only a pool cap refuses a buffer, so `gov` is set. A refused copy
+      // hands the payload's charge back before the wait.
+      pkt.heap.reset();
+      at_cap = gov->limits().pool_policy;
     }
-    waiter.reset();
+    if (at_cap == overload::Policy::kShed) {
+      req.fail(common::ErrorCode::kLocalOverloaded);
+      return common::ErrorCode::kLocalOverloaded;
+    }
+    const common::ErrorCode rc = wait_tick(nullptr);
+    if (rc != common::ErrorCode::kOk) return rc;
   }
+  waiter.reset();
+
+  // Sequence ticketing happens before resource acquisition, as in OB1. Two
+  // threads that ticket back-to-back can inject in the opposite order (or
+  // into different contexts) — this is where out-of-sequence messages come
+  // from, even with a single instance.
+  pkt.hdr.seq = comm.next_seq(dst);
 
   // Track before the first injection attempt so an ack racing back through
   // a fast peer always finds the entry (reliability.hpp contract). On a
   // failed attempt the fabric hands the packet back intact, so the tracked
-  // clone and the wire packet never diverge.
+  // copy and the wire packet never diverge. After the ticket only the
+  // injection EAGAIN loop below remains.
   if (policy.tracker != nullptr) {
-    policy.tracker->track(dst, pkt, now_ns());
+    copy.hdr.seq = pkt.hdr.seq;
+    policy.tracker->track(dst, std::move(copy), now_ns());
   }
   for (;;) {
     const int k = pool.id_for_thread();

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -210,34 +211,49 @@ TEST(Overload, ShedMultiProducerPerPeerCap) {
             static_cast<std::uint64_t>(3 * kPerProducer));
 }
 
-// --- bounded admission: kQueue (deferred admission on the retransmit clock) ---
+// --- bounded admission: one park limit for both policies ---
 
-/// One kQueue flood: rank 0 sends kSent messages to a slow consumer on
+/// One capped flood: rank 0 sends kSent messages to a slow consumer on
 /// rank 1 that reads one at a time, sampling its queues on every progress
-/// visit. kQueue must lose nothing AND bound the unexpected queue on any
-/// placement: at cap the receiver defers admission (answers with neither
-/// ack nor NACK), so the sender's retransmit clock re-presents the packet
-/// once the consumer drains. An out-of-sequence packet also counts the
-/// peer's parked backlog against the cap, so fewer than kCap packets ever
-/// park and the queue never exceeds 2*kCap - 1. With `fill_first` the
-/// consumer posts nothing until the deferral latch fires, so the bound is
-/// checked with the queue full; without it the consumer streams from the
-/// start, so fresh packets keep arriving while a deferred head waits.
-void check_queue_flood(bool fill_first) {
+/// visit. Under both policies the receiver defers a packet whose distance
+/// ahead of the in-order frontier plus the unexpected count reaches the
+/// cap, so fewer than kCap packets ever park and the queue never exceeds
+/// kCap, on any placement and on a lossy fabric. The policies differ only
+/// with the queue at cap: kQueue pauses every packet unanswered, so
+/// nothing is lost; kShed NACKs the in-sequence head, so the books balance
+/// as received + shed == sent with every shed surfaced typed exactly once
+/// at the sender. With `fill_first` the consumer posts
+/// nothing until the queue is refused at cap (kQueue latches the peer
+/// paused, kShed sheds), so the bound is checked with the queue full;
+/// without it the consumer streams from the start, so fresh packets keep
+/// arriving while a deferred head waits. A nonzero `drop` runs the flood
+/// over a seeded lossy fabric, where gaps in the sequence stream are
+/// normal and parking is what the park limit bounds.
+void check_queue_flood(overload::Policy policy, bool fill_first, double drop) {
   constexpr std::size_t kCap = 16;
   constexpr int kSent = 256;
+  const bool shed_policy = policy == overload::Policy::kShed;
+  // A lossy row pins its own fabric: the chaos env profile would override it.
+  std::optional<test_support::ScopedChaosEnvClear> clear_env;
+  if (drop > 0.0) clear_env.emplace();
   Config cfg;
   cfg.unexpected_cap = kCap;  // implies reliable: deferral needs the retransmit clock
-  cfg.unexpected_policy = overload::Policy::kQueue;
+  cfg.unexpected_policy = policy;
+  cfg.faults.drop = drop;
+  cfg.faults.seed = 7;
   cfg.rto_ns = 200'000;      // fast retries so deferrals re-present quickly
   cfg.rto_max_ns = 2'000'000;
   cfg.max_retries = 1'000'000;  // deferral is backpressure, not exhaustion
   Universe uni(cfg);
   ErrorCapture sender_errors;
   uni.rank(0).set_error_sink(ErrorCapture::sink, &sender_errors);
+  const auto shed = [&] {
+    return static_cast<int>(uni.rank(1).counters().get(Counter::kOverloadShedMessages));
+  };
 
   std::atomic<int> received{0};
   std::atomic<bool> consumer_stuck{false};
+  std::atomic<bool> consumer_done{false};
   std::size_t max_unexpected = 0;
   std::size_t max_parked = 0;
   std::thread consumer([&] {
@@ -247,26 +263,35 @@ void check_queue_flood(bool fill_first) {
       max_unexpected = std::max(max_unexpected, match.unexpected_count());
       max_parked = std::max(max_parked, match.reorder_buffered());
     };
-    // Fill: progress without posting until the peer is deferred at cap.
+    // Fill: progress without posting until the peer is refused at cap.
+    const Counter refused =
+        shed_policy ? Counter::kOverloadShedMessages : Counter::kOverloadPausedPeers;
     const std::uint64_t fill_deadline = now_ns() + 10'000'000'000ULL;
-    while (fill_first &&
-           uni.rank(1).counters().get(Counter::kOverloadPausedPeers) == 0 &&
+    while (fill_first && uni.rank(1).counters().get(refused) == 0 &&
            now_ns() < fill_deadline) {
       progress_and_sample();
     }
-    // Drain: the slow consumer reads one message at a time.
-    for (int i = 0; i < kSent; ++i) {
+    // Drain: the slow consumer reads one message at a time until every
+    // sent message is either received or shed.
+    const auto balanced = [&] {
+      return received.load(std::memory_order_acquire) + shed() >= kSent;
+    };
+    while (!balanced()) {
       Request req;
       char got = 0;
       uni.rank(1).irecv(kWorldComm, 0, /*tag=*/3, &got, 1, req);
       const std::uint64_t deadline = now_ns() + 10'000'000'000ULL;
-      while (!req.done() && now_ns() < deadline) progress_and_sample();
+      while (!req.done() && !balanced() && now_ns() < deadline) progress_and_sample();
+      // The last messages were shed: nothing is left for this receive.
+      if (!req.done() && balanced()) (void)req.cancel();
+      if (req.done() && req.error() == ErrorCode::kCancelled) break;
       if (!req.done() || req.failed()) {
         consumer_stuck.store(true, std::memory_order_release);
-        return;
+        break;
       }
       received.fetch_add(1, std::memory_order_release);
     }
+    consumer_done.store(true, std::memory_order_release);
   });
   std::thread producer([&] {
     char byte = 'q';
@@ -281,38 +306,62 @@ void check_queue_flood(bool fill_first) {
   // sender-side retransmit sweep: keep driving rank 0 until the consumer
   // has everything.
   const std::uint64_t deadline = now_ns() + 20'000'000'000ULL;
-  while (received.load(std::memory_order_acquire) < kSent &&
-         !consumer_stuck.load(std::memory_order_acquire) &&
-         now_ns() < deadline) {
+  while (!consumer_done.load(std::memory_order_acquire) && now_ns() < deadline) {
     uni.rank(0).progress();
   }
   consumer.join();
   ASSERT_FALSE(consumer_stuck.load(std::memory_order_acquire));
-  ASSERT_EQ(received.load(std::memory_order_acquire), kSent);
+  ASSERT_EQ(received.load(std::memory_order_acquire) + shed(), kSent);
+  // A NACK can be lost on a lossy fabric; the retransmit it provokes is
+  // re-NACKed, so keep both ranks progressing until every shed surfaced.
+  ASSERT_TRUE(drive(uni, {0, 1}, [&] {
+    return static_cast<int>(sender_errors.count(ErrorCode::kReceiverOverloaded)) == shed();
+  }));
 
   ::testing::Test::RecordProperty("max_unexpected", static_cast<int>(max_unexpected));
   ::testing::Test::RecordProperty("max_parked", static_cast<int>(max_parked));
+  ::testing::Test::RecordProperty("shed", shed());
   const auto snap = uni.rank(1).counters().snapshot();
   if (fill_first) {
-    // Backpressure engaged with the queue full.
-    EXPECT_GE(snap.get(Counter::kOverloadPausedPeers), 1u);
+    // The queue was refused at cap with the consumer not posting.
+    EXPECT_GE(snap.get(shed_policy ? Counter::kOverloadShedMessages
+                                   : Counter::kOverloadPausedPeers),
+              1u);
     EXPECT_GE(max_unexpected, kCap);
   }
-  // The invariants: fewer than kCap parked, the queue within 2*kCap.
-  EXPECT_LE(max_unexpected, 2 * kCap);
+  // The invariants: fewer than kCap parked, the queue within kCap.
+  EXPECT_LE(max_unexpected, kCap);
   EXPECT_LT(max_parked, kCap);
-  // Zero loss, zero shed: kQueue never drops.
-  EXPECT_EQ(snap.get(Counter::kOverloadShedMessages), 0u);
-  EXPECT_EQ(snap.get(Counter::kOverloadNacksSent), 0u);
-  // No tracked send failed: deferral never strands a delivered packet's
-  // re-ack behind the cap (the sender would end in kRetryExhausted).
-  EXPECT_TRUE(sender_errors.errors.empty()) << sender_errors.errors.size() << " sender errors";
+  if (!shed_policy) {
+    // Zero loss, zero shed: kQueue never drops.
+    EXPECT_EQ(snap.get(Counter::kOverloadShedMessages), 0u);
+    EXPECT_EQ(snap.get(Counter::kOverloadNacksSent), 0u);
+  }
+  // Every shed surfaced typed exactly once, and nothing else failed:
+  // deferral never strands a delivered packet's re-ack behind the cap (the
+  // sender would end in kRetryExhausted).
+  EXPECT_EQ(sender_errors.errors.size(), static_cast<std::size_t>(shed()))
+      << sender_errors.errors.size() << " sender errors, " << shed() << " shed";
 }
 
-TEST(Overload, QueuePolicyBoundsQueueWithoutLoss) { check_queue_flood(/*fill_first=*/true); }
+TEST(Overload, QueuePolicyBoundsQueueWithoutLoss) {
+  check_queue_flood(overload::Policy::kQueue, /*fill_first=*/true, /*drop=*/0.0);
+}
 
 TEST(Overload, QueuePolicyBoundsQueueWhileStreaming) {
-  check_queue_flood(/*fill_first=*/false);
+  check_queue_flood(overload::Policy::kQueue, /*fill_first=*/false, /*drop=*/0.0);
+}
+
+TEST(Overload, QueuePolicyBoundsQueueOnLossyFabric) {
+  check_queue_flood(overload::Policy::kQueue, /*fill_first=*/true, /*drop=*/0.2);
+}
+
+TEST(Overload, ShedPolicyBoundsQueueWhileStreaming) {
+  check_queue_flood(overload::Policy::kShed, /*fill_first=*/false, /*drop=*/0.0);
+}
+
+TEST(Overload, ShedPolicyBoundsQueueOnLossyFabric) {
+  check_queue_flood(overload::Policy::kShed, /*fill_first=*/true, /*drop=*/0.2);
 }
 
 TEST(Overload, UnexpectedCapImpliesReliable) {
@@ -382,9 +431,14 @@ TEST(Overload, PoolHighWaterStaysWithinCap) {
     uni.rank(0).world().send(1, 2, payload.data(), payload.size());
   }
   consumer.join();
-  // One in-flight packet can overshoot the admission check (charged after
-  // the relaxed-load gate passes); allow one pool class of slack.
-  EXPECT_LE(fabric::payload_pool_stats().high_water_bytes, kPoolCap + 4096);
+  // Every charge site refuses once the pool has reached the cap, so only an
+  // admitted charge passes it: a send's payload by its own size, its
+  // tracked copy by one payload more (the lossy chaos env makes the sends
+  // tracked), and a stream's lowest unacked packet, the one retransmit
+  // cloned past the cap, by one more. Other retransmit clones and fabric
+  // duplicates at cap are refused.
+  EXPECT_LT(fabric::payload_pool_stats().high_water_bytes,
+            kPoolCap + 3 * fabric::payload_charge(payload.size()));
 }
 
 TEST(Overload, TrackerCapShedFailsLocalTyped) {
@@ -517,6 +571,59 @@ TEST(Deadline, BlockedSendExpiresTyped) {
   uni.rank(0).wait(b);
   EXPECT_EQ(b.error(), ErrorCode::kDeadlineExceeded);
   EXPECT_GE(uni.rank(0).counters().snapshot().get(Counter::kDeadlineExceededOps), 1u);
+}
+
+TEST(Deadline, WindowExpiryLeavesNoSequenceHole) {
+  // A send that leaves the window gate typed — its deadline passed, or
+  // another thread cancelled it — must not have consumed a sequence
+  // number: admission runs before the ticket, so the next message on the
+  // link still matches instead of parking behind a hole forever.
+  for (const bool cancel : {false, true}) {
+    SCOPED_TRACE(cancel ? "cancel" : "deadline");
+    Config cfg;
+    cfg.reliable = true;
+    cfg.reliability_window = 1;
+    cfg.send_retry_limit = 0;  // unbounded retries: only the exit under test ends the wait
+    Universe uni(cfg);
+    char a_byte = 'a';
+    Request a;
+    uni.rank(0).isend(kWorldComm, 1, 1, &a_byte, 1, a);  // fills the window
+    EXPECT_FALSE(a.failed());
+    char b_byte = 'b';
+    Request b;
+    if (cancel) {
+      // Cancel once b is blocked in the gate (it has started waiting).
+      const std::uint64_t waits = uni.rank(0).counters().get(Counter::kSendBackpressure);
+      std::thread canceller([&] {
+        while (uni.rank(0).counters().get(Counter::kSendBackpressure) == waits) {
+          std::this_thread::yield();
+        }
+        (void)b.cancel();
+      });
+      uni.rank(0).isend(kWorldComm, 1, 1, &b_byte, 1, b);
+      canceller.join();
+      EXPECT_EQ(b.error(), ErrorCode::kCancelled);
+    } else {
+      uni.rank(0).isend(kWorldComm, 1, 1, &b_byte, 1, b, now_ns() + 2'000'000);
+      uni.rank(0).wait(b);
+      EXPECT_EQ(b.error(), ErrorCode::kDeadlineExceeded);
+    }
+    // Receive a: its ack reopens the window.
+    char got = 0;
+    Request ra;
+    uni.rank(1).irecv(kWorldComm, 0, 1, &got, 1, ra);
+    ASSERT_TRUE(drive(uni, {0, 1}, [&] { return ra.done(); }));
+    EXPECT_EQ(got, 'a');
+    // c must match: b left no hole in the sequence stream.
+    char c_byte = 'c';
+    Request rc;
+    uni.rank(1).irecv(kWorldComm, 0, 2, &got, 1, rc);
+    Request c;
+    uni.rank(0).isend(kWorldComm, 1, 2, &c_byte, 1, c);
+    ASSERT_TRUE(drive(uni, {0, 1}, [&] { return rc.done(); }));
+    EXPECT_FALSE(rc.failed());
+    EXPECT_EQ(got, 'c');
+  }
 }
 
 TEST(Deadline, RendezvousRaceSettlesExactlyOnce) {
