@@ -1,5 +1,6 @@
 // Ablation: the matching engine's cost structure — in-order vs
-// out-of-sequence arrival, posted-queue depth, overtaking, wildcard tags.
+// out-of-sequence arrival, posted-queue depth (across and within a tag
+// bin), interleaved tags on one communicator, overtaking, wildcard tags.
 // These are the per-envelope costs §II-C identifies as the multithreaded
 // bottleneck.
 #include <benchmark/benchmark.h>
@@ -13,6 +14,7 @@ namespace {
 using fairmpi::fabric::Opcode;
 using fairmpi::fabric::Packet;
 using fairmpi::match::MatchEngine;
+using fairmpi::match::tag_bin;
 using fairmpi::p2p::kAnyTag;
 using fairmpi::p2p::Request;
 
@@ -83,20 +85,26 @@ void BM_MatchOvertaking(benchmark::State& state) {
 BENCHMARK(BM_MatchOvertaking);
 
 /// Queue-search scaling: depth = posted receives with non-matching tags
-/// ahead of the match (the linear scan §IV-D discusses).
-void BM_MatchQueueSearchDepth(benchmark::State& state) {
+/// ahead of the match (the linear scan §IV-D discusses). Decoy tags
+/// 1..depth spread over the tag bins, so about depth/kTagBins of them sit
+/// in the hot tag's bin; with `same_bin` every decoy does (the worst case).
+void queue_search(benchmark::State& state, bool same_bin) {
   const int depth = static_cast<int>(state.range(0));
   fairmpi::spc::CounterSet spc;
   MatchEngine eng(2, false, spc);
   std::uint32_t buf = 0;
-  // Decoys that never match (tag 1..depth).
+  const int hot_tag = depth + 100;
+  // Decoys that never match.
   std::vector<Request> decoys(static_cast<std::size_t>(depth));
-  for (int i = 0; i < depth; ++i) {
-    decoys[static_cast<std::size_t>(i)].init_recv(&buf, sizeof buf, 1, 1 + i);
-    eng.post(&decoys[static_cast<std::size_t>(i)]);
+  int tag = 0;
+  for (Request& decoy : decoys) {
+    do {
+      ++tag;
+    } while (tag == hot_tag || (same_bin && tag_bin(tag) != tag_bin(hot_tag)));
+    decoy.init_recv(&buf, sizeof buf, 1, tag);
+    eng.post(&decoy);
   }
   std::uint32_t seq = 0;
-  const int hot_tag = depth + 100;
   for (auto _ : state) {
     Request req;
     req.init_recv(&buf, sizeof buf, 1, hot_tag);
@@ -105,7 +113,49 @@ void BM_MatchQueueSearchDepth(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
+
+void BM_MatchQueueSearchDepth(benchmark::State& state) { queue_search(state, false); }
 BENCHMARK(BM_MatchQueueSearchDepth)->Arg(0)->Arg(16)->Arg(128)->Arg(1024);
+
+void BM_MatchQueueSearchDepthSameBin(benchmark::State& state) { queue_search(state, true); }
+BENCHMARK(BM_MatchQueueSearchDepthSameBin)
+    ->Name("BM_MatchQueueSearchDepth/same_bin")
+    ->Arg(16)
+    ->Arg(128);
+
+/// Shared-communicator receive windows (perfbench `mr-shared`, paper
+/// Fig. 3b): N receivers each post a 128-deep window for their own tag,
+/// back to back, into one engine; arrivals then alternate across the tags.
+/// In one per-peer queue a tag-k arrival walks the earlier windows; with a
+/// bin per tag it inspects one entry.
+void BM_MatchInterleavedTags(benchmark::State& state) {
+  const auto ntags = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kWindow = 128;
+  // Tags in pairwise distinct bins.
+  std::vector<int> tags;
+  std::uint32_t used = 0;
+  for (int t = 0; tags.size() < ntags; ++t) {
+    if ((used >> tag_bin(t)) & 1) continue;
+    used |= std::uint32_t{1} << tag_bin(t);
+    tags.push_back(t);
+  }
+  fairmpi::spc::CounterSet spc;
+  MatchEngine eng(2, false, spc);
+  std::vector<Request> reqs(ntags * kWindow);
+  std::uint32_t seq = 0;
+  std::uint32_t buf = 0;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      reqs[i].init_recv(&buf, sizeof buf, 1, tags[i / kWindow]);
+      eng.post(&reqs[i]);
+    }
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      eng.incoming(make_eager(seq++, tags[i % ntags]));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(reqs.size()));
+}
+BENCHMARK(BM_MatchInterleavedTags)->Arg(2)->Arg(8);
 
 /// Wildcard-tag receives skip the queue search (Fig. 4's trick): the
 /// incoming envelope always matches the first posted entry.

@@ -10,12 +10,15 @@
 //      arrivals are buffered. Skipped entirely in overtaking mode
 //      (`mpi_assert_allow_overtaking`, §IV-D).
 //   2. queue search — first posted receive whose (source, tag) filter
-//      matches, honouring post order across the per-peer and ANY_SOURCE
-//      queues; unmatched messages land in the per-peer unexpected queue.
+//      matches, honouring post order across the per-peer tag bin, the
+//      per-peer ANY_TAG queue and the ANY_SOURCE queue; unmatched messages
+//      land in the per-peer unexpected bin of their tag.
 //
 // Allocation discipline (DESIGN.md §5): the steady-state matching path
 // never calls the general-purpose allocator.
 //   * posted queues are intrusive lists threaded through p2p::Request;
+//   * per peer, both queues are split into kTagBins tag bins, so a match
+//     walks only entries whose tag hashes alike (DESIGN.md §5, "Tag bins");
 //   * unexpected messages live in pooled nodes (common::SlabPool);
 //   * the reorder buffer is a fixed power-of-two ring indexed by
 //     `seq & (kReorderWindow-1)` — a std::map spill handles the rare
@@ -27,6 +30,7 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -70,6 +74,22 @@ enum class Admission : std::uint8_t {
 /// configurations (<= 20 contexts) with headroom.
 inline constexpr std::uint32_t kReorderWindow = 64;
 static_assert((kReorderWindow & (kReorderWindow - 1)) == 0);
+
+/// Tag bins per (comm, peer), for the posted and for the unexpected queue.
+/// A tagged match walks one bin, not the peer's whole queue: two threads
+/// posting windows for different tags on one communicator no longer step
+/// over each other's receives under the match lock. Power of two, at most
+/// 32 (the occupied-bin mask is one word).
+inline constexpr std::uint32_t kTagBins = 16;
+static_assert((kTagBins & (kTagBins - 1)) == 0 && kTagBins <= 32);
+
+/// Bin of `tag`: multiplicative (Fibonacci) hash, top bits kept, so strided
+/// tags (coll lanes, tag_base + pair) spread instead of sharing a bin.
+/// With 16 bins, adjacent tags never share one.
+constexpr std::uint32_t tag_bin(int tag) noexcept {
+  return (static_cast<std::uint32_t>(tag) * 0x9E3779B9u) >>
+         (32 - std::countr_zero(kTagBins));
+}
 
 /// Exactly-once filter for *overtaking* mode on a lossy fabric. Without
 /// sequence validation every arrival is matchable, so a duplicated or
@@ -268,9 +288,13 @@ class MatchEngine : public p2p::CancelScope {
     std::unique_ptr<ReorderRing> reorder;             ///< window buffer (lazy)
     std::map<std::uint32_t, fabric::Packet> spill;    ///< beyond-window overflow
     std::unique_ptr<SeenTracker> seen;  ///< dedup, reliable+overtaking only (lazy)
-    UnexpectedList unexpected;
+    /// Unexpected messages by tag_bin(tag), each bin in arrival order.
+    std::array<UnexpectedList, kTagBins> unexpected;
+    std::uint32_t unexpected_bins = 0;  ///< bit b <=> unexpected[b] non-empty
     std::size_t unexpected_n = 0;  ///< O(1) depth (admission watermark check)
-    PostedList posted;  ///< source-specific posted receives
+    /// Source-specific tagged receives by tag_bin(tag), each in post order.
+    std::array<PostedList, kTagBins> posted;
+    PostedList posted_any_tag;  ///< source-specific ANY_TAG receives
     bool dead = false;  ///< ft: source confirmed dead (fail_source ran)
     bool paused = false;  ///< overload kQueue: deferred with the queue at cap
     std::array<std::uint32_t, kShedMemory> shed_seqs{};  ///< re-NACK ring
@@ -285,6 +309,18 @@ class MatchEngine : public p2p::CancelScope {
                            ((reorder->present >> (seq & (kReorderWindow - 1))) & 1) != 0;
       const bool in_spill = !in_window && spill.contains(seq);
       return in_ring || in_spill;
+    }
+
+    /// The list a posted receive for (this source, `tag`) sits on.
+    PostedList& posted_list(int tag) noexcept {
+      return tag == p2p::kAnyTag ? posted_any_tag : posted[tag_bin(tag)];
+    }
+
+    /// Apply `f` to every posted list of this peer: the bins, then ANY_TAG.
+    template <typename F>
+    void for_each_posted(F&& f) {
+      for (PostedList& list : posted) f(list);
+      f(posted_any_tag);
     }
 
     bool was_shed(std::uint32_t seq) const noexcept {
@@ -308,10 +344,19 @@ class MatchEngine : public p2p::CancelScope {
   std::size_t match_one(spc::CounterSet::Cursor& ctr, fabric::Packet&& pkt,
                         bool direct, Admission* admission) FAIRMPI_REQUIRES(lock_);
 
-  /// Unexpected-queue bookkeeping: per-peer depth, engine total, the
-  /// lock-free mirror, and the governor's cross-engine total. Lock held.
-  void note_unexpected_add(PeerState& ps) FAIRMPI_REQUIRES(lock_);
-  void note_unexpected_sub(PeerState& ps) FAIRMPI_REQUIRES(lock_);
+  /// Unexpected-queue bookkeeping: the bin and its occupied bit, per-peer
+  /// depth, engine total, and the lock-free mirror. Lock held.
+  /// erase_unexpected also returns the node to the pool.
+  void push_unexpected(PeerState& ps, Unexpected* node) FAIRMPI_REQUIRES(lock_);
+  void erase_unexpected(PeerState& ps, Unexpected* node) FAIRMPI_REQUIRES(lock_);
+
+  /// Earliest-arrived unexpected message a receive with these filters
+  /// accepts, across one peer or (ANY_SOURCE) all of them; null if none.
+  /// Per peer, a tagged receive walks its tag's bin and ANY_TAG compares
+  /// the heads of the occupied bins. `owner` receives the message's peer;
+  /// `scanned` counts the entries inspected. Lock held.
+  Unexpected* find_unexpected(int src, int tag, PeerState** owner,
+                              std::size_t& scanned) FAIRMPI_REQUIRES(lock_);
 
   /// Park an out-of-sequence packet (ring slot or spill map). Lock held.
   void park_out_of_sequence(spc::CounterSet::Cursor& ctr, PeerState& ps,

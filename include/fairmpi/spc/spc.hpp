@@ -48,8 +48,8 @@ enum class Counter : int {
   kOutOfSequence,          ///< arrived with seq != expected (buffered)
   kMatchTimeNs,            ///< total time spent holding a matching lock
   kMatchAttempts,          ///< entries into the matching critical section
-  kPostedQueueDepth,       ///< cumulative posted-recv queue length at search
-  kUnexpectedQueueDepth,   ///< cumulative unexpected queue length at search
+  kPostedQueueDepth,       ///< posted receives inspected by arrival searches (sum)
+  kUnexpectedQueueDepth,   ///< unexpected messages inspected by post searches (sum)
   kOosBufferPeak,          ///< high-water mark of the reorder buffer (max, not sum)
   kSendBackpressure,       ///< sends that had to retry on a full RX ring
   kProgressCalls,          ///< entries into the progress engine

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cstring>
-#include <limits>
 
 #include "fairmpi/common/error.hpp"
 #include "fairmpi/common/timing.hpp"
@@ -26,8 +25,10 @@ MatchEngine::~MatchEngine() {
   // own pooled payload buffers) are destroyed; the slab pool itself frees
   // raw memory wholesale and does not run destructors.
   for (auto& ps : peers_) {
-    while (Unexpected* n = ps.unexpected.pop_front()) {
-      unexpected_pool_.release(n);
+    for (UnexpectedList& bin : ps.unexpected) {
+      while (Unexpected* n = bin.pop_front()) {
+        unexpected_pool_.release(n);
+      }
     }
   }
 }
@@ -59,16 +60,60 @@ void MatchEngine::deliver(spc::CounterSet::Cursor& ctr, p2p::Request* req,
   }
 }
 
-void MatchEngine::note_unexpected_add(PeerState& ps) {
+void MatchEngine::push_unexpected(PeerState& ps, Unexpected* node) {
+  const std::uint32_t b = tag_bin(node->pkt.hdr.tag);
+  ps.unexpected[b].push_back(node);
+  ps.unexpected_bins |= std::uint32_t{1} << b;
   ++ps.unexpected_n;
   ++unexpected_total_;
   unexpected_mirror_.store(unexpected_total_, std::memory_order_relaxed);
 }
 
-void MatchEngine::note_unexpected_sub(PeerState& ps) {
+void MatchEngine::erase_unexpected(PeerState& ps, Unexpected* node) {
+  const std::uint32_t b = tag_bin(node->pkt.hdr.tag);
+  ps.unexpected[b].erase(node);
+  if (ps.unexpected[b].empty()) ps.unexpected_bins &= ~(std::uint32_t{1} << b);
+  unexpected_pool_.release(node);
   --ps.unexpected_n;
   --unexpected_total_;
   unexpected_mirror_.store(unexpected_total_, std::memory_order_relaxed);
+}
+
+MatchEngine::Unexpected* MatchEngine::find_unexpected(int src, int tag, PeerState** owner,
+                                                      std::size_t& scanned) {
+  Unexpected* best = nullptr;
+  const auto consider = [&](PeerState& ps, Unexpected* u) {
+    if (best == nullptr || u->arrival < best->arrival) {
+      best = u;
+      *owner = &ps;
+    }
+  };
+  const auto scan_peer = [&](PeerState& ps) {
+    if (tag == p2p::kAnyTag) {
+      // Each bin is in arrival order, so the peer's earliest message is the
+      // earliest head among its occupied bins.
+      for (std::uint32_t bins = ps.unexpected_bins; bins != 0; bins &= bins - 1) {
+        ++scanned;
+        consider(ps, ps.unexpected[static_cast<std::size_t>(std::countr_zero(bins))].front());
+      }
+      return;
+    }
+    // Within one bin, the earliest same-tag message is the first one.
+    for (Unexpected* u = ps.unexpected[tag_bin(tag)].front(); u != nullptr;
+         u = UnexpectedList::next(u)) {
+      ++scanned;
+      if (u->pkt.hdr.tag == tag) {
+        consider(ps, u);
+        return;
+      }
+    }
+  };
+  if (src == p2p::kAnySource) {
+    for (auto& ps : peers_) scan_peer(ps);
+  } else {
+    scan_peer(peer(src));
+  }
+  return best;
 }
 
 std::size_t MatchEngine::match_one(spc::CounterSet::Cursor& ctr, fabric::Packet&& pkt,
@@ -77,50 +122,34 @@ std::size_t MatchEngine::match_one(spc::CounterSet::Cursor& ctr, fabric::Packet&
   const int tag = pkt.hdr.tag;
   PeerState& ps = peer(src);
 
-  // Queue search: earliest posted receive (by post stamp) whose filters
-  // accept this message, across the source-specific and wildcard queues.
-  auto accepts = [&](const p2p::Request* req) {
-    return req->tag_filter() == p2p::kAnyTag || req->tag_filter() == tag;
-  };
-
+  // Queue search: the earliest posted receive (by post stamp) whose filters
+  // accept this message. Every such receive sits on one of three lists, each
+  // in post order: the tag's bin of this peer, this peer's ANY_TAG list, and
+  // the ANY_SOURCE list. So the MPI match is the lowest stamp among the
+  // three lists' first accepting entries. A bin may hold colliding tags, so
+  // it is walked to its first same-tag entry; every ANY_TAG entry accepts.
   std::size_t scanned = 0;
-  p2p::Request* spec = nullptr;
-  for (p2p::Request* r = ps.posted.front(); r != nullptr; r = PostedList::next(r)) {
-    ++scanned;
-    if (accepts(r)) {
-      spec = r;
-      break;
+  p2p::Request* winner = nullptr;
+  PostedList* winner_list = nullptr;
+  const auto consider = [&](PostedList& list) {
+    for (p2p::Request* r = list.front(); r != nullptr; r = PostedList::next(r)) {
+      ++scanned;
+      if (r->tag_filter() == p2p::kAnyTag || r->tag_filter() == tag) {
+        if (winner == nullptr || r->post_stamp < winner->post_stamp) {
+          winner = r;
+          winner_list = &list;
+        }
+        return;
+      }
     }
-  }
-  p2p::Request* any = nullptr;
-  for (p2p::Request* r = posted_any_.front(); r != nullptr; r = PostedList::next(r)) {
-    ++scanned;
-    if (accepts(r)) {
-      any = r;
-      break;
-    }
-  }
+  };
+  consider(ps.posted[tag_bin(tag)]);
+  consider(ps.posted_any_tag);
+  consider(posted_any_);
   ctr.add(Counter::kPostedQueueDepth, scanned);
 
-  p2p::Request* winner = nullptr;
-  if (spec != nullptr && any != nullptr) {
-    // Both candidates match: the MPI matching order is post order.
-    if (spec->post_stamp < any->post_stamp) {
-      ps.posted.erase(spec);
-      winner = spec;
-    } else {
-      posted_any_.erase(any);
-      winner = any;
-    }
-  } else if (spec != nullptr) {
-    ps.posted.erase(spec);
-    winner = spec;
-  } else if (any != nullptr) {
-    posted_any_.erase(any);
-    winner = any;
-  }
-
   if (winner != nullptr) {
+    winner_list->erase(winner);
     deliver(ctr, winner, pkt);
     return 1;
   }
@@ -159,8 +188,7 @@ std::size_t MatchEngine::match_one(spc::CounterSet::Cursor& ctr, fabric::Packet&
   Unexpected* node = unexpected_pool_.acquire();
   node->arrival = arrival_stamp_++;
   node->pkt = std::move(pkt);
-  ps.unexpected.push_back(node);
-  note_unexpected_add(ps);
+  push_unexpected(ps, node);
   return 0;
 }
 
@@ -373,44 +401,16 @@ bool MatchEngine::post(p2p::Request* req) {
     ScopedCycles timer(cycles);
     ctr.add(Counter::kMatchAttempts);
 
-    auto accepts = [&](const Unexpected* u) {
-      return tag == p2p::kAnyTag || tag == u->pkt.hdr.tag;
-    };
-
     // Search the unexpected queue(s) for the earliest-arrived match.
     PeerState* best_ps = nullptr;
-    Unexpected* best = nullptr;
-    std::uint64_t best_arrival = std::numeric_limits<std::uint64_t>::max();
     std::size_t scanned = 0;
-
-    auto scan_peer = [&](PeerState& ps) {
-      for (Unexpected* u = ps.unexpected.front(); u != nullptr;
-           u = UnexpectedList::next(u)) {
-        ++scanned;
-        if (accepts(u)) {
-          if (u->arrival < best_arrival) {
-            best_arrival = u->arrival;
-            best_ps = &ps;
-            best = u;
-          }
-          break;  // within one peer, earliest match is the first match
-        }
-      }
-    };
-
-    if (src == p2p::kAnySource) {
-      for (auto& ps : peers_) scan_peer(ps);
-    } else {
-      scan_peer(peer(src));
-    }
+    Unexpected* best = find_unexpected(src, tag, &best_ps, scanned);
     ctr.add(Counter::kUnexpectedQueueDepth, scanned);
 
     if (best != nullptr) {
       const int consumed_src = static_cast<int>(best->pkt.hdr.src_rank);
       deliver(ctr, req, best->pkt);
-      best_ps->unexpected.erase(best);
-      unexpected_pool_.release(best);
-      note_unexpected_sub(*best_ps);
+      erase_unexpected(*best_ps, best);
       // kQueue re-admission: unlatch once the peer drained to the low
       // watermark (hysteresis — not at cap-1, or the latch would flap).
       if (best_ps->paused && gov_ != nullptr) {
@@ -444,7 +444,7 @@ bool MatchEngine::post(p2p::Request* req) {
       if (src == p2p::kAnySource) {
         posted_any_.push_back(req);
       } else {
-        peer(src).posted.push_back(req);
+        peer(src).posted_list(tag).push_back(req);
       }
       // Deadline gate: keep next_deadline_ a lower bound for every posted
       // deadline so expire_deadlines costs one relaxed load when idle.
@@ -460,25 +460,9 @@ bool MatchEngine::probe(int src, int tag, p2p::Status* status) {
                         (src >= 0 && src < static_cast<int>(peers_.size())),
                     "invalid source filter");
   LockGuard guard(lock_);
-
-  auto accepts = [&](const Unexpected* u) {
-    return tag == p2p::kAnyTag || tag == u->pkt.hdr.tag;
-  };
-  const Unexpected* best = nullptr;
-  auto scan_peer = [&](const PeerState& ps) {
-    for (const Unexpected* u = ps.unexpected.front(); u != nullptr;
-         u = UnexpectedList::next(u)) {
-      if (accepts(u)) {
-        if (best == nullptr || u->arrival < best->arrival) best = u;
-        break;
-      }
-    }
-  };
-  if (src == p2p::kAnySource) {
-    for (const auto& ps : peers_) scan_peer(ps);
-  } else {
-    scan_peer(peers_[static_cast<std::size_t>(src)]);
-  }
+  PeerState* owner = nullptr;
+  std::size_t scanned = 0;
+  const Unexpected* best = find_unexpected(src, tag, &owner, scanned);
   if (best == nullptr) return false;
 
   if (status != nullptr) {
@@ -518,12 +502,14 @@ std::size_t MatchEngine::fail_source(int src) {
 
   // Fail every source-specific posted receive; count on settle win only.
   std::size_t failed = 0;
-  while (p2p::Request* r = ps.posted.pop_front()) {
-    if (r->fail(common::ErrorCode::kPeerFailed)) {
-      ctr.add(Counter::kFtPeerFailedOps);
-      ++failed;
+  ps.for_each_posted([&](PostedList& list) {
+    while (p2p::Request* r = list.pop_front()) {
+      if (r->fail(common::ErrorCode::kPeerFailed)) {
+        ctr.add(Counter::kFtPeerFailedOps);
+        ++failed;
+      }
     }
-  }
+  });
   return failed;
 }
 
@@ -540,7 +526,7 @@ std::size_t MatchEngine::fail_all_posted() {
       }
     }
   };
-  for (auto& ps : peers_) drain(ps.posted);
+  for (auto& ps : peers_) ps.for_each_posted(drain);
   drain(posted_any_);
   return failed;
 }
@@ -575,7 +561,7 @@ std::uint64_t MatchEngine::expire_deadlines(std::uint64_t now_ns) {
       r = nxt;
     }
   };
-  for (auto& ps : peers_) sweep(ps.posted);
+  for (auto& ps : peers_) ps.for_each_posted(sweep);
   sweep(posted_any_);
   next_deadline_.store(next, std::memory_order_relaxed);
   return next;
@@ -591,7 +577,8 @@ bool MatchEngine::cancel_request(p2p::Request* req) {
   // Settle only while the request is verifiably still linked: a matcher
   // that consumed it (under this same lock) already owns the completion,
   // and a cancel must never turn a delivered message into a lost one.
-  PostedList& list = src == p2p::kAnySource ? posted_any_ : peer(src).posted;
+  PostedList& list =
+      src == p2p::kAnySource ? posted_any_ : peer(src).posted_list(req->tag_filter());
   for (p2p::Request* r = list.front(); r != nullptr; r = PostedList::next(r)) {
     if (r != req) continue;
     list.erase(req);
@@ -622,7 +609,10 @@ std::size_t MatchEngine::reorder_buffered() const noexcept {
 std::size_t MatchEngine::posted_count() const noexcept {
   LockGuard guard(lock_);
   std::size_t n = posted_any_.size();
-  for (const auto& ps : peers_) n += ps.posted.size();
+  for (const auto& ps : peers_) {
+    n += ps.posted_any_tag.size();
+    for (const PostedList& list : ps.posted) n += list.size();
+  }
   return n;
 }
 

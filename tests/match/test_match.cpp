@@ -278,6 +278,62 @@ TEST_F(MatchTest, ReorderRingWraparoundAndSpillFallback) {
   }
 }
 
+// Two receivers share one communicator and post 128-deep windows for
+// different tags back to back; arrivals then alternate between the tags.
+// Each tag has its own bin, so every arrival finds its receive at the head
+// of the bin: the posted search inspects exactly one entry per message, not
+// the other tag's whole window.
+TEST_F(MatchTest, InterleavedTagsInspectOneEntry) {
+  constexpr int kTagA = 10;
+  constexpr int kTagB = 11;
+  static_assert(tag_bin(kTagA) != tag_bin(kTagB));
+  constexpr std::uint32_t kWindow = 128;
+  MatchEngine eng(2, false, spc_);
+  std::vector<Request> reqs(2 * kWindow);
+  std::vector<std::uint32_t> bufs(2 * kWindow, ~0u);
+  for (std::uint32_t i = 0; i < 2 * kWindow; ++i) {
+    reqs[i].init_recv(&bufs[i], sizeof(std::uint32_t), 1, i < kWindow ? kTagA : kTagB);
+    ASSERT_FALSE(eng.post(&reqs[i]));
+  }
+  const std::uint64_t before = spc_.get(Counter::kPostedQueueDepth);
+  for (std::uint32_t seq = 0; seq < 2 * kWindow; ++seq) {
+    const std::string payload(reinterpret_cast<const char*>(&seq), sizeof seq);
+    ASSERT_EQ(eng.incoming(make_eager(1, seq, seq % 2 == 0 ? kTagA : kTagB, payload)), 1u);
+  }
+  EXPECT_EQ(spc_.get(Counter::kPostedQueueDepth) - before, 2 * kWindow);
+  for (std::uint32_t i = 0; i < kWindow; ++i) {
+    ASSERT_TRUE(reqs[i].done() && reqs[kWindow + i].done());
+    EXPECT_EQ(bufs[i], 2 * i);                // i-th tag-A message
+    EXPECT_EQ(bufs[kWindow + i], 2 * i + 1);  // i-th tag-B message
+  }
+}
+
+// The unexpected-first mirror: two 128-message bursts for different tags
+// arrive back to back, then receives alternate between the tags. Each post
+// inspects exactly one unexpected entry.
+TEST_F(MatchTest, InterleavedTagsInspectOneUnexpectedEntry) {
+  constexpr int kTagA = 10;
+  constexpr int kTagB = 11;
+  constexpr std::uint32_t kWindow = 128;
+  MatchEngine eng(2, false, spc_);
+  for (std::uint32_t seq = 0; seq < 2 * kWindow; ++seq) {
+    const std::string payload(reinterpret_cast<const char*>(&seq), sizeof seq);
+    ASSERT_EQ(eng.incoming(make_eager(1, seq, seq < kWindow ? kTagA : kTagB, payload)), 0u);
+  }
+  std::vector<Request> reqs(2 * kWindow);
+  std::vector<std::uint32_t> bufs(2 * kWindow, ~0u);
+  const std::uint64_t before = spc_.get(Counter::kUnexpectedQueueDepth);
+  for (std::uint32_t i = 0; i < 2 * kWindow; ++i) {
+    reqs[i].init_recv(&bufs[i], sizeof(std::uint32_t), 1, i % 2 == 0 ? kTagA : kTagB);
+    ASSERT_TRUE(eng.post(&reqs[i]));
+  }
+  EXPECT_EQ(spc_.get(Counter::kUnexpectedQueueDepth) - before, 2 * kWindow);
+  EXPECT_EQ(eng.unexpected_count(), 0u);
+  for (std::uint32_t i = 0; i < 2 * kWindow; ++i) {
+    EXPECT_EQ(bufs[i], i / 2 + (i % 2 == 0 ? 0 : kWindow));
+  }
+}
+
 // Property test: random arrival permutation + random wildcard mix still
 // delivers every message exactly once, and (without overtaking) the i-th
 // posted identical-filter receive gets the i-th sequence number.
