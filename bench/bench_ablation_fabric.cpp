@@ -1,6 +1,6 @@
 // Ablation: fabric building blocks — RX ring throughput under different
-// producer counts, inline vs heap payload transfer, the wire checksum, and
-// the end-to-end injection path through an endpoint.
+// producer counts, inline vs heap payload transfer, the retransmit clone,
+// the wire checksum, and the end-to-end injection path through an endpoint.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -23,6 +23,7 @@ using fairmpi::fabric::SubmitDesc;
 using fairmpi::fabric::SubmitRing;
 using fairmpi::fabric::SubmitTicket;
 using fairmpi::fabric::WireHeader;
+using fairmpi::fabric::clone_packet;
 using fairmpi::fabric::wire_checksum;
 
 void BM_RingPushPopSingleThread(benchmark::State& state) {
@@ -181,6 +182,24 @@ void BM_PacketInlinePayload(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_PacketInlinePayload)->Arg(0)->Arg(32)->Arg(64)->Arg(256)->Arg(4096);
+
+/// The reliability layer's retransmit master: a clone of the wire packet,
+/// made per tracked send. The header and inline bytes are copied, a heap
+/// payload is shared (one reference-count increment and, at the clone's
+/// end, one decrement).
+void BM_ClonePacket(benchmark::State& state) {
+  const std::string payload(static_cast<std::size_t>(state.range(0)), 'x');
+  Packet pkt;
+  pkt.hdr.opcode = Opcode::kEager;
+  pkt.set_payload(payload.data(), payload.size());
+  for (auto _ : state) {
+    Packet master;
+    clone_packet(pkt, master);
+    benchmark::DoNotOptimize(master.payload());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ClonePacket)->Arg(64)->Arg(4096);
 
 /// The reliability layer's per-packet hash (header + payload), stamped at
 /// injection under the CRI lock and verified again at the receiver.

@@ -272,8 +272,10 @@ class Rank final : public progress::PacketSink,
   /// One injection attempt with no tracking and no backpressure loop: used
   /// for retransmits and acks, whose loss the protocol already absorbs.
   bool inject_raw(int dst, fabric::Packet&& pkt);
-  /// Defer an ack (kSendPacketAck) or an overload NACK (kSendPacketNack,
-  /// DESIGN.md §5h) echoing `hdr`'s key through the ack queue.
+  /// Defer an ack (kSendPacketAck), an overload NACK (kSendPacketNack) or
+  /// a deferral notice (kSendPacketDefer, DESIGN.md §5h) echoing `hdr`'s
+  /// key through the ack queue; an ack may extend its stream's queued run
+  /// (p2p::queue_ack).
   void enqueue_ack(const fabric::WireHeader& hdr, p2p::ControlMsg::Kind kind);
   /// Process an inbound NACK: retire the named tracker entry, surface the
   /// failure typed kReceiverOverloaded, and fail the owning rendezvous
@@ -287,8 +289,9 @@ class Rank final : public progress::PacketSink,
   std::uint64_t expire_deadlines(std::uint64_t now);
   /// One degradation-ladder sample over the capped resources.
   void sample_ladder();
-  /// Transmit deferred acks (single injection attempt each; a full ring
-  /// stops the flush — the peer retransmits and we re-ack). Kept separate
+  /// Transmit deferred acks, one packet per queued run (single injection
+  /// attempt each; a full ring stops the flush — the peer retransmits and
+  /// we re-ack). Kept separate
   /// from drain_control so every backpressure wait loop can call it: acks
   /// must keep flowing while a sender blocks, or two flooding ranks
   /// deadlock waiting for each other's acks. Returns on one relaxed load

@@ -293,7 +293,7 @@ class Fabric {
   /// `force_injector` builds the injector even with all-zero probabilities —
   /// the ft layer needs its peer-death mode (kill_rank) available on an
   /// otherwise pristine fabric. `pool_cap_bytes` bounds the injector's
-  /// duplicate clones (FaultInjector). Call before traffic flows; not
+  /// corrupt-fault payload copies (FaultInjector). Call before traffic flows; not
   /// thread-safe against concurrent sends.
   void configure_reliability(const FaultParams& faults, bool checksums,
                              bool force_injector = false,

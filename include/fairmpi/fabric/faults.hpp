@@ -16,8 +16,8 @@
 // Fault model:
 //   drop     packet vanishes; the sender still sees success (a lost wire
 //            packet, not backpressure).
-//   dup      a deep clone is delivered alongside the original (none when
-//            the payload pool is at its cap).
+//   dup      a clone is delivered alongside the original; it shares the
+//            original's immutable payload buffer, so it costs no pool bytes.
 //   delay    the packet parks in a per-link holdback slot and is released
 //            after 2..5 later packets on the same link (count-based, so
 //            deterministic — no wall clock).
@@ -27,11 +27,14 @@
 //            exempt — it is validated by the simulated NIC's descriptor
 //            (DMA-length) check, mirroring transports that protect lengths
 //            in hardware; corrupting it would turn a checksum test into an
-//            out-of-bounds read.
+//            out-of-bounds read. A payload flip first gives the packet its
+//            own copy of a shared buffer (Packet::mutable_payload), so a
+//            tracked retransmit master never sees it; a copy the pool
+//            refuses at its cap drops the packet instead.
 //
 // Lock discipline: one RankedLock (kFaultInject) per link, held only across
 // a single injection's decisions; the only lock it may acquire underneath
-// is the payload pool's leaf (cloning a heap payload).
+// is the payload pool's leaf (the corrupt copy of a shared payload).
 #pragma once
 
 #include <array>
@@ -95,9 +98,8 @@ class FaultInjector {
     int primary = -1;
   };
 
-  /// `pool_cap_bytes` (0 = none) bounds duplicate clones: a duplicate the
-  /// payload pool refuses is not emitted, because its original is already
-  /// on the wire (§5h).
+  /// `pool_cap_bytes` (0 = none) bounds the corrupt fault's payload copies
+  /// (§5h); a refused copy drops the packet.
   FaultInjector(int num_ranks, const FaultParams& params, std::uint64_t pool_cap_bytes = 0);
 
   /// Run one packet through the link's fault model. Consumes `pkt`; fills

@@ -11,14 +11,18 @@
 // packet: a real transport posts sends from a registered buffer pool, and
 // §II-C's hot-path discipline forbids general-purpose allocation per
 // message. The pool is process-global because packets (and with them buffer
-// ownership) migrate across threads through the RX rings.
+// ownership) migrate across threads through the RX rings. A buffer is
+// immutable once sent and reference-counted, so every copy of a packet
+// (retransmit master, retransmit, fabric duplicate) shares its bytes.
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <memory>
+#include <new>
+#include <utility>
 
 namespace fairmpi::fabric {
 
@@ -58,26 +62,85 @@ static_assert(std::is_trivially_copyable_v<WireHeader>);
 /// NIC inlines small sends into the descriptor.
 inline constexpr std::size_t kInlineBytes = 64;
 
-/// Return a pooled payload buffer to its size class (wire.cpp). Called by
-/// PayloadDeleter, possibly on a different thread than acquired the buffer.
-void release_pooled_payload(std::byte* p, int size_class) noexcept;
+/// Drop one handle on a payload buffer (wire.cpp); the last handle returns
+/// the bytes to their size class (class -1: the new[] huge path). May run
+/// on a different thread than acquired the buffer.
+void release_payload(std::byte* p, int size_class) noexcept;
 
-/// Release a new[] payload (payloads above the largest pool class). The
-/// byte count lives in a small header ahead of the returned pointer, so the
-/// deleter stays one byte and the pool accounting can still credit exactly.
-void release_huge_payload(std::byte* p) noexcept;
+/// Bytes ahead of every payload pointer that hold its reference count (the
+/// end of a pooled slot's header cache line, or of the huge header).
+inline constexpr std::size_t kPayloadRefOffset = sizeof(std::uint64_t);
 
-/// Deleter carrying the buffer's size class; class -1 means the buffer came
-/// from plain new[] via the huge-payload path.
-struct PayloadDeleter {
-  std::int8_t size_class = -1;
-  void operator()(std::byte* p) const noexcept {
-    if (size_class < 0) {
-      release_huge_payload(p);
-    } else {
-      release_pooled_payload(p, size_class);
+/// The reference count of the payload buffer at `p`.
+inline std::atomic<std::uint32_t>& payload_refs(const std::byte* p) noexcept {
+  return *std::launder(reinterpret_cast<std::atomic<std::uint32_t>*>(
+      const_cast<std::byte*>(p) - kPayloadRefOffset));
+}
+
+/// Shared, immutable payload bytes (DESIGN.md §5c "Shared payloads"). A
+/// handle is move-only; share() makes another handle on the same bytes, so
+/// a retransmit master, its retransmits and a fabric duplicate all carry
+/// the wire packet's buffer instead of a copy. The count lives just ahead
+/// of the bytes; the last handle dropped returns them to the pool. Only a
+/// buffer's sole handle may write it (Packet::mutable_payload copies
+/// first otherwise).
+class PayloadBuffer {
+ public:
+  PayloadBuffer() = default;
+  PayloadBuffer(PayloadBuffer&& other) noexcept
+      : p_(std::exchange(other.p_, nullptr)), cls_(other.cls_) {}
+  PayloadBuffer& operator=(PayloadBuffer&& other) noexcept {
+    if (this != &other) {
+      reset();
+      p_ = std::exchange(other.p_, nullptr);
+      cls_ = other.cls_;
     }
+    return *this;
   }
+  PayloadBuffer(const PayloadBuffer&) = delete;
+  PayloadBuffer& operator=(const PayloadBuffer&) = delete;
+  ~PayloadBuffer() { reset(); }
+
+  const std::byte* get() const noexcept { return p_; }
+
+  /// Another handle on the same bytes. The caller's handle keeps the count
+  /// above zero, so the increment orders nothing.
+  PayloadBuffer share() const noexcept {
+    PayloadBuffer out;
+    if (p_ != nullptr) {
+      // lint: allow(relaxed-sync) the sharer holds a reference; the release in release_payload orders the free
+      payload_refs(p_).fetch_add(1, std::memory_order_relaxed);
+      out.p_ = p_;
+      out.cls_ = cls_;
+    }
+    return out;
+  }
+
+  /// True when this is the buffer's only handle. No other thread can then
+  /// make one, so the answer stays true while this handle lives.
+  bool unique() const noexcept {
+    return payload_refs(p_).load(std::memory_order_acquire) == 1;
+  }
+
+  void reset() noexcept {
+    if (p_ != nullptr) release_payload(std::exchange(p_, nullptr), cls_);
+  }
+
+  friend bool operator==(const PayloadBuffer& b, std::nullptr_t) noexcept {
+    return b.p_ == nullptr;
+  }
+
+ private:
+  friend PayloadBuffer make_payload(std::size_t n, std::uint64_t pool_cap);
+  friend struct Packet;
+
+  PayloadBuffer(std::byte* p, std::int8_t cls) noexcept : p_(p), cls_(cls) {}
+
+  /// Writable bytes: a fresh buffer, or one that unique() just vouched for.
+  std::byte* writable() noexcept { return p_; }
+
+  std::byte* p_ = nullptr;
+  std::int8_t cls_ = -1;
 };
 
 /// Process-global payload-pool byte accounting: bytes currently checked out
@@ -103,14 +166,11 @@ void enable_payload_pool_accounting() noexcept;
 /// the pool is process-global, so suites reset between scenarios).
 void reset_payload_pool_high_water() noexcept;
 
-/// Owning heap payload handle; recycles to the pool on destruction.
-using PayloadBuffer = std::unique_ptr<std::byte[], PayloadDeleter>;
-
-/// Acquire an `n`-byte payload buffer from the size-classed pool
-/// (allocation-free in steady state; new[] above the largest class). A
-/// nonzero `pool_cap` makes the charge refusable (§5h): once in-use bytes
-/// have reached the cap the result is null and nothing is charged, so an
-/// admitted charge ends at most its own size above the cap.
+/// Acquire an `n`-byte payload buffer with one handle from the
+/// size-classed pool (allocation-free in steady state; new[] above the
+/// largest class). A nonzero `pool_cap` makes the charge refusable (§5h):
+/// once in-use bytes have reached the cap the result is null and nothing is
+/// charged, so an admitted charge ends at most its own size above the cap.
 PayloadBuffer make_payload(std::size_t n, std::uint64_t pool_cap = 0);
 
 /// Pool bytes make_payload charges for `n` payload bytes: the size class
@@ -214,7 +274,7 @@ struct Packet {
     }
     heap = make_payload(n, pool_cap);
     if (heap == nullptr) return false;
-    std::memcpy(heap.get(), data, n);
+    std::memcpy(heap.writable(), data, n);
     return true;
   }
 
@@ -223,9 +283,21 @@ struct Packet {
     return hdr.payload_size <= kInlineBytes ? inline_data.data() : heap.get();
   }
 
-  std::byte* mutable_payload() noexcept {
-    if (hdr.payload_size == 0) return nullptr;
-    return hdr.payload_size <= kInlineBytes ? inline_data.data() : heap.get();
+  /// Writable payload bytes. A heap buffer another handle shares is copied
+  /// first (a retransmit master or a duplicate must never see the write);
+  /// that copy is charged like any payload, refusably under a nonzero
+  /// `pool_cap`, and a refused copy returns null with the packet unchanged.
+  std::byte* mutable_payload(std::uint64_t pool_cap = 0) {
+    const std::size_t n = hdr.payload_size;
+    if (n == 0) return nullptr;
+    if (n <= kInlineBytes) return inline_data.data();
+    if (!heap.unique()) {
+      PayloadBuffer own = make_payload(n, pool_cap);
+      if (own == nullptr) return nullptr;
+      std::memcpy(own.writable(), heap.get(), n);
+      heap = std::move(own);
+    }
+    return heap.writable();
   }
 };
 
@@ -246,10 +318,19 @@ void stamp_checksum(Packet& pkt) noexcept;
 /// with payload_size fails structural validation before this is called.
 bool verify_checksum(const Packet& pkt) noexcept;
 
-/// Deep copy (header + payload) into `out` for duplication and retransmit
-/// tracking; heap payloads are cloned through the pool. False when a
-/// nonzero `pool_cap` refuses the copy (set_payload).
-bool clone_packet(const Packet& pkt, Packet& out, std::uint64_t pool_cap = 0);
+/// Copy `pkt` into `out` for duplication and retransmit tracking: the
+/// header and any inline bytes are copied, a heap payload is shared, not
+/// copied (PayloadBuffer::share), so a clone never charges the pool.
+inline void clone_packet(const Packet& pkt, Packet& out) noexcept {
+  copy_header(out.hdr, pkt.hdr);
+  const std::size_t n = pkt.hdr.payload_size;
+  if (n <= kInlineBytes) {
+    std::memcpy(out.inline_data.data(), pkt.inline_data.data(), n);
+    out.heap.reset();
+  } else {
+    out.heap = pkt.heap.share();
+  }
+}
 
 /// Structural validation of an inbound packet, before it may reach matching:
 /// known opcode, source rank within the universe, and a payload pointer

@@ -20,21 +20,32 @@
 // kind on the wire: eager/RTS by their matching seq, RndvAck by the sender
 // cookie in imm, RndvData by the receiver cookie + fragment index. Acks
 // themselves are never tracked — a lost ack is recovered by retransmit +
-// duplicate-discard + re-ack.
+// duplicate-discard + re-ack. One kAck may name a run of consecutive seqs
+// of one stream (kMaxAckRun; DESIGN.md §5c "Ranged acks"), retired by
+// ack_range.
 //
-// Lock discipline: the table lock ranks kReliability (47) — *above* the CRI
+// The retransmit master is a clone of the wire packet: it shares the
+// payload buffer (fabric::clone_packet), so tracking costs no copy and no
+// pool charge, and so do the sweep's retransmits.
+//
+// Lock discipline: the table is split into kShards shards by stream (peer,
+// comm), each with its own lock of rank kReliability (47) — *above* the CRI
 // and match locks, because track() runs on the send path under them, and
-// *below* the rendezvous registries. sweep() only collects clones under the
-// lock; the caller re-injects after releasing it (injection takes CRI locks,
-// rank 20, which must never be acquired under this one).
+// *below* the rendezvous registries. No two shard locks are ever held at
+// once: sweep() and fail_peer() take them in turn. sweep() only collects
+// clones under a shard lock; the caller re-injects after releasing it
+// (injection takes CRI locks, rank 20, which must never be acquired under
+// this one).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "fairmpi/common/align.hpp"
 #include "fairmpi/common/error.hpp"
 #include "fairmpi/common/spinlock.hpp"
 #include "fairmpi/debug/lockcheck.hpp"
@@ -72,8 +83,14 @@ inline PacketKey key_of(int dst, const fabric::WireHeader& h) noexcept {
                    static_cast<std::uint16_t>(dst), h.comm_id, h.seq, h.imm};
 }
 
+/// Longest run of consecutive seqs one kAck may name: the receiver never
+/// extends a queued run past it, and the sender drops a kAck whose count is
+/// 0 or above it as a header drop.
+inline constexpr std::uint32_t kMaxAckRun = 64;
+
 /// Key echoed by an inbound ack: the acked opcode rides in hdr.tag, the
-/// peer is the ack's sender (the original destination).
+/// peer is the ack's sender (the original destination). For a kAck this is
+/// the first key of its run.
 inline PacketKey key_of_ack(const fabric::WireHeader& ack) noexcept {
   return PacketKey{static_cast<std::uint16_t>(ack.tag), ack.src_rank,
                    ack.comm_id, ack.seq, ack.imm};
@@ -82,35 +99,31 @@ inline PacketKey key_of_ack(const fabric::WireHeader& ack) noexcept {
 class ReliabilityTracker {
  public:
   /// `due` is the retransmit due time shared by every tracker of a
-  /// universe: track() and confirm_retransmit() lower it, under this
-  /// tracker's lock, to the entry's deadline (DESIGN.md "Progress service
-  /// step"). `pool_cap_bytes` (0 = none) bounds the sweep's retransmit
-  /// clones: a clone the payload pool refuses waits for the next rto,
-  /// except for its stream's lowest tracked sequence number (sweep).
+  /// universe: track() and confirm_retransmit() lower it, under the
+  /// entry's shard lock, to the entry's deadline (DESIGN.md "Progress
+  /// service step").
   ReliabilityTracker(std::uint64_t rto_ns, std::uint64_t rto_max_ns, int max_retries,
-                     std::atomic<std::uint64_t>& due, std::uint64_t pool_cap_bytes = 0);
+                     std::atomic<std::uint64_t>& due);
   ReliabilityTracker(const ReliabilityTracker&) = delete;
   ReliabilityTracker& operator=(const ReliabilityTracker&) = delete;
 
-  /// Register a packet about to be injected, keeping `copy` as its
-  /// retransmit master (the eager sender makes that copy under the pool
-  /// cap before it tickets the sequence number, §5h). MUST happen before
-  /// the injection so an immediate ack finds the entry.
-  void track(int dst, fabric::Packet&& copy, std::uint64_t now_ns);
-  /// As above, cloning `pkt` (header + payload) uncapped.
-  void track(int dst, const fabric::Packet& pkt, std::uint64_t now_ns) {
-    fabric::Packet copy;
-    fabric::clone_packet(pkt, copy);
-    track(dst, std::move(copy), now_ns);
-  }
+  /// Register a packet about to be injected, keeping a clone that shares
+  /// its payload as the retransmit master. MUST happen before the
+  /// injection so an immediate ack finds the entry.
+  void track(int dst, const fabric::Packet& pkt, std::uint64_t now_ns);
 
   /// Retire the entry an ack names. False when unknown (already acked —
   /// the ack of a duplicate).
-  bool ack(const PacketKey& key);
+  bool ack(const PacketKey& key) { return ack_range(key, 1) != 0; }
+
+  /// Retire the run a ranged ack names: `first` and the next `count - 1`
+  /// seqs of its stream (same opcode, peer, comm and imm), under one shard
+  /// lock. Returns how many were still tracked.
+  std::size_t ack_range(const PacketKey& first, std::uint32_t count);
 
   /// Remove a tracked entry whose injection ultimately failed (EAGAIN
   /// budget exhausted before the packet ever hit the wire).
-  void untrack(const PacketKey& key);
+  void untrack(const PacketKey& key) { (void)ack(key); }
 
   /// The receiver refused the packet at admission (Opcode::kNack,
   /// DESIGN.md §5h): retire the entry like an ack, but report it so the
@@ -142,12 +155,11 @@ class ReliabilityTracker {
   /// Sweeping only *claims* an entry (its deadline moves one rto out); the
   /// retry budget and the exponential backoff are charged by
   /// confirm_retransmit once the clone actually made it onto the wire.
-  /// A retransmit that dies on a full ring, or whose clone the payload
-  /// pool refuses, costs nothing — under
+  /// A retransmit that dies on a full ring costs nothing — under
   /// backpressure storms the budget must measure genuine losses, not the
   /// sender's own congestion, or entries exhaust and messages vanish.
-  /// Caller injects with no tracker lock held. Returns the earliest
-  /// deadline left in the table (kNever when empty).
+  /// Walks the shards in turn; caller injects with no tracker lock held.
+  /// Returns the earliest deadline left in the table (kNever when empty).
   std::uint64_t sweep(std::uint64_t now_ns, std::vector<Resend>& resends,
                       std::vector<Failure>& failures);
 
@@ -180,21 +192,39 @@ class ReliabilityTracker {
     int retries = 0;
     std::uint64_t deadline_ns = 0;
     std::uint64_t rto_ns = 0;
-    fabric::Packet pkt;  ///< retransmit master copy
+    fabric::Packet pkt;  ///< retransmit master (shares the wire payload)
   };
+
+  /// Shard count: a power of two, so senders on distinct streams rarely
+  /// share a lock, and a sweep stays a short walk.
+  static constexpr unsigned kShardBits = 4;
+  static constexpr std::size_t kShards = std::size_t{1} << kShardBits;
+
+  /// One lock and one map, on lines of their own.
+  struct alignas(kCacheLine) Shard {
+    RankedLock<Spinlock> lock{debug::LockRank::kReliability, "p2p.reliability"};
+    std::unordered_map<PacketKey, Entry, PacketKeyHash> inflight FAIRMPI_GUARDED_BY(lock);
+  };
+
+  /// The shard of stream (peer, comm). Fibonacci hashing: consecutive
+  /// communicator ids toward one peer land on distinct shards.
+  Shard& shard_of(const PacketKey& key) noexcept {
+    const std::uint32_t x = (key.comm ^ (static_cast<std::uint32_t>(key.peer) << 16)) *
+                            0x9E3779B9u;
+    return shards_[x >> (32 - kShardBits)];
+  }
 
   const std::uint64_t rto_ns_;
   const std::uint64_t rto_max_ns_;
   const int max_retries_;
-  const std::uint64_t pool_cap_bytes_;
 
-  mutable RankedLock<Spinlock> lock_{debug::LockRank::kReliability,
-                                     "p2p.reliability"};
-  std::unordered_map<PacketKey, Entry, PacketKeyHash> inflight_
-      FAIRMPI_GUARDED_BY(lock_);
-  /// Peers confirmed dead (ft). Grown on fail_peer only; sweeps and tracks
-  /// consult it so no entry to a dead peer ever retransmits.
-  std::vector<bool> failed_peers_ FAIRMPI_GUARDED_BY(lock_);
+  std::array<Shard, kShards> shards_;
+  /// Peers confirmed dead (ft), one bit per possible rank id (PacketKey
+  /// peers are 16-bit): set by fail_peer before it takes any shard lock,
+  /// so an entry tracked after fail_peer passed its shard is caught by the
+  /// next sweep of that shard, which consults it. No entry to a dead peer
+  /// ever retransmits.
+  std::array<std::atomic<std::uint64_t>, (std::size_t{1} << 16) / 64> failed_peers_{};
   std::atomic<std::uint64_t>& due_;
   std::atomic<std::size_t> in_flight_{0};
 };

@@ -29,9 +29,11 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <deque>
 #include <memory>
 
 #include "fairmpi/fabric/wire.hpp"
+#include "fairmpi/p2p/reliability.hpp"
 #include "fairmpi/p2p/request.hpp"
 
 namespace fairmpi::p2p {
@@ -121,7 +123,39 @@ struct ControlMsg {
   std::uint64_t remote_cookie = 0;  ///< peer's state id (kSendPacketAck: imm)
   std::uint32_t seq = 0;            ///< kSendPacketAck: acked packet's seq
   std::uint16_t ack_opcode = 0;     ///< kSendPacketAck: acked packet's opcode
+  std::uint32_t ack_count = 1;      ///< kSendPacketAck: run of seqs from `seq`
 };
+
+/// Queued notices a new ack looks back over for its stream's run: enough
+/// to see past the other streams one drain interleaves, few enough to stay
+/// a handful of compares under the queue lock.
+inline constexpr std::size_t kAckLookback = 8;
+
+/// Queue a reliability notice (kSendPacketAck/Nack/Defer) on an ack queue
+/// (ranged acks, DESIGN.md §5c). A plain ack extends its stream's queued
+/// run when it names the run's next seq; a stream is one (peer, comm,
+/// acked opcode, imm). The newest entry of the stream among the last
+/// kAckLookback decides: a NACK, a deferral, a gap or a run at kMaxAckRun
+/// there starts a new entry, so no run spans one of them. NACKs and
+/// deferrals are never merged.
+inline void queue_ack(std::deque<ControlMsg>& q, const ControlMsg& msg) {
+  if (msg.kind == ControlMsg::Kind::kSendPacketAck) {
+    std::size_t looked = 0;
+    for (auto it = q.rbegin(); it != q.rend() && looked < kAckLookback; ++it, ++looked) {
+      if (it->peer != msg.peer || it->comm != msg.comm ||
+          it->ack_opcode != msg.ack_opcode || it->remote_cookie != msg.remote_cookie) {
+        continue;
+      }
+      if (it->kind == msg.kind && it->seq + it->ack_count == msg.seq &&
+          it->ack_count < kMaxAckRun) {
+        ++it->ack_count;
+        return;
+      }
+      break;
+    }
+  }
+  q.push_back(msg);
+}
 
 /// Observer the matching engine calls when it matches a rendezvous RTS
 /// (instead of copying payload). Implemented by core::Rank.

@@ -63,8 +63,8 @@ enum class Counter : int {
   kCsumDrops,              ///< inbound packets failing checksum verification
   kDupDiscards,            ///< duplicate deliveries discarded (exactly-once)
   kRetransmits,            ///< packets re-injected after an ack timeout
-  kAcksSent,               ///< reliability acks injected
-  kAcksReceived,           ///< reliability acks processed
+  kAcksSent,               ///< reliability ack packets injected (one per run, not per packet acked)
+  kAcksReceived,           ///< well-formed reliability ack packets processed
   kReliabilityErrors,      ///< typed errors surfaced (budget/retry exhaustion)
   kWatchdogStalls,         ///< stalled instances/rendezvous flagged
   kSubmitQueued,           ///< injections routed through a submission ring

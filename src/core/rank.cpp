@@ -1,4 +1,6 @@
 #include <algorithm>
+#include <array>
+#include <cstring>
 #include <vector>
 
 #include "fairmpi/common/error.hpp"
@@ -46,8 +48,7 @@ Rank::Rank(Universe& uni, int id)
   if (cfg.trace_enabled) tracer_.enable(true);
   if (cfg.reliable) {
     tracker_ = std::make_unique<p2p::ReliabilityTracker>(
-        cfg.rto_ns, cfg.rto_max_ns, cfg.max_retries, uni.retransmit_due_,
-        cfg.payload_pool_cap_bytes);
+        cfg.rto_ns, cfg.rto_max_ns, cfg.max_retries, uni.retransmit_due_);
   }
   if (cfg.watchdog_interval_ns != ~std::uint64_t{0}) {
     watchdog_ = std::make_unique<progress::Watchdog>(
@@ -281,51 +282,63 @@ bool Rank::inject_raw(int dst, fabric::Packet&& pkt) {
 
 void Rank::enqueue_ack(const fabric::WireHeader& hdr, p2p::ControlMsg::Kind kind) {
   LockGuard guard(control_lock_);
-  acks_.push_back(p2p::ControlMsg{kind, static_cast<int>(hdr.src_rank), hdr.comm_id,
-                                  /*local_cookie=*/0, /*remote_cookie=*/hdr.imm,
-                                  hdr.seq, static_cast<std::uint16_t>(hdr.opcode)});
+  p2p::queue_ack(acks_, p2p::ControlMsg{kind, static_cast<int>(hdr.src_rank), hdr.comm_id,
+                                        /*local_cookie=*/0, /*remote_cookie=*/hdr.imm,
+                                        hdr.seq, static_cast<std::uint16_t>(hdr.opcode)});
   acks_pending_.store(true, std::memory_order_relaxed);
 }
 
 void Rank::flush_acks() {
+  // Up to kAckFlushBatch queued notices leave per control_lock_ hold: the
+  // receiving threads take the same lock once per packet to queue them.
+  constexpr std::size_t kAckFlushBatch = 8;
   // lint: allow(relaxed-sync) emptiness hint only; the queue is read under control_lock_
   while (acks_pending_.load(std::memory_order_relaxed)) {
-    p2p::ControlMsg msg;
+    std::array<p2p::ControlMsg, kAckFlushBatch> batch;
+    std::size_t n = 0;
     {
       LockGuard guard(control_lock_);
-      if (acks_.empty()) return;
-      msg = acks_.front();
-      acks_.pop_front();
+      for (; n < batch.size() && !acks_.empty(); ++n) {
+        batch[n] = acks_.front();
+        acks_.pop_front();
+      }
       acks_pending_.store(!acks_.empty(), std::memory_order_relaxed);
     }
-    // Reliability ack: echo the received packet's identifying key so the
-    // sender can retire its tracked clone. Unreliable by design — if this
-    // ack is lost the peer retransmits and we re-ack. A NACK (overload
-    // shed, §5h) and a deferral notice ride the same queue and carry the
-    // same key; only the opcode differs, so the sender can fail the op
-    // typed, or keep it and re-present it soon, instead of retiring it.
-    const bool is_ack = msg.kind == p2p::ControlMsg::Kind::kSendPacketAck;
-    const bool is_nack = msg.kind == p2p::ControlMsg::Kind::kSendPacketNack;
-    fabric::Packet ack;
-    ack.hdr.opcode = is_ack    ? fabric::Opcode::kAck
-                     : is_nack ? fabric::Opcode::kNack
-                               : fabric::Opcode::kDefer;
-    ack.hdr.src_rank = static_cast<std::uint16_t>(id_);
-    ack.hdr.comm_id = msg.comm;
-    ack.hdr.tag = static_cast<std::int32_t>(msg.ack_opcode);
-    ack.hdr.seq = msg.seq;
-    ack.hdr.imm = msg.remote_cookie;
-    if (!inject_raw(msg.peer, std::move(ack))) {
-      // Peer's ring is full: requeue and stop — pushing harder only spins.
-      LockGuard guard(control_lock_);
-      acks_.push_front(msg);
-      acks_pending_.store(true, std::memory_order_relaxed);
-      return;
-    }
-    if (is_ack) {
-      spc_.add(Counter::kAcksSent);
-      tracer_.record(trace::Event::kAckSent, static_cast<std::uint32_t>(msg.peer),
-                     msg.seq);
+    for (std::size_t i = 0; i < n; ++i) {
+      const p2p::ControlMsg& msg = batch[i];
+      // Reliability ack: echo the received packet's identifying key so the
+      // sender can retire its tracked clone; a kAck names a run of `count`
+      // consecutive seqs from the key's, the count riding as a 4-byte
+      // payload. Unreliable by design — if this ack is lost the peer
+      // retransmits and we re-ack. A NACK (overload shed, §5h) and a
+      // deferral notice ride the same queue and carry one key; only the
+      // opcode differs, so the sender can fail the op typed, or keep it
+      // and re-present it soon, instead of retiring it.
+      const bool is_ack = msg.kind == p2p::ControlMsg::Kind::kSendPacketAck;
+      const bool is_nack = msg.kind == p2p::ControlMsg::Kind::kSendPacketNack;
+      fabric::Packet ack;
+      ack.hdr.opcode = is_ack    ? fabric::Opcode::kAck
+                       : is_nack ? fabric::Opcode::kNack
+                                 : fabric::Opcode::kDefer;
+      ack.hdr.src_rank = static_cast<std::uint16_t>(id_);
+      ack.hdr.comm_id = msg.comm;
+      ack.hdr.tag = static_cast<std::int32_t>(msg.ack_opcode);
+      ack.hdr.seq = msg.seq;
+      ack.hdr.imm = msg.remote_cookie;
+      if (is_ack) ack.set_payload(&msg.ack_count, sizeof msg.ack_count);
+      if (!inject_raw(msg.peer, std::move(ack))) {
+        // Peer's ring is full: requeue the rest, oldest first, and stop —
+        // pushing harder only spins.
+        LockGuard guard(control_lock_);
+        for (std::size_t j = n; j-- > i;) acks_.push_front(batch[j]);
+        acks_pending_.store(true, std::memory_order_relaxed);
+        return;
+      }
+      if (is_ack) {
+        spc_.add(Counter::kAcksSent);
+        tracer_.record(trace::Event::kAckSent, static_cast<std::uint32_t>(msg.peer),
+                       msg.seq);
+      }
     }
   }
 }
@@ -675,9 +688,19 @@ std::size_t Rank::handle_packet(fabric::Packet&& pkt) {
   }
   if (tracker_ != nullptr) {
     if (pkt.hdr.opcode == fabric::Opcode::kAck) {
+      // A ranged ack: its 4-byte payload counts the run of seqs it names.
+      // A count of 0 or past the run bound is malformed: dropped whole.
+      std::uint32_t count = 0;
+      if (pkt.hdr.payload_size == sizeof count) {
+        std::memcpy(&count, pkt.payload(), sizeof count);
+      }
+      if (count == 0 || count > p2p::kMaxAckRun) {
+        spc_.add(Counter::kHeaderDrops);
+        return 0;
+      }
       spc_.add(Counter::kAcksReceived);
       tracer_.record(trace::Event::kAckRecv, pkt.hdr.src_rank, pkt.hdr.seq);
-      (void)tracker_->ack(p2p::key_of_ack(pkt.hdr));
+      (void)tracker_->ack_range(p2p::key_of_ack(pkt.hdr), count);
       return 0;
     }
     if (pkt.hdr.opcode == fabric::Opcode::kNack) {

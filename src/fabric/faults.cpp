@@ -10,8 +10,10 @@ namespace {
 
 /// Flip one random bit of the packet, never touching hdr.payload_size (see
 /// the fault-model comment in faults.hpp). Corruptible bytes: the header
-/// minus the 4-byte payload_size field, plus the payload.
-void corrupt_packet(Xoshiro256& rng, Packet& pkt) {
+/// minus the 4-byte payload_size field, plus the payload. A payload flip
+/// lands on the packet's own copy of a shared buffer (mutable_payload),
+/// charged under `pool_cap`; false when the pool refuses that copy.
+bool corrupt_packet(Xoshiro256& rng, Packet& pkt, std::uint64_t pool_cap) {
   constexpr std::size_t kHdrBytes = sizeof(WireHeader);
   const std::size_t kSizeOff = offsetof(WireHeader, payload_size);
   const std::size_t corruptible = (kHdrBytes - sizeof(std::uint32_t)) +
@@ -24,11 +26,12 @@ void corrupt_packet(Xoshiro256& rng, Packet& pkt) {
     std::memcpy(raw, &pkt.hdr, kHdrBytes);
     raw[byte] ^= static_cast<unsigned char>(1u << bit);
     std::memcpy(&pkt.hdr, raw, kHdrBytes);
-  } else {
-    std::byte* p = pkt.mutable_payload();
-    p[byte - (kHdrBytes - sizeof(std::uint32_t))] ^=
-        static_cast<std::byte>(1u << bit);
+    return true;
   }
+  std::byte* p = pkt.mutable_payload(pool_cap);
+  if (p == nullptr) return false;
+  p[byte - (kHdrBytes - sizeof(std::uint32_t))] ^= static_cast<std::byte>(1u << bit);
+  return true;
 }
 
 }  // namespace
@@ -117,18 +120,26 @@ void FaultInjector::process(int src, int dst, Packet&& pkt, Batch& out) {
     }
   }
 
-  if (!consumed) {
-    if (params_.corrupt > 0.0 && rng.uniform() < params_.corrupt) {
-      corrupt_packet(rng, pkt);
+  if (!consumed && params_.corrupt > 0.0 && rng.uniform() < params_.corrupt) {
+    if (corrupt_packet(rng, pkt, pool_cap_bytes_)) {
       stats_.corrupted.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      // The pool refused the private copy the flip needs. The receiver's
+      // checksum would have dropped the packet anyway, so drop it here.
+      stats_.dropped.fetch_add(1, std::memory_order_relaxed);
+      Packet sink = std::move(pkt);
+      static_cast<void>(sink);
+      consumed = true;
     }
+  }
+
+  if (!consumed) {
     const bool duplicate = params_.dup > 0.0 && rng.uniform() < params_.dup;
     out.primary = static_cast<int>(out.n);
     out.pkts[out.n++] = std::move(pkt);
-    if (duplicate && clone_packet(out.pkts[static_cast<std::size_t>(out.primary)],
-                                  out.pkts[out.n], pool_cap_bytes_)) {
+    if (duplicate) {
+      clone_packet(out.pkts[static_cast<std::size_t>(out.primary)], out.pkts[out.n++]);
       stats_.duplicated.fetch_add(1, std::memory_order_relaxed);
-      ++out.n;
     }
   }
 

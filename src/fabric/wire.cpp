@@ -5,13 +5,17 @@
 // under 64 KiB). Each class is a SlabArena, so steady-state traffic recycles
 // buffers through per-thread caches with zero allocator calls; the arena's
 // global-lock handoff keeps cross-thread release (packet freed by the
-// receiver's progress thread) TSan-clean.
+// receiver's progress thread) TSan-clean. A pooled slot is one header cache
+// line, whose last bytes hold the buffer's reference count, followed by the
+// payload; the last handle's release returns the slot.
 
 #include "fairmpi/fabric/wire.hpp"
 
 #include <atomic>
 #include <bit>
+#include <new>
 
+#include "fairmpi/common/align.hpp"
 #include "fairmpi/common/slab_pool.hpp"
 
 namespace fairmpi::fabric {
@@ -20,6 +24,9 @@ namespace {
 constexpr int kMinShift = 7;   // 128 B — smallest pooled class
 constexpr int kMaxShift = 16;  // 64 KiB — largest pooled class
 constexpr int kNumClasses = kMaxShift - kMinShift + 1;
+/// Header ahead of a pooled payload: one cache line, so the payload stays
+/// line-aligned and its first line is not the one the count is written on.
+constexpr std::size_t kSlotHeader = kCacheLine;
 
 /// Size class for `n` bytes, or -1 when n exceeds the largest class.
 int class_for(std::size_t n) noexcept {
@@ -40,7 +47,7 @@ common::SlabArena& arena(int cls) {
       // Bigger classes carve fewer slots per slab to bound slab size.
       (*a)[static_cast<std::size_t>(i)] =
           // lint: allow(hotpath-alloc) one-time immortal per-class arena
-          new common::SlabArena(bytes, bytes <= 4096 ? 64 : 8);
+          new common::SlabArena(kSlotHeader + bytes, bytes <= 4096 ? 64 : 8);
     }
     return a;
   }();
@@ -118,12 +125,21 @@ inline void uncharge_pool_bytes(std::uint64_t n) noexcept {
   }
 }
 
-/// Huge (>64 KiB) payloads come from plain new[] with their byte count in a
-/// 16-byte header ahead of the caller-visible pointer: the deleter then
-/// stays a single byte (PayloadBuffer fits in a register pair) while the
-/// release can still credit the exact size. 16 keeps the payload's
+/// Huge (>64 KiB) payloads come from plain new[] with a 16-byte header
+/// ahead of the caller-visible pointer: the byte count, so the release can
+/// credit the exact size, then the reference count. 16 keeps the payload's
 /// effective alignment at new[]'s.
 constexpr std::size_t kHugeHeader = 16;
+static_assert(kHugeHeader - kPayloadRefOffset >= sizeof(std::uint64_t) &&
+                  kSlotHeader >= kPayloadRefOffset,
+              "the reference count overlaps neither the byte count nor the payload");
+
+/// Start the reference count of a fresh buffer at one handle.
+std::byte* init_refs(std::byte* p) noexcept {
+  // lint: allow(hotpath-alloc) placement new into the buffer's own header
+  ::new (p - kPayloadRefOffset) std::atomic<std::uint32_t>(1);
+  return p;
+}
 
 }  // namespace
 
@@ -131,12 +147,20 @@ void enable_payload_pool_accounting() noexcept {
   pool_accounting_on.store(true, std::memory_order_relaxed);
 }
 
-void release_pooled_payload(std::byte* p, int size_class) noexcept {
-  arena(size_class).release(p);
-  uncharge_pool_bytes(std::uint64_t{1} << (kMinShift + size_class));
-}
-
-void release_huge_payload(std::byte* p) noexcept {
+void release_payload(std::byte* p, int size_class) noexcept {
+  std::atomic<std::uint32_t>& refs = payload_refs(p);
+  // A sole handle skips the RMW: no other thread can share it now. The
+  // acquire (on either branch) orders every other holder's reads of the
+  // bytes before the slot's reuse.
+  if (refs.load(std::memory_order_acquire) != 1 &&
+      refs.fetch_sub(1, std::memory_order_acq_rel) != 1) {
+    return;
+  }
+  if (size_class >= 0) {
+    arena(size_class).release(p - kSlotHeader);
+    uncharge_pool_bytes(std::uint64_t{1} << (kMinShift + size_class));
+    return;
+  }
   std::byte* raw = p - kHugeHeader;
   std::uint64_t n = 0;
   std::memcpy(&n, raw, sizeof n);
@@ -163,16 +187,16 @@ std::uint64_t payload_charge(std::size_t n) noexcept {
 PayloadBuffer make_payload(std::size_t n, std::uint64_t pool_cap) {
   const int cls = class_for(n);
   if (cls < 0) {
-    if (!charge_pool_bytes(n, pool_cap)) return nullptr;
+    if (!charge_pool_bytes(n, pool_cap)) return {};
     // lint: allow(hotpath-alloc) >64KiB payloads exceed every pool class
     auto* raw = new std::byte[n + kHugeHeader];
     const std::uint64_t bytes = n;
     std::memcpy(raw, &bytes, sizeof bytes);
-    return PayloadBuffer(raw + kHugeHeader, PayloadDeleter{-1});
+    return PayloadBuffer(init_refs(raw + kHugeHeader), -1);
   }
-  if (!charge_pool_bytes(std::uint64_t{1} << (kMinShift + cls), pool_cap)) return nullptr;
-  return PayloadBuffer(static_cast<std::byte*>(arena(cls).acquire()),
-                       PayloadDeleter{static_cast<std::int8_t>(cls)});
+  if (!charge_pool_bytes(std::uint64_t{1} << (kMinShift + cls), pool_cap)) return {};
+  auto* slot = static_cast<std::byte*>(arena(cls).acquire());
+  return PayloadBuffer(init_refs(slot + kSlotHeader), static_cast<std::int8_t>(cls));
 }
 
 namespace {
@@ -219,11 +243,6 @@ void stamp_checksum(Packet& pkt) noexcept {
 
 bool verify_checksum(const Packet& pkt) noexcept {
   return pkt.hdr.csum == wire_checksum(pkt.hdr, pkt.payload(), pkt.hdr.payload_size);
-}
-
-bool clone_packet(const Packet& pkt, Packet& out, std::uint64_t pool_cap) {
-  out.hdr = pkt.hdr;
-  return out.set_payload(pkt.payload(), pkt.hdr.payload_size, pool_cap);
 }
 
 }  // namespace fairmpi::fabric

@@ -84,7 +84,6 @@ common::ErrorCode eager_send(CommState& comm, cri::CriPool& pool,
   pkt.hdr.src_rank = static_cast<std::uint16_t>(src_rank);
   pkt.hdr.comm_id = comm.id();
   pkt.hdr.tag = tag;
-  fabric::Packet copy;  // the tracker's retransmit master
 
   // One admission loop (DESIGN.md §5h), before the sequence number is
   // ticketed: a send that leaves it typed (shed, deadline, cancel, budget,
@@ -94,17 +93,15 @@ common::ErrorCode eager_send(CommState& comm, cri::CriPool& pool,
   //     self-clock a flood; a peer that never acks is the same livelock as
   //     one that never drains, so it burns the same retry budget);
   //   - the tracker cap, and
-  //   - the payload-pool cap, charged where the buffers are made: the
-  //     payload below the cap, its tracked copy below the cap plus that
-  //     payload, so a send admitted below the cap always gets its copy
-  //     and the pool stays below cap + two payloads on any thread count.
+  //   - the payload-pool cap, charged where the payload buffer is made;
+  //     the tracker's retransmit master shares that buffer, so it charges
+  //     nothing.
   // At a refused cap that cap's policy decides: kShed fails the send typed
   // kLocalOverloaded, kQueue waits. Uncapped, unreliable sends pass on the
   // first iteration.
   const overload::Governor* gov =
       policy.governor != nullptr && policy.governor->enabled() ? policy.governor : nullptr;
   const std::uint64_t pool_cap = gov != nullptr ? gov->limits().pool_cap_bytes : 0;
-  const std::uint64_t copy_cap = pool_cap != 0 ? pool_cap + fabric::payload_charge(n) : 0;
   for (;;) {
     overload::Policy at_cap = overload::Policy::kQueue;
     const std::size_t in_flight = policy.tracker != nullptr ? policy.tracker->in_flight() : 0;
@@ -112,13 +109,10 @@ common::ErrorCode eager_send(CommState& comm, cri::CriPool& pool,
       // the window always waits
     } else if (gov != nullptr && gov->tracker_at_cap(in_flight)) {
       at_cap = gov->limits().tracker_policy;
-    } else if (pkt.set_payload(buf, n, pool_cap) &&
-               (policy.tracker == nullptr || fabric::clone_packet(pkt, copy, copy_cap))) {
+    } else if (pkt.set_payload(buf, n, pool_cap)) {
       break;
     } else {
-      // Only a pool cap refuses a buffer, so `gov` is set. A refused copy
-      // hands the payload's charge back before the wait.
-      pkt.heap.reset();
+      // Only a pool cap refuses a buffer, so `gov` is set.
       at_cap = gov->limits().pool_policy;
     }
     if (at_cap == overload::Policy::kShed) {
@@ -137,14 +131,11 @@ common::ErrorCode eager_send(CommState& comm, cri::CriPool& pool,
   pkt.hdr.seq = comm.next_seq(dst);
 
   // Track before the first injection attempt so an ack racing back through
-  // a fast peer always finds the entry (reliability.hpp contract). On a
-  // failed attempt the fabric hands the packet back intact, so the tracked
-  // copy and the wire packet never diverge. After the ticket only the
-  // injection EAGAIN loop below remains.
-  if (policy.tracker != nullptr) {
-    copy.hdr.seq = pkt.hdr.seq;
-    policy.tracker->track(dst, std::move(copy), now_ns());
-  }
+  // a fast peer always finds the entry (reliability.hpp contract). The
+  // master shares the payload buffer, and on a failed attempt the fabric
+  // hands the packet back intact, so the master and the wire packet never
+  // diverge. After the ticket only the injection EAGAIN loop below remains.
+  if (policy.tracker != nullptr) policy.tracker->track(dst, pkt, now_ns());
   for (;;) {
     const int k = pool.id_for_thread();
     cri::CommResourceInstance& inst = pool.instance(k);

@@ -287,5 +287,76 @@ TEST(Chaos, SendBudgetExhaustionIsTypedNotLivelock) {
   EXPECT_TRUE(capture.saw(ErrorCode::kSendBudgetExhausted));
 }
 
+// --- ranged acks (DESIGN.md §5c): one kAck names a run of seqs ---
+
+/// Reliable two-rank universe on a pristine fabric whose sender window is
+/// `window` and whose rto never fires during a test.
+Config ranged_ack_config(std::size_t window) {
+  Config cfg;
+  cfg.num_ranks = 2;
+  cfg.reliable = true;
+  cfg.reliability_window = window;
+  cfg.rto_ns = 60'000'000'000ULL;
+  cfg.rto_max_ns = 60'000'000'000ULL;
+  return cfg;
+}
+
+/// True when rank 0 can still send within 50 ms with rank 1 idle, i.e. its
+/// reliability window has room.
+bool window_open(Universe& uni) {
+  const std::uint32_t v = 0;
+  Request req;
+  uni.rank(0).isend(kWorldComm, 1, /*tag=*/9, &v, sizeof v, req, now_ns() + 50'000'000);
+  uni.rank(0).wait(req);
+  return !req.failed();
+}
+
+TEST(RangedAck, InOrderAcksLeaveAsOnePacket) {
+  ScopedChaosEnvClear env;
+  constexpr std::uint32_t kSent = 8;
+  Universe uni(ranged_ack_config(kSent));
+  for (std::uint32_t i = 0; i < kSent; ++i) uni.rank(0).world().send(1, 7, &i, sizeof i);
+  EXPECT_FALSE(window_open(uni));  // eight unacked: the window is shut
+
+  // One drain admits all eight and one flush answers them with one run.
+  uni.rank(1).progress();
+  EXPECT_EQ(uni.rank(1).counters().get(Counter::kAcksSent), 1u);
+  uni.rank(0).progress();
+  EXPECT_EQ(uni.rank(0).counters().get(Counter::kAcksReceived), 1u);
+  EXPECT_EQ(uni.rank(0).counters().get(Counter::kHeaderDrops), 0u);
+  EXPECT_TRUE(window_open(uni));  // the one ack retired all eight
+}
+
+TEST(RangedAck, MalformedCountIsHeaderDropAndRetiresNothing) {
+  ScopedChaosEnvClear env;
+  Universe uni(ranged_ack_config(1));
+  const std::uint32_t v = 1;
+  uni.rank(0).world().send(1, 7, &v, sizeof v);  // seq 0, tracked
+  ASSERT_FALSE(window_open(uni));
+
+  // Hand-made acks from rank 1 naming seq 0, valid checksums and all.
+  const auto inject_ack = [&](std::uint32_t count) {
+    fabric::Packet ack;
+    ack.hdr.opcode = fabric::Opcode::kAck;
+    ack.hdr.src_rank = 1;
+    ack.hdr.comm_id = kWorldComm;
+    ack.hdr.tag = static_cast<std::int32_t>(fabric::Opcode::kEager);
+    ack.hdr.seq = 0;
+    ack.set_payload(&count, sizeof count);
+    fabric::stamp_checksum(ack);
+    ASSERT_TRUE(uni.fabric().nic(0).context(0).rx().try_push(std::move(ack)));
+    uni.rank(0).progress();
+  };
+  inject_ack(0);
+  inject_ack(p2p::kMaxAckRun + 1);
+  EXPECT_EQ(uni.rank(0).counters().get(Counter::kHeaderDrops), 2u);
+  EXPECT_EQ(uni.rank(0).counters().get(Counter::kAcksReceived), 0u);
+  EXPECT_FALSE(window_open(uni));  // seq 0 is still tracked
+
+  inject_ack(p2p::kMaxAckRun);  // a well-formed run over seq 0
+  EXPECT_EQ(uni.rank(0).counters().get(Counter::kAcksReceived), 1u);
+  EXPECT_TRUE(window_open(uni));
+}
+
 }  // namespace
 }  // namespace fairmpi

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cstring>
+#include <functional>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace fairmpi::fabric {
@@ -50,6 +54,44 @@ TEST(Wire, MoveTransfersHeapOwnership) {
   EXPECT_EQ(a.heap, nullptr);  // NOLINT(bugprone-use-after-move): asserting move semantics
   ASSERT_NE(b.heap, nullptr);
   EXPECT_EQ(std::memcmp(b.payload(), big.data(), big.size()), 0);
+}
+
+TEST(Wire, SharedPayloadReleasesOnce) {
+  // Two threads drop the two handles of one shared buffer, in either
+  // order: the bytes go back to the pool exactly once. A second release
+  // would credit the gauge twice; `hold` keeps it above one charge, so
+  // the second credit could not hide in the gauge's clamp at zero.
+  enable_payload_pool_accounting();
+  const std::string big(4000, 's');
+  const Packet hold = make_packet(0, 0, big);
+  for (int round = 0; round < 2000; ++round) {
+    const std::uint64_t before = payload_pool_stats().in_use_bytes;
+    Packet a = make_packet(0, static_cast<std::uint32_t>(round), big);
+    Packet b;
+    clone_packet(a, b);
+    ASSERT_EQ(a.payload(), b.payload());
+    ASSERT_EQ(payload_pool_stats().in_use_bytes, before + payload_charge(big.size()));
+    std::atomic<int> ready{0};
+    const auto drop = [&ready](Packet& pkt) {
+      ready.fetch_add(1);
+      while (ready.load() < 2) {
+      }
+      Packet sink = std::move(pkt);
+    };
+    Packet& theirs = round % 2 == 0 ? a : b;
+    Packet& ours = round % 2 == 0 ? b : a;
+    std::thread t(drop, std::ref(theirs));
+    drop(ours);
+    t.join();
+    ASSERT_EQ(payload_pool_stats().in_use_bytes, before) << "round " << round;
+  }
+  // A slot released twice would be handed out twice.
+  std::vector<Packet> fresh(64);
+  std::set<const std::byte*> seen;
+  for (Packet& p : fresh) {
+    p = make_packet(0, 1, big);
+    EXPECT_TRUE(seen.insert(p.payload()).second);
+  }
 }
 
 /// RFC 1071 the slow way: 16-bit little-endian words, one at a time, with

@@ -122,24 +122,65 @@ TEST(FaultInjector, CertainDropSwallowsEverything) {
   EXPECT_EQ(inj.stats().dropped.load(), 50u);
 }
 
-TEST(FaultInjector, CertainDupEmitsDeepClone) {
+TEST(FaultInjector, CertainDupSharesImmutablePayload) {
   FaultParams params;
   params.dup = 1.0;
   FaultInjector inj(2, params);
-  // Heap payload so a shallow copy would alias the clone.
+  // Heap payload: the duplicate shares the original's buffer.
   const std::string big(kInlineBytes + 32, 'd');
-  FaultInjector::Batch batch;
-  inj.process(0, 1, make_packet(9, big), batch);
-  ASSERT_EQ(batch.n, 2u);
-  ASSERT_GE(batch.primary, 0);
-  EXPECT_EQ(batch.pkts[0].hdr.seq, 9u);
-  EXPECT_EQ(batch.pkts[1].hdr.seq, 9u);
-  ASSERT_NE(batch.pkts[0].payload(), nullptr);
-  ASSERT_NE(batch.pkts[1].payload(), nullptr);
-  EXPECT_NE(batch.pkts[0].payload(), batch.pkts[1].payload());  // deep clone
-  EXPECT_EQ(std::memcmp(batch.pkts[0].payload(), big.data(), big.size()), 0);
-  EXPECT_EQ(std::memcmp(batch.pkts[1].payload(), big.data(), big.size()), 0);
-  EXPECT_EQ(inj.stats().duplicated.load(), 1u);
+  enable_payload_pool_accounting();
+  for (const bool drop_original_first : {true, false}) {
+    Packet pkt = make_packet(9, big);
+    const std::uint64_t before = payload_pool_stats().in_use_bytes;
+    FaultInjector::Batch batch;
+    inj.process(0, 1, std::move(pkt), batch);
+    ASSERT_EQ(batch.n, 2u);
+    ASSERT_EQ(batch.primary, 0);
+    EXPECT_EQ(batch.pkts[0].hdr.seq, 9u);
+    EXPECT_EQ(batch.pkts[1].hdr.seq, 9u);
+    ASSERT_NE(batch.pkts[0].payload(), nullptr);
+    ASSERT_NE(batch.pkts[1].payload(), nullptr);
+    EXPECT_EQ(std::memcmp(batch.pkts[0].payload(), big.data(), big.size()), 0);
+    EXPECT_EQ(std::memcmp(batch.pkts[1].payload(), big.data(), big.size()), 0);
+    EXPECT_EQ(batch.pkts[0].payload(), batch.pkts[1].payload());
+    EXPECT_EQ(payload_pool_stats().in_use_bytes, before);  // the dup charged nothing
+    // Either packet may be dropped first; the other's bytes stay intact.
+    Packet& first = batch.pkts[drop_original_first ? 0 : 1];
+    Packet& second = batch.pkts[drop_original_first ? 1 : 0];
+    { Packet sink = std::move(first); }
+    EXPECT_EQ(std::memcmp(second.payload(), big.data(), big.size()), 0);
+    { Packet sink = std::move(second); }
+    EXPECT_EQ(payload_pool_stats().in_use_bytes, before - payload_charge(big.size()));
+  }
+  EXPECT_EQ(inj.stats().duplicated.load(), 2u);
+}
+
+TEST(FaultInjector, CorruptNeverTouchesSharedPayload) {
+  // A tracked retransmit master shares the wire packet's buffer; a payload
+  // flip on the wire packet must land on a private copy.
+  FaultParams params;
+  params.corrupt = 1.0;
+  params.seed = 0xbad;
+  FaultInjector inj(2, params);
+  std::string body(4096, '\0');
+  for (std::size_t i = 0; i < body.size(); ++i) body[i] = static_cast<char>(i * 7 + 1);
+  int payload_flips = 0;
+  for (int i = 0; i < 64; ++i) {
+    Packet master = make_packet(static_cast<std::uint32_t>(i), body);
+    stamp_checksum(master);
+    Packet wire;
+    clone_packet(master, wire);
+    ASSERT_EQ(wire.payload(), master.payload());  // shared, as tracked
+    FaultInjector::Batch batch;
+    inj.process(0, 1, std::move(wire), batch);
+    ASSERT_EQ(batch.n, 1u);
+    EXPECT_FALSE(verify_checksum(batch.pkts[0])) << "packet " << i;
+    if (batch.pkts[0].payload() != master.payload()) ++payload_flips;
+    EXPECT_TRUE(verify_checksum(master)) << "packet " << i;
+    EXPECT_EQ(std::memcmp(master.payload(), body.data(), body.size()), 0) << "packet " << i;
+  }
+  // 4096 payload bytes against 28 header bytes: the payload is hit.
+  EXPECT_GT(payload_flips, 0);
 }
 
 TEST(FaultInjector, DelayParksWithinHoldbackBound) {

@@ -1,16 +1,19 @@
 // Unit tests for the ack/retransmit tracker: key round-trips, the
 // claim-then-confirm retry accounting (sweeps claim entries; only confirmed
-// retransmits charge the budget and back off), and retry exhaustion.
+// retransmits charge the budget and back off), retry exhaustion, and
+// ranged acks (the receiver's run merging and the tracker's ack_range).
 #include "fairmpi/p2p/reliability.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstring>
+#include <deque>
 #include <string>
 #include <vector>
 
 #include "fairmpi/common/timing.hpp"
+#include "fairmpi/p2p/rendezvous.hpp"
 
 namespace fairmpi::p2p {
 namespace {
@@ -286,6 +289,131 @@ TEST(ReliabilityTracker, FailPeerPurgesTypedAndLatchesDeath) {
   EXPECT_EQ(failures[0].code, common::ErrorCode::kPeerFailed);
   EXPECT_EQ(failures[0].key.peer, 1);
   EXPECT_EQ(t.in_flight(), 1u);
+}
+
+TEST(ReliabilityTracker, AckRangeRetiresExactlyTheNamedKeys) {
+  std::atomic<std::uint64_t> due{kNever};
+  ReliabilityTracker t(100, 1000, 3, due);
+  for (std::uint32_t seq = 0; seq < 10; ++seq) t.track(1, make_packet(seq), 0);
+  Packet other_comm = make_packet(3);
+  other_comm.hdr.comm_id = 2;
+  t.track(1, other_comm, 0);
+  Packet other_opcode = make_packet(4);
+  other_opcode.hdr.opcode = Opcode::kRndvRts;
+  t.track(1, other_opcode, 0);
+  t.track(2, make_packet(5), 0);  // other peer
+  ASSERT_EQ(t.in_flight(), 13u);
+
+  // Seqs 2..6 of stream (peer 1, comm 1, kEager, imm 0), nothing else.
+  EXPECT_EQ(t.ack_range(key_of(1, make_packet(2).hdr), 5), 5u);
+  EXPECT_EQ(t.in_flight(), 8u);
+  for (std::uint32_t seq = 2; seq <= 6; ++seq) {
+    EXPECT_FALSE(t.ack(key_of(1, make_packet(seq).hdr))) << seq;
+  }
+  for (const std::uint32_t seq : {0u, 1u, 7u, 8u, 9u}) {
+    EXPECT_TRUE(t.ack(key_of(1, make_packet(seq).hdr))) << seq;
+  }
+  EXPECT_TRUE(t.ack(key_of(1, other_comm.hdr)));
+  EXPECT_TRUE(t.ack(key_of(1, other_opcode.hdr)));
+  EXPECT_TRUE(t.ack(key_of(2, make_packet(5).hdr)));
+  EXPECT_EQ(t.in_flight(), 0u);
+  // A run over keys already retired retires nothing.
+  EXPECT_EQ(t.ack_range(key_of(1, make_packet(0).hdr), 10), 0u);
+}
+
+// --- the receiver's ack queue (p2p::queue_ack) ---
+
+using Kind = ControlMsg::Kind;
+
+ControlMsg notice(std::uint32_t comm, std::uint32_t seq, Kind kind = Kind::kSendPacketAck) {
+  return ControlMsg{kind, /*peer=*/0, comm, /*local_cookie=*/0, /*remote_cookie=*/0, seq,
+                    static_cast<std::uint16_t>(Opcode::kEager)};
+}
+
+/// (kind, comm, seq, count) of every queued entry, in order.
+struct AckRun {
+  Kind kind;
+  std::uint32_t comm;
+  std::uint32_t seq;
+  std::uint32_t count;
+  bool operator==(const AckRun&) const = default;
+};
+
+std::vector<AckRun> runs(const std::deque<ControlMsg>& q) {
+  std::vector<AckRun> out;
+  for (const ControlMsg& m : q) out.push_back(AckRun{m.kind, m.comm, m.seq, m.ack_count});
+  return out;
+}
+
+TEST(AckQueue, InOrderAcksFormOneRun) {
+  std::deque<ControlMsg> q;
+  for (std::uint32_t seq = 0; seq < 10; ++seq) queue_ack(q, notice(1, seq));
+  EXPECT_EQ(runs(q), (std::vector<AckRun>{{Kind::kSendPacketAck, 1, 0, 10}}));
+}
+
+TEST(AckQueue, InterleavedStreamsKeepOneRunEach) {
+  std::deque<ControlMsg> q;
+  for (std::uint32_t seq = 0; seq < 8; ++seq) {
+    queue_ack(q, notice(1, seq));
+    queue_ack(q, notice(2, seq));
+  }
+  EXPECT_EQ(runs(q), (std::vector<AckRun>{{Kind::kSendPacketAck, 1, 0, 8},
+                                       {Kind::kSendPacketAck, 2, 0, 8}}));
+  // Acked opcode and imm are part of the stream too.
+  ControlMsg rts = notice(1, 8);
+  rts.ack_opcode = static_cast<std::uint16_t>(Opcode::kRndvRts);
+  queue_ack(q, rts);
+  ControlMsg cookie = notice(1, 8);
+  cookie.remote_cookie = 7;
+  queue_ack(q, cookie);
+  EXPECT_EQ(q.size(), 4u);
+}
+
+TEST(AckQueue, SeqGapStartsNewRun) {
+  std::deque<ControlMsg> q;
+  for (const std::uint32_t seq : {0u, 1u, 2u, 5u, 6u, 4u}) queue_ack(q, notice(1, seq));
+  EXPECT_EQ(runs(q), (std::vector<AckRun>{{Kind::kSendPacketAck, 1, 0, 3},
+                                       {Kind::kSendPacketAck, 1, 5, 2},
+                                       {Kind::kSendPacketAck, 1, 4, 1}}));
+}
+
+TEST(AckQueue, NackOrDeferSplitsRunAndIsNeverMerged) {
+  std::deque<ControlMsg> q;
+  queue_ack(q, notice(1, 0));
+  queue_ack(q, notice(1, 1, Kind::kSendPacketDefer));
+  queue_ack(q, notice(1, 1));  // the deferred packet, re-presented
+  queue_ack(q, notice(1, 2, Kind::kSendPacketNack));
+  queue_ack(q, notice(1, 3, Kind::kSendPacketNack));
+  queue_ack(q, notice(1, 4, Kind::kSendPacketDefer));
+  queue_ack(q, notice(1, 5, Kind::kSendPacketDefer));
+  queue_ack(q, notice(1, 6));
+  queue_ack(q, notice(1, 7));
+  EXPECT_EQ(runs(q), (std::vector<AckRun>{{Kind::kSendPacketAck, 1, 0, 1},
+                                       {Kind::kSendPacketDefer, 1, 1, 1},
+                                       {Kind::kSendPacketAck, 1, 1, 1},
+                                       {Kind::kSendPacketNack, 1, 2, 1},
+                                       {Kind::kSendPacketNack, 1, 3, 1},
+                                       {Kind::kSendPacketDefer, 1, 4, 1},
+                                       {Kind::kSendPacketDefer, 1, 5, 1},
+                                       {Kind::kSendPacketAck, 1, 6, 2}}));
+}
+
+TEST(AckQueue, RunBoundSplitsRun) {
+  std::deque<ControlMsg> q;
+  for (std::uint32_t seq = 0; seq < kMaxAckRun + 3; ++seq) queue_ack(q, notice(1, seq));
+  EXPECT_EQ(runs(q), (std::vector<AckRun>{{Kind::kSendPacketAck, 1, 0, kMaxAckRun},
+                                       {Kind::kSendPacketAck, 1, kMaxAckRun, 3}}));
+}
+
+TEST(AckQueue, LookbackIsBounded) {
+  std::deque<ControlMsg> q;
+  queue_ack(q, notice(1, 0));
+  for (std::uint32_t c = 0; c < kAckLookback; ++c) queue_ack(q, notice(100 + c, 0));
+  queue_ack(q, notice(1, 1));  // its run is past the lookback: a new entry
+  ASSERT_EQ(q.size(), kAckLookback + 2);
+  EXPECT_EQ(q.front().ack_count, 1u);
+  EXPECT_EQ(q.back().seq, 1u);
+  EXPECT_EQ(q.back().ack_count, 1u);
 }
 
 }  // namespace

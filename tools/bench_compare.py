@@ -6,6 +6,12 @@ A series regresses when its current real_time_ns exceeds the baseline by
 more than --threshold (default 15%). Series present on only one side are
 reported but never fail the comparison (benches come and go across PRs).
 
+Timings from different hosts are not comparable: a baseline recorded on
+one CPU measures time-slicing where a multi-core host measures contention,
+and a debug library is not a release one. So the two files' host
+fingerprints (num_cpus, library_build_type, mhz_per_cpu) must match, or
+the comparison is refused.
+
 Microbench timings on shared CI hosts are noisy; the 15% bar plus the
 non-gating CI wiring (.github/workflows/ci.yml) make this a report, not a
 merge blocker — run it locally on a quiet machine when it flags something.
@@ -13,7 +19,8 @@ merge blocker — run it locally on a quiet machine when it flags something.
 Usage:
     bench_compare.py BASELINE.json CURRENT.json [--threshold 0.15]
 
-Exit status: 0 when no series regressed, 1 otherwise.
+Exit status: 0 when no series regressed, 1 when one did, 2 when the host
+fingerprints differ (nothing is compared).
 """
 
 from __future__ import annotations
@@ -31,6 +38,16 @@ def load(path: Path) -> dict:
     return data
 
 
+# Host fields that must agree before two files' timings mean anything
+# side by side.
+FINGERPRINT = ("num_cpus", "library_build_type", "mhz_per_cpu")
+
+
+def host_mismatches(base: dict, cur: dict) -> list[tuple[str, object, object]]:
+    bh, ch = base.get("host", {}), cur.get("host", {})
+    return [(k, bh.get(k), ch.get(k)) for k in FINGERPRINT if bh.get(k) != ch.get(k)]
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("baseline", type=Path)
@@ -39,8 +56,18 @@ def main() -> None:
                     help="max tolerated slowdown fraction (default 0.15)")
     args = ap.parse_args()
 
-    base = load(args.baseline)["series"]
-    cur = load(args.current)["series"]
+    base_file, cur_file = load(args.baseline), load(args.current)
+    mismatches = host_mismatches(base_file, cur_file)
+    if mismatches:
+        print("bench_compare: refusing to compare timings from different hosts:",
+              file=sys.stderr)
+        for key, b, c in mismatches:
+            print(f"  {key}: baseline {b!r}, current {c!r}", file=sys.stderr)
+        print("  re-record the baseline on this host (tools/bench_to_json.py)",
+              file=sys.stderr)
+        raise SystemExit(2)
+    base = base_file["series"]
+    cur = cur_file["series"]
 
     regressions = []
     rows = []
