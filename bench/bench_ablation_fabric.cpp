@@ -1,15 +1,19 @@
 // Ablation: fabric building blocks — RX ring throughput under different
 // producer counts, inline vs heap payload transfer, the retransmit clone,
-// the wire checksum, and the end-to-end injection path through an endpoint.
+// the reliability tracker's track/ack cycle, the wire checksum, and the
+// end-to-end injection path through an endpoint.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <string>
 
 #include "fairmpi/common/mpsc_ring.hpp"
 #include "fairmpi/common/spsc_ring.hpp"
 #include "fairmpi/fabric/fabric.hpp"
 #include "fairmpi/fabric/submit_ring.hpp"
+#include "fairmpi/p2p/reliability.hpp"
 
 namespace {
 
@@ -200,6 +204,37 @@ void BM_ClonePacket(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ClonePacket)->Arg(64)->Arg(4096);
+
+/// The sender's bookkeeping per reliable 4 KiB send: track 64 packets of
+/// one stream, then retire them with ranged acks of the argument's run
+/// length (1: one ack per packet; 64: one ack for the lot). Steady state,
+/// so the shard table has already grown to the window.
+void BM_ReliabilityTrackAck(benchmark::State& state) {
+  constexpr std::uint32_t kWindow = 64;
+  const auto run = static_cast<std::uint32_t>(state.range(0));
+  std::atomic<std::uint64_t> due{fairmpi::kNever};
+  fairmpi::p2p::ReliabilityTracker tracker(1'000'000'000, 1'000'000'000, 3, due);
+  const std::string payload(4096, 'x');
+  Packet pkt;
+  pkt.hdr.opcode = Opcode::kEager;
+  pkt.hdr.comm_id = 1;
+  pkt.set_payload(payload.data(), payload.size());
+  std::uint32_t seq = 0;
+  for (auto _ : state) {
+    const std::uint32_t first = seq;
+    for (std::uint32_t i = 0; i < kWindow; ++i) {
+      pkt.hdr.seq = seq++;
+      tracker.track(1, pkt, 0);
+    }
+    pkt.hdr.seq = first;
+    fairmpi::p2p::PacketKey key = fairmpi::p2p::key_of(1, pkt.hdr);
+    for (std::uint32_t i = 0; i < kWindow; i += run, key.seq += run) {
+      benchmark::DoNotOptimize(tracker.ack_range(key, run));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kWindow);
+}
+BENCHMARK(BM_ReliabilityTrackAck)->Arg(1)->Arg(64);
 
 /// The reliability layer's per-packet hash (header + payload), stamped at
 /// injection under the CRI lock and verified again at the receiver.

@@ -207,8 +207,10 @@ class Rank final : public progress::PacketSink,
   /// communication starts.
   void set_error_sink(common::ErrorSink sink, void* user) noexcept;
 
-  // PacketSink
-  std::size_t handle_packet(fabric::Packet&& pkt) override;
+  // PacketSink. A batch's reliability notices go out together right after
+  // it; only those a full ring refuses, or all of a `locked` batch's, wait
+  // in the rank's ack queue (DESIGN.md §5c "Per-drain acks").
+  std::size_t handle_packets(fabric::Packet* pkts, std::size_t n, bool locked) override;
   std::size_t handle_completion(const fabric::Completion& c) override;
 
   // RendezvousHook (called by the matching engine, match lock held)
@@ -269,14 +271,26 @@ class Rank final : public progress::PacketSink,
   void inject_control(int dst, fabric::Packet&& pkt);
 
   // --- reliability layer (see p2p/reliability.hpp) ---
+  /// One drain's reliability notices (handle_packets): a packet yields at
+  /// most one, so a drain batch never fills it.
+  using AckBatch = p2p::NoticeBatch<progress::ProgressEngine::kMaxDrainBatch>;
+  /// Validate and dispatch one inbound packet; its reliability notice, if
+  /// any, joins `acks`.
+  std::size_t receive(fabric::Packet&& pkt, AckBatch& acks);
   /// One injection attempt with no tracking and no backpressure loop: used
   /// for retransmits and acks, whose loss the protocol already absorbs.
   bool inject_raw(int dst, fabric::Packet&& pkt);
-  /// Defer an ack (kSendPacketAck), an overload NACK (kSendPacketNack) or
-  /// a deferral notice (kSendPacketDefer, DESIGN.md §5h) echoing `hdr`'s
-  /// key through the ack queue; an ack may extend its stream's queued run
+  /// Answer `hdr`'s packet with an ack (kSendPacketAck), an overload NACK
+  /// (kSendPacketNack) or a deferral notice (kSendPacketDefer, DESIGN.md
+  /// §5h) echoing its key. An ack may extend its stream's run in `acks`
   /// (p2p::queue_ack).
-  void enqueue_ack(const fabric::WireHeader& hdr, p2p::ControlMsg::Kind kind);
+  static void answer(AckBatch& acks, const fabric::WireHeader& hdr,
+                     p2p::ControlMsg::Kind kind);
+  /// Put `msgs` on the rank's ack queue, for flush_acks to send.
+  void enqueue_acks(const p2p::ControlMsg* msgs, std::size_t n);
+  /// Inject one notice as its kAck/kNack/kDefer packet (single attempt);
+  /// false when the peer's lane is full.
+  bool send_notice(const p2p::ControlMsg& msg);
   /// Process an inbound NACK: retire the named tracker entry, surface the
   /// failure typed kReceiverOverloaded, and fail the owning rendezvous
   /// send when the NACKed packet was an RTS.

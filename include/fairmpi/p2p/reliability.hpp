@@ -28,6 +28,10 @@
 // payload buffer (fabric::clone_packet), so tracking costs no copy and no
 // pool charge, and so do the sweep's retransmits.
 //
+// Storage: each shard is a flat open-addressing table (linear probing,
+// backward-shift erase) with the entries inline, grown by doubling, so
+// steady-state tracking allocates nothing (DESIGN.md §5c "Tracker table").
+//
 // Lock discipline: the table is split into kShards shards by stream (peer,
 // comm), each with its own lock of rank kReliability (47) — *above* the CRI
 // and match locks, because track() runs on the send path under them, and
@@ -41,7 +45,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -187,12 +191,53 @@ class ReliabilityTracker {
   }
 
  private:
+  /// One tracked packet. Its destination is the key's peer.
   struct Entry {
-    int dst = 0;
     int retries = 0;
     std::uint64_t deadline_ns = 0;
     std::uint64_t rto_ns = 0;
     fabric::Packet pkt;  ///< retransmit master (shares the wire payload)
+  };
+
+  /// One shard's entries: an open-addressing table probed linearly from
+  /// the key's hash, entries inline. Erase shifts the rest of the probe
+  /// cluster back (no tombstones), and the slot array doubles once it would
+  /// pass half full, so a table that has seen its peak allocates no more.
+  /// A slot is empty when its key's opcode is 0: Opcode::kInvalid is never
+  /// tracked. An erase may move entries across the last slot, so a walk
+  /// (for_each) collects what it removes and erases after.
+  class Table {
+   public:
+    Entry* find(const PacketKey& key) noexcept;
+    /// The entry of `key`, claimed when absent (the flag is then true, and
+    /// the entry holds a former occupant's fields: the caller sets each).
+    std::pair<Entry*, bool> claim(const PacketKey& key);
+    /// True when `key` was present.
+    bool erase(const PacketKey& key) noexcept;
+
+    /// Visit every entry as f(key, entry). No insert or erase inside f.
+    template <class F>
+    void for_each(F&& f) {
+      if (size_ == 0) return;
+      for (std::size_t i = 0; i < slots_n_; ++i) {
+        Slot& s = slots_[i];
+        if (s.key.opcode != 0) f(std::as_const(s.key), s.e);
+      }
+    }
+
+   private:
+    struct Slot {
+      PacketKey key;
+      Entry e;
+    };
+    std::size_t home(const PacketKey& key) const noexcept {
+      return PacketKeyHash{}(key) & (slots_n_ - 1);
+    }
+    void grow();
+
+    std::unique_ptr<Slot[]> slots_;
+    std::size_t slots_n_ = 0;  ///< 0 or a power of two
+    std::size_t size_ = 0;
   };
 
   /// Shard count: a power of two, so senders on distinct streams rarely
@@ -200,11 +245,16 @@ class ReliabilityTracker {
   static constexpr unsigned kShardBits = 4;
   static constexpr std::size_t kShards = std::size_t{1} << kShardBits;
 
-  /// One lock and one map, on lines of their own.
+  /// One lock and one table, on lines of their own.
   struct alignas(kCacheLine) Shard {
     RankedLock<Spinlock> lock{debug::LockRank::kReliability, "p2p.reliability"};
-    std::unordered_map<PacketKey, Entry, PacketKeyHash> inflight FAIRMPI_GUARDED_BY(lock);
+    Table inflight FAIRMPI_GUARDED_BY(lock);
   };
+
+  /// Erase the entries of failures[first..] from `shard`, which a walk of
+  /// it just collected there (collect, then erase: see Table).
+  void erase_failures(Shard& shard, const std::vector<Failure>& failures, std::size_t first)
+      FAIRMPI_REQUIRES(shard.lock);
 
   /// The shard of stream (peer, comm). Fibonacci hashing: consecutive
   /// communicator ids toward one peer land on distinct shards.

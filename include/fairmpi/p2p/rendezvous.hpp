@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <cstring>
 #include <deque>
+#include <iterator>
 #include <memory>
 
 #include "fairmpi/fabric/wire.hpp"
@@ -132,13 +133,15 @@ struct ControlMsg {
 inline constexpr std::size_t kAckLookback = 8;
 
 /// Queue a reliability notice (kSendPacketAck/Nack/Defer) on an ack queue
-/// (ranged acks, DESIGN.md §5c). A plain ack extends its stream's queued
-/// run when it names the run's next seq; a stream is one (peer, comm,
-/// acked opcode, imm). The newest entry of the stream among the last
-/// kAckLookback decides: a NACK, a deferral, a gap or a run at kMaxAckRun
-/// there starts a new entry, so no run spans one of them. NACKs and
-/// deferrals are never merged.
-inline void queue_ack(std::deque<ControlMsg>& q, const ControlMsg& msg) {
+/// (ranged acks, DESIGN.md §5c): the rank's std::deque, or one drain's
+/// NoticeBatch, so both build runs by the same rule. A plain ack extends
+/// its stream's queued run when it names the run's next seq; a stream is
+/// one (peer, comm, acked opcode, imm). The newest entry of the stream
+/// among the last kAckLookback decides: a NACK, a deferral, a gap or a run
+/// at kMaxAckRun there starts a new entry, so no run spans one of them.
+/// NACKs and deferrals are never merged.
+template <class Queue>
+void queue_ack(Queue& q, const ControlMsg& msg) {
   if (msg.kind == ControlMsg::Kind::kSendPacketAck) {
     std::size_t looked = 0;
     for (auto it = q.rbegin(); it != q.rend() && looked < kAckLookback; ++it, ++looked) {
@@ -156,6 +159,34 @@ inline void queue_ack(std::deque<ControlMsg>& q, const ControlMsg& msg) {
   }
   q.push_back(msg);
 }
+
+/// One drain's notices, on the caller's stack (DESIGN.md §5c "Per-drain
+/// acks"): a fixed array that is never value-initialized, since a drain
+/// answers far fewer packets than it could hold. Only [begin, end) is live.
+template <std::size_t N>
+class NoticeBatch {
+ public:
+  NoticeBatch() noexcept {}
+  static constexpr std::size_t capacity() noexcept { return N; }
+  std::size_t size() const noexcept { return n_; }
+  const ControlMsg* begin() const noexcept { return s_.items; }
+  const ControlMsg* end() const noexcept { return s_.items + n_; }
+  std::reverse_iterator<ControlMsg*> rbegin() noexcept {
+    return std::reverse_iterator<ControlMsg*>(s_.items + n_);
+  }
+  std::reverse_iterator<ControlMsg*> rend() noexcept {
+    return std::reverse_iterator<ControlMsg*>(s_.items);
+  }
+  /// Append one notice; the caller keeps the batch within capacity().
+  void push_back(const ControlMsg& msg) noexcept { std::construct_at(&s_.items[n_++], msg); }
+
+ private:
+  union Storage {
+    Storage() noexcept {}
+    ControlMsg items[N];
+  } s_;
+  std::size_t n_ = 0;
+};
 
 /// Observer the matching engine calls when it matches a rendezvous RTS
 /// (instead of copying payload). Implemented by core::Rank.

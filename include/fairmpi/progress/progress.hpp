@@ -53,8 +53,13 @@ const char* progress_mode_name(ProgressMode m) noexcept;
 class PacketSink {
  public:
   virtual ~PacketSink() = default;
-  /// Handle one incoming packet; returns number of user-visible completions.
-  virtual std::size_t handle_packet(fabric::Packet&& pkt) = 0;
+  /// Handle one drained batch of `n` (at most ProgressEngine::kMaxDrainBatch)
+  /// packets in arrival order; returns user-visible completions. With
+  /// `locked` the caller still holds the drained instance's lock, so the
+  /// sink must not inject: an injection could wait on that very lock.
+  /// core::Rank answers the batch's reliability notices once, after its
+  /// last packet (DESIGN.md §5c "Per-drain acks").
+  virtual std::size_t handle_packets(fabric::Packet* pkts, std::size_t n, bool locked) = 0;
   /// Handle one completion-queue event; returns completions (usually 1).
   virtual std::size_t handle_completion(const fabric::Completion& c) = 0;
 };
@@ -106,9 +111,9 @@ class ProgressEngine {
   /// Observability bookkeeping for one finished drain visit (lock already
   /// released): the obs-only per-CRI cells + the kCriDrain trace event.
   void note_drain(cri::CommResourceInstance& inst, const DrainBatch& b, bool sweep);
-  /// Hand a drained batch to the sink; returns completions. No locks held
-  /// (the sink takes the match lock itself).
-  std::size_t dispatch(DrainBatch& b);
+  /// Hand a drained batch to the sink; returns completions. `locked`: the
+  /// caller still holds the instance lock (PacketSink::handle_packets).
+  std::size_t dispatch(DrainBatch& b, bool locked);
 
   std::size_t progress_serial();
   std::size_t progress_concurrent();

@@ -261,9 +261,9 @@ std::size_t Rank::progress() {
     const std::uint64_t now = now_ns();
     if (now >= due) service(now);
   }
-  // Acks enqueued while the engine dispatched packets leave immediately —
-  // waiting for the next drain_control would add an rto of latency per hop
-  // under load.
+  // Acks a drain could not send (a full ring, or a drain under an instance
+  // lock) leave now — waiting for the next drain_control would add an rto
+  // of latency per hop under load.
   flush_acks();
   if (completions != 0) {
     tracer_.record(trace::Event::kProgress, static_cast<std::uint32_t>(completions));
@@ -280,17 +280,52 @@ bool Rank::inject_raw(int dst, fabric::Packet&& pkt) {
   return inst.inject(dst, pkt, spc_);
 }
 
-void Rank::enqueue_ack(const fabric::WireHeader& hdr, p2p::ControlMsg::Kind kind) {
+void Rank::answer(AckBatch& acks, const fabric::WireHeader& hdr, p2p::ControlMsg::Kind kind) {
+  p2p::queue_ack(acks, p2p::ControlMsg{kind, static_cast<int>(hdr.src_rank), hdr.comm_id,
+                                       /*local_cookie=*/0, /*remote_cookie=*/hdr.imm,
+                                       hdr.seq, static_cast<std::uint16_t>(hdr.opcode)});
+}
+
+void Rank::enqueue_acks(const p2p::ControlMsg* msgs, std::size_t n) {
   LockGuard guard(control_lock_);
-  p2p::queue_ack(acks_, p2p::ControlMsg{kind, static_cast<int>(hdr.src_rank), hdr.comm_id,
-                                        /*local_cookie=*/0, /*remote_cookie=*/hdr.imm,
-                                        hdr.seq, static_cast<std::uint16_t>(hdr.opcode)});
+  for (std::size_t i = 0; i < n; ++i) p2p::queue_ack(acks_, msgs[i]);
   acks_pending_.store(true, std::memory_order_relaxed);
 }
 
+bool Rank::send_notice(const p2p::ControlMsg& msg) {
+  // Reliability ack: echo the received packet's identifying key so the
+  // sender can retire its tracked clone; a kAck names a run of `count`
+  // consecutive seqs from the key's, the count riding as a 4-byte
+  // payload. Unreliable by design — if this ack is lost the peer
+  // retransmits and we re-ack. A NACK (overload shed, §5h) and a
+  // deferral notice carry one key; only the opcode differs, so the
+  // sender can fail the op typed, or keep it and re-present it soon,
+  // instead of retiring it.
+  const bool is_ack = msg.kind == p2p::ControlMsg::Kind::kSendPacketAck;
+  const bool is_nack = msg.kind == p2p::ControlMsg::Kind::kSendPacketNack;
+  fabric::Packet ack;
+  ack.hdr.opcode = is_ack    ? fabric::Opcode::kAck
+                   : is_nack ? fabric::Opcode::kNack
+                             : fabric::Opcode::kDefer;
+  ack.hdr.src_rank = static_cast<std::uint16_t>(id_);
+  ack.hdr.comm_id = msg.comm;
+  ack.hdr.tag = static_cast<std::int32_t>(msg.ack_opcode);
+  ack.hdr.seq = msg.seq;
+  ack.hdr.imm = msg.remote_cookie;
+  if (is_ack) ack.set_payload(&msg.ack_count, sizeof msg.ack_count);
+  if (!inject_raw(msg.peer, std::move(ack))) return false;
+  if (is_ack) {
+    spc_.add(Counter::kAcksSent);
+    tracer_.record(trace::Event::kAckSent, static_cast<std::uint32_t>(msg.peer), msg.seq);
+  }
+  return true;
+}
+
 void Rank::flush_acks() {
-  // Up to kAckFlushBatch queued notices leave per control_lock_ hold: the
-  // receiving threads take the same lock once per packet to queue them.
+  // Up to kAckFlushBatch queued notices leave per control_lock_ hold. The
+  // queue holds only what a drain could not send (a full ring, or a
+  // packet handled under an instance lock), so it is usually empty and
+  // this returns on the relaxed load.
   constexpr std::size_t kAckFlushBatch = 8;
   // lint: allow(relaxed-sync) emptiness hint only; the queue is read under control_lock_
   while (acks_pending_.load(std::memory_order_relaxed)) {
@@ -305,39 +340,13 @@ void Rank::flush_acks() {
       acks_pending_.store(!acks_.empty(), std::memory_order_relaxed);
     }
     for (std::size_t i = 0; i < n; ++i) {
-      const p2p::ControlMsg& msg = batch[i];
-      // Reliability ack: echo the received packet's identifying key so the
-      // sender can retire its tracked clone; a kAck names a run of `count`
-      // consecutive seqs from the key's, the count riding as a 4-byte
-      // payload. Unreliable by design — if this ack is lost the peer
-      // retransmits and we re-ack. A NACK (overload shed, §5h) and a
-      // deferral notice ride the same queue and carry one key; only the
-      // opcode differs, so the sender can fail the op typed, or keep it
-      // and re-present it soon, instead of retiring it.
-      const bool is_ack = msg.kind == p2p::ControlMsg::Kind::kSendPacketAck;
-      const bool is_nack = msg.kind == p2p::ControlMsg::Kind::kSendPacketNack;
-      fabric::Packet ack;
-      ack.hdr.opcode = is_ack    ? fabric::Opcode::kAck
-                       : is_nack ? fabric::Opcode::kNack
-                                 : fabric::Opcode::kDefer;
-      ack.hdr.src_rank = static_cast<std::uint16_t>(id_);
-      ack.hdr.comm_id = msg.comm;
-      ack.hdr.tag = static_cast<std::int32_t>(msg.ack_opcode);
-      ack.hdr.seq = msg.seq;
-      ack.hdr.imm = msg.remote_cookie;
-      if (is_ack) ack.set_payload(&msg.ack_count, sizeof msg.ack_count);
-      if (!inject_raw(msg.peer, std::move(ack))) {
+      if (!send_notice(batch[i])) {
         // Peer's ring is full: requeue the rest, oldest first, and stop —
         // pushing harder only spins.
         LockGuard guard(control_lock_);
         for (std::size_t j = n; j-- > i;) acks_.push_front(batch[j]);
         acks_pending_.store(true, std::memory_order_relaxed);
         return;
-      }
-      if (is_ack) {
-        spc_.add(Counter::kAcksSent);
-        tracer_.record(trace::Event::kAckSent, static_cast<std::uint32_t>(msg.peer),
-                       msg.seq);
       }
     }
   }
@@ -661,7 +670,24 @@ std::size_t Rank::scan_stalled(std::uint64_t now, std::uint64_t horizon) {
   return flagged.size();
 }
 
-std::size_t Rank::handle_packet(fabric::Packet&& pkt) {
+std::size_t Rank::handle_packets(fabric::Packet* pkts, std::size_t n, bool locked) {
+  FAIRMPI_CHECK(n <= AckBatch::capacity());
+  std::size_t completions = 0;
+  AckBatch acks;
+  for (std::size_t i = 0; i < n; ++i) completions += receive(std::move(pkts[i]), acks);
+  if (acks.size() == 0) return completions;  // unreliable ranks always end here
+  // The batch's notices merged into runs on the stack; they leave now, so
+  // a drain takes control_lock_ only for what it cannot send. A full ring
+  // stops the batch, as it stops flush_acks.
+  const p2p::ControlMsg* m = acks.begin();
+  if (!locked) {
+    while (m != acks.end() && send_notice(*m)) ++m;
+  }
+  if (m != acks.end()) enqueue_acks(m, static_cast<std::size_t>(acks.end() - m));
+  return completions;
+}
+
+std::size_t Rank::receive(fabric::Packet&& pkt, AckBatch& acks) {
   // Structural validation before anything dereferences header fields: a
   // corrupted opcode or rank id is counted and dropped, never dispatched.
   if (!fabric::validate_structure(pkt, uni_->num_ranks())) {
@@ -723,7 +749,7 @@ std::size_t Rank::handle_packet(fabric::Packet&& pkt) {
     // acking here would silently retire a packet the engine then sheds.
     if (pkt.hdr.opcode != fabric::Opcode::kEager &&
         pkt.hdr.opcode != fabric::Opcode::kRndvRts) {
-      enqueue_ack(pkt.hdr, p2p::ControlMsg::Kind::kSendPacketAck);
+      answer(acks, pkt.hdr, p2p::ControlMsg::Kind::kSendPacketAck);
     }
   } else if (pkt.hdr.opcode == fabric::Opcode::kAck ||
              pkt.hdr.opcode == fabric::Opcode::kNack ||
@@ -748,11 +774,11 @@ std::size_t Rank::handle_packet(fabric::Packet&& pkt) {
           if (adm == fairmpi::match::Admission::kShed) {
             spc_.add(Counter::kOverloadNacksSent);
           }
-          enqueue_ack(hdr, p2p::ControlMsg::Kind::kSendPacketNack);
+          answer(acks, hdr, p2p::ControlMsg::Kind::kSendPacketNack);
         } else if (adm == fairmpi::match::Admission::kDeferred) {
-          enqueue_ack(hdr, p2p::ControlMsg::Kind::kSendPacketDefer);
+          answer(acks, hdr, p2p::ControlMsg::Kind::kSendPacketDefer);
         } else if (adm != fairmpi::match::Admission::kPaused) {
-          enqueue_ack(hdr, p2p::ControlMsg::Kind::kSendPacketAck);
+          answer(acks, hdr, p2p::ControlMsg::Kind::kSendPacketAck);
         }
         // kPaused: answer nothing — the sender's backed-off retransmit
         // clock is the backpressure (§5h kQueue).

@@ -201,6 +201,21 @@ PayloadBuffer make_payload(std::size_t n, std::uint64_t pool_cap) {
 
 namespace {
 
+// One source, compiled once per vector width and picked at load time by the
+// CPU (an ifunc): the checksum loop is the largest single cost of a reliable
+// 4 KiB message on each side of the wire. The clones are of wire_checksum,
+// not of add_words, so add_words inlines into each: one checksum costs one
+// indirect call, and the 32-byte header sum stays unrolled (a clone per
+// add_words call cost a 64-byte packet 6 ns). Elsewhere the function builds
+// once for the baseline target, and so it does under TSan, whose
+// instrumented ifunc resolver would run during relocation, before the TSan
+// runtime is up, and crash the process.
+#if defined(__x86_64__) && defined(__GNUC__) && defined(__linux__) && !defined(FAIRMPI_TSAN)
+#define FAIRMPI_VECTOR_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#else
+#define FAIRMPI_VECTOR_CLONES
+#endif
+
 /// Add `n` bytes to a ones'-complement accumulator, 8 bytes per step. Each
 /// word enters as its two 32-bit halves, so the 64-bit accumulator cannot
 /// carry out (a u32 payload_size bounds the word count far below 2^31) and
@@ -222,6 +237,7 @@ std::uint64_t add_words(std::uint64_t acc, const void* data, std::size_t n) noex
 
 }  // namespace
 
+FAIRMPI_VECTOR_CLONES
 std::uint16_t wire_checksum(const WireHeader& hdr, const std::byte* payload,
                             std::size_t n) noexcept {
   WireHeader h = hdr;

@@ -58,14 +58,12 @@ void ProgressEngine::note_drain(cri::CommResourceInstance& inst, const DrainBatc
   }
 }
 
-std::size_t ProgressEngine::dispatch(DrainBatch& b) {
+std::size_t ProgressEngine::dispatch(DrainBatch& b, bool locked) {
   std::size_t completions = 0;
   for (std::size_t i = 0; i < b.n_comps; ++i) {
     completions += sink_.handle_completion(b.comps[i]);
   }
-  for (std::size_t i = 0; i < b.n_pkts; ++i) {
-    completions += sink_.handle_packet(std::move(b.pkts[i]));
-  }
+  if (b.n_pkts != 0) completions += sink_.handle_packets(b.pkts.data(), b.n_pkts, locked);
   return completions;
 }
 
@@ -73,7 +71,7 @@ std::size_t ProgressEngine::progress_instance_locked(cri::CommResourceInstance& 
   DrainBatch b;
   drain_locked(inst, b);
   note_drain(inst, b, /*sweep=*/false);
-  return dispatch(b);
+  return dispatch(b, /*locked=*/true);
 }
 
 std::size_t ProgressEngine::progress_serial() {
@@ -96,7 +94,7 @@ std::size_t ProgressEngine::progress_serial() {
       drain_locked(inst, b);
     }
     note_drain(inst, b, /*sweep=*/false);
-    completions += dispatch(b);
+    completions += dispatch(b, /*locked=*/false);
   }
   return completions;
 }
@@ -114,7 +112,7 @@ std::size_t ProgressEngine::progress_concurrent() {
         drain_locked(inst, b);
       }
       note_drain(inst, b, /*sweep=*/false);
-      completions = dispatch(b);
+      completions = dispatch(b, /*locked=*/false);
     } else {
       // Rolls up into kInstanceTrylockFail (spc::rollup).
       spc_.add(spc::CriMetric::kOwnTrylockMisses, own);
@@ -136,7 +134,7 @@ std::size_t ProgressEngine::progress_concurrent() {
         drain_locked(inst, b);
       }
       note_drain(inst, b, /*sweep=*/k != own);
-      completions = dispatch(b);
+      completions = dispatch(b, /*locked=*/false);
       if (completions > 0) break;
     }
   }

@@ -358,5 +358,67 @@ TEST(RangedAck, MalformedCountIsHeaderDropAndRetiresNothing) {
   EXPECT_TRUE(window_open(uni));
 }
 
+// --- per-drain acks (DESIGN.md §5c): a drain's notices leave after it ---
+
+TEST(RangedAck, OneDrainSendsOneAckPerStreamRun) {
+  ScopedChaosEnvClear env;
+  constexpr std::uint32_t kPerStream = 24;
+  Universe uni(ranged_ack_config(2 * kPerStream));
+  const CommId other = uni.create_communicator();
+  // Two streams (one per communicator), interleaved on the wire: one drain
+  // of 48 packets, under the drain batch of 64.
+  std::vector<Request> reqs(2 * kPerStream);
+  for (std::uint32_t i = 0; i < kPerStream; ++i) {
+    uni.rank(0).isend(kWorldComm, 1, 7, &i, sizeof i, reqs[2 * i]);
+    uni.rank(0).isend(other, 1, 7, &i, sizeof i, reqs[2 * i + 1]);
+  }
+  ASSERT_EQ(uni.rank(0).reliability()->in_flight(), 2 * kPerStream);
+
+  uni.rank(1).progress();
+  EXPECT_EQ(uni.rank(1).counters().get(Counter::kAcksSent), 2u);  // one per stream
+  uni.rank(0).progress();
+  EXPECT_EQ(uni.rank(0).counters().get(Counter::kAcksReceived), 2u);
+  EXPECT_EQ(uni.rank(0).reliability()->in_flight(), 0u);
+  for (Request& r : reqs) uni.rank(0).wait(r);
+}
+
+TEST(RangedAck, RefusedAckFallsBackToRankQueue) {
+  ScopedChaosEnvClear env;
+  constexpr std::uint32_t kSent = 4;
+  Config cfg = ranged_ack_config(kSent);
+  cfg.fabric.rx_ring_entries = kSent;
+  Universe uni(cfg);
+  std::vector<Request> reqs(kSent);
+  for (std::uint32_t i = 0; i < kSent; ++i) {
+    uni.rank(0).isend(kWorldComm, 1, 7, &i, sizeof i, reqs[i]);
+  }
+  // Fill every lane from rank 1 into rank 0 with heartbeats (consumed on
+  // receipt, never answered), so rank 1's ack finds no room.
+  for (int c = 0; c < uni.fabric().nic(0).num_contexts(); ++c) {
+    for (int k = 0; k < uni.fabric().nic(1).num_contexts(); ++k) {
+      for (;;) {
+        fabric::Packet hb;
+        hb.hdr.opcode = fabric::Opcode::kHeartbeat;
+        hb.hdr.src_rank = 1;
+        hb.hdr.src_ctx = static_cast<std::uint16_t>(k);
+        fabric::stamp_checksum(hb);
+        if (!uni.fabric().nic(0).context(c).rx().try_push(std::move(hb))) break;
+      }
+    }
+  }
+
+  uni.rank(1).progress();  // admits all four; the ack is refused and queued
+  EXPECT_EQ(uni.rank(1).counters().get(Counter::kAcksSent), 0u);
+  EXPECT_EQ(uni.rank(0).reliability()->in_flight(), kSent);
+
+  for (int i = 0; i < 4; ++i) uni.rank(0).progress();  // drain the heartbeats
+  uni.rank(1).progress();  // the queued run leaves on flush_acks
+  EXPECT_EQ(uni.rank(1).counters().get(Counter::kAcksSent), 1u);
+  uni.rank(0).progress();
+  EXPECT_EQ(uni.rank(0).counters().get(Counter::kAcksReceived), 1u);
+  EXPECT_EQ(uni.rank(0).reliability()->in_flight(), 0u);
+  for (Request& r : reqs) uni.rank(0).wait(r);
+}
+
 }  // namespace
 }  // namespace fairmpi

@@ -6,6 +6,7 @@
 #include <bit>
 #include <cstring>
 #include <functional>
+#include <iostream>
 #include <set>
 #include <string>
 #include <thread>
@@ -159,6 +160,46 @@ TEST(Wire, ChecksumMatchesReferenceAtEveryTailLength) {
   std::memset(static_cast<void*>(&h), 0xff, sizeof h);
   EXPECT_EQ(wire_checksum(h, ones.data(), ones.size()),
             reference_checksum(h, ones.data(), ones.size()));
+}
+
+/// The wire_checksum clone the loader picked on this CPU (wire.cpp's
+/// FAIRMPI_VECTOR_CLONES), for the log.
+const char* checksum_clone() {
+#if defined(__x86_64__) && defined(__GNUC__) && defined(__linux__) && !defined(FAIRMPI_TSAN)
+  if (__builtin_cpu_supports("avx512f")) return "avx512f";
+  if (__builtin_cpu_supports("avx2")) return "avx2";
+  return "default";
+#else
+  return "single build (no clones on this target or under TSan)";
+#endif
+}
+
+TEST(Wire, ChecksumMatchesReferenceAtEveryAlignment) {
+  if constexpr (std::endian::native != std::endian::little) {
+    GTEST_SKIP() << "the reference sums little-endian words";
+  }
+  std::cout << "wire_checksum clone: " << checksum_clone() << "\n";
+  constexpr std::size_t kMaxLen = 32768;
+  constexpr std::size_t kOffsets = 64;
+  std::vector<std::byte> buf(kOffsets + kMaxLen);
+  std::uint32_t x = 0x2545f491u;
+  for (auto& b : buf) {
+    x ^= x << 13;
+    x ^= x >> 17;
+    x ^= x << 5;
+    b = static_cast<std::byte>(x);
+  }
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 130; ++n) lengths.push_back(n);
+  for (const std::size_t n : {4095u, 4096u, 4097u, 32768u}) lengths.push_back(n);
+  for (std::size_t off = 0; off < kOffsets; ++off) {
+    for (const std::size_t n : lengths) {
+      const WireHeader h = sample_header(static_cast<std::uint32_t>(n));
+      const std::byte* p = buf.data() + off;
+      ASSERT_EQ(wire_checksum(h, p, n), reference_checksum(h, p, n))
+          << "offset " << off << " length " << n;
+    }
+  }
 }
 
 TEST(Fabric, RouteModulo) {

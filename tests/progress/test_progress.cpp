@@ -18,11 +18,20 @@ fabric::Packet make_pkt(std::uint32_t seq) {
   return pkt;
 }
 
-/// Counts extractions; optionally blocks inside handle_packet to probe
-/// mutual-exclusion properties of the engine designs.
+/// Counts extractions; optionally blocks inside each packet's handling to
+/// probe mutual-exclusion properties of the engine designs.
 class CountingSink : public PacketSink {
  public:
-  std::size_t handle_packet(fabric::Packet&&) override {
+  std::size_t handle_packets(fabric::Packet*, std::size_t n, bool) override {
+    for (std::size_t i = 0; i < n; ++i) handle_one();
+    return n;
+  }
+  std::size_t handle_completion(const fabric::Completion&) override {
+    completions.fetch_add(1, std::memory_order_relaxed);
+    return 1;
+  }
+
+  void handle_one() {
     packets.fetch_add(1, std::memory_order_relaxed);
     if (hold_ns > 0) {
       const auto start = std::chrono::steady_clock::now();
@@ -32,11 +41,6 @@ class CountingSink : public PacketSink {
       max_concurrent.store(std::max(max_concurrent.load(), concurrent_now.load()));
       concurrent_now.fetch_sub(1);
     }
-    return 1;
-  }
-  std::size_t handle_completion(const fabric::Completion&) override {
-    completions.fetch_add(1, std::memory_order_relaxed);
-    return 1;
   }
 
   std::atomic<std::size_t> packets{0};

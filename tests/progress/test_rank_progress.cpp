@@ -3,7 +3,7 @@
 //   - the retransmit sweep is cooperative: a rank that stopped calling
 //     progress() still gets its lost packets retransmitted by its peers;
 //   - an idle call (nothing queued, no service due) takes no rank-shared
-//     lock.
+//     lock, and neither does answering a drain whose acks find room.
 // Suite name `Progress` is load-bearing: the CI tsan job selects it.
 #include <gtest/gtest.h>
 
@@ -81,6 +81,36 @@ TEST(Progress, IdleCallTakesNoRankLock) {
   const std::uint64_t before = control_acquires();
   for (int i = 0; i < 10'000; ++i) uni.rank(0).progress();
   EXPECT_EQ(control_acquires() - before, 0u);
+}
+
+TEST(Progress, ReliableDrainTakesNoRankLock) {
+  // A drain's acks leave right after it (DESIGN.md §5c "Per-drain acks"):
+  // with room in the rings, answering 64 packets never touches the rank's
+  // ack queue or its lock.
+  test_support::ScopedChaosEnvClear clear_env;
+  constexpr std::uint32_t kPackets = 64;
+  Config cfg;
+  cfg.reliable = true;
+  cfg.reliability_window = kPackets;
+  cfg.obs_enabled = true;
+  Universe uni(cfg);
+  Request reqs[kPackets];
+  for (std::uint32_t i = 0; i < kPackets; ++i) {
+    uni.rank(0).isend(kWorldComm, 1, 9, &i, sizeof i, reqs[i]);
+  }
+  const auto control_acquires = [] {
+    for (const auto& c : obs::contention_snapshot()) {
+      if (c.name == "rank.rndv-control") return c.acquires;
+    }
+    return std::uint64_t{0};
+  };
+  const std::uint64_t before = control_acquires();
+  uni.rank(1).progress();  // one drain: all 64 packets
+  EXPECT_EQ(control_acquires() - before, 0u);
+  EXPECT_EQ(uni.rank(1).counters().get(Counter::kAcksSent), 1u);  // one run
+  uni.rank(0).progress();
+  EXPECT_EQ(uni.rank(0).reliability()->in_flight(), 0u);
+  for (Request& r : reqs) uni.rank(0).wait(r);
 }
 
 }  // namespace

@@ -8,9 +8,11 @@ reported but never fail the comparison (benches come and go across PRs).
 
 Timings from different hosts are not comparable: a baseline recorded on
 one CPU measures time-slicing where a multi-core host measures contention,
-and a debug library is not a release one. So the two files' host
-fingerprints (num_cpus, library_build_type, mhz_per_cpu) must match, or
-the comparison is refused.
+and a debug build is not a release one. So the two files' host
+fingerprints (num_cpus, fairmpi_build_type, mhz_per_cpu) must match, or
+the comparison is refused. fairmpi_build_type is the engine's CMake build
+type, which bench_to_json.py records; Google Benchmark's own
+library_build_type says nothing about the code under test.
 
 Microbench timings on shared CI hosts are noisy; the 15% bar plus the
 non-gating CI wiring (.github/workflows/ci.yml) make this a report, not a
@@ -40,7 +42,7 @@ def load(path: Path) -> dict:
 
 # Host fields that must agree before two files' timings mean anything
 # side by side.
-FINGERPRINT = ("num_cpus", "library_build_type", "mhz_per_cpu")
+FINGERPRINT = ("num_cpus", "fairmpi_build_type", "mhz_per_cpu")
 
 
 def host_mismatches(base: dict, cur: dict) -> list[tuple[str, object, object]]:

@@ -16,6 +16,11 @@ The emitted file is the repo's perf-regression baseline format:
 Only aggregate-free repetitions are kept (the default single run). Times are
 normalized to nanoseconds so compare never has to care about time_unit.
 
+host.fairmpi_build_type is the CMake build type of the fairmpi build the
+binary came from (CMAKE_BUILD_TYPE in the nearest CMakeCache.txt above it),
+not Google Benchmark's own library_build_type: the engine's optimization
+level is what moves the timings.
+
 Usage:
     bench_to_json.py --binary build/bench/bench_ablation_matching \
                      --out BENCH_ablation_matching.json [--name ablation_matching]
@@ -41,6 +46,19 @@ def run_benchmark(binary: Path, extra_args: list[str]) -> dict:
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"bench_to_json: {binary} exited {proc.returncode}")
     return json.loads(proc.stdout)
+
+
+def fairmpi_build_type(binary: Path) -> str:
+    """CMAKE_BUILD_TYPE of the build tree holding `binary` ("unknown" when
+    no CMakeCache.txt above it names one)."""
+    for d in binary.resolve().parents:
+        cache = d / "CMakeCache.txt"
+        if cache.is_file():
+            for line in cache.read_text(errors="replace").splitlines():
+                if line.startswith("CMAKE_BUILD_TYPE:"):
+                    return line.split("=", 1)[1].strip() or "unknown"
+            return "unknown"
+    return "unknown"
 
 
 def distill(raw: dict) -> tuple[dict, dict]:
@@ -75,6 +93,7 @@ def main() -> None:
     name = args.name or args.binary.name.removeprefix("bench_")
     raw = run_benchmark(args.binary, args.extra)
     host, series = distill(raw)
+    host["fairmpi_build_type"] = fairmpi_build_type(args.binary)
     if not series:
         raise SystemExit(f"bench_to_json: {args.binary} produced no benchmark series")
     args.out.write_text(

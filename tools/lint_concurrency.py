@@ -133,6 +133,7 @@ HOTPATH_FILES = {
     # path; their allocations must be gated on fault injection being on
     # (or annotated as cold outcomes).
     "src/p2p/reliability.cpp",
+    "include/fairmpi/p2p/reliability.hpp",
     "src/progress/watchdog.cpp",
     "src/fabric/faults.cpp",
     # Counter and observability hooks run on every message, inside every
