@@ -1,6 +1,7 @@
 // Ablation: the matching engine's cost structure — in-order vs
-// out-of-sequence arrival, posted-queue depth (across and within a tag
-// bin), interleaved tags on one communicator, overtaking, wildcard tags.
+// out-of-sequence arrival, reorder depth, posted-queue depth (across and
+// within a tag bin), interleaved tags on one communicator, overtaking,
+// wildcard tags, and arrivals fed one at a time vs as one drained run.
 // These are the per-envelope costs §II-C identifies as the multithreaded
 // bottleneck.
 #include <benchmark/benchmark.h>
@@ -63,6 +64,56 @@ void BM_MatchOutOfSequencePairs(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2);
 }
 BENCHMARK(BM_MatchOutOfSequencePairs);
+
+/// Deep reordering (perfbench `mr-shared` parks up to 511 packets behind
+/// one hole): park N packets in reverse, then fill the hole, which drains
+/// all N + 1 into pre-posted receives. The first iteration grows the
+/// reorder ring; after that parking reuses its slots.
+void BM_MatchReorderDepth(benchmark::State& state) {
+  const auto depth = static_cast<std::uint32_t>(state.range(0));
+  fairmpi::spc::CounterSet spc;
+  MatchEngine eng(2, false, spc);
+  std::vector<Request> reqs(depth + 1);
+  std::uint32_t seq = 0;
+  std::uint32_t buf = 0;
+  for (auto _ : state) {
+    for (Request& r : reqs) {
+      r.init_recv(&buf, sizeof buf, 1, 7);
+      eng.post(&r);
+    }
+    for (std::uint32_t d = depth; d >= 1; --d) eng.incoming(make_eager(seq + d, 7));
+    benchmark::DoNotOptimize(eng.incoming(make_eager(seq, 7)));
+    seq += depth + 1;
+  }
+  state.SetItemsProcessed(state.iterations() * (depth + 1));
+}
+BENCHMARK(BM_MatchReorderDepth)->Arg(64)->Arg(512);
+
+/// A drained batch of 64 in-order envelopes into pre-posted receives, fed
+/// as runs of R packets: R = 1 takes the match lock per packet, R = 64 once
+/// per batch (Rank::handle_packets).
+void BM_MatchRun(benchmark::State& state) {
+  const auto run = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kBatch = 64;
+  fairmpi::spc::CounterSet spc;
+  MatchEngine eng(2, false, spc);
+  std::vector<Request> reqs(kBatch);
+  std::vector<Packet> pkts(kBatch);
+  std::uint32_t seq = 0;
+  std::uint32_t buf = 0;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      reqs[i].init_recv(&buf, sizeof buf, 1, 7);
+      eng.post(&reqs[i]);
+      pkts[i] = make_eager(seq++, 7);
+    }
+    for (std::size_t i = 0; i < kBatch; i += run) {
+      benchmark::DoNotOptimize(eng.incoming(&pkts[i], run, nullptr));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kBatch));
+}
+BENCHMARK(BM_MatchRun)->Arg(1)->Arg(64);
 
 /// Same stream with overtaking: no sequence validation, no buffering.
 void BM_MatchOvertaking(benchmark::State& state) {

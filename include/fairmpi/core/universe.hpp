@@ -274,8 +274,15 @@ class Rank final : public progress::PacketSink,
   /// One drain's reliability notices (handle_packets): a packet yields at
   /// most one, so a drain batch never fills it.
   using AckBatch = p2p::NoticeBatch<progress::ProgressEngine::kMaxDrainBatch>;
-  /// Validate and dispatch one inbound packet; its reliability notice, if
-  /// any, joins `acks`.
+  /// Structure, checksum (reliable ranks) and ft liveness note for one
+  /// inbound packet; false when it was counted and dropped.
+  bool validate_inbound(const fabric::Packet& pkt);
+  /// Match a run of validated envelopes for one communicator under one
+  /// hold of its match lock; on reliable ranks each admission verdict's
+  /// notice joins `acks`, in run order.
+  std::size_t match_run(fabric::Packet* pkts, std::size_t n, AckBatch& acks);
+  /// Dispatch one validated packet that is not an envelope; its
+  /// reliability notice, if any, joins `acks`.
   std::size_t receive(fabric::Packet&& pkt, AckBatch& acks);
   /// One injection attempt with no tracking and no backpressure loop: used
   /// for retransmits and acks, whose loss the protocol already absorbs.

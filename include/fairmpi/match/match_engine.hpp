@@ -20,9 +20,10 @@
 //   * per peer, both queues are split into kTagBins tag bins, so a match
 //     walks only entries whose tag hashes alike (DESIGN.md §5, "Tag bins");
 //   * unexpected messages live in pooled nodes (common::SlabPool);
-//   * the reorder buffer is a fixed power-of-two ring indexed by
-//     `seq & (kReorderWindow-1)` — a std::map spill handles the rare
-//     arrival more than kReorderWindow-1 messages ahead.
+//   * the reorder buffer is a power-of-two ring indexed by `seq & (cap-1)`
+//     that doubles from kReorderWindow up to kReorderMax slots as a stream
+//     parks deeper; a std::map spill handles only arrivals kReorderMax or
+//     more messages ahead.
 //
 // SPCs record out-of-sequence counts, match time and queue depths — the
 // counters behind the paper's Table II.
@@ -67,13 +68,19 @@ enum class Admission : std::uint8_t {
                    ///< sender's backed-off retransmit clock re-presents it
 };
 
-/// Reorder window per (comm, src) stream: out-of-sequence arrivals up to
-/// this many messages ahead park in a ring slot; anything further spills to
-/// an ordered map. Power of two so the slot index is `seq & mask`. 64 covers
-/// the deepest interleave the multi-context fabric produces in the paper's
-/// configurations (<= 20 contexts) with headroom.
+/// Reorder ring bounds per (comm, src) stream. The ring starts at
+/// kReorderWindow slots on the stream's first out-of-sequence arrival and
+/// doubles whenever a packet parks at or beyond its capacity, up to
+/// kReorderMax; only arrivals kReorderMax or more messages ahead spill to an
+/// ordered map. How deep a stream parks is set by the sender's messages in
+/// flight, not by the fabric: two pairs with 128-deep windows on one shared
+/// communicator (perfbench `mr-shared`) park up to 511 packets behind one
+/// hole, so the ring settles at 512 slots. Powers of two, so the slot index
+/// is `seq & (cap - 1)`.
 inline constexpr std::uint32_t kReorderWindow = 64;
-static_assert((kReorderWindow & (kReorderWindow - 1)) == 0);
+inline constexpr std::uint32_t kReorderMax = 4096;
+static_assert(std::has_single_bit(kReorderWindow) && std::has_single_bit(kReorderMax) &&
+              kReorderWindow <= kReorderMax);
 
 /// Tag bins per (comm, peer), for the posted and for the unexpected queue.
 /// A tagged match walks one bin, not the peer's whole queue: two threads
@@ -163,13 +170,19 @@ class MatchEngine : public p2p::CancelScope {
   MatchEngine& operator=(const MatchEngine&) = delete;
   ~MatchEngine() override;
 
-  /// Handle one incoming eager packet (called from the progress engine).
-  /// Returns the number of receive requests completed (out-of-sequence
-  /// drains can complete several at once). When `admission` is non-null it
-  /// receives the overload verdict for *this* packet (ack vs. NACK — see
-  /// Admission above); without a governor installed it is always
-  /// kAdmitted/kDuplicate, preserving the historical contract.
-  std::size_t incoming(fabric::Packet&& pkt, Admission* admission = nullptr);
+  /// Handle a run of `n` incoming envelopes (kEager/kRndvRts) in order,
+  /// under one hold of the match lock (DESIGN.md §5 rule 3); the packets
+  /// are moved from. Returns the number of receive requests completed
+  /// (out-of-sequence drains can complete several per packet). When
+  /// `verdicts` is non-null, verdicts[i] receives the overload verdict for
+  /// pkts[i] (ack vs. NACK — see Admission above); without a governor
+  /// installed it is always kAdmitted/kDuplicate.
+  std::size_t incoming(fabric::Packet* pkts, std::size_t n, Admission* verdicts);
+
+  /// One incoming envelope: a run of one.
+  std::size_t incoming(fabric::Packet&& pkt, Admission* admission = nullptr) {
+    return incoming(&pkt, 1, admission);
+  }
 
   /// Post a receive. Returns true when the request matched an unexpected
   /// message and completed immediately.
@@ -265,16 +278,34 @@ class MatchEngine : public p2p::CancelScope {
   using PostedList =
       common::IntrusiveList<p2p::Request, &p2p::Request::mq_prev, &p2p::Request::mq_next>;
 
-  /// Fixed-window reorder buffer; lazily allocated on a peer's first
-  /// out-of-sequence arrival so in-order streams pay nothing for it.
-  /// Invariant: every live entry has seq in (expected, expected + window),
-  /// so slot indices never collide and a set `present` bit at
-  /// `expected & mask` always belongs to `expected` itself.
+  /// Growable reorder buffer; allocated on a peer's first out-of-sequence
+  /// arrival so in-order streams pay nothing for it, and grown (never
+  /// shrunk) when a packet parks at or beyond `cap`. A slot is occupied
+  /// when its packet has an opcode: parked packets are envelopes, and an
+  /// empty slot's opcode is kInvalid. Invariant: every live entry has seq
+  /// in (expected, expected + cap), so slot indices never collide and an
+  /// occupied slot at `expected & (cap - 1)` always holds `expected`.
   struct ReorderRing {
-    std::uint64_t present = 0;  ///< bit i <=> slot i holds a parked packet
-    std::array<fabric::Packet, kReorderWindow> slot;
+    std::uint32_t cap = 0;  ///< slots, a power of two; 0 = not allocated
+    std::unique_ptr<fabric::Packet[]> slot;
+
+    /// Is `seq`'s slot occupied? Callers keep seq within the invariant.
+    bool parked(std::uint32_t seq) const noexcept {
+      return cap != 0 && slot[seq & (cap - 1)].hdr.opcode != fabric::Opcode::kInvalid;
+    }
+    void put(std::uint32_t seq, fabric::Packet&& pkt) noexcept {
+      slot[seq & (cap - 1)] = std::move(pkt);
+    }
+    fabric::Packet take(std::uint32_t seq) noexcept {
+      fabric::Packet& s = slot[seq & (cap - 1)];
+      fabric::Packet out = std::move(s);
+      s.hdr.opcode = fabric::Opcode::kInvalid;
+      return out;
+    }
+    /// Reallocate at `new_cap` slots, re-indexing every live entry by its
+    /// own seq.
+    void grow(std::uint32_t new_cap);
   };
-  static_assert(kReorderWindow <= 64, "present bitmap is one word");
 
   /// Shed-sequence memory depth per peer. A retransmit of a shed packet
   /// must be re-NACKed, not re-acked (an ack silently retires the sender's
@@ -285,8 +316,8 @@ class MatchEngine : public p2p::CancelScope {
 
   struct PeerState {
     std::uint32_t expected_seq = 0;
-    std::unique_ptr<ReorderRing> reorder;             ///< window buffer (lazy)
-    std::map<std::uint32_t, fabric::Packet> spill;    ///< beyond-window overflow
+    ReorderRing reorder;                            ///< parked arrivals (lazy)
+    std::map<std::uint32_t, fabric::Packet> spill;  ///< >= kReorderMax ahead
     std::unique_ptr<SeenTracker> seen;  ///< dedup, reliable+overtaking only (lazy)
     /// Unexpected messages by tag_bin(tag), each bin in arrival order.
     std::array<UnexpectedList, kTagBins> unexpected;
@@ -301,14 +332,13 @@ class MatchEngine : public p2p::CancelScope {
     std::uint32_t shed_n = 0;  ///< total sheds (ring write cursor)
 
     /// Is the future packet `seq` already parked (a retransmit whose ack
-    /// was lost)? Within the window it can only be in its ring slot,
-    /// beyond it only in the spill map.
+    /// was lost)? Within the ring's capacity it may sit in its slot; a
+    /// packet spilled when it was kReorderMax or more ahead stays in the
+    /// map after the frontier closes in on it, so the map is checked at
+    /// any distance.
     bool holds(std::uint32_t seq) const {
-      const bool in_window = seq - expected_seq < kReorderWindow;
-      const bool in_ring = in_window && reorder != nullptr &&
-                           ((reorder->present >> (seq & (kReorderWindow - 1))) & 1) != 0;
-      const bool in_spill = !in_window && spill.contains(seq);
-      return in_ring || in_spill;
+      const bool in_ring = seq - expected_seq < reorder.cap && reorder.parked(seq);
+      return in_ring || spill.contains(seq);
     }
 
     /// The list a posted receive for (this source, `tag`) sits on.
@@ -358,7 +388,14 @@ class MatchEngine : public p2p::CancelScope {
   Unexpected* find_unexpected(int src, int tag, PeerState** owner,
                               std::size_t& scanned) FAIRMPI_REQUIRES(lock_);
 
-  /// Park an out-of-sequence packet (ring slot or spill map). Lock held.
+  /// One arrival of a run: admission, sequence validation, matching and
+  /// the reorder drain it unblocks. Returns the completions. Lock held.
+  std::size_t match_arrival(spc::CounterSet::Cursor& ctr, fabric::Packet&& pkt,
+                            Admission* admission) FAIRMPI_REQUIRES(lock_);
+
+  /// Park an out-of-sequence packet: its ring slot, growing the ring when
+  /// the packet is at or beyond its capacity, or the spill map when it is
+  /// kReorderMax or more ahead. Lock held.
   void park_out_of_sequence(spc::CounterSet::Cursor& ctr, PeerState& ps,
                             fabric::Packet&& pkt) FAIRMPI_REQUIRES(lock_);
 

@@ -674,7 +674,37 @@ std::size_t Rank::handle_packets(fabric::Packet* pkts, std::size_t n, bool locke
   FAIRMPI_CHECK(n <= AckBatch::capacity());
   std::size_t completions = 0;
   AckBatch acks;
-  for (std::size_t i = 0; i < n; ++i) completions += receive(std::move(pkts[i]), acks);
+  // Consecutive envelopes for one communicator match as one run, under one
+  // hold of its match lock (DESIGN.md §5 rule 3). Any other packet, or a
+  // dropped one, ends the pending run first, so every packet is still
+  // handled in drain order.
+  std::size_t first = 0;  // pending run: pkts[first, first + len)
+  std::size_t len = 0;
+  const auto end_run = [&] {
+    if (len != 0) completions += match_run(pkts + first, len, acks);
+    len = 0;
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    fabric::Packet& pkt = pkts[i];
+    if (!validate_inbound(pkt)) {
+      end_run();
+      continue;
+    }
+    const bool envelope = pkt.hdr.opcode == fabric::Opcode::kEager ||
+                          pkt.hdr.opcode == fabric::Opcode::kRndvRts;
+    if (envelope && len != 0 && pkt.hdr.comm_id == pkts[first].hdr.comm_id) {
+      ++len;
+      continue;
+    }
+    end_run();
+    if (envelope) {
+      first = i;
+      len = 1;
+    } else {
+      completions += receive(std::move(pkt), acks);
+    }
+  }
+  end_run();
   if (acks.size() == 0) return completions;  // unreliable ranks always end here
   // The batch's notices merged into runs on the stack; they leave now, so
   // a drain takes control_lock_ only for what it cannot send. A full ring
@@ -687,17 +717,17 @@ std::size_t Rank::handle_packets(fabric::Packet* pkts, std::size_t n, bool locke
   return completions;
 }
 
-std::size_t Rank::receive(fabric::Packet&& pkt, AckBatch& acks) {
+bool Rank::validate_inbound(const fabric::Packet& pkt) {
   // Structural validation before anything dereferences header fields: a
   // corrupted opcode or rank id is counted and dropped, never dispatched.
   if (!fabric::validate_structure(pkt, uni_->num_ranks())) {
     spc_.add(Counter::kHeaderDrops);
-    return 0;
+    return false;
   }
   if (tracker_ != nullptr && !fabric::verify_checksum(pkt)) {
     spc_.add(Counter::kCsumDrops);
     tracer_.record(trace::Event::kCsumDrop, pkt.hdr.src_rank, pkt.hdr.seq);
-    return 0;
+    return false;
   }
   // Liveness piggybacking: every validated inbound packet — any opcode —
   // refreshes its source's epoch, so a peer with ANY traffic toward us
@@ -705,6 +735,45 @@ std::size_t Rank::receive(fabric::Packet&& pkt, AckBatch& acks) {
   if (ft_ != nullptr) {
     ft_->note_alive(static_cast<int>(pkt.hdr.src_rank), now_ns());
   }
+  return true;
+}
+
+std::size_t Rank::match_run(fabric::Packet* pkts, std::size_t n, AckBatch& acks) {
+  // Both opcodes carry a matching envelope; RTS delivery diverts to the
+  // rendezvous hook inside the engine.
+  match::MatchEngine& eng = comm_state(pkts[0].hdr.comm_id).match();
+  if (tracker_ == nullptr) return eng.incoming(pkts, n, nullptr);
+  // The headers outlive the moves, so each admission verdict can be
+  // answered on the wire afterwards, in drain order.
+  std::array<fabric::WireHeader, progress::ProgressEngine::kMaxDrainBatch> hdrs;
+  std::array<match::Admission, progress::ProgressEngine::kMaxDrainBatch> verdicts;
+  for (std::size_t i = 0; i < n; ++i) fabric::copy_header(hdrs[i], pkts[i].hdr);
+  const std::size_t delivered = eng.incoming(pkts, n, verdicts.data());
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (verdicts[i]) {
+      case match::Admission::kShed:
+        spc_.add(Counter::kOverloadNacksSent);
+        [[fallthrough]];
+      case match::Admission::kShedDuplicate:
+        answer(acks, hdrs[i], p2p::ControlMsg::Kind::kSendPacketNack);
+        break;
+      case match::Admission::kDeferred:
+        answer(acks, hdrs[i], p2p::ControlMsg::Kind::kSendPacketDefer);
+        break;
+      case match::Admission::kPaused:
+        // Answer nothing: the sender's backed-off retransmit clock is the
+        // backpressure (§5h kQueue).
+        break;
+      case match::Admission::kAdmitted:
+      case match::Admission::kDuplicate:
+        answer(acks, hdrs[i], p2p::ControlMsg::Kind::kSendPacketAck);
+        break;
+    }
+  }
+  return delivered;
+}
+
+std::size_t Rank::receive(fabric::Packet&& pkt, AckBatch& acks) {
   if (pkt.hdr.opcode == fabric::Opcode::kHeartbeat) {
     // Consumed before the ack path on purpose: heartbeats are pure liveness
     // evidence — never acked, never tracked; a lost one is recovered by the
@@ -744,13 +813,9 @@ std::size_t Rank::receive(fabric::Packet&& pkt, AckBatch& acks) {
     }
     // Ack every structurally valid packet — duplicates included, because
     // the duplicate usually means our previous ack was the casualty.
-    // Matchable envelopes (kEager/kRndvRts) are the exception: their
-    // ack-or-NACK decision belongs to the admission verdict below, so
-    // acking here would silently retire a packet the engine then sheds.
-    if (pkt.hdr.opcode != fabric::Opcode::kEager &&
-        pkt.hdr.opcode != fabric::Opcode::kRndvRts) {
-      answer(acks, pkt.hdr, p2p::ControlMsg::Kind::kSendPacketAck);
-    }
+    // (Matchable envelopes never get here: match_run answers their
+    // admission verdicts.)
+    answer(acks, pkt.hdr, p2p::ControlMsg::Kind::kSendPacketAck);
   } else if (pkt.hdr.opcode == fabric::Opcode::kAck ||
              pkt.hdr.opcode == fabric::Opcode::kNack ||
              pkt.hdr.opcode == fabric::Opcode::kDefer) {
@@ -759,42 +824,18 @@ std::size_t Rank::receive(fabric::Packet&& pkt, AckBatch& acks) {
     return 0;
   }
   switch (pkt.hdr.opcode) {
-    case fabric::Opcode::kEager:
-    case fabric::Opcode::kRndvRts: {
-      // Both carry a matching envelope; RTS delivery diverts to the
-      // rendezvous hook inside the engine. The header outlives the move so
-      // the admission verdict can be answered on the wire afterwards.
-      const fabric::WireHeader hdr = pkt.hdr;
-      fairmpi::match::Admission adm = fairmpi::match::Admission::kAdmitted;
-      const std::size_t delivered =
-          comm_state(hdr.comm_id).match().incoming(std::move(pkt), &adm);
-      if (tracker_ != nullptr) {
-        if (adm == fairmpi::match::Admission::kShed ||
-            adm == fairmpi::match::Admission::kShedDuplicate) {
-          if (adm == fairmpi::match::Admission::kShed) {
-            spc_.add(Counter::kOverloadNacksSent);
-          }
-          answer(acks, hdr, p2p::ControlMsg::Kind::kSendPacketNack);
-        } else if (adm == fairmpi::match::Admission::kDeferred) {
-          answer(acks, hdr, p2p::ControlMsg::Kind::kSendPacketDefer);
-        } else if (adm != fairmpi::match::Admission::kPaused) {
-          answer(acks, hdr, p2p::ControlMsg::Kind::kSendPacketAck);
-        }
-        // kPaused: answer nothing — the sender's backed-off retransmit
-        // clock is the backpressure (§5h kQueue).
-      }
-      return delivered;
-    }
     case fabric::Opcode::kRndvAck:
       return handle_rndv_ack(pkt);
     case fabric::Opcode::kRndvData:
       return handle_rndv_data(pkt);
+    case fabric::Opcode::kEager:
+    case fabric::Opcode::kRndvRts:  // envelopes: match_run
     case fabric::Opcode::kAck:
     case fabric::Opcode::kNack:
     case fabric::Opcode::kDefer:
     case fabric::Opcode::kHeartbeat:
     case fabric::Opcode::kInvalid:
-      break;  // all consumed above; unreachable
+      break;  // all consumed above or by handle_packets; unreachable
   }
   FAIRMPI_CHECK_MSG(false, "invalid opcode on the wire");
   return 0;

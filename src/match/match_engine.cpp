@@ -1,5 +1,6 @@
 #include "fairmpi/match/match_engine.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -192,38 +193,60 @@ std::size_t MatchEngine::match_one(spc::CounterSet::Cursor& ctr, fabric::Packet&
   return 0;
 }
 
+void MatchEngine::ReorderRing::grow(std::uint32_t new_cap) {
+  // lint: allow(hotpath-alloc) growth only at a stream's new reorder high-water mark
+  auto grown = std::make_unique<fabric::Packet[]>(new_cap);
+  for (std::uint32_t i = 0; i < cap; ++i) {
+    if (slot[i].hdr.opcode == fabric::Opcode::kInvalid) continue;
+    grown[slot[i].hdr.seq & (new_cap - 1)] = std::move(slot[i]);
+  }
+  cap = new_cap;
+  slot = std::move(grown);
+}
+
 void MatchEngine::park_out_of_sequence(spc::CounterSet::Cursor& ctr, PeerState& ps,
                                        fabric::Packet&& pkt) {
   const std::uint32_t seq = pkt.hdr.seq;
   // Unsigned distance from the in-order frontier; callers validated that
   // the packet is from the future, so delta >= 1.
   const std::uint32_t delta = seq - ps.expected_seq;
-  if (delta < kReorderWindow) {
-    if (!ps.reorder) {
-      // First out-of-sequence arrival on this peer; one-time window setup.
-      // lint: allow(hotpath-alloc) lazy one-time ring allocation per peer
-      ps.reorder = std::make_unique<ReorderRing>();
+  if (delta < kReorderMax) {
+    if (delta >= ps.reorder.cap) {
+      std::uint32_t cap = std::max(ps.reorder.cap, kReorderWindow);
+      while (cap <= delta) cap *= 2;
+      ps.reorder.grow(cap);
     }
-    const std::uint32_t idx = seq & (kReorderWindow - 1);
-    ps.reorder->slot[idx] = std::move(pkt);
-    ps.reorder->present |= std::uint64_t{1} << idx;
+    ps.reorder.put(seq, std::move(pkt));
   } else {
-    // More than a window ahead — possible only when >= kReorderWindow-1
-    // messages are already parked, so the map cost is already amortized.
-    // lint: allow(hotpath-alloc) beyond-window spill is the rare slow path
+    // kReorderMax or more ahead: only a stream with thousands of packets
+    // in flight behind one hole gets here.
+    // lint: allow(hotpath-alloc) far-distance spill, beyond the largest ring
     ps.spill.emplace(seq, std::move(pkt));
   }
   ++reorder_total_;
   ctr.update_max(Counter::kOosBufferPeak, reorder_total_);
 }
 
-std::size_t MatchEngine::incoming(fabric::Packet&& pkt, Admission* admission) {
-  const int src = static_cast<int>(pkt.hdr.src_rank);
-  FAIRMPI_CHECK_MSG(src >= 0 && src < static_cast<int>(peers_.size()),
-                    "packet from unknown rank");
-
+std::size_t MatchEngine::incoming(fabric::Packet* pkts, std::size_t n, Admission* verdicts) {
   LockGuard guard(lock_);
   auto ctr = spc_.cursor();
+  std::uint64_t cycles = 0;
+  std::size_t completions = 0;
+  {
+    ScopedCycles timer(cycles);
+    for (std::size_t i = 0; i < n; ++i) {
+      completions +=
+          match_arrival(ctr, std::move(pkts[i]), verdicts != nullptr ? &verdicts[i] : nullptr);
+    }
+  }
+  ctr.add(Counter::kMatchTimeNs, CycleClock::to_ns(cycles));
+  return completions;
+}
+
+std::size_t MatchEngine::match_arrival(spc::CounterSet::Cursor& ctr, fabric::Packet&& pkt,
+                                       Admission* admission) {
+  const int src = static_cast<int>(pkt.hdr.src_rank);
+  FAIRMPI_CHECK_MSG(src < static_cast<int>(peers_.size()), "packet from unknown rank");
   if (admission != nullptr) *admission = Admission::kAdmitted;
   if (revoked_) {
     // Revoked communicator: nothing will ever be posted again, so parking
@@ -273,105 +296,96 @@ std::size_t MatchEngine::incoming(fabric::Packet&& pkt, Admission* admission) {
       return 0;
     }
   }
-  std::uint64_t cycles = 0;
   std::size_t completions = 0;
-  {
-    ScopedCycles timer(cycles);
-    ctr.add(Counter::kMatchAttempts);
-
-    if (allow_overtaking_) {
-      // Overtaking: every message is immediately matchable (§IV-D). On a
-      // lossy fabric the seq stream is the only duplicate detector left, so
-      // reliable mode filters repeats through the per-peer SeenTracker.
-      bool fresh = true;
-      if (reliable_) {
-        if (!ps.seen) {
-          // lint: allow(hotpath-alloc) lazy one-time tracker, lossy mode only
-          ps.seen = std::make_unique<SeenTracker>();
-        }
-        fresh = ps.seen->mark(pkt.hdr.seq);
+  ctr.add(Counter::kMatchAttempts);
+  if (allow_overtaking_) {
+    // Overtaking: every message is immediately matchable (§IV-D). On a
+    // lossy fabric the seq stream is the only duplicate detector left, so
+    // reliable mode filters repeats through the per-peer SeenTracker.
+    bool fresh = true;
+    if (reliable_) {
+      if (!ps.seen) {
+        // lint: allow(hotpath-alloc) lazy one-time tracker, lossy mode only
+        ps.seen = std::make_unique<SeenTracker>();
       }
-      if (fresh) {
-        completions = match_one(ctr, std::move(pkt), /*direct=*/true, admission);
-      } else {
-        // The SeenTracker marked the seq when the original arrived — which
-        // includes originals that were then shed. Those must be re-NACKed,
-        // not re-acked (an ack would retire the sender's tracker entry and
-        // the shed would never surface typed).
-        if (admission != nullptr && ps.was_shed(pkt.hdr.seq)) {
-          *admission = Admission::kShedDuplicate;
-        } else if (admission != nullptr) {
-          *admission = Admission::kDuplicate;
-        }
-        ctr.add(Counter::kDupDiscards);
-      }
+      fresh = ps.seen->mark(pkt.hdr.seq);
+    }
+    if (fresh) {
+      completions = match_one(ctr, std::move(pkt), /*direct=*/true, admission);
     } else {
-      const std::uint32_t seq = pkt.hdr.seq;
-      if (seq != ps.expected_seq) {
-        // Sequence numbers never repeat per (comm, src->dst) stream and the
-        // expected counter only advances past processed messages, so an
-        // unexpected seq must be from the future — unless the fabric is
-        // lossy: a retransmit whose original got through (the ack was the
-        // loss) or a wire duplicate re-presents an already-seen seq, which
-        // reliable mode discards to keep delivery exactly-once.
-        const bool future = static_cast<std::int32_t>(seq - ps.expected_seq) > 0;
-        if (reliable_) {
-          const bool already_parked = future && ps.holds(seq);
-          if (!future || already_parked) {
-            // A shed consumes its seq (expected_seq advanced past it), so a
-            // retransmit of a shed packet lands here as !future. Re-NACK it
-            // from the shed ring; any other repeat re-acks as a duplicate.
-            if (admission != nullptr && !future && ps.was_shed(seq)) {
-              *admission = Admission::kShedDuplicate;
-            } else if (admission != nullptr) {
-              *admission = Admission::kDuplicate;
-            }
-            ctr.add(Counter::kDupDiscards);
-          } else {
-            ctr.add(Counter::kOutOfSequence);
-            park_out_of_sequence(ctr, ps, std::move(pkt));
+      // The SeenTracker marked the seq when the original arrived — which
+      // includes originals that were then shed. Those must be re-NACKed,
+      // not re-acked (an ack would retire the sender's tracker entry and
+      // the shed would never surface typed).
+      if (admission != nullptr && ps.was_shed(pkt.hdr.seq)) {
+        *admission = Admission::kShedDuplicate;
+      } else if (admission != nullptr) {
+        *admission = Admission::kDuplicate;
+      }
+      ctr.add(Counter::kDupDiscards);
+    }
+  } else {
+    const std::uint32_t seq = pkt.hdr.seq;
+    if (seq != ps.expected_seq) {
+      // Sequence numbers never repeat per (comm, src->dst) stream and the
+      // expected counter only advances past processed messages, so an
+      // unexpected seq must be from the future — unless the fabric is
+      // lossy: a retransmit whose original got through (the ack was the
+      // loss) or a wire duplicate re-presents an already-seen seq, which
+      // reliable mode discards to keep delivery exactly-once.
+      const bool future = static_cast<std::int32_t>(seq - ps.expected_seq) > 0;
+      if (reliable_) {
+        const bool already_parked = future && ps.holds(seq);
+        if (!future || already_parked) {
+          // A shed consumes its seq (expected_seq advanced past it), so a
+          // retransmit of a shed packet lands here as !future. Re-NACK it
+          // from the shed ring; any other repeat re-acks as a duplicate.
+          if (admission != nullptr && !future && ps.was_shed(seq)) {
+            *admission = Admission::kShedDuplicate;
+          } else if (admission != nullptr) {
+            *admission = Admission::kDuplicate;
           }
+          ctr.add(Counter::kDupDiscards);
         } else {
-          FAIRMPI_CHECK_MSG(future, "duplicate or stale sequence number");
           ctr.add(Counter::kOutOfSequence);
           park_out_of_sequence(ctr, ps, std::move(pkt));
         }
       } else {
-        ++ps.expected_seq;
-        completions += match_one(ctr, std::move(pkt), /*direct=*/true, admission);
-        // Drain parked messages that are now in order: ring first (the
-        // common case — one shift+test per message), then the spill map.
-        // Drained packets were acked when they parked, so they pass
-        // direct=false (never shed) and report no admission verdict.
-        ReorderRing* ring = ps.reorder.get();
-        for (;;) {
-          const std::uint32_t e = ps.expected_seq;
-          const std::uint32_t idx = e & (kReorderWindow - 1);
-          if (ring != nullptr && (ring->present >> idx) & 1) {
-            ring->present &= ~(std::uint64_t{1} << idx);
-            fabric::Packet next = std::move(ring->slot[idx]);
+        FAIRMPI_CHECK_MSG(future, "duplicate or stale sequence number");
+        ctr.add(Counter::kOutOfSequence);
+        park_out_of_sequence(ctr, ps, std::move(pkt));
+      }
+    } else {
+      ++ps.expected_seq;
+      completions += match_one(ctr, std::move(pkt), /*direct=*/true, admission);
+      // Drain parked messages that are now in order: ring first (the
+      // common case), then the spill map.
+      // Drained packets were acked when they parked, so they pass
+      // direct=false (never shed) and report no admission verdict.
+      for (;;) {
+        const std::uint32_t e = ps.expected_seq;
+        if (ps.reorder.parked(e)) {
+          fabric::Packet next = ps.reorder.take(e);
+          --reorder_total_;
+          ++ps.expected_seq;
+          completions += match_one(ctr, std::move(next), /*direct=*/false, nullptr);
+          continue;
+        }
+        if (!ps.spill.empty()) {
+          auto it = ps.spill.find(e);
+          if (it != ps.spill.end()) {
+            fabric::Packet next = std::move(it->second);
+            ps.spill.erase(it);
             --reorder_total_;
             ++ps.expected_seq;
             completions += match_one(ctr, std::move(next), /*direct=*/false, nullptr);
             continue;
           }
-          if (!ps.spill.empty()) {
-            auto it = ps.spill.find(e);
-            if (it != ps.spill.end()) {
-              fabric::Packet next = std::move(it->second);
-              ps.spill.erase(it);
-              --reorder_total_;
-              ++ps.expected_seq;
-              completions += match_one(ctr, std::move(next), /*direct=*/false, nullptr);
-              continue;
-            }
-          }
-          break;
         }
+        break;
       }
     }
   }
-  ctr.add(Counter::kMatchTimeNs, CycleClock::to_ns(cycles));
   return completions;
 }
 
@@ -487,16 +501,11 @@ std::size_t MatchEngine::fail_source(int src) {
   // Sever the reorder stream: parked out-of-sequence packets can never
   // drain (the gaps below them died with the sender), so they would pin
   // reorder_total_ and leak pooled payloads until teardown.
-  if (ps.reorder != nullptr) {
-    while (ps.reorder->present != 0) {
-      const std::uint32_t idx =
-          static_cast<std::uint32_t>(std::countr_zero(ps.reorder->present));
-      ps.reorder->present &= ~(std::uint64_t{1} << idx);
-      fabric::Packet drop = std::move(ps.reorder->slot[idx]);
-      static_cast<void>(drop);
-      --reorder_total_;
-    }
+  // Freeing the ring destroys every parked packet with it.
+  for (std::uint32_t i = 0; i < ps.reorder.cap; ++i) {
+    if (ps.reorder.slot[i].hdr.opcode != fabric::Opcode::kInvalid) --reorder_total_;
   }
+  ps.reorder = ReorderRing{};
   reorder_total_ -= ps.spill.size();
   ps.spill.clear();
 

@@ -235,11 +235,12 @@ TEST_F(MatchTest, MatchTimeAccumulates) {
 }
 
 // Deterministic worst case for the reorder structures: deliver seq 1..N-1
-// first with seq 0 withheld, so everything parks. Deltas 1..63 land in the
-// fixed ring, deltas >= 64 take the spill-map fallback; a second epoch at
-// base 300 repeats the pattern with expected_seq no longer a multiple of
-// the window, so ring indices (seq & 63) wrap around the array. The final
-// in-order packet must drain ring and spill in one incoming() call.
+// first with seq 0 withheld, so everything parks. The ring grows from 64 to
+// 512 slots as the deltas pass 63, 127 and 255; a second epoch at base 300
+// repeats the pattern with expected_seq no longer a multiple of the
+// capacity, so ring indices wrap around the array. The final in-order
+// packet must drain every parked packet in one incoming() call. (The spill
+// map takes only deltas >= kReorderMax; see ReverseArrivalAtEveryRingDepth.)
 TEST_F(MatchTest, ReorderRingWraparoundAndSpillFallback) {
   constexpr std::uint32_t kPerEpoch = 300;  // > kReorderWindow => spill used
   constexpr int kEpochs = 2;
@@ -276,6 +277,90 @@ TEST_F(MatchTest, ReorderRingWraparoundAndSpillFallback) {
     ASSERT_TRUE(reqs[i].done());
     EXPECT_EQ(bufs[i], static_cast<std::uint32_t>(i));
   }
+}
+
+std::string seq_payload(std::uint32_t seq) {
+  return std::string(reinterpret_cast<const char*>(&seq), sizeof seq);
+}
+
+// Reverse-order arrival `depth` deep: seqs depth..1 park behind the hole at
+// 0, then seq 0 drains them all. The depths straddle each ring growth step,
+// the largest ring (kReorderMax) and the spill map beyond it.
+TEST_F(MatchTest, ReverseArrivalAtEveryRingDepthDeliversInOrderOnce) {
+  for (const std::uint32_t depth : {63u, 64u, 65u, 511u, 4095u, 4096u, 4097u}) {
+    spc::CounterSet spc;
+    MatchEngine eng(2, false, spc);
+    std::vector<Request> reqs(depth + 1);
+    std::vector<std::uint32_t> bufs(depth + 1, ~0u);
+    for (std::uint32_t i = 0; i <= depth; ++i) {
+      reqs[i].init_recv(&bufs[i], sizeof(std::uint32_t), 1, 5);
+      ASSERT_FALSE(eng.post(&reqs[i]));
+    }
+    for (std::uint32_t seq = depth; seq >= 1; --seq) {
+      ASSERT_EQ(eng.incoming(make_eager(1, seq, 5, seq_payload(seq))), 0u) << depth;
+    }
+    EXPECT_EQ(eng.reorder_buffered(), depth);
+    EXPECT_EQ(eng.incoming(make_eager(1, 0, 5, seq_payload(0))), depth + 1) << depth;
+    EXPECT_EQ(eng.reorder_buffered(), 0u) << depth;
+    EXPECT_EQ(eng.unexpected_count(), 0u) << depth;
+    EXPECT_EQ(spc.get(Counter::kOosBufferPeak), depth);
+    EXPECT_EQ(spc.get(Counter::kMessagesReceived), depth + 1u);
+    for (std::uint32_t i = 0; i <= depth; ++i) {
+      ASSERT_TRUE(reqs[i].done()) << depth;
+      ASSERT_EQ(bufs[i], i) << depth;
+    }
+  }
+}
+
+// Reliable mode: a retransmit of a packet that parked before the ring grew,
+// or that spilled and has since come within the ring's reach, is a
+// duplicate. It is discarded and counted, never parked a second time.
+TEST_F(MatchTest, DuplicateOfParkedPacketSurvivesRingGrowth) {
+  MatchEngine eng(2, false, spc_, /*reliable=*/true);
+  Admission adm = Admission::kAdmitted;
+  eng.incoming(make_eager(1, 10, 5), &adm);  // ring: 64 slots
+  EXPECT_EQ(adm, Admission::kAdmitted);
+  eng.incoming(make_eager(1, 200, 5), &adm);  // grows to 256
+  eng.incoming(make_eager(1, 5000, 5), &adm);  // beyond kReorderMax: spill
+  ASSERT_EQ(eng.reorder_buffered(), 3u);
+  eng.incoming(make_eager(1, 10, 5), &adm);
+  EXPECT_EQ(adm, Admission::kDuplicate);
+  eng.incoming(make_eager(1, 200, 5), &adm);
+  EXPECT_EQ(adm, Admission::kDuplicate);
+  EXPECT_EQ(spc_.get(Counter::kDupDiscards), 2u);
+  EXPECT_EQ(eng.reorder_buffered(), 3u);
+
+  // Move the frontier to 4990: seq 5000 is now within the ring's reach,
+  // but it still sits in the spill map.
+  for (std::uint32_t seq = 0; seq < 4990; ++seq) {
+    if (seq != 10 && seq != 200) eng.incoming(make_eager(1, seq, 5));
+  }
+  ASSERT_EQ(eng.reorder_buffered(), 1u);
+  eng.incoming(make_eager(1, 5000, 5), &adm);
+  EXPECT_EQ(adm, Admission::kDuplicate);
+  EXPECT_EQ(spc_.get(Counter::kDupDiscards), 3u);
+  EXPECT_EQ(eng.reorder_buffered(), 1u);
+  for (std::uint32_t seq = 4990; seq < 5000; ++seq) eng.incoming(make_eager(1, seq, 5));
+  EXPECT_EQ(eng.reorder_buffered(), 0u);
+  EXPECT_EQ(eng.unexpected_count(), 5001u);  // every seq exactly once
+}
+
+// A dead source's parked packets can never drain: fail_source drops the
+// ring (grown to kReorderMax) and the spill beyond it.
+TEST_F(MatchTest, FailSourceEmptiesRingAndSpill) {
+  MatchEngine eng(2, false, spc_);
+  constexpr std::uint32_t kParked = kReorderMax + 100;
+  for (std::uint32_t seq = kParked; seq >= 1; --seq) {
+    eng.incoming(make_eager(1, seq, 5, std::string(100, 'x')));  // pooled payloads
+  }
+  ASSERT_EQ(eng.reorder_buffered(), kParked);
+  EXPECT_EQ(eng.fail_source(1), 0u);
+  EXPECT_EQ(eng.reorder_buffered(), 0u);
+  Request req;
+  std::uint32_t buf = 0;
+  req.init_recv(&buf, sizeof buf, 1, 5);
+  EXPECT_TRUE(eng.post(&req));  // fails fast: nothing can arrive
+  EXPECT_TRUE(req.failed());
 }
 
 // Two receivers share one communicator and post 128-deep windows for

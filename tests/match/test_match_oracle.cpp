@@ -8,7 +8,10 @@
 // order, first acceptable entry wins. After every step each request's
 // settled outcome (source, tag, sequence number, or error) and the queue
 // depths must agree. Tags are drawn either from one tag bin, so every match
-// walks colliding entries, or spread across bins.
+// walks colliding entries, or spread across bins. The run mode feeds the
+// arrivals through the engine's run entry point, as a progress drain does:
+// seeded runs of 1-64 packets from mixed sources under one lock hold,
+// against the reference fed the same packets one at a time.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -205,10 +208,21 @@ std::vector<int> tag_set(Tags mode) {
   return tags;
 }
 
+enum class Arrivals { kOneAtATime, kRuns };
+
 class MatchOracle
-    : public ::testing::TestWithParam<std::tuple<std::uint64_t, Tags, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, Tags, bool>> {
+ protected:
+  void run_script(Arrivals arrivals);
+};
 
 TEST_P(MatchOracle, SettledPairingsMatchTheLinearReference) {
+  run_script(Arrivals::kOneAtATime);
+}
+
+TEST_P(MatchOracle, RunsOfArrivalsMatchTheLinearReference) { run_script(Arrivals::kRuns); }
+
+void MatchOracle::run_script(Arrivals arrivals) {
   const auto [seed, mode, overtaking] = GetParam();
   const std::vector<int> tags = tag_set(mode);
   Xoshiro256 rng(seed);
@@ -246,19 +260,45 @@ TEST_P(MatchOracle, SettledPairingsMatchTheLinearReference) {
     ASSERT_EQ(eng.posted_count(), ref.posted()) << "step " << step << " " << op;
     ASSERT_EQ(eng.reorder_buffered(), ref.parked()) << "step " << step << " " << op;
   };
-  const auto arrive = [&](int src, std::uint32_t seq) {
+  // Feeds the reference and stages the packet; the engine sees the staged
+  // run at flush().
+  std::vector<fabric::Packet> run;
+  std::size_t run_want = 0;
+  const auto stage = [&](int src, std::uint32_t seq) {
     const int tag = unsent[src].at(seq);
     unsent[src].erase(seq);
-    fabric::Packet pkt;
+    fabric::Packet& pkt = run.emplace_back();
     pkt.hdr.opcode = fabric::Opcode::kEager;
     pkt.hdr.src_rank = static_cast<std::uint16_t>(src);
     pkt.hdr.tag = tag;
     pkt.hdr.seq = seq;
     pkt.set_payload(&seq, sizeof seq);
-    op = "arrive src " + std::to_string(src) + " tag " + std::to_string(tag) + " seq " +
-         std::to_string(seq);
-    const std::size_t want = ref.arrive({src, tag, seq});
-    ASSERT_EQ(eng.incoming(std::move(pkt)), want) << op;
+    op += " (src " + std::to_string(src) + " tag " + std::to_string(tag) + " seq " +
+          std::to_string(seq) + ")";
+    run_want += ref.arrive({src, tag, seq});
+  };
+  const auto flush = [&] {
+    std::vector<Admission> verdicts(run.size(), Admission::kShed);
+    if (arrivals == Arrivals::kRuns) {
+      ASSERT_EQ(eng.incoming(run.data(), run.size(), verdicts.data()), run_want) << op;
+    } else {
+      ASSERT_EQ(run.size(), 1u);
+      ASSERT_EQ(eng.incoming(std::move(run[0]), verdicts.data()), run_want) << op;
+    }
+    for (const Admission v : verdicts) ASSERT_EQ(v, Admission::kAdmitted) << op;
+    run.clear();
+    run_want = 0;
+  };
+  const auto arrive = [&](int src, std::uint32_t seq) {
+    op = "arrive";
+    stage(src, seq);
+    flush();
+  };
+  // Keep a few messages generated ahead so arrivals can overtake.
+  const auto top_up = [&](int src) {
+    while (unsent[src].size() < 6) {
+      unsent[src][next_seq[src]++] = tags[rng.bounded(tags.size())];
+    }
   };
 
   for (int step = 0; step < kSteps; ++step, ++now) {
@@ -277,15 +317,19 @@ TEST_P(MatchOracle, SettledPairingsMatchTheLinearReference) {
       const bool want = ref.post(id, src, tag, deadline);
       ASSERT_EQ(eng.post(&reqs.back()), want) << op;
     } else if (dice < 78) {
-      const int src = 1 + static_cast<int>(rng.bounded(kRanks - 1));
-      if (!live[src]) continue;
-      // Keep a few messages generated ahead so arrivals can overtake.
-      while (unsent[src].size() < 6) {
-        unsent[src][next_seq[src]++] = tags[rng.bounded(tags.size())];
+      // One arrival, or in run mode a run of 1-64 from any live sources.
+      const std::uint64_t n = arrivals == Arrivals::kRuns ? 1 + rng.bounded(64) : 1;
+      op = "arrive";
+      for (std::uint64_t k = 0; k < n; ++k) {
+        const int src = 1 + static_cast<int>(rng.bounded(kRanks - 1));
+        if (!live[src]) continue;
+        top_up(src);
+        auto it = unsent[src].begin();
+        if (rng.bounded(3) == 0) std::advance(it, rng.bounded(unsent[src].size()));
+        stage(src, it->first);
       }
-      auto it = unsent[src].begin();
-      if (rng.bounded(3) == 0) std::advance(it, rng.bounded(unsent[src].size()));
-      arrive(src, it->first);
+      if (run.empty()) continue;
+      flush();
       if (HasFatalFailure()) return;
     } else if (dice < 88) {
       if (reqs.empty()) continue;

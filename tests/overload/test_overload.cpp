@@ -22,6 +22,7 @@
 #include "fairmpi/common/timing.hpp"
 #include "fairmpi/core/universe.hpp"
 #include "fairmpi/fabric/wire.hpp"
+#include "fairmpi/match/match_engine.hpp"
 #include "support/scoped_chaos_env.hpp"
 
 namespace fairmpi {
@@ -362,6 +363,73 @@ TEST(Overload, ShedPolicyBoundsQueueWhileStreaming) {
 
 TEST(Overload, ShedPolicyBoundsQueueOnLossyFabric) {
   check_queue_flood(overload::Policy::kShed, /*fill_first=*/true, /*drop=*/0.2);
+}
+
+// A drain hands the match engine whole runs of envelopes under one lock
+// hold. A run that crosses the unexpected cap must give every packet the
+// verdict it gets when the packets arrive one at a time, with the same
+// counters: admission is decided per packet, in run order.
+TEST(Overload, RunCrossingTheCapMatchesOneAtATime) {
+  struct Arrival {
+    int src;
+    std::uint32_t seq;
+  };
+  // Source 1 fills the cap of 4 (one packet parks on the way), then keeps
+  // coming: in order, far ahead (deferred) and as repeats of an admitted
+  // and of a refused seq. Source 2 interleaves below the cap.
+  const std::vector<Arrival> script = {
+      {1, 0}, {1, 1}, {2, 0}, {1, 3}, {1, 2}, {1, 4}, {2, 1}, {1, 5}, {1, 6},
+      {1, 8}, {1, 7}, {2, 3}, {2, 6}, {1, 9}, {1, 2}, {1, 5}, {2, 2}, {1, 10}};
+  const auto make = [](const Arrival& a) {
+    fabric::Packet pkt;
+    pkt.hdr.opcode = fabric::Opcode::kEager;
+    pkt.hdr.src_rank = static_cast<std::uint16_t>(a.src);
+    pkt.hdr.tag = 7;
+    pkt.hdr.seq = a.seq;
+    return pkt;
+  };
+  for (const overload::Policy policy : {overload::Policy::kShed, overload::Policy::kQueue}) {
+    SCOPED_TRACE(policy == overload::Policy::kShed ? "kShed" : "kQueue");
+    overload::Limits lim;
+    lim.unexpected_cap = 4;
+    lim.unexpected_policy = policy;
+    struct Side {
+      explicit Side(const overload::Limits& l) : gov(l), eng(3, false, spc, true) {
+        eng.set_overload(&gov);
+      }
+      spc::CounterSet spc;
+      overload::Governor gov;
+      match::MatchEngine eng;
+      std::vector<match::Admission> verdicts;
+    };
+    Side single(lim);
+    Side run(lim);
+    for (const Arrival& a : script) {
+      match::Admission v = match::Admission::kAdmitted;
+      single.eng.incoming(make(a), &v);
+      single.verdicts.push_back(v);
+    }
+    std::vector<fabric::Packet> pkts;
+    for (const Arrival& a : script) pkts.push_back(make(a));
+    run.verdicts.assign(pkts.size(), match::Admission::kAdmitted);
+    run.eng.incoming(pkts.data(), pkts.size(), run.verdicts.data());
+
+    EXPECT_EQ(run.verdicts, single.verdicts);
+    const auto refused = policy == overload::Policy::kShed ? match::Admission::kShed
+                                                           : match::Admission::kPaused;
+    EXPECT_NE(std::count(run.verdicts.begin(), run.verdicts.end(), refused), 0);
+    EXPECT_NE(std::count(run.verdicts.begin(), run.verdicts.end(),
+                         match::Admission::kDeferred),
+              0);
+    for (int c = 0; c < spc::kNumCounters; ++c) {
+      const auto counter = static_cast<Counter>(c);
+      if (counter == Counter::kMatchTimeNs) continue;  // wall time, not behaviour
+      EXPECT_EQ(run.spc.get(counter), single.spc.get(counter)) << "counter " << c;
+    }
+    EXPECT_EQ(run.eng.unexpected_count(), single.eng.unexpected_count());
+    EXPECT_EQ(run.eng.reorder_buffered(), single.eng.reorder_buffered());
+    EXPECT_EQ(run.gov.paused_peers(), single.gov.paused_peers());
+  }
 }
 
 TEST(Overload, UnexpectedCapImpliesReliable) {

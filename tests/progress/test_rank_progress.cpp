@@ -113,5 +113,55 @@ TEST(Progress, ReliableDrainTakesNoRankLock) {
   for (Request& r : reqs) uni.rank(0).wait(r);
 }
 
+TEST(Progress, DrainMatchesEachCommRunUnderOneLock) {
+  // A drain matches each run of consecutive envelopes for one communicator
+  // under one hold of its match lock (DESIGN.md §5 rule 3): 64 packets on
+  // one comm take the lock once, and a batch that alternates between two
+  // comms in blocks takes it once per block. Reliable or not, one path.
+  test_support::ScopedChaosEnvClear clear_env;
+  constexpr std::uint32_t kPackets = 64;
+  constexpr std::uint32_t kBlock = 16;
+  const auto match_acquires = [] {
+    for (const auto& c : obs::contention_snapshot()) {
+      if (c.name == "match.engine") return c.acquires;
+    }
+    return std::uint64_t{0};
+  };
+  // One fresh universe per drain, so no retransmit of an earlier round can
+  // share the measured batch.
+  const auto drain_once = [&](bool reliable, bool alternate) {
+    Config cfg;
+    cfg.reliable = reliable;
+    cfg.reliability_window = kPackets;
+    cfg.obs_enabled = true;
+    Universe uni(cfg);
+    const CommId other = uni.create_communicator();
+    const auto comm_of = [&](std::uint32_t i) {
+      return alternate && (i / kBlock) % 2 == 1 ? other : kWorldComm;
+    };
+    Request reqs[kPackets];
+    for (std::uint32_t i = 0; i < kPackets; ++i) {
+      uni.rank(0).isend(comm_of(i), 1, 9, &i, sizeof i, reqs[i]);
+    }
+    const std::uint64_t before = match_acquires();
+    uni.rank(1).progress();  // one drain: all 64 packets
+    const std::uint64_t taken = match_acquires() - before;
+    for (std::uint32_t i = 0; i < kPackets; ++i) {
+      std::uint32_t got = ~0u;
+      Request recv;
+      uni.rank(1).irecv(comm_of(i), 0, 9, &got, sizeof got, recv);
+      uni.rank(1).wait(recv);
+      EXPECT_EQ(got, i);
+    }
+    for (Request& r : reqs) uni.rank(0).wait(r);
+    return taken;
+  };
+  for (const bool reliable : {false, true}) {
+    SCOPED_TRACE(reliable ? "reliable" : "unreliable");
+    EXPECT_EQ(drain_once(reliable, /*alternate=*/false), 1u);
+    EXPECT_EQ(drain_once(reliable, /*alternate=*/true), kPackets / kBlock);
+  }
+}
+
 }  // namespace
 }  // namespace fairmpi

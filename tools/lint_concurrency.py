@@ -123,6 +123,7 @@ NO_TSA_RE = re.compile(r"\bFAIRMPI_NO_TSA\b")
 # is either setup-time or a documented slow path and carries an allow.
 HOTPATH_FILES = {
     "src/match/match_engine.cpp",
+    "include/fairmpi/match/match_engine.hpp",
     "src/progress/progress.cpp",
     "src/p2p/sender.cpp",
     "src/fabric/wire.cpp",
