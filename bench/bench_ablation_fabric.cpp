@@ -141,8 +141,9 @@ void BM_SubmitRingSubmitDrain(benchmark::State& state) {
 }
 BENCHMARK(BM_SubmitRingSubmitDrain);
 
-/// Contended combining funnel: N-1 producer threads claim descriptors
-/// (doorbell batched at SubmitRing::kDoorbellBatch), one consumer drains.
+/// Contended combining funnel: N-1 producer threads claim and publish
+/// descriptors, one consumer drains. The work-word store that
+/// CommResourceInstance::inject adds after each publish is not included.
 /// The per-item time under threads is the headline number the lock-free
 /// submission path buys — producers pay one CAS, not a lock handoff.
 void BM_SubmitRingMultiProducer(benchmark::State& state) {

@@ -21,6 +21,8 @@
 //   [S4] tail_.store(t+1, release)  — publishes [S3] to the consumer
 // Memory ordering (consumer): symmetric — head_ relaxed own-read, tail_
 // acquire refresh pairing with [S4], slot move-out, head_ release store.
+// try_pop_n refreshes tail_ whenever the cached count is short of the
+// request, not only when it is zero: see its comment.
 //
 // The cached indices (head_cache_, tail_cache_) are deliberately plain:
 // each is written and read only by its own side. Sides may migrate across
@@ -92,11 +94,15 @@ class SpscRing {
   }
 
   /// Dequeue up to `max_n` items, returning the count; one head_ store per
-  /// batch. CONSUMER SIDE ONLY.
+  /// batch. CONSUMER SIDE ONLY. A cached count short of `max_n` is
+  /// refreshed first, so a short result means the ring was empty at an
+  /// acquire read of tail_ made by this call: a drain that cleared its
+  /// context's work word and then pops here cannot miss a push published
+  /// before the clear (DESIGN.md §5f "Work word").
   std::size_t try_pop_n(T* out, std::size_t max_n) noexcept {
     const std::uint64_t h = head_.load(std::memory_order_relaxed);
     std::uint64_t avail = tail_cache_ - h;
-    if (avail == 0) {
+    if (avail < max_n) {
       tail_cache_ = tail_.load(std::memory_order_acquire);
       avail = tail_cache_ - h;
       if (avail == 0) return 0;
@@ -119,8 +125,6 @@ class SpscRing {
     const std::uint64_t head = head_.load(std::memory_order_relaxed);
     return tail >= head ? static_cast<std::size_t>(tail - head) : 0;
   }
-
-  bool empty_approx() const noexcept { return size_approx() == 0; }
 
   std::size_t capacity() const noexcept { return capacity_; }
 

@@ -208,9 +208,9 @@ class Rank final : public progress::PacketSink,
   void set_error_sink(common::ErrorSink sink, void* user) noexcept;
 
   // PacketSink. A batch's reliability notices go out together right after
-  // it; only those a full ring refuses, or all of a `locked` batch's, wait
-  // in the rank's ack queue (DESIGN.md §5c "Per-drain acks").
-  std::size_t handle_packets(fabric::Packet* pkts, std::size_t n, bool locked) override;
+  // it; only those a full ring refuses wait in the rank's ack queue
+  // (DESIGN.md §5c "Per-drain acks").
+  std::size_t handle_packets(fabric::Packet* pkts, std::size_t n) override;
   std::size_t handle_completion(const fabric::Completion& c) override;
 
   // RendezvousHook (called by the matching engine, match lock held)

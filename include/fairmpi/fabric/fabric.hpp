@@ -26,6 +26,10 @@
 // single-consumer discipline. Per-(src, ctx) FIFO is preserved (one stream
 // = one lane); cross-stream interleaving was already arbitrary.
 //
+// Work word (DESIGN.md §5f): every publish into a context (RX lane push, CQ
+// push, submission-ring publish) then rings the context's WorkWord, and a
+// progress visit that finds it unset does not touch the instance at all.
+//
 // Capacity semantics: FabricParams::rx_ring_entries is the PER-LANE depth —
 // a per-source credit window, as real NICs bound in-flight traffic per QP —
 // so a slow stream backpressures its own sender without stealing credits
@@ -76,14 +80,36 @@ struct Completion {
   void* cookie = nullptr;  ///< kRmaDone: rma::Window*; kSendDone: p2p request
 };
 
+/// A context's "may have work" word, alone on its cache line; the
+/// lost-wakeup argument is DESIGN.md §5f "Work word". Producers ring()
+/// after each publish, a drain take()s it under the instance lock before it
+/// pops, and a visit that finds it unset skips the instance.
+class WorkWord {
+ public:
+  /// Unconditional release store. Never test the word first: a producer
+  /// that reads a stale 1 and skips its store strands its publish.
+  void ring() noexcept { word_.store(1, std::memory_order_release); }
+  /// The visit gate. A stale read costs one empty visit or delays one.
+  bool rung() const noexcept {
+    // lint: allow(relaxed-sync) gate only; take() under the lock is the acquire
+    return word_.load(std::memory_order_relaxed) != 0;
+  }
+  bool take() noexcept { return word_.exchange(0, std::memory_order_acq_rel) != 0; }
+
+ private:
+  alignas(kCacheLine) std::atomic<std::uint32_t> word_{0};
+};
+
 /// A context's receive queue: SPSC lanes indexed by source stream, drained
 /// round-robin by the single consumer (the thread holding the owning CRI's
 /// lock). Producers must hold the *source* instance's lock — that lock is
 /// what serializes each lane (see file header).
 class RxQueue {
  public:
-  RxQueue(const RxLayout& layout, int num_local_contexts, std::size_t entries_per_lane)
-      : n_local_(num_local_contexts < 1 ? 1 : num_local_contexts),
+  RxQueue(const RxLayout& layout, int num_local_contexts, std::size_t entries_per_lane,
+          WorkWord& work)
+      : work_(&work),
+        n_local_(num_local_contexts < 1 ? 1 : num_local_contexts),
         k_stride_((layout.max_src_contexts + n_local_ - 1) / n_local_ < 1
                       ? 1
                       : (layout.max_src_contexts + n_local_ - 1) / n_local_) {
@@ -104,10 +130,13 @@ class RxQueue {
     return lane < lanes_.size() ? lane : lane % lanes_.size();
   }
 
-  /// Enqueue on a specific lane; false when that lane's credits are spent.
-  /// Caller must be the lane's (serialized) producer.
+  /// Enqueue on a specific lane and ring the context's work word; false
+  /// when that lane's credits are spent. Caller must be the lane's
+  /// (serialized) producer.
   bool try_push_lane(std::size_t lane, Packet&& pkt) noexcept {
-    return lanes_[lane]->try_push(std::move(pkt));
+    if (!lanes_[lane]->try_push(std::move(pkt))) return false;
+    work_->ring();
+    return true;
   }
 
   /// Stable pointer to a lane's ring, so an Endpoint can skip the
@@ -143,7 +172,8 @@ class RxQueue {
 
   /// Dequeue up to `max_n` packets, sweeping each lane at most once.
   /// Single consumer. The cursor persists across calls so a hot lane
-  /// cannot starve the others.
+  /// cannot starve the others. A result short of `max_n` means every lane
+  /// was empty at an acquire read of its tail taken during this call.
   std::size_t try_pop_n(Packet* out, std::size_t max_n) noexcept {
     const std::size_t lanes = lanes_.size();
     std::size_t n = 0;
@@ -169,13 +199,8 @@ class RxQueue {
     return n;
   }
 
-  bool empty_approx() const noexcept { return size_approx() == 0; }
-
-  std::size_t num_lanes() const noexcept { return lanes_.size(); }
-  /// Per-lane depth (the per-source credit window).
-  std::size_t lane_capacity() const noexcept { return lanes_[0]->capacity(); }
-
  private:
+  WorkWord* work_;  ///< the owning context's word
   const int n_local_;
   const int k_stride_;
   std::vector<std::unique_ptr<SpscRing<Packet>>> lanes_;
@@ -184,15 +209,15 @@ class RxQueue {
 };
 
 /// One network context: the unit of resource replication inside a CRI.
-/// Owns an RX queue (per-source SPSC lanes, locally-locked consumer) and a
-/// CQ.
+/// Owns an RX queue (per-source SPSC lanes, locally-locked consumer), a CQ
+/// and the work word both ring.
 class NetworkContext {
  public:
   NetworkContext(int rank, int index, const RxLayout& layout, int num_local_contexts,
                  const FabricParams& params)
       : rank_(rank),
         index_(index),
-        rx_(layout, num_local_contexts, params.rx_ring_entries),
+        rx_(layout, num_local_contexts, params.rx_ring_entries, work_),
         cq_(params.cq_entries) {}
 
   int rank() const noexcept { return rank_; }
@@ -200,6 +225,15 @@ class NetworkContext {
 
   RxQueue& rx() noexcept { return rx_; }
   MpscRing<Completion>& cq() noexcept { return cq_; }
+  WorkWord& work() noexcept { return work_; }
+
+  /// Post a completion event and ring the work word; false when the CQ is
+  /// full. Every CQ producer goes through here.
+  bool try_push_completion(const Completion& c) noexcept {
+    if (!cq_.try_push(c)) return false;
+    work_.ring();
+    return true;
+  }
 
   /// Count of packets ever delivered into this context (diagnostics).
   /// Derived from the lanes' push cursors — every successful push IS a
@@ -210,6 +244,7 @@ class NetworkContext {
  private:
   const int rank_;
   const int index_;
+  WorkWord work_;  ///< declared before rx_, which keeps its address
   RxQueue rx_;
   MpscRing<Completion> cq_;
 };
@@ -306,7 +341,6 @@ class Fabric {
   }
 
   FaultInjector* injector() noexcept { return injector_.get(); }
-  bool checksums() const noexcept { return checksums_; }
   /// True when injection can bypass checksums and fault modeling.
   bool plain_path() const noexcept { return plain_path_; }
 
@@ -372,7 +406,9 @@ class Endpoint {
   bool try_send(Packet&& pkt) {
     pkt.hdr.src_ctx = src_ctx_;
     if (fabric_->plain_path()) {
-      return ring_->try_push(std::move(pkt));
+      if (!ring_->try_push(std::move(pkt))) return false;
+      dst_ctx_->work().ring();
+      return true;
     }
     return fabric_->deliver_slow(*dst_ctx_, lane_, dst_rank_, std::move(pkt));
   }

@@ -1,4 +1,4 @@
-// Lock-free MPSC submission ring with a batched doorbell (DESIGN.md §5f).
+// Lock-free MPSC submission ring (DESIGN.md §5f).
 //
 // The CRI injection path used to serialize every producer on the instance
 // lock even when the critical section was one endpoint try_send. This ring
@@ -10,15 +10,15 @@
 // electing itself by try_lock — drains the ring under the lock and injects
 // on the producers' behalf (a combining funnel: one lock acquisition
 // retires many submissions). Producers therefore never *require* a
-// consumer: self-election bounds their wait, and the doorbell below is a
-// consumer-side hint only, never a correctness mechanism.
+// consumer: self-election bounds their wait. Progress threads find queued
+// descriptors through the context's work word, which
+// CommResourceInstance::inject rings after every publish (fabric.hpp).
 //
 // The descriptor transfer is the same Vyukov bounded-queue protocol as
 // MpscRing (mpsc_ring.hpp); it is restated here — rather than reusing the
 // template — because the submission protocol needs producer-side CAS-retry
-// accounting and the doorbell folded into the claim, and because this file
-// is the documented home of the memory-ordering argument the lock-free
-// injection path rests on.
+// accounting, and because this file is the documented home of the
+// memory-ordering argument the lock-free injection path rests on.
 //
 // Ordering argument (every atomic below cites one of these edges):
 //   [P1] claim      tail_.compare_exchange(pos, pos+1, relaxed) — claiming
@@ -43,12 +43,6 @@
 //                   flusher never touches the descriptor, the ticket, or
 //                   the packet again — that is what makes the producer's
 //                   stack storage safe to reclaim on return.
-//   [B1] doorbell   bell_.store(1, release) / consumer exchange(0, acquire)
-//                   — a *hint* with no correctness role: a doorbell lost to
-//                   reordering or an early consumer clear only delays
-//                   consumption until the producer self-elects. The release
-//                   is courtesy (a consumer woken by the bell usually finds
-//                   the descriptor without spinning), not necessity.
 //
 // Single-consumer discipline: drain() must run under the owning CRI's
 // instance lock, exactly like MpscRing::try_pop_n — the lock is the
@@ -101,17 +95,11 @@ struct SubmitDesc {
 /// What one try_push observed, for the SPC/obs counters at the call site.
 struct SubmitPushOutcome {
   bool ok = false;                ///< false: ring full (caller falls back)
-  bool rang_doorbell = false;     ///< this claim completed a doorbell batch
   std::uint32_t cas_retries = 0;  ///< failed tail CAS attempts (collisions)
 };
 
 class SubmitRing {
  public:
-  /// One doorbell ring per this many claims (or on demand via
-  /// ring_doorbell() when a producer's backoff saturates — the "timeout"
-  /// arm of the batching rule).
-  static constexpr std::uint64_t kDoorbellBatch = 8;
-
   /// Capacity is rounded up to a power of two; minimum 2.
   explicit SubmitRing(std::size_t capacity)
       : capacity_(next_pow2(capacity < 2 ? 2 : capacity)),
@@ -126,9 +114,8 @@ class SubmitRing {
   SubmitRing(const SubmitRing&) = delete;
   SubmitRing& operator=(const SubmitRing&) = delete;
 
-  /// Producer: claim + fill + publish, and ring the doorbell on batch
-  /// boundaries. Any number of threads may call this concurrently; the
-  /// instance lock is NOT required (that is the point).
+  /// Producer: claim + fill + publish. Any number of threads may call this
+  /// concurrently; the instance lock is NOT required (that is the point).
   SubmitPushOutcome try_push(const SubmitDesc& d) noexcept {
     SubmitPushOutcome out;
     std::uint64_t pos = tail_.load(std::memory_order_relaxed);
@@ -146,10 +133,6 @@ class SubmitRing {
           // [P3] publish: release makes the descriptor (and the packet
           // contents it points to) visible to the [C1] acquire in drain().
           cell.seq.store(pos + 1, std::memory_order_release);
-          if ((pos + 1) % kDoorbellBatch == 0) {
-            ring_doorbell();
-            out.rang_doorbell = true;
-          }
           out.ok = true;
           return out;
         }
@@ -162,25 +145,6 @@ class SubmitRing {
     }
   }
 
-  /// [B1] Arm the consumer-side hint. Cheap to call redundantly: the load
-  /// keeps an already-armed bell's line in shared state (no write).
-  void ring_doorbell() noexcept {
-    // The bell is a hint with no ordering role (see [B1] in the header
-    // comment); the relaxed pre-load only avoids a redundant store.
-    // lint: allow(relaxed-sync) doorbell hint, no data published through it
-    if (bell_.load(std::memory_order_relaxed) == 0) {
-      bell_.store(1, std::memory_order_release);
-    }
-  }
-
-  /// Consumer-side: has a producer rung since the last drain? One relaxed
-  /// load of a line that is quiet between batches — this is what the
-  /// progress path polls instead of the producers' tail_ line.
-  bool doorbell_rung() const noexcept {
-    // lint: allow(relaxed-sync) hint only; the real edge is [P3]/[C1]
-    return bell_.load(std::memory_order_relaxed) != 0;
-  }
-
   /// Consumer: pop every published descriptor (bounded by capacity) and
   /// hand each to `fn`. Single-consumer: callers must hold the owning
   /// CRI's instance lock (see header comment). `fn` is responsible for
@@ -188,11 +152,6 @@ class SubmitRing {
   /// slot is recycled and the descriptor must not be touched again.
   template <typename Fn>
   std::size_t drain(Fn&& fn) noexcept {
-    // Clear the bell *before* popping: a producer that publishes after our
-    // scan re-arms it for the next visit; one that published before is
-    // popped below. A hint lost to the race costs a delayed visit, never a
-    // stranded descriptor (producers self-elect).
-    if (doorbell_rung()) bell_.store(0, std::memory_order_relaxed);
     const std::uint64_t pos = head_;
     std::size_t n = 0;
     while (n < capacity_) {
@@ -210,19 +169,7 @@ class SubmitRing {
       ++n;
     }
     head_ = pos + n;  // plain: single consumer, serialized by the CRI lock
-    if (n != 0) {
-      // lint: allow(relaxed-sync) diagnostic shadow of head_ for
-      // pending_approx(); carries no data (the real edge is [C2])
-      head_approx_.store(pos + n, std::memory_order_relaxed);
-    }
     return n;
-  }
-
-  /// Producer-visible occupancy estimate (diagnostics only).
-  std::size_t pending_approx() const noexcept {
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    const std::uint64_t head = head_approx_.load(std::memory_order_relaxed);
-    return tail >= head ? static_cast<std::size_t>(tail - head) : 0;
   }
 
   std::size_t capacity() const noexcept { return capacity_; }
@@ -246,13 +193,8 @@ class SubmitRing {
   /// contended producers write.
   alignas(kCacheLine) std::atomic<std::uint64_t> tail_{0};
   /// Consumer cursor: non-atomic on purpose — written and read only under
-  /// the instance lock (single-consumer discipline). head_approx_ shadows
-  /// it for the lock-free pending_approx() diagnostic.
+  /// the instance lock (single-consumer discipline).
   alignas(kCacheLine) std::uint64_t head_ = 0;
-  std::atomic<std::uint64_t> head_approx_{0};
-  /// [B1] batched doorbell: armed by producers once per kDoorbellBatch
-  /// claims (or explicitly), cleared by the consumer per drain visit.
-  alignas(kCacheLine) std::atomic<std::uint64_t> bell_{0};
 };
 
 }  // namespace fairmpi::fabric

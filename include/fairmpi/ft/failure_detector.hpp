@@ -29,9 +29,8 @@
 // registry's spc::Hist::kFtDetectionMs histogram for dump_observability()).
 //
 // Lock discipline: note_alive is one relaxed store (it runs on the packet
-// dispatch path, which progress_instance_locked executes under a CRI lock).
-// poll() locks the detector table (rank kFtDetector, 25 — above the CRI
-// locks for the same reason), *collects* probe targets and newly confirmed
+// dispatch path). poll() locks the detector table (rank kFtDetector, 25 —
+// above the CRI locks), *collects* probe targets and newly confirmed
 // deaths under it, and returns; the owning rank calls it every half
 // heartbeat interval from its single-runner service step, so it has no
 // cadence gate of its own, and the caller injects heartbeats and runs

@@ -11,9 +11,17 @@
 //   * kConcurrent — Algorithm 2: every thread may progress. A thread
 //     try-locks its *own* instance first (per the pool's assignment
 //     policy); only when that instance yields no completions does it sweep
-//     the other instances round-robin, which both avoids convoying and
-//     guarantees that orphaned instances (e.g. whose dedicated thread
-//     exited) are still progressed eventually.
+//     the other instances, from a thread-local rotating start, which both
+//     avoids convoying and guarantees that orphaned instances (e.g. whose
+//     dedicated thread exited) are still progressed eventually. RMA flush
+//     (rma/window.cpp) runs the same pass: its own instance first, the
+//     others only when that yields nothing.
+//
+// Every instance visit is one gated visit (visit()): it reads the
+// context's work word (fabric.hpp) with one relaxed load and, when no
+// producer has rung it, returns without touching the lock, the rings or a
+// drain batch. An idle call therefore touches no instance line.
+//
 // Lock-scope discipline: progress drains an instance's CQ and RX ring into
 // stack buffers *while holding the CRI lock*, then releases it and hands the
 // batch to the sink (matching, completion owners) lock-free. The instance
@@ -54,12 +62,11 @@ class PacketSink {
  public:
   virtual ~PacketSink() = default;
   /// Handle one drained batch of `n` (at most ProgressEngine::kMaxDrainBatch)
-  /// packets in arrival order; returns user-visible completions. With
-  /// `locked` the caller still holds the drained instance's lock, so the
-  /// sink must not inject: an injection could wait on that very lock.
+  /// packets in arrival order; returns user-visible completions. The
+  /// drained instance's lock is already released, so the sink may inject.
   /// core::Rank answers the batch's reliability notices once, after its
   /// last packet (DESIGN.md §5c "Per-drain acks").
-  virtual std::size_t handle_packets(fabric::Packet* pkts, std::size_t n, bool locked) = 0;
+  virtual std::size_t handle_packets(fabric::Packet* pkts, std::size_t n) = 0;
   /// Handle one completion-queue event; returns completions (usually 1).
   virtual std::size_t handle_completion(const fabric::Completion& c) = 0;
 };
@@ -84,12 +91,26 @@ class ProgressEngine {
   /// (0 does not imply quiescence — the engine may have been busy).
   std::size_t progress();
 
-  /// Drain one instance's CQ and RX ring and dispatch inline. The instance
-  /// lock must be held by the caller (dispatch therefore runs under it —
-  /// unavoidable here). Exposed for the RMA flush path, which polls its own
-  /// instance directly (as btl-level flush does in Open MPI).
-  std::size_t progress_instance_locked(cri::CommResourceInstance& inst)
-      FAIRMPI_REQUIRES(inst.lock());
+  /// How a visit takes the instance lock.
+  enum class Take : std::uint8_t { kTry, kBlock };
+
+  /// What one visit, or one Alg. 2 pass of visits, did.
+  struct Visit {
+    std::size_t completions = 0;
+    bool drained = false;  ///< a lock was taken and the instance drained
+    bool refused = false;  ///< a try_lock failed on an instance whose word was set
+  };
+
+  /// The one instance visit: gate on the work word (unset: return at once),
+  /// take the lock (try or block), drain, release, dispatch. `sweep` marks
+  /// a visit to an instance other than the caller's own (obs).
+  Visit visit(cri::CommResourceInstance& inst, Take take, bool sweep);
+
+  /// One Algorithm 2 pass: the caller's own instance, then — only when it
+  /// yields no completions — the others from a thread-local rotating
+  /// start, stopping at the first that yields. Used by progress() in
+  /// concurrent mode and by RMA flush. Counts try-lock refusals.
+  Visit pass();
 
   /// Hard cap on one drain batch (the stack buffer size); the runtime
   /// `batch` knob is clamped to it.
@@ -105,18 +126,17 @@ class ProgressEngine {
     std::size_t n_pkts = 0;
   };
 
-  /// Pop up to a batch of completions + packets. Instance lock held.
+  /// Take the work word, then pop up to a batch of completions + packets;
+  /// rings the word again when a pop filled the cap. Instance lock held.
   void drain_locked(cri::CommResourceInstance& inst, DrainBatch& b)
       FAIRMPI_REQUIRES(inst.lock());
   /// Observability bookkeeping for one finished drain visit (lock already
   /// released): the obs-only per-CRI cells + the kCriDrain trace event.
   void note_drain(cri::CommResourceInstance& inst, const DrainBatch& b, bool sweep);
-  /// Hand a drained batch to the sink; returns completions. `locked`: the
-  /// caller still holds the instance lock (PacketSink::handle_packets).
-  std::size_t dispatch(DrainBatch& b, bool locked);
+  /// Hand a drained batch to the sink; returns completions.
+  std::size_t dispatch(DrainBatch& b);
 
   std::size_t progress_serial();
-  std::size_t progress_concurrent();
 
   cri::CriPool& pool_;
   PacketSink& sink_;

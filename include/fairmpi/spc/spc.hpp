@@ -69,9 +69,8 @@ enum class Counter : int {
   kWatchdogStalls,         ///< stalled instances/rendezvous flagged
   kSubmitQueued,           ///< injections routed through a submission ring
   kSubmitRingFull,         ///< submission attempts bounced off a full ring
-  kSubmitDoorbells,        ///< batched doorbells rung by producers
   kSubmitCasRetries,       ///< submission-ring tail-CAS collisions
-  kRmaFlushAllBusy,        ///< RMA flush sweeps that found every CRI busy
+  kRmaFlushAllBusy,        ///< RMA flush passes where a held lock refused a CRI with work
   kFtHeartbeatsSent,       ///< ft liveness probes injected on idle links
   kFtHeartbeatsReceived,   ///< ft liveness probes consumed
   kFtSuspects,             ///< peers that entered the suspect state
@@ -124,11 +123,10 @@ enum class CriMetric : int {
   kInjections = 0,     ///< packets / RMA CQ events handed to the instance (obs)
   kPacketsDrained,     ///< packets popped by progress visits (obs)
   kCompletionsDrained, ///< CQ events popped by progress visits (obs)
-  kOwnTrylockMisses,   ///< Alg. 2 try_lock misses on the thread's own instance
+  kOwnTrylockMisses,   ///< Alg. 2 try_lock misses on the thread's own instance, work word set
   kOrphanSweeps,       ///< non-empty visits by a non-owner thread (obs)
-  kDrainVisits,        ///< progress visits, empty or not (obs)
+  kDrainVisits,        ///< visits that passed the work-word gate, empty or not (obs)
   kSubmitClaimed,      ///< submission-ring slots claimed by producers
-  kSubmitDoorbells,    ///< batched doorbells rung
   kSubmitCasRetries,   ///< producer tail-CAS collisions
   kCount
 };
@@ -141,7 +139,6 @@ constexpr Counter rollup(CriMetric m) noexcept {
   switch (m) {
     case CriMetric::kOwnTrylockMisses: return Counter::kInstanceTrylockFail;
     case CriMetric::kSubmitClaimed: return Counter::kSubmitQueued;
-    case CriMetric::kSubmitDoorbells: return Counter::kSubmitDoorbells;
     case CriMetric::kSubmitCasRetries: return Counter::kSubmitCasRetries;
     default: return Counter::kCount;
   }

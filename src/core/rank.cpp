@@ -670,7 +670,7 @@ std::size_t Rank::scan_stalled(std::uint64_t now, std::uint64_t horizon) {
   return flagged.size();
 }
 
-std::size_t Rank::handle_packets(fabric::Packet* pkts, std::size_t n, bool locked) {
+std::size_t Rank::handle_packets(fabric::Packet* pkts, std::size_t n) {
   FAIRMPI_CHECK(n <= AckBatch::capacity());
   std::size_t completions = 0;
   AckBatch acks;
@@ -710,9 +710,7 @@ std::size_t Rank::handle_packets(fabric::Packet* pkts, std::size_t n, bool locke
   // a drain takes control_lock_ only for what it cannot send. A full ring
   // stops the batch, as it stops flush_acks.
   const p2p::ControlMsg* m = acks.begin();
-  if (!locked) {
-    while (m != acks.end() && send_notice(*m)) ++m;
-  }
+  while (m != acks.end() && send_notice(*m)) ++m;
   if (m != acks.end()) enqueue_acks(m, static_cast<std::size_t>(acks.end() - m));
   return completions;
 }

@@ -75,19 +75,20 @@ bool CommResourceInstance::inject(int dst, fabric::Packet& pkt, spc::CounterSet&
     return ok;
   }
 
-  // Per-CRI cells; the rank's SubmitQueued/SubmitDoorbells/SubmitCasRetries
-  // SPCs are their sums over instances (spc::rollup).
+  // The descriptor is published; the work word now tells progress visits
+  // that this instance has a submission to flush (DESIGN.md §5f).
+  ctx_->work().ring();
+  // Per-CRI cells; the rank's SubmitQueued/SubmitCasRetries SPCs are their
+  // sums over instances (spc::rollup).
   spc.add(spc::CriMetric::kSubmitClaimed, id_);
-  if (push.rang_doorbell) spc.add(spc::CriMetric::kSubmitDoorbells, id_);
   if (push.cas_retries != 0) spc.add(spc::CriMetric::kSubmitCasRetries, id_, push.cas_retries);
 
   // Wait for the ticket, re-electing as flusher whenever the lock frees up
   // (the combining funnel: one acquisition retires every queued
   // submission). The backoff keeps the lock's cache line quiet while the
-  // holder works; once it saturates we ring the doorbell (the "timeout"
-  // arm of the batching rule) and fall through to a blocking acquire so a
-  // long hold shows up as attributed cri.instance wait time instead of an
-  // invisible spin.
+  // holder works; once it saturates we fall through to a blocking acquire
+  // so a long hold shows up as attributed cri.instance wait time instead
+  // of an invisible spin.
   common::Backoff backoff;
   bool escalated = false;
   for (;;) {
@@ -113,11 +114,7 @@ bool CommResourceInstance::inject(int dst, fabric::Packet& pkt, spc::CounterSet&
     // waiting, where a blocking (futex) acquire beats polling. On a 1-CPU
     // host Backoff saturates on the first pause, so contended producers go
     // straight to the futex instead of burning the holder's quantum.
-    if (!escalated &&
-        (backoff.saturated() || backoff.rounds() >= kEscalateRounds)) {
-      escalated = true;
-      submit_.ring_doorbell();
-    }
+    escalated = backoff.saturated() || backoff.rounds() >= kEscalateRounds;
   }
 }
 

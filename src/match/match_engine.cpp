@@ -556,13 +556,13 @@ std::uint64_t MatchEngine::expire_deadlines(std::uint64_t now_ns) {
       const std::uint64_t dl = r->deadline();
       if (dl != 0 && dl <= now_ns) {
         list.erase(r);
+        // Read the envelope first: once fail() settles it, the owner may
+        // see done() and destroy the request.
+        const auto src = static_cast<std::uint32_t>(r->source_filter() + 1);
+        const auto tag = static_cast<std::uint32_t>(r->tag_filter());
         if (r->fail(common::ErrorCode::kDeadlineExceeded)) {
           ctr.add(Counter::kDeadlineExceededOps);
-          if (tracer_ != nullptr) {
-            tracer_->record(trace::Event::kDeadline,
-                            static_cast<std::uint32_t>(r->source_filter() + 1),
-                            static_cast<std::uint32_t>(r->tag_filter()));
-          }
+          if (tracer_ != nullptr) tracer_->record(trace::Event::kDeadline, src, tag);
         }
       } else if (dl != 0 && dl < next) {
         next = dl;

@@ -192,7 +192,6 @@ void Universe::dump_observability(std::ostream& os) const {
          << ", \"drain_hist\": ";
       emit_hist(os, snap.hist(spc::CriHist::kDrainBatch, i));
       os << ", \"submit_claimed\": " << snap.get(CriMetric::kSubmitClaimed, i)
-         << ", \"submit_doorbells\": " << snap.get(CriMetric::kSubmitDoorbells, i)
          << ", \"submit_cas_retries\": " << snap.get(CriMetric::kSubmitCasRetries, i)
          << ", \"submit_flush_hist\": ";
       emit_hist(os, snap.hist(spc::CriHist::kSubmitFlush, i));

@@ -26,17 +26,24 @@ void ProgressEngine::drain_locked(cri::CommResourceInstance& inst, DrainBatch& b
   const std::size_t cap =
       static_cast<std::size_t>(batch_) < kMaxDrainBatch ? static_cast<std::size_t>(batch_)
                                                         : kMaxDrainBatch;
+  fabric::NetworkContext& ctx = inst.context();
+  // Take the work word before any pop: a producer that publishes after
+  // this rings it again for the next visit, and one whose ring this
+  // exchange read is visible to the pops below (DESIGN.md §5f "Work word").
+  ctx.work().take();
   // Submission ring first: queued injections become RX/CQ traffic the pops
   // below can then harvest in the same visit (and the producers parked on
-  // their tickets wake). This is the consumer half of the doorbell
-  // protocol — we hold the instance lock, so we are *the* flusher.
+  // their tickets wake). We hold the instance lock, so we are *the*
+  // flusher.
   inst.flush_submissions(spc_);
   // Completion queue first: completions release resources (RMA pending
   // counts, send credits) that the packet path may be waiting on. The
   // per-visit cap bounds lock hold time; wait loops call progress()
   // repeatedly, so a deep CQ still drains promptly.
-  b.n_comps = inst.context().cq().try_pop_n(b.comps.data(), cap);
-  b.n_pkts = inst.context().rx().try_pop_n(b.pkts.data(), cap);
+  b.n_comps = ctx.cq().try_pop_n(b.comps.data(), cap);
+  b.n_pkts = ctx.rx().try_pop_n(b.pkts.data(), cap);
+  // A full pop may have left work behind that no producer will ring for.
+  if (b.n_comps == cap || b.n_pkts == cap) ctx.work().ring();
 }
 
 void ProgressEngine::note_drain(cri::CommResourceInstance& inst, const DrainBatch& b,
@@ -58,20 +65,36 @@ void ProgressEngine::note_drain(cri::CommResourceInstance& inst, const DrainBatc
   }
 }
 
-std::size_t ProgressEngine::dispatch(DrainBatch& b, bool locked) {
+std::size_t ProgressEngine::dispatch(DrainBatch& b) {
   std::size_t completions = 0;
   for (std::size_t i = 0; i < b.n_comps; ++i) {
     completions += sink_.handle_completion(b.comps[i]);
   }
-  if (b.n_pkts != 0) completions += sink_.handle_packets(b.pkts.data(), b.n_pkts, locked);
+  if (b.n_pkts != 0) completions += sink_.handle_packets(b.pkts.data(), b.n_pkts);
   return completions;
 }
 
-std::size_t ProgressEngine::progress_instance_locked(cri::CommResourceInstance& inst) {
+ProgressEngine::Visit ProgressEngine::visit(cri::CommResourceInstance& inst, Take take,
+                                            bool sweep) {
+  Visit v;
+  // The gate: no producer has rung since the last drain took the word, so
+  // there is nothing to pop — skip the lock, the rings and the batch.
+  if (!inst.context().work().rung()) return v;
   DrainBatch b;
-  drain_locked(inst, b);
-  note_drain(inst, b, /*sweep=*/false);
-  return dispatch(b, /*locked=*/true);
+  if (take == Take::kBlock) {
+    LockGuard guard(inst.lock());
+    drain_locked(inst, b);
+  } else if (inst.lock().try_lock()) {
+    LockGuard adopt(inst.lock(), adopt_lock);
+    drain_locked(inst, b);
+  } else {
+    v.refused = true;
+    return v;
+  }
+  v.drained = true;
+  note_drain(inst, b, sweep);
+  v.completions = dispatch(b);
+  return v;
 }
 
 std::size_t ProgressEngine::progress_serial() {
@@ -81,70 +104,48 @@ std::size_t ProgressEngine::progress_serial() {
     return 0;
   }
   LockGuard adopt(serial_gate_, adopt_lock);
-
+  // The gate already excludes other progress threads, but send paths also
+  // take instance locks, so each visit still locks its instance — only for
+  // the ring pops, not the dispatch.
   std::size_t completions = 0;
   for (int i = 0; i < pool_.size(); ++i) {
-    cri::CommResourceInstance& inst = pool_.instance(i);
-    DrainBatch b;
-    {
-      // The gate already excludes other progress threads, but send paths
-      // also take instance locks, so each instance is still locked
-      // individually — only for the ring pops, not the dispatch.
-      LockGuard guard(inst.lock());
-      drain_locked(inst, b);
-    }
-    note_drain(inst, b, /*sweep=*/false);
-    completions += dispatch(b, /*locked=*/false);
+    completions += visit(pool_.instance(i), Take::kBlock, /*sweep=*/false).completions;
   }
   return completions;
 }
 
-std::size_t ProgressEngine::progress_concurrent() {
+ProgressEngine::Visit ProgressEngine::pass() {
   // Algorithm 2. Own instance first...
-  std::size_t completions = 0;
   const int own = pool_.id_for_thread();
-  {
-    cri::CommResourceInstance& inst = pool_.instance(own);
-    if (inst.lock().try_lock()) {
-      DrainBatch b;
-      {
-        LockGuard adopt(inst.lock(), adopt_lock);
-        drain_locked(inst, b);
-      }
-      note_drain(inst, b, /*sweep=*/false);
-      completions = dispatch(b, /*locked=*/false);
-    } else {
-      // Rolls up into kInstanceTrylockFail (spc::rollup).
-      spc_.add(spc::CriMetric::kOwnTrylockMisses, own);
+  Visit result = visit(pool_.instance(own), Take::kTry, /*sweep=*/false);
+  if (result.refused) spc_.add(spc::CriMetric::kOwnTrylockMisses, own);  // rolls up
+  if (result.completions != 0) return result;
+  // ... and only if it yielded nothing, sweep the others (every instance
+  // whose word is set gets visited: orphaned-CRI liveness). The start
+  // rotates per thread, so sweepers share no counter.
+  thread_local unsigned sweep_start = 0;
+  const int n = pool_.size();
+  int k = static_cast<int>(sweep_start++ % static_cast<unsigned>(n));
+  for (int i = 0; i < n; ++i, k = k + 1 == n ? 0 : k + 1) {
+    if (k == own) continue;
+    const Visit v = visit(pool_.instance(k), Take::kTry, /*sweep=*/true);
+    result.drained |= v.drained;
+    if (v.refused) {
+      result.refused = true;
+      spc_.add(Counter::kInstanceTrylockFail);
+    }
+    if (v.completions != 0) {
+      result.completions = v.completions;
+      break;
     }
   }
-  // ... and only if it yielded nothing, sweep the others (guaranteeing
-  // every instance is progressed eventually — orphaned-CRI liveness).
-  if (completions == 0) {
-    for (int i = 0; i < pool_.size(); ++i) {
-      const int k = pool_.next_round_robin();
-      cri::CommResourceInstance& inst = pool_.instance(k);
-      if (!inst.lock().try_lock()) {
-        spc_.add(Counter::kInstanceTrylockFail);
-        continue;
-      }
-      DrainBatch b;
-      {
-        LockGuard adopt(inst.lock(), adopt_lock);
-        drain_locked(inst, b);
-      }
-      note_drain(inst, b, /*sweep=*/k != own);
-      completions = dispatch(b, /*locked=*/false);
-      if (completions > 0) break;
-    }
-  }
-  return completions;
+  return result;
 }
 
 std::size_t ProgressEngine::progress() {
   spc_.add(Counter::kProgressCalls);
   const std::size_t completions =
-      mode_ == ProgressMode::kSerial ? progress_serial() : progress_concurrent();
+      mode_ == ProgressMode::kSerial ? progress_serial() : pass().completions;
   if (completions != 0) spc_.add(Counter::kProgressCompletions, completions);
   return completions;
 }

@@ -58,7 +58,7 @@ void Window::post_completion(cri::CommResourceInstance& inst) {
   slot.count->fetch_add(1, std::memory_order_relaxed);
   inst.note_injection(rank_->counters());  // RMA ops inject a CQ event, not a packet
   const fabric::Completion done{fabric::Completion::Kind::kRmaDone, &slot.count.value};
-  while (!inst.context().cq().try_push(fabric::Completion{done})) {
+  while (!inst.context().try_push_completion(done)) {
     // CQ overrun: harvest one event inline (the NIC analog is a CQ poll
     // forced by the driver before more work can be posted).
     fabric::Completion drained;
@@ -147,45 +147,39 @@ std::uint64_t Window::fetch_add_u64(int target, std::size_t disp, std::uint64_t 
 
 template <typename DonePredicate>
 void Window::drain_until(DonePredicate done) {
-  cri::CriPool& pool = rank_->pool();
+  progress::ProgressEngine& engine = rank_->engine();
   common::Backoff waiter;
   while (!done()) {
-    // Own instance first (Alg. 2's affinity), then sweep: a thread's
-    // completions usually sit on the instance it injected through.
-    const int own = pool.id_for_thread();
-    bool polled = false;
-    for (int i = 0; i < pool.size(); ++i) {
-      const int k = (own + i) % pool.size();
-      cri::CommResourceInstance& inst = pool.instance(k);
-      if (!inst.lock().try_lock()) {
-        rank_->counters().add(Counter::kInstanceTrylockFail);
-        continue;
-      }
-      polled = true;
-      {
-        LockGuard adopt(inst.lock(), adopt_lock);
-        rank_->engine().progress_instance_locked(inst);
-      }
-      if (done()) break;
-    }
-    if (polled) {
+    // Alg. 2, as in progress(): own instance first — a thread's completions
+    // usually sit on the instance it injected through — and the others
+    // only when that yields nothing, so a flush with work of its own
+    // leaves its neighbours' locks alone.
+    const progress::ProgressEngine::Visit pass = engine.pass();
+    if (pass.drained) {
       waiter.reset();
       continue;
     }
-    // Every instance busy. This used to pause silently — a flush that
-    // polled nothing was indistinguishable from one that worked. Record
-    // the miss, back off adaptively, and once the backoff saturates stop
-    // try-locking: block on our own instance (the contention profiler
-    // attributes the wait like every other contended acquire) and drain it
-    // for real. Bounded: the hold we are waiting out is a ring pop or an
-    // RMA op, never unbounded user code.
+    if (!pass.refused) {
+      // No instance had work: our completions are in another thread's
+      // drain batch, being dispatched. Wait it out.
+      waiter.pause();
+      continue;
+    }
+    // A held lock refused an instance with work. Record the miss, back off
+    // adaptively, and once the backoff saturates stop try-locking: block
+    // on our own instance (the contention profiler attributes the wait
+    // like every other contended acquire) and drain it for real. Bounded:
+    // the hold we are waiting out is a ring pop or an RMA op, never
+    // unbounded user code.
     rank_->counters().add(Counter::kRmaFlushAllBusy);
     if (waiter.saturated()) {
-      cri::CommResourceInstance& inst = pool.instance(own);
-      LockGuard guard(inst.lock());
-      rank_->engine().progress_instance_locked(inst);
-      waiter.reset();
-      continue;
+      cri::CriPool& pool = rank_->pool();
+      if (engine.visit(pool.instance(pool.id_for_thread()),
+                       progress::ProgressEngine::Take::kBlock, /*sweep=*/false)
+              .drained) {
+        waiter.reset();
+        continue;
+      }
     }
     waiter.pause();
   }

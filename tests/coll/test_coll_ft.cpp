@@ -6,6 +6,7 @@
 // these under seeded kills.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -104,13 +105,19 @@ TEST(CollFt, RevokeMidCollectiveSettlesTypedAndLaneIsReleased) {
   Universe uni(cfg);
   const CommId id = uni.create_communicator();
   std::vector<ErrorCode> codes(3, ErrorCode::kOk);
+  std::atomic<bool> revoked{false};
   std::vector<std::thread> threads;
   for (int r = 0; r < 3; ++r) {
     threads.emplace_back([&, r] {
-      // The root holds back past the revoke, so ranks 1/2 are parked on
-      // posted tree receives when it lands (revoke fails posted requests);
-      // the root then enters a revoked communicator and fast-fails.
-      if (r == 0) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      // The root holds back until the revoke has landed, so ranks 1/2 are
+      // parked on posted tree receives when it lands (revoke fails posted
+      // requests); the root then enters a revoked communicator and
+      // fast-fails. Waiting on the revoke itself, not on a sleep longer
+      // than the main thread's, keeps a descheduled main thread from
+      // letting the broadcast finish first.
+      if (r == 0) {
+        while (!revoked.load(std::memory_order_acquire)) std::this_thread::yield();
+      }
       std::vector<std::uint32_t> data(64, 5);
       codes[static_cast<std::size_t>(r)] =
           coll::broadcast(uni.rank(r).comm(id), /*root=*/0, data.data(), data.size());
@@ -118,6 +125,7 @@ TEST(CollFt, RevokeMidCollectiveSettlesTypedAndLaneIsReleased) {
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
   uni.revoke(id);
+  revoked.store(true, std::memory_order_release);
   for (auto& t : threads) t.join();
   for (const ErrorCode rc : codes) EXPECT_EQ(rc, ErrorCode::kCommRevoked);
   // Every lane freed: a full complement of handles is acquirable with no

@@ -176,6 +176,33 @@ TEST_F(RmaTest, CqOverrunDrainsInline) {
   EXPECT_EQ(group_->window(0).pending(), 0u);
 }
 
+TEST_F(RmaTest, FlushLeavesOtherInstancesAloneWhenOwnHasWork) {
+  // Alg. 2 for flush: while the flusher's own CRI yields completions, it
+  // takes no other CRI's lock. Another thread's completions, parked on the
+  // other CRI, are still there after the flush — even though the flush
+  // needs two visits (100 events, 64 per visit) to drain its own.
+  Config cfg;
+  cfg.num_instances = 2;
+  cfg.assignment = cri::Assignment::kDedicated;
+  build(cfg);
+  rma::Window& win = group_->window(0);
+  constexpr std::uint64_t kOwn = 100;
+  constexpr std::uint64_t kOther = 10;
+  char byte = 'x';
+  std::thread other([&] {
+    for (std::uint64_t i = 0; i < kOther; ++i) win.put(1, 0, &byte, 1);
+  });
+  other.join();
+  for (std::uint64_t i = 0; i < kOwn; ++i) win.put(1, 1, &byte, 1);
+  EXPECT_EQ(win.pending(), kOwn + kOther);
+  win.flush_all();
+  EXPECT_EQ(win.pending(), kOther);
+  // A flush whose own CRI is empty sweeps the other one: orphaned
+  // completions still drain.
+  win.flush_process();
+  EXPECT_EQ(win.pending(), 0u);
+}
+
 TEST_F(RmaTest, ManyThreadsScalePendingCorrectly) {
   Config cfg;
   cfg.num_instances = 2;

@@ -1,9 +1,10 @@
 // Submission-ring property tests (DESIGN.md §5f): multi-producer wraparound
-// with exactly-once consumption, per-producer publish ordering, doorbell
-// batching, and the full-ring bounce. The stress tests run the production
-// protocol end to end — stack packet + ticket per submission, producers
-// blocked until their ticket resolves — so TSan checks the [P3]/[C1]/[T1]
-// edges exactly as inject() exercises them.
+// with exactly-once consumption, per-producer publish ordering, the
+// work-word ring after a queued inject, and the full-ring bounce. The
+// stress tests run the production protocol end to end — stack packet +
+// ticket per submission, producers blocked until their ticket resolves —
+// so TSan checks the [P3]/[C1]/[T1] edges exactly as inject() exercises
+// them.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +12,8 @@
 #include <thread>
 #include <vector>
 
+#include "fairmpi/cri/cri.hpp"
+#include "fairmpi/fabric/fabric.hpp"
 #include "fairmpi/fabric/submit_ring.hpp"
 
 namespace fairmpi::fabric {
@@ -42,32 +45,50 @@ TEST(SubmitRing, FullRingBouncesWithoutConsumingDescriptor) {
   EXPECT_EQ(dsts, (std::vector<int>{0, 1, 2, 3}));
 }
 
-TEST(SubmitRing, DoorbellRingsOncePerBatchAndClearsOnDrain) {
-  SubmitRing ring(64);
+TEST(SubmitRing, QueuedInjectRingsTheWorkWord) {
+  // A producer that finds the instance locked publishes a descriptor and
+  // then rings its context's work word, so a progress visit knows there is
+  // a submission to flush (DESIGN.md §5f "Work word").
+  Fabric fabric({1});
+  NetworkContext& ctx = fabric.nic(0).context(0);
+  // A non-default ring size engages the funnel on any host.
+  cri::CommResourceInstance inst(0, fabric, ctx, /*submit_entries=*/64);
+  spc::CounterSet counters(1);
   Packet pkt;
-  SubmitTicket ticket;
-  int doorbells = 0;
-  for (std::uint64_t i = 0; i < 2 * SubmitRing::kDoorbellBatch; ++i) {
-    EXPECT_FALSE(ring.doorbell_rung() && i < SubmitRing::kDoorbellBatch - 1)
-        << "bell rang before the first batch completed";
-    if (ring.try_push({&pkt, &ticket, 0}).rang_doorbell) ++doorbells;
+  pkt.hdr.opcode = Opcode::kEager;
+  bool injected = false;
+  std::thread producer;
+  {
+    LockGuard guard(inst.lock());
+    producer = std::thread([&] { injected = inst.inject(/*dst=*/0, pkt, counters); });
+    while (!ctx.work().rung()) std::this_thread::yield();
+    EXPECT_TRUE(ctx.work().take());
+    EXPECT_FALSE(ctx.work().rung());
+    // The flush injects into this rank's own lane, which rings the word
+    // again: the packet it delivered is work for the next visit.
+    EXPECT_EQ(inst.flush_submissions(counters), 1u);
+    EXPECT_TRUE(ctx.work().rung());
   }
-  EXPECT_EQ(doorbells, 2);
-  EXPECT_TRUE(ring.doorbell_rung());
-  ring.drain([](const SubmitDesc& d) {
-    d.ticket->status.store(static_cast<std::uint8_t>(SubmitStatus::kInjected),
-                           std::memory_order_release);
-  });
-  EXPECT_FALSE(ring.doorbell_rung());
+  producer.join();  // its ticket resolved in the flush above
+  EXPECT_TRUE(injected);
+  EXPECT_EQ(ctx.rx().size_approx(), 1u);
+  EXPECT_EQ(counters.get(spc::Counter::kSubmitQueued), 1u);
 }
 
-TEST(SubmitRing, ExplicitDoorbellIsIdempotent) {
-  SubmitRing ring(8);
-  ring.ring_doorbell();
-  ring.ring_doorbell();
-  EXPECT_TRUE(ring.doorbell_rung());
-  ring.drain([](const SubmitDesc&) {});
-  EXPECT_FALSE(ring.doorbell_rung());
+TEST(SubmitRing, WorkWordTakeClearsUntilTheNextRing) {
+  // Every publish rings: there is no batching, so no publish waits for a
+  // later one, and take() reports each ring it clears exactly once.
+  Fabric fabric({1});
+  NetworkContext& ctx = fabric.nic(0).context(0);
+  EXPECT_FALSE(ctx.work().take());
+  ASSERT_TRUE(ctx.try_push_completion(Completion{Completion::Kind::kRmaDone, nullptr}));
+  ASSERT_TRUE(ctx.try_push_completion(Completion{Completion::Kind::kRmaDone, nullptr}));
+  EXPECT_TRUE(ctx.work().rung());
+  EXPECT_TRUE(ctx.work().take());
+  EXPECT_FALSE(ctx.work().rung());
+  EXPECT_FALSE(ctx.work().take());
+  ASSERT_TRUE(ctx.rx().try_push(Packet{}));
+  EXPECT_TRUE(ctx.work().take());
 }
 
 /// The property test: P producers push N submissions each through a ring

@@ -329,8 +329,7 @@ TEST(ObsExport, DumpObservabilityHasAllSections) {
   constexpr std::size_t kRows = 4;
   for (const char* key :
        {"injections", "packets_drained", "completions_drained", "own_trylock_misses",
-        "orphan_sweeps", "drain_visits", "submit_claimed", "submit_doorbells",
-        "submit_cas_retries"}) {
+        "orphan_sweeps", "drain_visits", "submit_claimed", "submit_cas_retries"}) {
     EXPECT_EQ(count_key(json, key), kRows) << key;
   }
   EXPECT_EQ(array_lengths(json, "drain_hist"), std::vector<std::size_t>(kRows, 7));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -22,7 +23,7 @@ fabric::Packet make_pkt(std::uint32_t seq) {
 /// probe mutual-exclusion properties of the engine designs.
 class CountingSink : public PacketSink {
  public:
-  std::size_t handle_packets(fabric::Packet*, std::size_t n, bool) override {
+  std::size_t handle_packets(fabric::Packet*, std::size_t n) override {
     for (std::size_t i = 0; i < n; ++i) handle_one();
     return n;
   }
@@ -145,13 +146,17 @@ TEST_F(ProgressTest, ConcurrentSkipsLockedInstanceAndMovesOn) {
   build(2, cri::Assignment::kDedicated, ProgressMode::kConcurrent);
   const int own = pool_->dedicated_id();
   const int other = 1 - own;
+  // Our own instance has work too, so its work word sends the visit to its
+  // lock (an idle instance is never try-locked).
+  inject(own, 1);
   inject(other, 1);
-  // Hold our own instance's lock from another thread: progress must skip it
-  // (try-lock) and still find the other instance's packet via the sweep.
+  // Hold our own instance's lock: progress must skip it (try-lock) and
+  // still find the other instance's packet via the sweep.
   pool_->instance(own).lock().lock();
   EXPECT_EQ(engine_->progress(), 1u);
   pool_->instance(own).lock().unlock();
   EXPECT_GE(spc_.get(Counter::kInstanceTrylockFail), 1u);
+  EXPECT_EQ(engine_->progress(), 1u);  // the skipped packet is still there
 }
 
 TEST_F(ProgressTest, CompletionQueueDrainedBeforePackets) {
@@ -159,7 +164,7 @@ TEST_F(ProgressTest, CompletionQueueDrainedBeforePackets) {
   std::atomic<std::uint64_t> pending{1};
   fabric::Completion comp{fabric::Completion::Kind::kRmaDone, &pending};
   // CountingSink ignores the cookie; use the real kind routing only.
-  ASSERT_TRUE(fabric_->nic(0).context(0).cq().try_push(comp));
+  ASSERT_TRUE(fabric_->nic(0).context(0).try_push_completion(comp));
   inject(0, 2);
   EXPECT_EQ(engine_->progress(), 3u);
   EXPECT_EQ(sink_.completions.load(), 1u);
@@ -196,6 +201,105 @@ TEST_F(ProgressTest, ManyThreadsManyInstancesNoLoss) {
   producer.join();
   for (auto& t : consumers) t.join();
   EXPECT_EQ(sink_.packets.load(), static_cast<std::size_t>(kTotal));
+}
+
+// --- the work word (DESIGN.md §5f "Work word") ---
+
+TEST(Progress, DrainAfterBatchCapSeesLaterPublishes) {
+  // A drain that fills its batch rings the word again; the next drain must
+  // then re-read the lane's tail rather than pop only the count it cached,
+  // or the packets published in between wait for a push that never comes.
+  fabric::Fabric fabric({1});
+  cri::CriPool pool(fabric, 0, cri::Assignment::kRoundRobin);
+  spc::CounterSet spc(1);
+  CountingSink sink;
+  ProgressEngine engine(pool, sink, ProgressMode::kConcurrent, spc, /*batch=*/64);
+  fabric::RxQueue& rx = fabric.nic(0).context(0).rx();
+  for (std::uint32_t i = 0; i < 70; ++i) ASSERT_TRUE(rx.try_push(make_pkt(i)));
+  EXPECT_EQ(engine.progress(), 64u);
+  for (std::uint32_t i = 70; i < 75; ++i) ASSERT_TRUE(rx.try_push(make_pkt(i)));
+  engine.progress();
+  engine.progress();
+  EXPECT_EQ(sink.packets.load(), 75u);
+}
+
+TEST(Progress, WorkWordNeverStrandsAPublish) {
+  // Producers publish on RX lanes, on CQs and through the submission ring
+  // while consumers progress. Once they are joined, a bounded number of
+  // progress() calls must find everything: a publish whose word a drain
+  // cleared without popping it would never be visited again.
+  constexpr int kCtx = 4;
+  constexpr int kLanePackets = 3000;  // per context
+  constexpr int kCqEvents = 3000;     // per CQ producer
+  constexpr int kInjects = 1500;      // per submitting thread
+  for (std::uint32_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE(seed);
+    // Rank 1's contexts are only a lane source: hand-pushed packets carry
+    // src_rank 1, so they own lane 1 of each of rank 0's contexts while
+    // rank 0's instances inject into lane 0.
+    fabric::Fabric fabric({kCtx, kCtx}, fabric::FabricParams{64, 64});
+    cri::CriPool pool(fabric, 0, cri::Assignment::kDedicated, /*submit_ring_entries=*/8);
+    spc::CounterSet spc(kCtx);
+    CountingSink sink;
+    ProgressEngine engine(pool, sink, ProgressMode::kConcurrent, spc, /*batch=*/8);
+    std::vector<std::thread> producers;
+    for (int c = 0; c < kCtx; ++c) {  // one producer per lane
+      producers.emplace_back([&, c] {
+        std::mt19937 rng(seed * 97 + static_cast<std::uint32_t>(c));
+        fabric::NetworkContext& ctx = fabric.nic(0).context(c);
+        for (int i = 0; i < kLanePackets; ++i) {
+          fabric::Packet pkt = make_pkt(static_cast<std::uint32_t>(i));
+          pkt.hdr.src_rank = 1;
+          pkt.hdr.src_ctx = static_cast<std::uint16_t>(c);
+          while (!ctx.rx().try_push(std::move(pkt))) std::this_thread::yield();
+          if (rng() % 16 == 0) std::this_thread::yield();
+        }
+      });
+    }
+    for (int p = 0; p < 2; ++p) {  // CQs are multi-producer
+      producers.emplace_back([&, p] {
+        std::mt19937 rng(seed * 131 + static_cast<std::uint32_t>(p));
+        for (int i = 0; i < kCqEvents; ++i) {
+          fabric::NetworkContext& ctx = fabric.nic(0).context(static_cast<int>(rng() % kCtx));
+          const fabric::Completion done{fabric::Completion::Kind::kRmaDone, nullptr};
+          while (!ctx.try_push_completion(done)) std::this_thread::yield();
+        }
+      });
+    }
+    for (int p = 0; p < 2; ++p) {  // the submission funnel, toward rank 0
+      producers.emplace_back([&, p] {
+        std::mt19937 rng(seed * 173 + static_cast<std::uint32_t>(p));
+        for (int i = 0; i < kInjects; ++i) {
+          fabric::Packet pkt = make_pkt(static_cast<std::uint32_t>(i));
+          cri::CommResourceInstance& inst = pool.instance(static_cast<int>(rng() % kCtx));
+          while (!inst.inject(/*dst=*/0, pkt, spc)) std::this_thread::yield();
+        }
+      });
+    }
+    std::vector<std::thread> consumers;
+    std::atomic<bool> stop{false};
+    for (int t = 0; t < 2; ++t) {
+      consumers.emplace_back([&] {
+        while (!stop.load(std::memory_order_acquire)) {
+          if (engine.progress() == 0) std::this_thread::yield();
+        }
+      });
+    }
+    for (auto& t : producers) t.join();
+    stop.store(true, std::memory_order_release);
+    for (auto& t : consumers) t.join();
+
+    constexpr std::size_t kPackets = kCtx * kLanePackets + 2 * kInjects;
+    constexpr std::size_t kEvents = 2 * kCqEvents;
+    // Each call with work left drains at least one item, so this bound is
+    // only reached when a published item is never visited.
+    for (std::size_t i = 0; i < kPackets + kEvents; ++i) {
+      if (sink.packets.load() == kPackets && sink.completions.load() == kEvents) break;
+      engine.progress();
+    }
+    EXPECT_EQ(sink.packets.load(), kPackets);
+    EXPECT_EQ(sink.completions.load(), kEvents);
+  }
 }
 
 TEST(ProgressModeNames, Names) {

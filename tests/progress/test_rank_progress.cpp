@@ -3,7 +3,8 @@
 //   - the retransmit sweep is cooperative: a rank that stopped calling
 //     progress() still gets its lost packets retransmitted by its peers;
 //   - an idle call (nothing queued, no service due) takes no rank-shared
-//     lock, and neither does answering a drain whose acks find room.
+//     lock and no CRI lock, and answering a drain whose acks find room
+//     takes no rank-shared lock.
 // Suite name `Progress` is load-bearing: the CI tsan job selects it.
 #include <gtest/gtest.h>
 
@@ -81,6 +82,30 @@ TEST(Progress, IdleCallTakesNoRankLock) {
   const std::uint64_t before = control_acquires();
   for (int i = 0; i < 10'000; ++i) uni.rank(0).progress();
   EXPECT_EQ(control_acquires() - before, 0u);
+}
+
+TEST(Progress, IdleCallTakesNoInstanceLock) {
+  // Every visit reads its context's work word first (DESIGN.md §5f "Work
+  // word"): an idle call, in either progress design, locks no CRI.
+  test_support::ScopedChaosEnvClear clear_env;
+  const auto instance_acquires = [] {
+    for (const auto& c : obs::contention_snapshot()) {
+      if (c.name == "cri.instance") return c.acquires;
+    }
+    return std::uint64_t{0};
+  };
+  for (const auto mode : {progress::ProgressMode::kConcurrent, progress::ProgressMode::kSerial}) {
+    SCOPED_TRACE(progress::progress_mode_name(mode));
+    Config cfg;
+    cfg.num_instances = 4;
+    cfg.progress_mode = mode;
+    cfg.obs_enabled = true;
+    Universe uni(cfg);
+    uni.rank(0).progress();  // settle anything construction left behind
+    const std::uint64_t before = instance_acquires();
+    for (int i = 0; i < 10'000; ++i) uni.rank(0).progress();
+    EXPECT_EQ(instance_acquires() - before, 0u);
+  }
 }
 
 TEST(Progress, ReliableDrainTakesNoRankLock) {

@@ -235,11 +235,11 @@ TEST(SpcRegistry, DeltaAndMergeCoverLabelledCells) {
   a.record(CriHist::kSubmitFlush, 0, 3);
   const Snapshot before = a.snapshot();
   a.add(CriMetric::kInjections, 1, 2);
-  a.add(CriMetric::kSubmitDoorbells, 0);
+  a.add(CriMetric::kSubmitCasRetries, 0);
   const Snapshot delta = a.snapshot().delta_since(before);
   EXPECT_EQ(delta.get(CriMetric::kInjections, 1), 2u);
   EXPECT_EQ(delta.hist(CriHist::kSubmitFlush, 0)[2], 0u);
-  EXPECT_EQ(delta.get(Counter::kSubmitDoorbells), 1u);
+  EXPECT_EQ(delta.get(Counter::kSubmitCasRetries), 1u);
 
   b.add(CriMetric::kInjections, 0, 7);
   Snapshot merged = b.snapshot();  // one label merged with two
@@ -248,7 +248,7 @@ TEST(SpcRegistry, DeltaAndMergeCoverLabelledCells) {
   EXPECT_EQ(merged.get(CriMetric::kInjections, 1), 7u);
   EXPECT_EQ(merged.get(CriMetric::kInjections, 5), 0u);  // absent label reads 0
   EXPECT_EQ(merged.hist(CriHist::kSubmitFlush, 0)[2], 1u);
-  EXPECT_EQ(merged.get(Counter::kSubmitDoorbells), 1u);
+  EXPECT_EQ(merged.get(Counter::kSubmitCasRetries), 1u);
 }
 
 TEST(SpcRegistry, ResetRebasesLabelledCellsAndRollups) {

@@ -64,8 +64,12 @@ COLL_SPC_NAMES = (
 INSTANCE_KEYS = (
     "id", "injections", "packets_drained", "completions_drained",
     "own_trylock_misses", "orphan_sweeps", "drain_visits", "submit_claimed",
-    "submit_doorbells", "submit_cas_retries",
+    "submit_cas_retries",
 )
+# Per-CRI cells written whether or not obs is on: each is the only record
+# of an always-on rank SPC (spc::rollup), so they read non-zero in a
+# snapshot taken with obs off. The other per-CRI cells are obs-only.
+ALWAYS_ON_INSTANCE_KEYS = ("own_trylock_misses", "submit_claimed", "submit_cas_retries")
 INSTANCE_HIST_LENGTHS = {"drain_hist": 7, "submit_flush_hist": 7}
 CONTENTION_KEYS = ("name", "rank", "acquires", "contended", "wait_ns", "trylock_fails")
 FT_KEYS = ("peers", "suspects", "deaths")
@@ -264,6 +268,9 @@ def report_obs(path: str, require_wait: list[str]) -> None:
         ["instance", "inject", "pkts-out", "comps-out", "visits",
          "own-miss", "sweeps", "batch-hist(1/2/4/8/16/32/33+)"],
         util_rows))
+    print(f"  always on, even with obs off: {', '.join(ALWAYS_ON_INSTANCE_KEYS)}.")
+    print("  visits and own-miss count only instances whose work word was set:"
+          " an idle instance is never try-locked.")
     print()
 
     # --- per-CRI submission ring (lock-free injection path, DESIGN.md §5f) ---
@@ -272,14 +279,13 @@ def report_obs(path: str, require_wait: list[str]) -> None:
         for inst in rank["instances"]:
             submit_rows.append([
                 f"r{rank['rank']}.cri{inst['id']}",
-                str(inst["submit_claimed"]), str(inst["submit_doorbells"]),
-                str(inst["submit_cas_retries"]),
+                str(inst["submit_claimed"]), str(inst["submit_cas_retries"]),
                 "/".join(str(h) for h in inst["submit_flush_hist"]),
             ])
     if submit_rows:
         print("per-CRI submission ring:")
         print(render_table(
-            ["instance", "claimed", "doorbells", "cas-retries",
+            ["instance", "claimed", "cas-retries",
              "flush-hist(1/2/4/8/16/32/33+)"],
             submit_rows))
 
