@@ -160,12 +160,6 @@ struct Config {
   std::size_t tracker_cap = 0;
   overload::Policy tracker_policy = overload::Policy::kQueue;
 
-  /// Degradation-ladder watermarks, percent of the tightest cap:
-  /// kHealthy -> kPressured at high; back down only at/below low
-  /// (hysteresis so the ladder doesn't flap at a boundary).
-  int overload_high_pct = 75;
-  int overload_low_pct = 50;
-
   /// Default deadline applied by the *_checked ops (and through them every
   /// collective) as now + this many ns; 0 = no deadline. Explicit
   /// Request::set_deadline on an individual op overrides.

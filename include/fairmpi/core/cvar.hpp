@@ -14,6 +14,7 @@
 //   FAIRMPI_PROGRESS=concurrent ./my_app
 #pragma once
 
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -46,6 +47,11 @@ bool apply_cvar(Config& cfg, std::string_view name, std::string_view value);
 /// starting from `base`. Unset variables keep the base value; malformed
 /// values abort (a misspelled deployment knob should be loud).
 Config config_from_env(Config base = {});
+
+/// Apply FAIRMPI_<UPPERCASE_NAME> for each control variable in `names`
+/// that is set; a malformed value aborts. config_from_env and the
+/// universe's chaos hook each pass their own name table.
+void apply_env_cvars(Config& cfg, std::span<const char* const> names);
 
 /// Human-readable list of every control variable with its current value —
 /// the MPI_T-style introspection surface.

@@ -189,11 +189,11 @@ class Rank final : public progress::PacketSink,
   p2p::ReliabilityTracker* reliability() noexcept { return tracker_.get(); }
   progress::Watchdog* watchdog() noexcept { return watchdog_.get(); }
 
-  /// The overload governor (DESIGN.md §5h): degradation level, paused-peer
-  /// count, resolved caps. Always present; with no caps configured it is
-  /// disabled and the hot path pays one branch.
-  overload::Governor& governor() noexcept { return governor_; }
-  const overload::Governor& governor() const noexcept { return governor_; }
+  /// The resolved overload caps and policies (DESIGN.md §5h); null when
+  /// no cap is configured, so the uncapped hot path pays one null check.
+  const overload::Limits* overload_limits() const noexcept {
+    return limits_.enabled() ? &limits_ : nullptr;
+  }
 
   /// The rank-failure detector (null unless Config::ft_enabled).
   ft::FailureDetector* failure_detector() noexcept { return ft_.get(); }
@@ -236,9 +236,9 @@ class Rank final : public progress::PacketSink,
   // --- progress service step (DESIGN.md "Progress service step") ---
   /// The periodic services, run by one thread at a time once the gate
   /// (service_due_, or the universe's retransmit due time) has passed:
-  /// deadline expiry, the cooperative retransmit sweep, and the watchdog,
-  /// ft detector and ladder each on its own cadence. Raises the gate
-  /// before it scans and lowers it to the earliest next due time after.
+  /// deadline expiry, the cooperative retransmit sweep, and the watchdog
+  /// and ft detector, each on its own cadence. Raises the gate before it
+  /// scans and lowers it to the earliest next due time after.
   void service(std::uint64_t now);
   /// Lower the service gate to `due` after publishing the work that is
   /// due then (the fence pairs with the one in service()).
@@ -308,8 +308,6 @@ class Rank final : public progress::PacketSink,
   /// rendezvous transfers past their deadline; returns the earliest
   /// surviving deadline.
   std::uint64_t expire_deadlines(std::uint64_t now);
-  /// One degradation-ladder sample over the capped resources.
-  void sample_ladder();
   /// Transmit deferred acks, one packet per queued run (single injection
   /// attempt each; a full ring stops the flush — the peer retransmits and
   /// we re-ack). Kept separate
@@ -332,9 +330,9 @@ class Rank final : public progress::PacketSink,
   progress::ProgressEngine engine_;
   std::vector<std::atomic<p2p::CommState*>> comms_;
 
-  /// Overload control block (§5h): constructed from the Config caps;
-  /// atomics-only, so it takes no rank in the lock hierarchy.
-  overload::Governor governor_;
+  /// Overload caps (§5h), resolved from the Config; immutable, so they
+  /// take no rank in the lock hierarchy.
+  const overload::Limits limits_;
   /// The service gate: no service is due before this time (kNever = none).
   /// Deadline arms lower it; only service() raises it. 0 runs the first
   /// call's services, which schedule themselves from there.
@@ -344,7 +342,6 @@ class Rank final : public progress::PacketSink,
   std::atomic<bool> servicing_{false};
   std::uint64_t watchdog_due_ = 0;
   std::uint64_t ft_due_ = 0;
-  std::uint64_t ladder_due_ = 0;
 
   std::unique_ptr<p2p::ReliabilityTracker> tracker_;  ///< Config::reliable only
   std::unique_ptr<progress::Watchdog> watchdog_;

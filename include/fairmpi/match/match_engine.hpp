@@ -175,7 +175,7 @@ class MatchEngine : public p2p::CancelScope {
   /// are moved from. Returns the number of receive requests completed
   /// (out-of-sequence drains can complete several per packet). When
   /// `verdicts` is non-null, verdicts[i] receives the overload verdict for
-  /// pkts[i] (ack vs. NACK — see Admission above); without a governor
+  /// pkts[i] (ack vs. NACK — see Admission above); without limits
   /// installed it is always kAdmitted/kDuplicate.
   std::size_t incoming(fabric::Packet* pkts, std::size_t n, Admission* verdicts);
 
@@ -216,23 +216,19 @@ class MatchEngine : public p2p::CancelScope {
   /// but may of course be stale by the time the caller reads it; exact only
   /// when externally quiesced. Safe to call concurrently with matching.
   /// unexpected_count is O(1): a counter maintained under lock_ on every
-  /// enqueue/dequeue (the admission watermark check must be hot-path safe).
+  /// enqueue/dequeue (the admission cap check must be hot-path safe).
   std::size_t unexpected_count() const noexcept;
   std::size_t reorder_buffered() const noexcept;
   std::size_t posted_count() const noexcept;
-
-  /// Lock-free unexpected total (relaxed mirror of the counter above) for
-  /// the governor's progress-path pressure sampling.
-  std::size_t unexpected_count_relaxed() const noexcept {
-    return unexpected_mirror_.load(std::memory_order_relaxed);
-  }
+  /// Peers whose unexpected depth is at the overload cap (0 uncapped).
+  std::size_t peers_at_cap() const noexcept;
 
   /// Install overload admission (done once by the owning Rank before any
-  /// traffic; null or a governor with no caps keeps the engine bit-exact
-  /// with the historical behaviour). The tracer, when given, records
-  /// kOverloadShed / kOverloadPause events.
-  void set_overload(overload::Governor* gov, trace::Tracer* tracer = nullptr) noexcept {
-    gov_ = gov;
+  /// traffic; null keeps the engine bit-exact with the historical
+  /// behaviour). The tracer, when given, records kOverloadShed /
+  /// kOverloadPause events.
+  void set_overload(const overload::Limits* lim, trace::Tracer* tracer = nullptr) noexcept {
+    lim_ = lim;
     tracer_ = tracer;
   }
 
@@ -322,12 +318,11 @@ class MatchEngine : public p2p::CancelScope {
     /// Unexpected messages by tag_bin(tag), each bin in arrival order.
     std::array<UnexpectedList, kTagBins> unexpected;
     std::uint32_t unexpected_bins = 0;  ///< bit b <=> unexpected[b] non-empty
-    std::size_t unexpected_n = 0;  ///< O(1) depth (admission watermark check)
+    std::size_t unexpected_n = 0;  ///< O(1) depth (admission cap check)
     /// Source-specific tagged receives by tag_bin(tag), each in post order.
     std::array<PostedList, kTagBins> posted;
     PostedList posted_any_tag;  ///< source-specific ANY_TAG receives
     bool dead = false;  ///< ft: source confirmed dead (fail_source ran)
-    bool paused = false;  ///< overload kQueue: deferred with the queue at cap
     std::array<std::uint32_t, kShedMemory> shed_seqs{};  ///< re-NACK ring
     std::uint32_t shed_n = 0;  ///< total sheds (ring write cursor)
 
@@ -375,7 +370,7 @@ class MatchEngine : public p2p::CancelScope {
                         bool direct, Admission* admission) FAIRMPI_REQUIRES(lock_);
 
   /// Unexpected-queue bookkeeping: the bin and its occupied bit, per-peer
-  /// depth, engine total, and the lock-free mirror. Lock held.
+  /// depth and engine total. Lock held.
   /// erase_unexpected also returns the node to the pool.
   void push_unexpected(PeerState& ps, Unexpected* node) FAIRMPI_REQUIRES(lock_);
   void erase_unexpected(PeerState& ps, Unexpected* node) FAIRMPI_REQUIRES(lock_);
@@ -413,8 +408,8 @@ class MatchEngine : public p2p::CancelScope {
   const bool reliable_;
   spc::CounterSet& spc_;
   p2p::RendezvousHook* rndv_hook_ = nullptr;
-  overload::Governor* gov_ = nullptr;  ///< admission caps (null = uncapped)
-  trace::Tracer* tracer_ = nullptr;    ///< overload event recording (optional)
+  const overload::Limits* lim_ = nullptr;  ///< admission caps (null = uncapped)
+  trace::Tracer* tracer_ = nullptr;        ///< overload event recording (optional)
 
   /// Acquired under the CRI instance lock on the progress path (rank
   /// kMatch > kCriInstance); never held while acquiring engine resources —
@@ -430,8 +425,6 @@ class MatchEngine : public p2p::CancelScope {
   std::uint64_t reorder_total_ FAIRMPI_GUARDED_BY(lock_) = 0;  ///< ring + spill entries
   std::uint64_t unexpected_total_ FAIRMPI_GUARDED_BY(lock_) = 0;  ///< O(1) count
   bool revoked_ FAIRMPI_GUARDED_BY(lock_) = false;  ///< ft: comm revoked (terminal)
-  /// Lock-free mirror of unexpected_total_ (governor pressure sampling).
-  std::atomic<std::size_t> unexpected_mirror_{0};
   /// Earliest posted-receive deadline (~0 = none): the expire sweep's
   /// one-relaxed-load gate, maintained on post and recomputed on sweep.
   std::atomic<std::uint64_t> next_deadline_{kNever};

@@ -32,15 +32,14 @@
 //     kLocalOverloaded and kQueue spins (progressing) until pressure
 //     drains.
 //
-// The Governor is the per-rank control block: the degradation ladder
-// kHealthy -> kPressured -> kOverloaded (watermark crossings, with
-// hysteresis on the way down) and the paused-peer latch count. It is
-// deliberately atomics-only — no lock, no rank in the §5e hierarchy —
-// because every consultation sits on a hot path where the uncapped
-// configuration must cost exactly one relaxed load.
+// `Limits` is the whole per-rank control block: the resolved caps and
+// policies, immutable after construction, so it takes no lock and no rank
+// in the §5e hierarchy. A rank with no cap hands its engines a null
+// `Limits*`, so the uncapped hot path pays one null check. What the caps
+// hold back is reported as facts read at dump time (unexpected total,
+// peers at cap, tracker in flight), not as a derived health level.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -52,16 +51,9 @@ enum class Policy : std::uint8_t {
   kShed,       ///< refuse at admission (NACK / typed local error)
 };
 
-const char* policy_name(Policy p) noexcept;
-
-/// Degradation ladder, exported per rank through dump_observability().
-enum class Level : std::uint8_t {
-  kHealthy = 0,
-  kPressured,   ///< some capped resource crossed the high watermark
-  kOverloaded,  ///< a resource is at cap (shedding or pausing producers)
-};
-
-const char* level_name(Level l) noexcept;
+inline const char* policy_name(Policy p) noexcept {
+  return p == Policy::kShed ? "shed" : "queue";
+}
 
 /// Resolved caps + policies (from Config; all caps 0 = layer disabled).
 struct Limits {
@@ -71,74 +63,15 @@ struct Limits {
   Policy pool_policy = Policy::kQueue;
   std::size_t tracker_cap = 0;             ///< in-flight reliability entries
   Policy tracker_policy = Policy::kQueue;
-  int high_pct = 75;  ///< kHealthy -> kPressured watermark (percent of cap)
-  int low_pct = 50;   ///< hysteresis: re-admit / step down below this
-};
 
-class Governor {
- public:
-  explicit Governor(const Limits& lim) noexcept
-      : lim_(lim),
-        enabled_(lim.unexpected_cap != 0 || lim.pool_cap_bytes != 0 ||
-                 lim.tracker_cap != 0) {}
-
-  Governor(const Governor&) = delete;
-  Governor& operator=(const Governor&) = delete;
-
-  const Limits& limits() const noexcept { return lim_; }
-
-  /// Any cap configured? The uncapped fast path folds to this one branch.
-  bool enabled() const noexcept { return enabled_; }
-
-  Level level() const noexcept {
-    return static_cast<Level>(level_.load(std::memory_order_relaxed));
+  /// Any cap configured? The uncapped fast path folds to one null check.
+  bool enabled() const noexcept {
+    return unexpected_cap != 0 || pool_cap_bytes != 0 || tracker_cap != 0;
   }
-
-  // --- kQueue backpressure: peers deferred with their queue at cap ---
-
-  /// A peer was deferred at its unexpected cap under kQueue (match lock
-  /// held by the caller; the latch itself is just a count).
-  void pause_peer() noexcept {
-    paused_peers_.fetch_add(1, std::memory_order_relaxed);
-  }
-  /// The peer drained back under the low watermark.
-  void resume_peer() noexcept {
-    paused_peers_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  std::size_t paused_peers() const noexcept {
-    return paused_peers_.load(std::memory_order_relaxed);
-  }
-
-  // --- sender-side admission (the pool cap is charged in make_payload) ---
 
   bool tracker_at_cap(std::size_t in_flight) const noexcept {
-    return lim_.tracker_cap != 0 && in_flight >= lim_.tracker_cap;
+    return tracker_cap != 0 && in_flight >= tracker_cap;
   }
-
-  // --- degradation ladder ---
-
-  struct Transition {
-    Level from = Level::kHealthy;
-    Level to = Level::kHealthy;
-    bool changed = false;
-  };
-
-  /// Re-evaluate the ladder from current resource usage (progress-driven;
-  /// any thread may call, a CAS keeps transitions exactly-once). Up
-  /// transitions are immediate; down transitions need pressure <= low_pct
-  /// (hysteresis), so the ladder doesn't flap at a watermark.
-  Transition sample(std::uint64_t unexpected_total, std::uint64_t pool_in_use,
-                    std::uint64_t tracker_in_flight) noexcept;
-
-  /// Worst resource pressure as a percentage of its cap (100 = at cap).
-  int pressure_pct(std::uint64_t unexpected_total, std::uint64_t pool_in_use,
-                   std::uint64_t tracker_in_flight) const noexcept;
-
- private:
-  const Limits lim_;
-  const bool enabled_;
-  std::atomic<std::uint8_t> level_{static_cast<std::uint8_t>(Level::kHealthy)};
-  std::atomic<std::size_t> paused_peers_{0};
 };
 
 }  // namespace fairmpi::overload

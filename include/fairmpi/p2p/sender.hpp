@@ -41,13 +41,13 @@ struct SendPolicy {
   /// into a permanently-down link.
   bool (*peer_failed)(void* user, int dst) = nullptr;
   void* peer_failed_user = nullptr;
-  /// Overload admission (DESIGN.md §5h): non-null adds the payload-pool
-  /// and reliability-tracker caps to the window in the one admission loop
-  /// that runs *before* the sequence number is ticketed, so a refused send
-  /// never leaves a hole in the peer's ordered stream. kQueue caps wait
-  /// (progressing) like the window; kShed caps fail the op typed
-  /// kLocalOverloaded.
-  overload::Governor* governor = nullptr;
+  /// Overload admission (DESIGN.md §5h): non-null (some cap set) adds the
+  /// payload-pool and reliability-tracker caps to the window in the one
+  /// admission loop that runs *before* the sequence number is ticketed, so
+  /// a refused send never leaves a hole in the peer's ordered stream.
+  /// kQueue caps wait (progressing) like the window; kShed caps fail the op
+  /// typed kLocalOverloaded.
+  const overload::Limits* limits = nullptr;
   /// Absolute per-op deadline on the engine clock (now_ns; 0 = none): every
   /// wait loop abandons the send typed kDeadlineExceeded once passed.
   std::uint64_t deadline_ns = 0;

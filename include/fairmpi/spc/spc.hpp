@@ -80,9 +80,7 @@ enum class Counter : int {
   kOverloadShedMessages,   ///< messages dropped at admission (kShed policy)
   kOverloadNacksSent,      ///< receiver-side NACKs queued for shed packets
   kOverloadNacksReceived,  ///< sender-side NACKs processed (op failed typed)
-  kOverloadPausedPeers,    ///< peers latched paused (kQueue deferral at cap)
-  kOverloadLevelChanges,   ///< degradation-ladder transitions (any direction)
-  kOverloadPoolPeak,       ///< payload-pool in-use bytes high-water (max)
+  kOverloadPausedPackets,  ///< packets refused unanswered at cap (kQueue policy)
   kCancelledOps,           ///< requests settled kCancelled
   kDeadlineExceededOps,    ///< requests settled kDeadlineExceeded
   kQuiesceTimeouts,        ///< quiesce calls that gave up with backlog
@@ -106,7 +104,7 @@ const char* counter_name(Counter c) noexcept;
 /// True for max-style (high-water) counters, which merge/reset differently
 /// from sums.
 constexpr bool is_high_water(Counter c) noexcept {
-  return c == Counter::kOosBufferPeak || c == Counter::kOverloadPoolPeak;
+  return c == Counter::kOosBufferPeak;
 }
 
 /// Bucket of a log2 histogram with `buckets` cells: 0 lands in bucket 0,

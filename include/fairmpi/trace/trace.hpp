@@ -43,8 +43,7 @@ enum class Event : std::uint8_t {
   kPeerDead,    ///< a = peer rank, b = detection latency (ms)
   kCommRevoke,  ///< a = communicator id, b = posted receives failed
   kOverloadShed,   ///< a = source rank, b = packet seq (admission drop)
-  kOverloadLevel,  ///< a = new degradation level, b = previous level
-  kOverloadPause,  ///< a = peer rank, b = 1 paused / 0 resumed (kQueue)
+  kOverloadPause,  ///< a = source rank, b = packet seq (kQueue refusal at cap)
   kCancel,         ///< a = peer rank (+1, 0 = ANY), b = tag
   kDeadline,       ///< a = peer rank (+1, 0 = ANY), b = tag
   kCollOp,         ///< a = collective op id (coll::detail), b = tag lane

@@ -1,5 +1,6 @@
 #include "fairmpi/core/cvar.hpp"
 
+#include <cctype>
 #include <charconv>
 #include <cstdlib>
 #include <cstring>
@@ -230,16 +231,6 @@ bool apply_cvar(Config& cfg, std::string_view name, std::string_view value) {
     return true;
   }
   if (name == "tracker_policy") return parse_policy(value, cfg.tracker_policy);
-  if (name == "overload_high_pct") {
-    if (!parse_u64(value, u) || u < 1 || u > 100) return false;
-    cfg.overload_high_pct = static_cast<int>(u);
-    return true;
-  }
-  if (name == "overload_low_pct") {
-    if (!parse_u64(value, u) || u > 100) return false;
-    cfg.overload_low_pct = static_cast<int>(u);
-    return true;
-  }
   if (name == "op_deadline_ns") {
     if (!parse_u64(value, u)) return false;
     cfg.op_deadline_ns = u;
@@ -274,21 +265,23 @@ Config config_from_env(Config base) {
       "unexpected_cap", "unexpected_policy",
       "payload_pool_cap", "payload_pool_policy",
       "tracker_cap",   "tracker_policy",
-      "overload_high_pct", "overload_low_pct", "op_deadline_ns",
+      "op_deadline_ns",
       "coll_segment_bytes", "coll_rsag_min_bytes",
   };
-  for (const char* name : kNames) {
+  apply_env_cvars(base, kNames);
+  return base;
+}
+
+void apply_env_cvars(Config& cfg, std::span<const char* const> names) {
+  for (const char* name : names) {
     std::string env_name = "FAIRMPI_";
     for (const char* p = name; *p != '\0'; ++p) {
-      env_name.push_back(*p == '-' ? '_'
-                                   : static_cast<char>(std::toupper(
-                                         static_cast<unsigned char>(*p))));
+      env_name.push_back(static_cast<char>(std::toupper(static_cast<unsigned char>(*p))));
     }
     const char* value = std::getenv(env_name.c_str());
     if (value == nullptr) continue;
-    FAIRMPI_CHECK_MSG(apply_cvar(base, name, value), "malformed FAIRMPI_* variable");
+    FAIRMPI_CHECK_MSG(apply_cvar(cfg, name, value), "malformed FAIRMPI_* variable");
   }
-  return base;
 }
 
 std::string list_cvars(const Config& cfg) {
@@ -333,8 +326,6 @@ std::string list_cvars(const Config& cfg) {
      << '\n'
      << "tracker_cap       = " << cfg.tracker_cap << '\n'
      << "tracker_policy    = " << overload::policy_name(cfg.tracker_policy) << '\n'
-     << "overload_high_pct = " << cfg.overload_high_pct << '\n'
-     << "overload_low_pct  = " << cfg.overload_low_pct << '\n'
      << "op_deadline_ns    = " << cfg.op_deadline_ns << '\n'
      << "coll_segment_bytes = " << cfg.coll_segment_bytes << '\n'
      << "coll_rsag_min_bytes = " << cfg.coll_rsag_min_bytes << '\n';

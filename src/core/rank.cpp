@@ -15,11 +15,6 @@ using spc::Counter;
 
 namespace {
 
-/// Degradation-ladder sampling cadence (§5h): the resource sums walk every
-/// communicator, too heavy for every call; about one sample per 64 calls
-/// at 1–3 µs each.
-constexpr std::uint64_t kLadderCadenceNs = 100'000;
-
 overload::Limits limits_from(const Config& cfg) noexcept {
   overload::Limits lim;
   lim.unexpected_cap = cfg.unexpected_cap;
@@ -28,8 +23,6 @@ overload::Limits limits_from(const Config& cfg) noexcept {
   lim.pool_policy = cfg.payload_pool_policy;
   lim.tracker_cap = cfg.tracker_cap;
   lim.tracker_policy = cfg.tracker_policy;
-  lim.high_pct = cfg.overload_high_pct;
-  lim.low_pct = cfg.overload_low_pct;
   return lim;
 }
 
@@ -42,7 +35,7 @@ Rank::Rank(Universe& uni, int id)
       engine_(pool_, *this, uni.config().progress_mode, spc_, uni.config().progress_batch,
               &tracer_),
       comms_(static_cast<std::size_t>(uni.config().max_communicators)),
-      governor_(limits_from(uni.config())) {
+      limits_(limits_from(uni.config())) {
   for (auto& slot : comms_) slot.store(nullptr, std::memory_order_relaxed);
   const Config& cfg = uni.config();
   if (cfg.trace_enabled) tracer_.enable(true);
@@ -98,7 +91,7 @@ void Rank::install_comm(CommId id, std::vector<int> members) {
                                    uni_->config().allow_overtaking, spc_,
                                    uni_->config().reliable, std::move(members));
   state->match().set_rendezvous_hook(this);
-  state->match().set_overload(&governor_, &tracer_);
+  state->match().set_overload(overload_limits(), &tracer_);
   comms_[id].store(state, std::memory_order_release);
 }
 
@@ -149,7 +142,7 @@ void Rank::isend(CommId comm, int dst, int tag, const void* buf, std::size_t n,
     };
     policy.peer_failed_user = this;
   }
-  policy.governor = &governor_;
+  policy.limits = overload_limits();
   policy.deadline_ns = deadline_ns;
   // Outcome comes back by value: completing `req` hands it back to the
   // waiting owner, which may destroy it before we could read failed().
@@ -537,7 +530,6 @@ void Rank::service(std::uint64_t now) {
   }
   // Half the probe interval, so a strike round is never skipped wholesale.
   if (ft_ != nullptr) every(ft_due_, cfg.ft_heartbeat_ns / 2, [&] { ft_poll(now); });
-  if (governor_.enabled()) every(ladder_due_, kLadderCadenceNs, [&] { sample_ladder(); });
   lower_due(service_due_, next);
   servicing_.store(false, std::memory_order_release);
 }
@@ -585,25 +577,6 @@ std::uint64_t Rank::expire_deadlines(std::uint64_t now) {
     }
   }
   return next;
-}
-
-void Rank::sample_ladder() {
-  std::uint64_t unexpected = 0;
-  for (auto& slot : comms_) {
-    p2p::CommState* cs = slot.load(std::memory_order_acquire);
-    if (cs != nullptr) unexpected += cs->match().unexpected_count_relaxed();
-  }
-  const fabric::PayloadPoolStats pool = fabric::payload_pool_stats();
-  const std::uint64_t in_flight =
-      tracker_ != nullptr ? tracker_->in_flight() : 0;
-  const overload::Governor::Transition t =
-      governor_.sample(unexpected, pool.in_use_bytes, in_flight);
-  if (t.changed) {
-    spc_.add(Counter::kOverloadLevelChanges);
-    tracer_.record(trace::Event::kOverloadLevel, static_cast<std::uint32_t>(t.to),
-                   static_cast<std::uint32_t>(t.from));
-  }
-  spc_.update_max(Counter::kOverloadPoolPeak, pool.high_water_bytes);
 }
 
 bool Rank::cancel_request(p2p::Request* req) {

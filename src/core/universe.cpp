@@ -1,9 +1,6 @@
 #include "fairmpi/core/universe.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
-#include <string>
 
 #include "fairmpi/common/error.hpp"
 #include "fairmpi/common/timing.hpp"
@@ -46,17 +43,9 @@ Config apply_chaos_env(Config cfg) {
       // call sites. Additive: unset means uncapped, exactly as before.
       "unexpected_cap", "unexpected_policy", "payload_pool_cap",
       "payload_pool_policy", "tracker_cap",  "tracker_policy",
-      "overload_high_pct", "overload_low_pct", "op_deadline_ns",
+      "op_deadline_ns",
   };
-  for (const char* name : kChaosKnobs) {
-    std::string env_name = "FAIRMPI_";
-    for (const char* p = name; *p != '\0'; ++p) {
-      env_name.push_back(static_cast<char>(std::toupper(static_cast<unsigned char>(*p))));
-    }
-    const char* value = std::getenv(env_name.c_str());
-    if (value == nullptr) continue;
-    FAIRMPI_CHECK_MSG(apply_cvar(cfg, name, value), "malformed FAIRMPI_* variable");
-  }
+  apply_env_cvars(cfg, kChaosKnobs);
   // A lossy fabric without the reliability protocol cannot keep MPI
   // semantics; switching faults on implies switching reliability on. So
   // does an unexpected-queue cap: kShed answers with NACKs and kQueue

@@ -67,7 +67,6 @@ void MatchEngine::push_unexpected(PeerState& ps, Unexpected* node) {
   ps.unexpected_bins |= std::uint32_t{1} << b;
   ++ps.unexpected_n;
   ++unexpected_total_;
-  unexpected_mirror_.store(unexpected_total_, std::memory_order_relaxed);
 }
 
 void MatchEngine::erase_unexpected(PeerState& ps, Unexpected* node) {
@@ -77,7 +76,6 @@ void MatchEngine::erase_unexpected(PeerState& ps, Unexpected* node) {
   unexpected_pool_.release(node);
   --ps.unexpected_n;
   --unexpected_total_;
-  unexpected_mirror_.store(unexpected_total_, std::memory_order_relaxed);
 }
 
 MatchEngine::Unexpected* MatchEngine::find_unexpected(int src, int tag, PeerState** owner,
@@ -162,10 +160,9 @@ std::size_t MatchEngine::match_one(spc::CounterSet::Cursor& ctr, fabric::Packet&
   // silent loss: it is admitted, and incoming()'s park limit bounds how
   // many follow the head. The uncapped configuration pays one null-pointer
   // branch here.
-  if (gov_ != nullptr && direct) {
-    const overload::Limits& lim = gov_->limits();
-    if (lim.unexpected_cap != 0 && lim.unexpected_policy == overload::Policy::kShed &&
-        ps.unexpected_n >= lim.unexpected_cap) {
+  if (lim_ != nullptr && direct) {
+    if (lim_->unexpected_cap != 0 && lim_->unexpected_policy == overload::Policy::kShed &&
+        ps.unexpected_n >= lim_->unexpected_cap) {
       // Shed at admission. The sequence number stays consumed (the caller
       // already advanced expected_seq), so the retransmit hits the
       // duplicate path — the shed ring there re-NACKs it. The rank answers
@@ -273,18 +270,14 @@ std::size_t MatchEngine::match_arrival(spc::CounterSet::Cursor& ctr, fabric::Pac
   // one, so unexpected + farthest parked distance never grows while
   // anything is parked: fewer than cap packets park and the unexpected
   // queue never exceeds cap.
-  if (admission != nullptr && gov_ != nullptr && gov_->limits().unexpected_cap != 0) {
-    const overload::Limits& lim = gov_->limits();
-    const std::size_t cap = lim.unexpected_cap;
-    if (ps.unexpected_n >= cap && lim.unexpected_policy == overload::Policy::kQueue) {
-      if (!ps.paused) {
-        ps.paused = true;
-        gov_->pause_peer();
-        ctr.add(Counter::kOverloadPausedPeers);
-        if (tracer_ != nullptr) {
-          tracer_->record(trace::Event::kOverloadPause,
-                          static_cast<std::uint32_t>(src), 1);
-        }
+  if (admission != nullptr && lim_ != nullptr && lim_->unexpected_cap != 0) {
+    const std::size_t cap = lim_->unexpected_cap;
+    if (ps.unexpected_n >= cap && lim_->unexpected_policy == overload::Policy::kQueue) {
+      // Counted and traced per refused packet, as a kShed shed is.
+      ctr.add(Counter::kOverloadPausedPackets);
+      if (tracer_ != nullptr) {
+        tracer_->record(trace::Event::kOverloadPause, static_cast<std::uint32_t>(src),
+                        pkt.hdr.seq);
       }
       *admission = Admission::kPaused;
       return 0;
@@ -422,23 +415,8 @@ bool MatchEngine::post(p2p::Request* req) {
     ctr.add(Counter::kUnexpectedQueueDepth, scanned);
 
     if (best != nullptr) {
-      const int consumed_src = static_cast<int>(best->pkt.hdr.src_rank);
       deliver(ctr, req, best->pkt);
       erase_unexpected(*best_ps, best);
-      // kQueue re-admission: unlatch once the peer drained to the low
-      // watermark (hysteresis — not at cap-1, or the latch would flap).
-      if (best_ps->paused && gov_ != nullptr) {
-        const overload::Limits& lim = gov_->limits();
-        if (best_ps->unexpected_n * 100 <=
-            static_cast<std::size_t>(lim.low_pct) * lim.unexpected_cap) {
-          best_ps->paused = false;
-          gov_->resume_peer();
-          if (tracer_ != nullptr) {
-            tracer_->record(trace::Event::kOverloadPause,
-                            static_cast<std::uint32_t>(consumed_src), 0);
-          }
-        }
-      }
       matched = true;
     } else if (src != p2p::kAnySource && peer(src).dead) {
       // ft fail-fast: nothing matchable remains from a confirmed-dead
@@ -613,6 +591,14 @@ std::size_t MatchEngine::unexpected_count() const noexcept {
 std::size_t MatchEngine::reorder_buffered() const noexcept {
   LockGuard guard(lock_);
   return reorder_total_;
+}
+
+std::size_t MatchEngine::peers_at_cap() const noexcept {
+  if (lim_ == nullptr || lim_->unexpected_cap == 0) return 0;
+  LockGuard guard(lock_);
+  return static_cast<std::size_t>(std::count_if(
+      peers_.begin(), peers_.end(),
+      [cap = lim_->unexpected_cap](const PeerState& ps) { return ps.unexpected_n >= cap; }));
 }
 
 std::size_t MatchEngine::posted_count() const noexcept {

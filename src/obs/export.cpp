@@ -218,23 +218,30 @@ void Universe::dump_observability(std::ostream& os) const {
     }
     os << ", \"overload\": ";
     // Overload-control view (§5h; null when no cap is configured): the
-    // degradation level, latched-paused peer count, and the active limits
-    // so a report is self-describing.
-    const overload::Governor& gov = rank.governor();
-    if (!gov.enabled()) {
+    // facts the caps bound, read now (each match lock briefly), and the
+    // active limits so a report is self-describing.
+    const overload::Limits* lim = rank.overload_limits();
+    if (lim == nullptr) {
       os << "null";
     } else {
-      const overload::Limits& lim = gov.limits();
-      os << "{\"level\": \"" << overload::level_name(gov.level())
-         << "\", \"paused_peers\": " << gov.paused_peers()
-         << ", \"unexpected_cap\": " << lim.unexpected_cap
-         << ", \"unexpected_policy\": \"" << overload::policy_name(lim.unexpected_policy)
-         << "\", \"pool_cap_bytes\": " << lim.pool_cap_bytes
-         << ", \"pool_policy\": \"" << overload::policy_name(lim.pool_policy)
-         << "\", \"tracker_cap\": " << lim.tracker_cap
-         << ", \"tracker_policy\": \"" << overload::policy_name(lim.tracker_policy)
-         << "\", \"high_pct\": " << lim.high_pct << ", \"low_pct\": " << lim.low_pct
-         << "}";
+      std::size_t unexpected = 0;
+      std::size_t at_cap = 0;
+      for (auto& slot : rank.comms_) {
+        p2p::CommState* cs = slot.load(std::memory_order_acquire);
+        if (cs == nullptr) continue;
+        unexpected += cs->match().unexpected_count();
+        at_cap += cs->match().peers_at_cap();
+      }
+      os << "{\"unexpected_total\": " << unexpected << ", \"peers_at_cap\": " << at_cap
+         << ", \"tracker_in_flight\": "
+         << (rank.tracker_ != nullptr ? rank.tracker_->in_flight() : 0)
+         << ", \"unexpected_cap\": " << lim->unexpected_cap
+         << ", \"unexpected_policy\": \"" << overload::policy_name(lim->unexpected_policy)
+         << "\", \"pool_cap_bytes\": " << lim->pool_cap_bytes
+         << ", \"pool_policy\": \"" << overload::policy_name(lim->pool_policy)
+         << "\", \"tracker_cap\": " << lim->tracker_cap
+         << ", \"tracker_policy\": \"" << overload::policy_name(lim->tracker_policy)
+         << "\"}";
     }
     os << ", \"spc\": ";
     emit_spc(os, snap, "    ");

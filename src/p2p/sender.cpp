@@ -99,21 +99,20 @@ common::ErrorCode eager_send(CommState& comm, cri::CriPool& pool,
   // At a refused cap that cap's policy decides: kShed fails the send typed
   // kLocalOverloaded, kQueue waits. Uncapped, unreliable sends pass on the
   // first iteration.
-  const overload::Governor* gov =
-      policy.governor != nullptr && policy.governor->enabled() ? policy.governor : nullptr;
-  const std::uint64_t pool_cap = gov != nullptr ? gov->limits().pool_cap_bytes : 0;
+  const overload::Limits* lim = policy.limits;
+  const std::uint64_t pool_cap = lim != nullptr ? lim->pool_cap_bytes : 0;
   for (;;) {
     overload::Policy at_cap = overload::Policy::kQueue;
     const std::size_t in_flight = policy.tracker != nullptr ? policy.tracker->in_flight() : 0;
     if (policy.window != 0 && in_flight >= policy.window) {
       // the window always waits
-    } else if (gov != nullptr && gov->tracker_at_cap(in_flight)) {
-      at_cap = gov->limits().tracker_policy;
+    } else if (lim != nullptr && lim->tracker_at_cap(in_flight)) {
+      at_cap = lim->tracker_policy;
     } else if (pkt.set_payload(buf, n, pool_cap)) {
       break;
     } else {
-      // Only a pool cap refuses a buffer, so `gov` is set.
-      at_cap = gov->limits().pool_policy;
+      // Only a pool cap refuses a buffer, so `lim` is set.
+      at_cap = lim->pool_policy;
     }
     if (at_cap == overload::Policy::kShed) {
       req.fail(common::ErrorCode::kLocalOverloaded);

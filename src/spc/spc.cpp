@@ -49,9 +49,7 @@ const char* counter_name(Counter c) noexcept {
     case Counter::kOverloadShedMessages: return "OverloadShedMessages";
     case Counter::kOverloadNacksSent: return "OverloadNacksSent";
     case Counter::kOverloadNacksReceived: return "OverloadNacksReceived";
-    case Counter::kOverloadPausedPeers: return "OverloadPausedPeers";
-    case Counter::kOverloadLevelChanges: return "OverloadLevelChanges";
-    case Counter::kOverloadPoolPeak: return "OverloadPoolPeak";
+    case Counter::kOverloadPausedPackets: return "OverloadPausedPackets";
     case Counter::kCancelledOps: return "CancelledOps";
     case Counter::kDeadlineExceededOps: return "DeadlineExceededOps";
     case Counter::kQuiesceTimeouts: return "QuiesceTimeouts";

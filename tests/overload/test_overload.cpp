@@ -1,8 +1,7 @@
 // Overload control & graceful degradation tests (DESIGN.md §5h): bounded
 // admission (kShed with receiver NACKs, kQueue with sender backpressure),
 // sender-side pool/tracker caps, request cancellation, per-op deadlines,
-// the degradation ladder, quiesce timeout diagnostics, and the
-// observability surface.
+// quiesce timeout diagnostics, and the observability surface.
 //
 // Every blocking drive is wall-clock bounded, so a regression that
 // reintroduces a hang fails the test instead of wedging the suite. Suite
@@ -44,6 +43,17 @@ bool drive(Universe& uni, const std::vector<int>& ranks, Pred pred) {
   return true;
 }
 
+/// Rank `r`'s "overload" object from the observability export, read now.
+std::string overload_export(Universe& uni, int r) {
+  std::ostringstream os;
+  uni.dump_observability(os);
+  const std::string json = os.str();
+  const std::size_t rank_at = json.find("{\"rank\": " + std::to_string(r) + ",");
+  const std::size_t at = json.find("\"overload\": ", rank_at);
+  if (rank_at == std::string::npos || at == std::string::npos) return {};
+  return json.substr(at, json.find('}', at) + 1 - at);
+}
+
 struct ErrorCapture {
   std::vector<Error> errors;
   Spinlock lock;
@@ -69,8 +79,8 @@ TEST(Overload, ShedFloodExactAccounting) {
   // One producer floods a consumer that posts nothing: the first `cap`
   // messages park as unexpected, every later one is shed and NACKed. The
   // flood must stay fully accounted: admitted + shed == sent, every shed
-  // surfaced typed kReceiverOverloaded at the sender, and the ladder must
-  // come back down after the drain.
+  // surfaced typed kReceiverOverloaded at the sender, and the export must
+  // show the full queue, then the empty one after the drain.
   // Pins its own fabric: the chaos env profile would override it.
   test_support::ScopedChaosEnvClear clear_env;
   constexpr std::size_t kCap = 8;
@@ -112,17 +122,10 @@ TEST(Overload, ShedFloodExactAccounting) {
   const auto consumer = uni.rank(1).counters().snapshot();
   EXPECT_EQ(consumer.get(Counter::kOverloadShedMessages), kSent - kCap);
   EXPECT_EQ(consumer.get(Counter::kOverloadNacksSent), kSent - kCap);
-  // The ladder sees the still-full queue (pressure 100%). Sampling runs on
-  // a time cadence, so spin the consumer through a sampling window before
-  // asserting.
-  {
-    const std::uint64_t until = now_ns() + 5'000'000'000ULL;
-    while (uni.rank(1).governor().level() == overload::Level::kHealthy &&
-           now_ns() < until) {
-      uni.rank(1).progress();
-    }
-  }
-  EXPECT_NE(uni.rank(1).governor().level(), overload::Level::kHealthy);
+  // The export reads the still-full queue at dump time: one peer at cap.
+  EXPECT_NE(overload_export(uni, 1).find("\"unexpected_total\": 8, \"peers_at_cap\": 1,"),
+            std::string::npos)
+      << overload_export(uni, 1);
 
   // Drain: exactly the admitted messages are deliverable.
   std::size_t delivered = 0;
@@ -139,14 +142,10 @@ TEST(Overload, ShedFloodExactAccounting) {
   EXPECT_EQ(after.get(Counter::kMessagesReceived) +
                 after.get(Counter::kOverloadShedMessages),
             static_cast<std::uint64_t>(kSent));
-  // Hysteresis: with the queue drained the ladder returns to kHealthy
-  // (sampling is throttled, so spin the progress loop through a window).
-  const std::uint64_t deadline = now_ns() + 5'000'000'000ULL;
-  while (uni.rank(1).governor().level() != overload::Level::kHealthy &&
-         now_ns() < deadline) {
-    uni.rank(1).progress();
-  }
-  EXPECT_EQ(uni.rank(1).governor().level(), overload::Level::kHealthy);
+  // Drained: the export reads the empty queue, with no sampling window.
+  EXPECT_NE(overload_export(uni, 1).find("\"unexpected_total\": 0, \"peers_at_cap\": 0,"),
+            std::string::npos)
+      << overload_export(uni, 1);
 }
 
 TEST(Overload, ShedMultiProducerPerPeerCap) {
@@ -224,8 +223,8 @@ TEST(Overload, ShedMultiProducerPerPeerCap) {
 /// nothing is lost; kShed NACKs the in-sequence head, so the books balance
 /// as received + shed == sent with every shed surfaced typed exactly once
 /// at the sender. With `fill_first` the consumer posts
-/// nothing until the queue is refused at cap (kQueue latches the peer
-/// paused, kShed sheds), so the bound is checked with the queue full;
+/// nothing until the queue is refused at cap (kQueue pauses a packet, kShed
+/// sheds one), so the bound is checked with the queue full;
 /// without it the consumer streams from the start, so fresh packets keep
 /// arriving while a deferred head waits. A nonzero `drop` runs the flood
 /// over a seeded lossy fabric, where gaps in the sequence stream are
@@ -266,7 +265,7 @@ void check_queue_flood(overload::Policy policy, bool fill_first, double drop) {
     };
     // Fill: progress without posting until the peer is refused at cap.
     const Counter refused =
-        shed_policy ? Counter::kOverloadShedMessages : Counter::kOverloadPausedPeers;
+        shed_policy ? Counter::kOverloadShedMessages : Counter::kOverloadPausedPackets;
     const std::uint64_t fill_deadline = now_ns() + 10'000'000'000ULL;
     while (fill_first && uni.rank(1).counters().get(refused) == 0 &&
            now_ns() < fill_deadline) {
@@ -326,7 +325,7 @@ void check_queue_flood(overload::Policy policy, bool fill_first, double drop) {
   if (fill_first) {
     // The queue was refused at cap with the consumer not posting.
     EXPECT_GE(snap.get(shed_policy ? Counter::kOverloadShedMessages
-                                   : Counter::kOverloadPausedPeers),
+                                   : Counter::kOverloadPausedPackets),
               1u);
     EXPECT_GE(max_unexpected, kCap);
   }
@@ -394,11 +393,11 @@ TEST(Overload, RunCrossingTheCapMatchesOneAtATime) {
     lim.unexpected_cap = 4;
     lim.unexpected_policy = policy;
     struct Side {
-      explicit Side(const overload::Limits& l) : gov(l), eng(3, false, spc, true) {
-        eng.set_overload(&gov);
+      explicit Side(const overload::Limits& l) : lim(l), eng(3, false, spc, true) {
+        eng.set_overload(&lim);
       }
       spc::CounterSet spc;
-      overload::Governor gov;
+      const overload::Limits lim;
       match::MatchEngine eng;
       std::vector<match::Admission> verdicts;
     };
@@ -418,6 +417,14 @@ TEST(Overload, RunCrossingTheCapMatchesOneAtATime) {
     const auto refused = policy == overload::Policy::kShed ? match::Admission::kShed
                                                            : match::Admission::kPaused;
     EXPECT_NE(std::count(run.verdicts.begin(), run.verdicts.end(), refused), 0);
+    // Each refusal is counted once, per packet, under both policies.
+    const auto verdicts_of = [&](match::Admission a) {
+      return static_cast<std::uint64_t>(std::count(run.verdicts.begin(), run.verdicts.end(), a));
+    };
+    EXPECT_EQ(run.spc.get(Counter::kOverloadPausedPackets),
+              verdicts_of(match::Admission::kPaused));
+    EXPECT_EQ(run.spc.get(Counter::kOverloadShedMessages),
+              verdicts_of(match::Admission::kShed));
     EXPECT_NE(std::count(run.verdicts.begin(), run.verdicts.end(),
                          match::Admission::kDeferred),
               0);
@@ -428,7 +435,7 @@ TEST(Overload, RunCrossingTheCapMatchesOneAtATime) {
     }
     EXPECT_EQ(run.eng.unexpected_count(), single.eng.unexpected_count());
     EXPECT_EQ(run.eng.reorder_buffered(), single.eng.reorder_buffered());
-    EXPECT_EQ(run.gov.paused_peers(), single.gov.paused_peers());
+    EXPECT_EQ(run.eng.peers_at_cap(), single.eng.peers_at_cap());
   }
 }
 
@@ -826,24 +833,68 @@ TEST(Overload, QuiesceTimeoutReportsBacklog) {
 }
 
 TEST(Overload, ObservabilityExportsOverloadState) {
+  // Pins its own caps: the chaos env profile would override them.
+  test_support::ScopedChaosEnvClear clear_env;
+  {
+    Config cfg;
+    cfg.unexpected_cap = 8;
+    cfg.unexpected_policy = overload::Policy::kShed;
+    cfg.reliable = true;
+    Universe uni(cfg);
+    std::ostringstream os;
+    uni.dump_observability(os);
+    const std::string json = os.str();
+    EXPECT_NE(json.find("\"overload\""), std::string::npos);
+    EXPECT_NE(json.find("\"unexpected_total\": 0, \"peers_at_cap\": 0, "
+                        "\"tracker_in_flight\": 0,"),
+              std::string::npos);
+    EXPECT_NE(json.find("\"unexpected_policy\": \"shed\""), std::string::npos);
+    EXPECT_NE(json.find("\"payload_pool\""), std::string::npos);
+    EXPECT_NE(json.find("\"high_water_bytes\""), std::string::npos);
+  }
+
+  // kQueue: rank 1 posts nothing, so the queue fills and one more packet
+  // is paused unanswered. The export reads the full queue (one peer at
+  // cap); after the drain, which the paused packet's retransmit completes,
+  // it reads the empty one.
+  constexpr std::size_t kCap = 4;
   Config cfg;
-  cfg.unexpected_cap = 8;
-  cfg.unexpected_policy = overload::Policy::kShed;
-  cfg.reliable = true;
+  cfg.unexpected_cap = kCap;
+  cfg.unexpected_policy = overload::Policy::kQueue;
+  cfg.rto_ns = 200'000;  // the paused packet re-presents quickly
+  cfg.rto_max_ns = 2'000'000;
   Universe uni(cfg);
-  std::ostringstream os;
-  uni.dump_observability(os);
-  const std::string json = os.str();
-  EXPECT_NE(json.find("\"overload\""), std::string::npos);
-  EXPECT_NE(json.find("\"level\": \"healthy\""), std::string::npos);
-  EXPECT_NE(json.find("\"unexpected_policy\": \"shed\""), std::string::npos);
-  EXPECT_NE(json.find("\"payload_pool\""), std::string::npos);
-  EXPECT_NE(json.find("\"high_water_bytes\""), std::string::npos);
+  char byte = 'q';
+  for (std::size_t i = 0; i <= kCap; ++i) {
+    Request req;
+    uni.rank(0).isend(kWorldComm, 1, /*tag=*/2, &byte, 1, req);
+    uni.rank(0).wait(req);
+  }
+  auto& match = uni.rank(1).comm_state(kWorldComm).match();
+  ASSERT_TRUE(drive(uni, {0, 1}, [&] {
+    return match.unexpected_count() == kCap &&
+           uni.rank(1).counters().get(Counter::kOverloadPausedPackets) != 0;
+  }));
+  const std::string full = overload_export(uni, 1);
+  EXPECT_NE(full.find("\"unexpected_total\": 4, \"peers_at_cap\": 1,"), std::string::npos)
+      << full;
+  EXPECT_NE(full.find("\"unexpected_policy\": \"queue\""), std::string::npos) << full;
+
+  for (std::size_t i = 0; i <= kCap; ++i) {
+    Request req;
+    char got = 0;
+    uni.rank(1).irecv(kWorldComm, 0, 2, &got, 1, req);
+    ASSERT_TRUE(drive(uni, {0, 1}, [&] { return req.done(); }));
+    EXPECT_FALSE(req.failed());
+  }
+  const std::string drained = overload_export(uni, 1);
+  EXPECT_NE(drained.find("\"unexpected_total\": 0, \"peers_at_cap\": 0,"), std::string::npos)
+      << drained;
 }
 
 TEST(Overload, UncappedGovernorReportsNull) {
   Universe uni(Config{});
-  EXPECT_FALSE(uni.rank(0).governor().enabled());
+  EXPECT_EQ(uni.rank(0).overload_limits(), nullptr);
   std::ostringstream os;
   uni.dump_observability(os);
   EXPECT_NE(os.str().find("\"overload\": null"), std::string::npos);

@@ -155,9 +155,8 @@ HOTPATH_FILES = {
     "include/fairmpi/cri/cri.hpp",
     "src/cri/cri.cpp",
     # Overload control (DESIGN.md §5h): the admission checks run per-packet
-    # under the match lock and per-injection on the send path; the governor
-    # runs inside every progress visit. Nothing here may allocate.
-    "src/overload/overload.cpp",
+    # under the match lock and per-injection on the send path. Nothing here
+    # may allocate.
     "include/fairmpi/overload/overload.hpp",
 }
 

@@ -36,7 +36,7 @@ EXPECTED_EVENT_NAMES = {
     "RndvRts", "RndvDone", "Retransmit", "WatchdogStall",
     "AckSent", "AckRecv", "CsumDrop", "CriDrain",
     "PeerSuspect", "PeerDead", "CommRevoke",
-    "OverloadShed", "OverloadLevel", "OverloadPause", "Cancel", "Deadline",
+    "OverloadShed", "OverloadPause", "Cancel", "Deadline",
     "CollOp",
 }
 
@@ -45,7 +45,7 @@ EXPECTED_EVENT_NAMES = {
 # silently blind the memory-pressure chaos job's accounting.
 OVERLOAD_SPC_NAMES = (
     "OverloadShedMessages", "OverloadNacksSent", "OverloadNacksReceived",
-    "OverloadPausedPeers", "OverloadLevelChanges", "OverloadPoolPeak",
+    "OverloadPausedPackets",
     "CancelledOps", "DeadlineExceededOps", "QuiesceTimeouts",
 )
 
@@ -299,7 +299,8 @@ def report_obs(path: str, require_wait: list[str]) -> None:
             continue
         spc = rank.get("spc", {})
         overload_rows.append([
-            f"r{rank['rank']}", ov["level"], str(ov["paused_peers"]),
+            f"r{rank['rank']}", str(ov["unexpected_total"]),
+            str(ov["peers_at_cap"]), str(ov["tracker_in_flight"]),
             f"{ov['unexpected_cap']}/{ov['unexpected_policy']}",
             f"{ov['pool_cap_bytes']}/{ov['pool_policy']}",
             f"{ov['tracker_cap']}/{ov['tracker_policy']}",
@@ -311,7 +312,8 @@ def report_obs(path: str, require_wait: list[str]) -> None:
     if overload_rows:
         print("overload control (per capped rank):")
         print(render_table(
-            ["rank", "level", "paused", "unexp-cap", "pool-cap", "trk-cap",
+            ["rank", "unexpected", "at-cap", "trk-in-flight", "unexp-cap",
+             "pool-cap", "trk-cap",
              "shed", "nacks", "cancels", "deadlines"],
             overload_rows))
         pool = doc.get("payload_pool", {})
