@@ -7,6 +7,8 @@
 //   FAIRMPI_PROGRESS=concurrent ...
 //   ./build/examples/multirate_tool --pairs 2 --comm-per-pair --duration 0.5
 #include <cstdio>
+#include <string>
+#include <utility>
 
 #include "fairmpi/common/cli.hpp"
 #include "fairmpi/common/table.hpp"
@@ -74,6 +76,19 @@ int main(int argc, char** argv) {
                          res.receiver_spc.get(Counter::kMatchTimeNs)))});
   report.add_row({"receiver trylock failures",
                   std::to_string(res.receiver_spc.get(Counter::kInstanceTrylockFail))});
+  // Typed failures by code; one row when there were none.
+  const std::pair<const char*, const multirate::FailureCounts::ByCode*> kinds[] = {
+      {"failed receives", &res.failures.recvs},
+      {"reported errors", &res.failures.reported}};
+  for (const auto& [what, by_code] : kinds) {
+    for (std::size_t c = 0; c < by_code->size(); ++c) {
+      if ((*by_code)[c] == 0) continue;
+      report.add_row({std::string(what) + ": " +
+                          common::error_code_name(static_cast<common::ErrorCode>(c)),
+                      std::to_string((*by_code)[c])});
+    }
+  }
+  if (res.failures.total() == 0) report.add_row({"typed failures", "0"});
   std::puts(report.render().c_str());
   return res.delivered > 0 ? 0 : 1;
 }

@@ -6,6 +6,7 @@
 // continue once a matching queue or ring buffer is inconsistent).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -33,6 +34,10 @@ enum class ErrorCode : std::uint8_t {
   kQuiesceTimeout,        ///< quiesce gave up with backlog still pending
   kReservedTag,           ///< user op posted a tag inside the reserved block
 };
+
+/// Number of ErrorCode values (kOk included), for tables indexed by code.
+inline constexpr std::size_t kNumErrorCodes =
+    static_cast<std::size_t>(ErrorCode::kReservedTag) + 1;
 
 inline const char* error_code_name(ErrorCode c) noexcept {
   switch (c) {

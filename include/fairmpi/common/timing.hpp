@@ -29,14 +29,13 @@ inline void lower_due(std::atomic<std::uint64_t>& gate, std::uint64_t t) noexcep
 
 /// Cheap cycle counter for hot-path interval timing.
 ///
-/// The match path times every critical section for the kMatchTimeNs SPC
-/// (paper Table II). clock_gettime — even through the vDSO — costs ~20 ns
-/// per read; with two reads per post() and two per incoming() that was a
-/// third of the whole in-order matching cost (bench_ablation_matching).
-/// On x86-64 we read the TSC instead (invariant/constant-rate on every
-/// microarchitecture we target) and convert to nanoseconds only when the
-/// counter is *read*, off the hot path. Other architectures fall back to
-/// the monotonic clock.
+/// The match path times its critical sections for the kMatchTimeNs SPC
+/// (paper Table II). clock_gettime — even through the vDSO — costs ~20-60 ns
+/// per read, so on x86-64 we read the TSC instead (invariant/constant-rate
+/// on every microarchitecture we target) and convert to nanoseconds only
+/// when the counter is *read*, off the hot path. Other architectures fall
+/// back to the monotonic clock. Even a TSC read costs ~25 ns, so hot paths
+/// time only the intervals a CycleSampler picks.
 class CycleClock {
  public:
   static std::uint64_t now() noexcept {
@@ -76,34 +75,59 @@ class CycleClock {
 #endif
 };
 
-/// Accumulates elapsed *cycles* into a plain counter (convert with
-/// CycleClock::to_ns when reporting). Used under the matching lock, so a
-/// non-atomic accumulator is race-free by construction.
-class ScopedCycles {
+/// Picks which intervals of a stream to time: the first always, then each
+/// one with probability 1/kPeriod from a xorshift64 draw. A random pick,
+/// not a fixed every-kPeriod-th stride, so a periodic workload (Multirate's
+/// 128-receive windows) cannot alias with it and time the same positions.
+///
+/// weight() is what a picked interval's cycles count for in the total, the
+/// inverse of its pick probability: 1 for the first, kPeriod for a random
+/// pick, 0 for an interval that is not timed. So the weighted sum is an
+/// unbiased estimate of the time of every interval.
+///
+/// Not thread-safe: its owner guards it (MatchEngine: under the match lock).
+class CycleSampler {
  public:
-  explicit ScopedCycles(std::uint64_t& sink) noexcept
-      : sink_(sink), start_(CycleClock::now()) {}
-  ScopedCycles(const ScopedCycles&) = delete;
-  ScopedCycles& operator=(const ScopedCycles&) = delete;
-  ~ScopedCycles() { sink_ += CycleClock::now() - start_; }
+  static constexpr int kPeriodLog2 = 6;
+  static constexpr std::uint32_t kPeriod = 1u << kPeriodLog2;  ///< 64
+
+  explicit CycleSampler(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) noexcept
+      : state_(seed != 0 ? seed : 1) {}
+
+  std::uint32_t weight() noexcept {
+    if (first_) {
+      first_ = false;
+      return 1;
+    }
+    state_ ^= state_ << 13;
+    state_ ^= state_ >> 7;
+    state_ ^= state_ << 17;
+    // The top kPeriodLog2 bits are all zero with probability 1/kPeriod.
+    return (state_ >> (64 - kPeriodLog2)) == 0 ? kPeriod : 0;
+  }
 
  private:
-  std::uint64_t& sink_;
-  std::uint64_t start_;
+  std::uint64_t state_;
+  bool first_ = true;
 };
 
-/// Accumulates elapsed time into a plain counter; used by the SPC match-time
-/// counter, which is only ever updated while the matching lock is held (so a
-/// non-atomic accumulator is race-free by construction).
-class ScopedElapsed {
+/// Times one scope if `sampler` picks it and adds its weighted cycles to
+/// `sink` (convert with CycleClock::to_ns when reporting). A scope that is
+/// not picked reads no clock and adds nothing. Used under the matching
+/// lock, so a non-atomic accumulator is race-free by construction.
+class SampledCycles {
  public:
-  explicit ScopedElapsed(std::uint64_t& sink) noexcept : sink_(sink), start_(now_ns()) {}
-  ScopedElapsed(const ScopedElapsed&) = delete;
-  ScopedElapsed& operator=(const ScopedElapsed&) = delete;
-  ~ScopedElapsed() { sink_ += now_ns() - start_; }
+  SampledCycles(CycleSampler& sampler, std::uint64_t& sink) noexcept
+      : sink_(sink), weight_(sampler.weight()), start_(weight_ != 0 ? CycleClock::now() : 0) {}
+  SampledCycles(const SampledCycles&) = delete;
+  SampledCycles& operator=(const SampledCycles&) = delete;
+  ~SampledCycles() {
+    if (weight_ != 0) sink_ += (CycleClock::now() - start_) * weight_;
+  }
 
  private:
   std::uint64_t& sink_;
+  std::uint32_t weight_;
   std::uint64_t start_;
 };
 

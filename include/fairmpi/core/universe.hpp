@@ -274,9 +274,10 @@ class Rank final : public progress::PacketSink,
   /// One drain's reliability notices (handle_packets): a packet yields at
   /// most one, so a drain batch never fills it.
   using AckBatch = p2p::NoticeBatch<progress::ProgressEngine::kMaxDrainBatch>;
-  /// Structure, checksum (reliable ranks) and ft liveness note for one
-  /// inbound packet; false when it was counted and dropped.
-  bool validate_inbound(const fabric::Packet& pkt);
+  /// Structure, checksum (reliable ranks) and ft liveness note, stamped
+  /// `heard_ns`, for one inbound packet; false when it was counted and
+  /// dropped.
+  bool validate_inbound(const fabric::Packet& pkt, std::uint64_t heard_ns);
   /// Match a run of validated envelopes for one communicator under one
   /// hold of its match lock; on reliable ranks each admission verdict's
   /// notice joins `acks`, in run order.

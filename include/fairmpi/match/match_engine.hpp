@@ -425,6 +425,8 @@ class MatchEngine : public p2p::CancelScope {
   std::uint64_t reorder_total_ FAIRMPI_GUARDED_BY(lock_) = 0;  ///< ring + spill entries
   std::uint64_t unexpected_total_ FAIRMPI_GUARDED_BY(lock_) = 0;  ///< O(1) count
   bool revoked_ FAIRMPI_GUARDED_BY(lock_) = false;  ///< ft: comm revoked (terminal)
+  /// Picks the post() and incoming() sections timed for kMatchTimeNs.
+  CycleSampler sampler_ FAIRMPI_GUARDED_BY(lock_);
   /// Earliest posted-receive deadline (~0 = none): the expire sweep's
   /// one-relaxed-load gate, maintained on post and recomputed on sweep.
   std::atomic<std::uint64_t> next_deadline_{kNever};

@@ -12,10 +12,12 @@
 // which is what distinguishes process mode in the paper's comparison.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 
+#include "fairmpi/common/error.hpp"
 #include "fairmpi/core/config.hpp"
 #include "fairmpi/spc/spc.hpp"
 
@@ -49,11 +51,26 @@ struct MultirateConfig {
   bool obs_selfcheck = false;
 };
 
+/// Typed failures of one run, warmup included, counted by
+/// common::ErrorCode (index = code, so the kOk cell stays 0).
+struct FailureCounts {
+  using ByCode = std::array<std::uint64_t, common::kNumErrorCodes>;
+  ByCode recvs{};  ///< receives that settled failed
+  /// Errors the ranks reported to their error sink, so sends need no
+  /// tally of their own: every failed eager send lands here (fail-fast on
+  /// a dead peer or a revoked communicator, injection failures, and late
+  /// ones such as retry exhaustion or a receiver's shed), as do stalls.
+  ByCode reported{};
+
+  std::uint64_t total() const noexcept;
+};
+
 struct MultirateResult {
   double msg_rate = 0.0;          ///< delivered messages per wall second
   std::uint64_t delivered = 0;    ///< during the timed region
   double duration_s = 0.0;        ///< actual measured duration
   spc::Snapshot receiver_spc;     ///< receiver-side SPC delta (Table II)
+  FailureCounts failures;
 };
 
 /// Run the pairwise pattern once. Uses real threads; intended for

@@ -46,7 +46,10 @@ enum class Counter : int {
   kBytesReceived,          ///< payload bytes delivered
   kUnexpectedMessages,     ///< arrived before a matching receive was posted
   kOutOfSequence,          ///< arrived with seq != expected (buffered)
-  kMatchTimeNs,            ///< total time spent holding a matching lock
+  /// Time holding a matching lock: a sampled estimate (1 section in 64,
+  /// scaled by 64). Unbiased, but a picked section that is preempted
+  /// counts 64 times over, so short or oversubscribed runs read noisy.
+  kMatchTimeNs,
   kMatchAttempts,          ///< entries into the matching critical section
   kPostedQueueDepth,       ///< posted receives inspected by arrival searches (sum)
   kUnexpectedQueueDepth,   ///< unexpected messages inspected by post searches (sum)

@@ -657,9 +657,12 @@ std::size_t Rank::handle_packets(fabric::Packet* pkts, std::size_t n) {
     if (len != 0) completions += match_run(pkts + first, len, acks);
     len = 0;
   };
+  // One liveness timestamp for the whole batch: its packets were all
+  // drained now, so a per-packet clock read would only cost time.
+  const std::uint64_t heard_ns = ft_ != nullptr ? now_ns() : 0;
   for (std::size_t i = 0; i < n; ++i) {
     fabric::Packet& pkt = pkts[i];
-    if (!validate_inbound(pkt)) {
+    if (!validate_inbound(pkt, heard_ns)) {
       end_run();
       continue;
     }
@@ -688,7 +691,7 @@ std::size_t Rank::handle_packets(fabric::Packet* pkts, std::size_t n) {
   return completions;
 }
 
-bool Rank::validate_inbound(const fabric::Packet& pkt) {
+bool Rank::validate_inbound(const fabric::Packet& pkt, std::uint64_t heard_ns) {
   // Structural validation before anything dereferences header fields: a
   // corrupted opcode or rank id is counted and dropped, never dispatched.
   if (!fabric::validate_structure(pkt, uni_->num_ranks())) {
@@ -704,7 +707,7 @@ bool Rank::validate_inbound(const fabric::Packet& pkt) {
   // refreshes its source's epoch, so a peer with ANY traffic toward us
   // never needs explicit heartbeats.
   if (ft_ != nullptr) {
-    ft_->note_alive(static_cast<int>(pkt.hdr.src_rank), now_ns());
+    ft_->note_alive(static_cast<int>(pkt.hdr.src_rank), heard_ns);
   }
   return true;
 }

@@ -230,13 +230,13 @@ std::size_t MatchEngine::incoming(fabric::Packet* pkts, std::size_t n, Admission
   std::uint64_t cycles = 0;
   std::size_t completions = 0;
   {
-    ScopedCycles timer(cycles);
+    SampledCycles timer(sampler_, cycles);
     for (std::size_t i = 0; i < n; ++i) {
       completions +=
           match_arrival(ctr, std::move(pkts[i]), verdicts != nullptr ? &verdicts[i] : nullptr);
     }
   }
-  ctr.add(Counter::kMatchTimeNs, CycleClock::to_ns(cycles));
+  if (cycles != 0) ctr.add(Counter::kMatchTimeNs, CycleClock::to_ns(cycles));
   return completions;
 }
 
@@ -405,7 +405,7 @@ bool MatchEngine::post(p2p::Request* req) {
   std::uint64_t cycles = 0;
   bool matched = false;
   {
-    ScopedCycles timer(cycles);
+    SampledCycles timer(sampler_, cycles);
     ctr.add(Counter::kMatchAttempts);
 
     // Search the unexpected queue(s) for the earliest-arrived match.
@@ -443,7 +443,7 @@ bool MatchEngine::post(p2p::Request* req) {
       if (req->deadline() != 0) lower_due(next_deadline_, req->deadline());
     }
   }
-  ctr.add(Counter::kMatchTimeNs, CycleClock::to_ns(cycles));
+  if (cycles != 0) ctr.add(Counter::kMatchTimeNs, CycleClock::to_ns(cycles));
   return matched;
 }
 

@@ -1,6 +1,7 @@
 #include "fairmpi/multirate/multirate.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <barrier>
 #include <fstream>
@@ -98,7 +99,55 @@ void export_observability(const MultirateConfig& cfg, Universe& uni) {
   }
 }
 
+/// Run-wide failure tally. Threads add only on a failure, so a clean run
+/// writes nothing shared.
+class FailureTally {
+ public:
+  using Cells = std::array<std::atomic<std::uint64_t>, common::kNumErrorCodes>;
+
+  /// Count every rank's error-sink reports. Call before traffic starts;
+  /// the tally must outlive `uni`.
+  void watch(Universe& uni) {
+    for (int r = 0; r < uni.num_ranks(); ++r) {
+      uni.rank(r).set_error_sink(
+          [](const common::Error& err, void* user) {
+            bump(static_cast<FailureTally*>(user)->reported_, err.code);
+          },
+          this);
+    }
+  }
+  /// Count `req` if it settled failed; an unsettled request is not read.
+  void recv(const Request& req) noexcept {
+    if (req.done() && req.failed()) bump(recvs_, req.error());
+  }
+
+  FailureCounts counts() const noexcept {
+    FailureCounts out;
+    for (std::size_t c = 0; c < common::kNumErrorCodes; ++c) {
+      out.recvs[c] = recvs_[c].load(std::memory_order_relaxed);
+      out.reported[c] = reported_[c].load(std::memory_order_relaxed);
+    }
+    return out;
+  }
+
+ private:
+  static void bump(Cells& cells, common::ErrorCode code) noexcept {
+    cells[static_cast<std::size_t>(code)].fetch_add(1, std::memory_order_relaxed);
+  }
+
+  Cells recvs_{};
+  Cells reported_{};
+};
+
 }  // namespace
+
+std::uint64_t FailureCounts::total() const noexcept {
+  std::uint64_t n = 0;
+  for (std::size_t c = 0; c < common::kNumErrorCodes; ++c) {
+    n += recvs[c] + reported[c];
+  }
+  return n;
+}
 
 MultirateResult run_pairwise(const MultirateConfig& cfg) {
   FAIRMPI_CHECK(cfg.pairs >= 1);
@@ -109,7 +158,9 @@ MultirateResult run_pairwise(const MultirateConfig& cfg) {
   if (cfg.process_mode) engine.num_instances = 1;  // one context per process
   engine.max_communicators =
       std::max(engine.max_communicators, cfg.pairs + 2);
+  FailureTally failures;
   Universe uni(engine);
+  failures.watch(uni);
 
   std::vector<PairEndpoints> eps(static_cast<std::size_t>(cfg.pairs));
   for (int p = 0; p < cfg.pairs; ++p) {
@@ -176,6 +227,7 @@ MultirateResult run_pairwise(const MultirateConfig& cfg) {
         while (!pending.done() && !all_receivers_done()) {
           if (ep.sender->progress() == 0) waiter.pause(); else waiter.reset();
         }
+        failures.recv(pending);
         ++next_wait;
       }
     }
@@ -202,6 +254,7 @@ MultirateResult run_pairwise(const MultirateConfig& cfg) {
                            reqs[static_cast<std::size_t>(i)]);
       }
       ep.receiver->wait_all(ptrs.data(), ptrs.size());
+      for (const Request& r : reqs) failures.recv(r);
       ep.receiver->isend(ep.comm, src, ack_tag, nullptr, 0, ack);
       if (timing.load(std::memory_order_acquire)) {
         my_count += static_cast<std::uint64_t>(cfg.window);
@@ -249,6 +302,7 @@ MultirateResult run_pairwise(const MultirateConfig& cfg) {
   res.duration_s = elapsed;
   res.msg_rate = static_cast<double>(res.delivered) / elapsed;
   res.receiver_spc = spc_after.delta_since(spc_before);
+  res.failures = failures.counts();
   return res;
 }
 
@@ -258,7 +312,9 @@ MultirateResult run_incast(const MultirateConfig& cfg) {
 
   Config engine = cfg.engine;
   engine.num_ranks = 2;
+  FailureTally failures;
   Universe uni(engine);
+  failures.watch(uni);
   Rank& sender_rank = uni.rank(0);
   Rank& receiver_rank = uni.rank(1);
   constexpr int kTag = 3;
@@ -311,6 +367,7 @@ MultirateResult run_incast(const MultirateConfig& cfg) {
                             reqs[static_cast<std::size_t>(i)]);
       }
       receiver_rank.wait_all(ptrs.data(), ptrs.size());
+      for (const Request& r : reqs) failures.recv(r);
       consumed.fetch_add(static_cast<std::uint64_t>(cfg.window), std::memory_order_release);
       if (timing.load(std::memory_order_acquire)) {
         my_count += static_cast<std::uint64_t>(cfg.window);
@@ -343,6 +400,7 @@ MultirateResult run_incast(const MultirateConfig& cfg) {
   res.duration_s = elapsed;
   res.msg_rate = static_cast<double>(res.delivered) / elapsed;
   res.receiver_spc = receiver_rank.counters().snapshot().delta_since(before);
+  res.failures = failures.counts();
   return res;
 }
 

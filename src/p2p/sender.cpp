@@ -32,6 +32,7 @@ common::ErrorCode eager_send(CommState& comm, cri::CriPool& pool,
                                       : engine.progress();
   };
   const auto expired = [&]() {
+    // lint: allow(hotpath-clock) read only when a deadline is set, in a wait loop
     return policy.deadline_ns != 0 && now_ns() >= policy.deadline_ns;
   };
 
@@ -134,6 +135,7 @@ common::ErrorCode eager_send(CommState& comm, cri::CriPool& pool,
   // master shares the payload buffer, and on a failed attempt the fabric
   // hands the packet back intact, so the master and the wire packet never
   // diverge. After the ticket only the injection EAGAIN loop below remains.
+  // lint: allow(hotpath-clock) the tracker's rto start, reliable sends only
   if (policy.tracker != nullptr) policy.tracker->track(dst, pkt, now_ns());
   for (;;) {
     const int k = pool.id_for_thread();

@@ -19,7 +19,7 @@ Three suites:
 
   hotpath_tree/  a miniature source tree whose files pose as hot-path files
                  (path-keyed rules), linted with --root at the tree so
-                 hotpath-alloc and no-tsa-hotpath fire.
+                 hotpath-alloc, hotpath-clock and no-tsa-hotpath fire.
 
   lockgraph_*/   miniature trees fed to lock_graph.py, one producing a
                  lock-order cycle (same-rank locks taken in both orders) and

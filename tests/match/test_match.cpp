@@ -234,6 +234,31 @@ TEST_F(MatchTest, MatchTimeAccumulates) {
   EXPECT_EQ(spc_.get(Counter::kMatchAttempts), 100u);
 }
 
+// Locked sections are timed one in CycleSampler::kPeriod, at random: most
+// add nothing to kMatchTimeNs. Posts and arrivals share one sampler.
+TEST_F(MatchTest, MatchTimeSamplesFewSections) {
+  MatchEngine eng(2, false, spc_);
+  constexpr int kSections = 4096;
+  std::vector<Request> reqs(kSections / 2);
+  int timed = 0;
+  std::uint64_t last = 0;
+  for (int i = 0; i < kSections; ++i) {
+    if (i % 2 == 0) {
+      eng.incoming(make_eager(1, static_cast<std::uint32_t>(i / 2), 1));
+    } else {
+      Request& req = reqs[static_cast<std::size_t>(i / 2)];
+      req.init_recv(nullptr, 0, 1, 1);
+      EXPECT_TRUE(eng.post(&req));
+    }
+    const std::uint64_t now = spc_.get(Counter::kMatchTimeNs);
+    if (now != last) ++timed;
+    last = now;
+  }
+  EXPECT_GT(timed, 1);  // the first section, and random picks after it
+  EXPECT_LT(timed, kSections / static_cast<int>(CycleSampler::kPeriod) * 2);
+  EXPECT_EQ(spc_.get(Counter::kMatchAttempts), static_cast<std::uint64_t>(kSections));
+}
+
 // Deterministic worst case for the reorder structures: deliver seq 1..N-1
 // first with seq 0 withheld, so everything parks. The ring grows from 64 to
 // 512 slots as the deltas pass 63, 127 and 255; a second epoch at base 300

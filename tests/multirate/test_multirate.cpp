@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdlib>
 
+#include "fairmpi/common/error.hpp"
 #include "fairmpi/rmamt/rmamt.hpp"
 
 namespace fairmpi {
@@ -29,6 +31,43 @@ bool chaos_env() {
   return false;
 }
 
+/// True when the environment caps the unexpected queue or the payload
+/// pool (the overload-chaos CI legs): a receiver at its cap then sheds or
+/// refuses packets by design.
+bool capped_env() {
+  for (const char* v : {"FAIRMPI_UNEXPECTED_CAP", "FAIRMPI_PAYLOAD_POOL_CAP"}) {
+    if (std::getenv(v) != nullptr) return true;
+  }
+  return false;
+}
+
+/// True for the ends DESIGN.md §5h gives a send at a cap: a shed at the
+/// receiver (kReceiverOverloaded) or locally (kLocalOverloaded), or a
+/// kQueue wait that outlives its retransmit or EAGAIN budget.
+bool overload_outcome(common::ErrorCode code) {
+  using common::ErrorCode;
+  return code == ErrorCode::kReceiverOverloaded || code == ErrorCode::kLocalOverloaded ||
+         code == ErrorCode::kRetryExhausted || code == ErrorCode::kSendBudgetExhausted;
+}
+
+/// Typed failures a run may record. On a pristine, uncapped engine there
+/// must be none. The kit's end of run leaves sends that no receive takes
+/// (ROADMAP item 1), so on a lossy fabric such a send can end
+/// kRetryExhausted, and under a cap in any overload outcome. No receive may
+/// fail and no other code may be reported anywhere.
+void expect_no_unplanned_failures(const multirate::MultirateResult& res) {
+  const auto& f = res.failures;
+  for (std::size_t c = 0; c < common::kNumErrorCodes; ++c) {
+    const auto code = static_cast<common::ErrorCode>(c);
+    const bool allowed = (chaos_env() && code == common::ErrorCode::kRetryExhausted) ||
+                         (capped_env() && overload_outcome(code));
+    EXPECT_EQ(f.recvs[c], 0u) << "failed receives: " << common::error_code_name(code);
+    if (!allowed) {
+      EXPECT_EQ(f.reported[c], 0u) << "reported errors: " << common::error_code_name(code);
+    }
+  }
+}
+
 MultirateConfig quick(int pairs) {
   MultirateConfig cfg;
   cfg.pairs = pairs;
@@ -39,6 +78,7 @@ MultirateConfig quick(int pairs) {
 
 TEST(Multirate, SinglePairDeliversAtPlausibleRate) {
   const auto res = run_pairwise(quick(1));
+  expect_no_unplanned_failures(res);
   EXPECT_GT(res.delivered, 100u);
   EXPECT_GT(res.msg_rate, 1e4);
   if (!chaos_env()) {
@@ -51,6 +91,7 @@ TEST(Multirate, TwoPairsSharedCommCompletes) {
   cfg.engine.num_instances = 2;
   cfg.engine.assignment = cri::Assignment::kRoundRobin;
   const auto res = run_pairwise(cfg);
+  expect_no_unplanned_failures(res);
   EXPECT_GT(res.delivered, 200u);
   // Receiver-side SPC saw the traffic. A receiver preempted between its
   // window's wait_all and the timing check counts that window although its
@@ -65,6 +106,7 @@ TEST(Multirate, CommPerPairMode) {
   cfg.engine.progress_mode = progress::ProgressMode::kConcurrent;
   cfg.engine.num_instances = 2;
   const auto res = run_pairwise(cfg);
+  expect_no_unplanned_failures(res);
   EXPECT_GT(res.delivered, 200u);
 }
 
@@ -74,6 +116,7 @@ TEST(Multirate, AnyTagAndOvertaking) {
   cfg.comm_per_pair = true;  // ANY_TAG needs per-pair streams to stay sane
   cfg.engine.allow_overtaking = true;
   const auto res = run_pairwise(cfg);
+  expect_no_unplanned_failures(res);
   EXPECT_GT(res.delivered, 200u);
   if (!chaos_env()) {
     EXPECT_EQ(res.receiver_spc.get(Counter::kOutOfSequence), 0u);
@@ -84,6 +127,7 @@ TEST(Multirate, ProcessMode) {
   MultirateConfig cfg = quick(2);
   cfg.process_mode = true;
   const auto res = run_pairwise(cfg);
+  expect_no_unplanned_failures(res);
   EXPECT_GT(res.delivered, 200u);
   if (!chaos_env()) {
     EXPECT_EQ(res.receiver_spc.get(Counter::kOutOfSequence), 0u);  // private streams
@@ -94,6 +138,7 @@ TEST(Multirate, PayloadBytesFlow) {
   MultirateConfig cfg = quick(1);
   cfg.payload_bytes = 1024;
   const auto res = run_pairwise(cfg);
+  expect_no_unplanned_failures(res);
   EXPECT_GT(res.delivered, 50u);
   EXPECT_GE(res.receiver_spc.get(Counter::kBytesReceived), res.delivered * 1024);
 }
@@ -101,6 +146,7 @@ TEST(Multirate, PayloadBytesFlow) {
 TEST(MultirateIncast, SingleSenderDelivers) {
   MultirateConfig cfg = quick(1);
   const auto res = multirate::run_incast(cfg);
+  expect_no_unplanned_failures(res);
   EXPECT_GT(res.delivered, 100u);
   if (!chaos_env()) {
     EXPECT_EQ(res.receiver_spc.get(Counter::kOutOfSequence), 0u);  // one stream
@@ -112,6 +158,7 @@ TEST(MultirateIncast, ManySendersShareOneStream) {
   cfg.engine.num_instances = 2;
   cfg.engine.assignment = cri::Assignment::kRoundRobin;
   const auto res = multirate::run_incast(cfg);
+  expect_no_unplanned_failures(res);
   EXPECT_GT(res.delivered, 100u);
   // Three senders racing on one sequence stream: out-of-sequence arrivals
   // are near-certain (the §II-C worst case the pattern exists to show).
@@ -123,6 +170,7 @@ TEST(MultirateIncast, OvertakingRemovesTheStreamPenalty) {
   cfg.engine.num_instances = 2;
   cfg.engine.allow_overtaking = true;
   const auto res = multirate::run_incast(cfg);
+  expect_no_unplanned_failures(res);
   EXPECT_GT(res.delivered, 100u);
   if (!chaos_env()) {
     EXPECT_EQ(res.receiver_spc.get(Counter::kOutOfSequence), 0u);

@@ -39,6 +39,15 @@ multithreaded-MPI papers report losing days to:
                  container on these paths via emplace/insert/resize/reserve
                  is still caught.
 
+  hotpath-clock  A clock read (`now_ns(`, `CycleClock::now(`,
+                 `steady_clock::now(`, `clock_gettime(`, `rdtsc`) in a
+                 HOTPATH_FILES file. Even a TSC read costs ~25 ns, and on
+                 the match path it lands inside the match lock: timing
+                 there goes through a sampler (common::CycleSampler), and
+                 a clock read that stays must say why it is off the common
+                 path (only when a deadline is set, once per tracked
+                 packet, ...) with an allow annotation.
+
   no-tsa-hotpath FAIRMPI_NO_TSA in a hot-path file. The tsa preset compiles
                  the engine with -Werror=thread-safety; opting a hot-path
                  function out of the analysis would silently re-open the
@@ -167,6 +176,14 @@ HOTPATH_ALLOC_RE = re.compile(
     r"|\bmalloc\s*\("
     r"|\.(?:emplace|insert|resize|reserve)\s*\("
 )
+HOTPATH_CLOCK_RE = re.compile(
+    r"\bnow_ns\s*\("
+    r"|\bCycleClock::now\s*\("
+    r"|\bsteady_clock::now\s*\("
+    r"|\bclock_gettime\s*\("
+    r"|rdtsc"
+)
+
 # Placement new recycles pool storage — it is the allocation-free idiom, not
 # an allocation. `::new (p) T(...)` / `new (p) T(...)`.
 PLACEMENT_NEW_RE = re.compile(r"(?:::)?new\s*\(\s*[a-zA-Z_]\w*\s*\)")
@@ -322,6 +339,17 @@ def lint_file(path: pathlib.Path, rel: str, allow_log: list[Allow]) -> list[Find
                         path, i + 1, "hotpath-alloc",
                         "allocation in an allocation-free hot-path file: recycle "
                         "through SlabPool/PayloadPool or annotate a setup/slow path",
+                    )
+                )
+
+        if rel in HOTPATH_FILES and HOTPATH_CLOCK_RE.search(code):
+            if not allows(line, prev, "hotpath-clock"):
+                findings.append(
+                    Finding(
+                        path, i + 1, "hotpath-clock",
+                        "clock read in a hot-path file: time through a "
+                        "CycleSampler, or annotate why this read is off the "
+                        "common path",
                     )
                 )
 
