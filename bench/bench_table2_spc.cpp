@@ -124,7 +124,7 @@ int main(int argc, char** argv) {
          {spc::Counter::kHeaderDrops, spc::Counter::kCsumDrops,
           spc::Counter::kDupDiscards, spc::Counter::kRetransmits,
           spc::Counter::kAcksSent, spc::Counter::kAcksReceived,
-          spc::Counter::kReliabilityErrors, spc::Counter::kWatchdogStalls}) {
+          spc::Counter::kReliabilityErrors}) {
       rel.add_row({spc::counter_name(c), std::to_string(agg.get(c))});
     }
     std::printf("Reliability SPCs, real backend, %u messages (faults: %s)\n%s\n",

@@ -23,8 +23,6 @@ enum class ErrorCode : std::uint8_t {
   kOk = 0,
   kSendBudgetExhausted,   ///< EAGAIN retry budget spent without injecting
   kRetryExhausted,        ///< retransmit limit reached without an ack
-  kStalledInstance,       ///< watchdog: CRI backlog stopped draining
-  kStalledRendezvous,     ///< watchdog: rendezvous pending past threshold
   kPeerFailed,            ///< ft: operation targeted a confirmed-dead rank
   kCommRevoked,           ///< ft: operation on a revoked communicator
   kReceiverOverloaded,    ///< overload: receiver shed the message (NACK)
@@ -44,8 +42,6 @@ inline const char* error_code_name(ErrorCode c) noexcept {
     case ErrorCode::kOk: return "Ok";
     case ErrorCode::kSendBudgetExhausted: return "SendBudgetExhausted";
     case ErrorCode::kRetryExhausted: return "RetryExhausted";
-    case ErrorCode::kStalledInstance: return "StalledInstance";
-    case ErrorCode::kStalledRendezvous: return "StalledRendezvous";
     case ErrorCode::kPeerFailed: return "PeerFailed";
     case ErrorCode::kCommRevoked: return "CommRevoked";
     case ErrorCode::kReceiverOverloaded: return "ReceiverOverloaded";
@@ -59,8 +55,7 @@ inline const char* error_code_name(ErrorCode c) noexcept {
 }
 
 /// One reported error. `detail` is code-specific: the packet seq for
-/// retransmit exhaustion, the instance index for a stalled CRI, the state
-/// cookie for a stalled rendezvous.
+/// retransmit exhaustion, for example.
 struct Error {
   ErrorCode code = ErrorCode::kOk;
   int rank = -1;          ///< reporting rank
@@ -69,9 +64,8 @@ struct Error {
 };
 
 /// Error callback: invoked synchronously on the thread that detected the
-/// condition. No CRI or matching lock is ever held at the call, but
-/// diagnostic locks (the watchdog's own state) may be — handlers must be
-/// cheap, reentrant, and must not call back into the engine.
+/// condition. No CRI or matching lock is ever held at the call. Handlers
+/// must be cheap, reentrant, and must not call back into the engine.
 using ErrorSink = void (*)(const Error& err, void* user);
 
 }  // namespace fairmpi::common

@@ -98,16 +98,6 @@ struct Config {
   /// a few thousand retries even on one core.
   std::uint64_t send_retry_limit = 1'000'000;
 
-  /// Progress-engine watchdog: sweep cadence and the number of consecutive
-  /// no-drain sweeps (backlogged instance whose consumption is frozen)
-  /// before escalation. watchdog_interval_ns == 0 checks on every
-  /// progress() call (tests); UINT64_MAX disables the watchdog.
-  std::uint64_t watchdog_interval_ns = 10'000'000;
-  int watchdog_stall_sweeps = 5;
-
-  /// Age past which a pending rendezvous transfer is reported stalled.
-  std::uint64_t rndv_stall_ns = 1'000'000'000;
-
   // --- failure tolerance (DESIGN.md §5g) ---
 
   /// Rank-failure tolerance layer (fairmpi::ft): heartbeat failure

@@ -36,7 +36,6 @@
 #include "fairmpi/p2p/rendezvous.hpp"
 #include "fairmpi/p2p/request.hpp"
 #include "fairmpi/progress/progress.hpp"
-#include "fairmpi/progress/watchdog.hpp"
 #include "fairmpi/spc/spc.hpp"
 #include "fairmpi/trace/trace.hpp"
 
@@ -137,7 +136,6 @@ class Communicator {
 /// One simulated MPI process.
 class Rank final : public progress::PacketSink,
                    public p2p::RendezvousHook,
-                   public progress::StallProbe,
                    public p2p::CancelScope {
  public:
   ~Rank() override;
@@ -184,10 +182,8 @@ class Rank final : public progress::PacketSink,
   progress::ProgressEngine& engine() noexcept { return engine_; }
   p2p::CommState& comm_state(CommId id);
 
-  /// The ack/retransmit tracker (null unless Config::reliable) and the
-  /// stall watchdog (null when watchdog_interval_ns is ~0) — test hooks.
+  /// The ack/retransmit tracker (null unless Config::reliable) — test hook.
   p2p::ReliabilityTracker* reliability() noexcept { return tracker_.get(); }
-  progress::Watchdog* watchdog() noexcept { return watchdog_.get(); }
 
   /// The resolved overload caps and policies (DESIGN.md §5h); null when
   /// no cap is configured, so the uncapped hot path pays one null check.
@@ -202,10 +198,13 @@ class Rank final : public progress::PacketSink,
     return ft_ != nullptr && ft_->is_dead(peer);
   }
 
-  /// Install the typed-error callback (retry exhaustion, send budget, stall
-  /// escalation). Not thread-safe against in-flight traffic: install before
-  /// communication starts.
-  void set_error_sink(common::ErrorSink sink, void* user) noexcept;
+  /// Install the typed-error callback (retry exhaustion, send budget,
+  /// peer failure, overload, deadlines). Not thread-safe against in-flight
+  /// traffic: install before communication starts.
+  void set_error_sink(common::ErrorSink sink, void* user) noexcept {
+    err_sink_ = sink;
+    err_user_ = user;
+  }
 
   // PacketSink. A batch's reliability notices go out together right after
   // it; only those a full ring refuses wait in the rank's ack queue
@@ -215,10 +214,6 @@ class Rank final : public progress::PacketSink,
 
   // RendezvousHook (called by the matching engine, match lock held)
   void on_rts_matched(p2p::Request* req, const fabric::Packet& rts) override;
-
-  // StallProbe (called by the watchdog, its sweep lock held): flag
-  // rendezvous transfers pending since before `horizon_ns`.
-  std::size_t scan_stalled(std::uint64_t now_ns, std::uint64_t horizon_ns) override;
 
   // p2p::CancelScope for requests owned by the rendezvous registries
   // (posted receives route through their MatchEngine instead): tombstones
@@ -236,8 +231,8 @@ class Rank final : public progress::PacketSink,
   // --- progress service step (DESIGN.md "Progress service step") ---
   /// The periodic services, run by one thread at a time once the gate
   /// (service_due_, or the universe's retransmit due time) has passed:
-  /// deadline expiry, the cooperative retransmit sweep, and the watchdog
-  /// and ft detector, each on its own cadence. Raises the gate before it
+  /// deadline expiry, the cooperative retransmit sweep, and the ft
+  /// detector on its own cadence. Raises the gate before it
   /// scans and lowers it to the earliest next due time after.
   void service(std::uint64_t now);
   /// Lower the service gate to `due` after publishing the work that is
@@ -338,14 +333,12 @@ class Rank final : public progress::PacketSink,
   /// Deadline arms lower it; only service() raises it. 0 runs the first
   /// call's services, which schedule themselves from there.
   std::atomic<std::uint64_t> service_due_{0};
-  /// Single-runner guard for service(); the cadence times below are
+  /// Single-runner guard for service(); the ft cadence time below is
   /// written only by the thread holding it.
   std::atomic<bool> servicing_{false};
-  std::uint64_t watchdog_due_ = 0;
   std::uint64_t ft_due_ = 0;
 
   std::unique_ptr<p2p::ReliabilityTracker> tracker_;  ///< Config::reliable only
-  std::unique_ptr<progress::Watchdog> watchdog_;
   std::unique_ptr<ft::FailureDetector> ft_;  ///< Config::ft_enabled only
   common::ErrorSink err_sink_ = nullptr;
   void* err_user_ = nullptr;

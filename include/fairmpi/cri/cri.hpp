@@ -93,8 +93,8 @@ class alignas(kCacheLine) CommResourceInstance {
   InstanceLock& lock() noexcept FAIRMPI_RETURN_CAPABILITY(lock_) { return lock_; }
 
   /// The instance's network context. Deliberately NOT lock-required: the
-  /// stall watchdog reads the context's lock-free counters while the
-  /// instance is busy (that race is its design, watchdog.cpp), and ring
+  /// observability export reads the context's lock-free counters while
+  /// the instance is busy (a racy read by design), and ring
   /// consumption is governed by the single-consumer contract in
   /// mpsc_ring.hpp rather than a capability the analysis can express.
   fabric::NetworkContext& context() noexcept { return *ctx_; }

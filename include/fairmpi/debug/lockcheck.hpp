@@ -69,8 +69,6 @@ enum class LockRank : std::uint16_t {
                         ///< acquires nothing and sits below match)
   kMatch = 30,          ///< match::MatchEngine per-communicator lock
   kRmaAccumulate = 40,  ///< rma::Window accumulate stripe locks
-  kWatchdog = 42,       ///< progress::Watchdog sweep state (acquires the
-                        ///< rndv registries, rank 50, while held — so below)
   kRmaSlots = 45,       ///< rma::Window pending-slot vector lock
   kReliability = 47,    ///< p2p::ReliabilityTracker in-flight table (taken
                         ///< under CRI/match locks on the tracked-send path)

@@ -1,10 +1,9 @@
 // Heartbeat-based rank-failure detector (ULFM-inspired; DESIGN.md §5g).
 //
 // The paper's designs — and PRs 1–7 — assume every rank lives forever: a
-// dead peer turns the reliability layer into a retry furnace, blocking
-// collectives into hangs, and the watchdog into an oracle that knows
-// *something* stalled but not *who*. This detector gives each rank a local,
-// typed answer to "is peer p alive?":
+// dead peer turns the reliability layer into a retry furnace and blocking
+// collectives into hangs. This detector gives each rank a local, typed
+// answer to "is peer p alive?":
 //
 //   kAlive ──silence ≥ suspect_ns──► kSuspect ──strikes unanswered probe
 //     ▲                                 │        rounds──► kDead (terminal)
@@ -34,8 +33,8 @@
 // deaths under it, and returns; the owning rank calls it every half
 // heartbeat interval from its single-runner service step, so it has no
 // cadence gate of its own, and the caller injects heartbeats and runs
-// failure propagation with no detector lock held. is_dead()/suspect hint
-// are lock-free reads for the send paths and the watchdog.
+// failure propagation with no detector lock held. is_dead() is a
+// lock-free read for the send paths.
 #pragma once
 
 #include <atomic>
@@ -111,10 +110,6 @@ class FailureDetector {
   /// Current state of one peer (takes the table lock; obs/test hook).
   PeerState state(int peer) const;
 
-  /// First currently-suspected (or confirmed-dead) peer, -1 when none.
-  /// Lock-free; the watchdog reads this to attribute a stall escalation.
-  const std::atomic<int>* suspect_hint() const noexcept { return &suspect_hint_; }
-
   const FtParams& params() const noexcept { return params_; }
 
  private:
@@ -142,7 +137,6 @@ class FailureDetector {
   std::vector<Padded<Cell>> cells_;
   mutable RankedLock<Spinlock> lock_{debug::LockRank::kFtDetector, "ft.detector"};
   std::vector<Cold> cold_ FAIRMPI_GUARDED_BY(lock_);
-  std::atomic<int> suspect_hint_{-1};
 };
 
 }  // namespace fairmpi::ft

@@ -59,7 +59,7 @@ struct FailureCounts {
   /// Errors the ranks reported to their error sink, so sends need no
   /// tally of their own: every failed eager send lands here (fail-fast on
   /// a dead peer or a revoked communicator, injection failures, and late
-  /// ones such as retry exhaustion or a receiver's shed), as do stalls.
+  /// ones such as retry exhaustion or a receiver's shed).
   ByCode reported{};
 
   std::uint64_t total() const noexcept;

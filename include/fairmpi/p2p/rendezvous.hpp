@@ -60,11 +60,10 @@ struct RndvSendState {
   int dst = 0;
   std::uint32_t comm = 0;
   Request* request = nullptr;  ///< completes when all fragments are injected
-  std::uint64_t born_ns = 0;   ///< registration time (watchdog stall scan)
+  std::uint64_t born_ns = 0;   ///< registration time (exported rndv age)
   std::uint32_t rts_seq = 0;   ///< the RTS packet's seq — identifies this
                                ///< transfer when the receiver NACKs the RTS
                                ///< (overload shed, DESIGN.md §5h)
-  bool stall_flagged = false;  ///< watchdog escalated once (rndv lock held)
   /// Cancelled / deadline-expired / NACKed before the receiver's ack
   /// arrived. Set under the rendezvous registry lock; the kSendData drain
   /// checks it after claiming the state and discards instead of streaming
@@ -80,8 +79,7 @@ struct RndvRecvState {
   std::uint64_t total = 0;                  ///< size announced by the RTS
   std::atomic<std::uint64_t> remaining{0};  ///< bytes still in flight
   Status status{};                          ///< published when remaining hits 0
-  std::uint64_t born_ns = 0;   ///< registration time (watchdog stall scan)
-  bool stall_flagged = false;  ///< watchdog escalated once (rndv lock held)
+  std::uint64_t born_ns = 0;   ///< registration time (exported rndv age)
   /// ft: source confirmed dead mid-transfer. Set under the rendezvous
   /// registry lock; handle_rndv_data checks it there (next to the fragment
   /// dedup) and discards, so no *new* deliverer touches the buffer after

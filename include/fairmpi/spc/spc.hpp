@@ -69,7 +69,6 @@ enum class Counter : int {
   kAcksSent,               ///< reliability ack packets injected (one per run, not per packet acked)
   kAcksReceived,           ///< well-formed reliability ack packets processed
   kReliabilityErrors,      ///< typed errors surfaced (budget/retry exhaustion)
-  kWatchdogStalls,         ///< stalled instances/rendezvous flagged
   kSubmitQueued,           ///< injections routed through a submission ring
   kSubmitRingFull,         ///< submission attempts bounced off a full ring
   kSubmitCasRetries,       ///< submission-ring tail-CAS collisions

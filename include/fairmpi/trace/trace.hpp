@@ -34,7 +34,6 @@ enum class Event : std::uint8_t {
   kRndvRts,     ///< a = destination rank, b = low 32 bits of total
   kRndvDone,    ///< a = peer rank, b = low 32 bits of total
   kRetransmit,  ///< a = peer rank, b = packet seq
-  kWatchdogStall,  ///< a = instance index (or peer), b = strike count
   kAckSent,     ///< a = peer rank, b = cumulative seq acked (reliability)
   kAckRecv,     ///< a = peer rank, b = cumulative seq acked (reliability)
   kCsumDrop,    ///< a = peer rank, b = packet seq (checksum fault dropped)

@@ -167,21 +167,6 @@ bool apply_cvar(Config& cfg, std::string_view name, std::string_view value) {
     cfg.send_retry_limit = u;
     return true;
   }
-  if (name == "watchdog_interval_ns") {
-    if (!parse_u64(value, u)) return false;
-    cfg.watchdog_interval_ns = u;
-    return true;
-  }
-  if (name == "watchdog_stall_sweeps") {
-    if (!parse_u64(value, u) || u < 1) return false;
-    cfg.watchdog_stall_sweeps = static_cast<int>(u);
-    return true;
-  }
-  if (name == "rndv_stall_ns") {
-    if (!parse_u64(value, u) || u < 1) return false;
-    cfg.rndv_stall_ns = u;
-    return true;
-  }
   if (name == "trace") {
     return parse_bool(value, cfg.trace_enabled);
   }
@@ -259,7 +244,6 @@ Config config_from_env(Config base) {
       "fault_corrupt", "fault_seed",      "reliable",        "rto_ns",
       "rto_max_ns",    "max_retries",     "reliability_window",
       "send_retry_limit",
-      "watchdog_interval_ns", "watchdog_stall_sweeps", "rndv_stall_ns",
       "trace",         "trace_entries",   "obs",
       "ft",            "ft_heartbeat_ns", "ft_suspect_ns",   "ft_strikes",
       "unexpected_cap", "unexpected_policy",
@@ -309,9 +293,6 @@ std::string list_cvars(const Config& cfg) {
      << "max_retries       = " << cfg.max_retries << '\n'
      << "reliability_window = " << cfg.reliability_window << '\n'
      << "send_retry_limit  = " << cfg.send_retry_limit << '\n'
-     << "watchdog_interval_ns  = " << cfg.watchdog_interval_ns << '\n'
-     << "watchdog_stall_sweeps = " << cfg.watchdog_stall_sweeps << '\n'
-     << "rndv_stall_ns     = " << cfg.rndv_stall_ns << '\n'
      << "trace             = " << (cfg.trace_enabled ? "true" : "false") << '\n'
      << "trace_entries     = " << cfg.trace_entries << '\n'
      << "obs               = " << (cfg.obs_enabled ? "true" : "false") << '\n'

@@ -43,12 +43,6 @@ Rank::Rank(Universe& uni, int id)
     tracker_ = std::make_unique<p2p::ReliabilityTracker>(
         cfg.rto_ns, cfg.rto_max_ns, cfg.max_retries, uni.retransmit_due_);
   }
-  if (cfg.watchdog_interval_ns != ~std::uint64_t{0}) {
-    watchdog_ = std::make_unique<progress::Watchdog>(
-        pool_, spc_, tracer_, cfg.watchdog_stall_sweeps, cfg.rndv_stall_ns);
-    watchdog_->set_stall_probe(this);
-    watchdog_->set_error_sink(err_sink_, err_user_, id_);
-  }
   if (cfg.ft_enabled) {
     ft::FtParams fp;
     fp.heartbeat_ns = cfg.ft_heartbeat_ns;
@@ -63,14 +57,7 @@ Rank::Rank(Universe& uni, int id)
     // progress path (a poll that confirms nothing touches neither vector).
     ft_probes_.reserve(static_cast<std::size_t>(cfg.num_ranks));
     ft_newly_dead_.reserve(static_cast<std::size_t>(cfg.num_ranks));
-    if (watchdog_ != nullptr) watchdog_->set_suspect_hint(ft_->suspect_hint());
   }
-}
-
-void Rank::set_error_sink(common::ErrorSink sink, void* user) noexcept {
-  err_sink_ = sink;
-  err_user_ = user;
-  if (watchdog_ != nullptr) watchdog_->set_error_sink(sink, user, id_);
 }
 
 void Rank::report_error(const common::Error& err) noexcept {
@@ -515,21 +502,17 @@ void Rank::service(std::uint64_t now) {
   std::atomic_thread_fence(std::memory_order_seq_cst);
   std::uint64_t next = expire_deadlines(now);
   if (tracker_ != nullptr) uni_->sweep_reliability(now);
-  // Cadence services: each runs once its own due time passes and is then
-  // due one period later.
-  const auto every = [&](std::uint64_t& due, std::uint64_t period, auto run) {
-    if (now >= due) {
-      run();
-      due = period > kNever - now ? kNever : now + period;
+  // The ft detector's cadence: it runs once its due time passes and is then
+  // due half a probe interval later, so a strike round is never skipped
+  // wholesale.
+  if (ft_ != nullptr) {
+    if (now >= ft_due_) {
+      ft_poll(now);
+      const std::uint64_t period = uni_->config().ft_heartbeat_ns / 2;
+      ft_due_ = period > kNever - now ? kNever : now + period;
     }
-    next = std::min(next, due);
-  };
-  const Config& cfg = uni_->config();
-  if (watchdog_ != nullptr) {
-    every(watchdog_due_, cfg.watchdog_interval_ns, [&] { watchdog_->poll(now); });
+    next = std::min(next, ft_due_);
   }
-  // Half the probe interval, so a strike round is never skipped wholesale.
-  if (ft_ != nullptr) every(ft_due_, cfg.ft_heartbeat_ns / 2, [&] { ft_poll(now); });
   lower_due(service_due_, next);
   servicing_.store(false, std::memory_order_release);
 }
@@ -608,39 +591,6 @@ bool Rank::cancel_request(p2p::Request* req) {
   spc_.add(Counter::kCancelledOps);
   tracer_.record(trace::Event::kCancel, static_cast<std::uint32_t>(peer + 1), 0);
   return true;
-}
-
-std::size_t Rank::scan_stalled(std::uint64_t now, std::uint64_t horizon) {
-  (void)now;
-  struct Stalled {
-    int peer;
-    std::uint64_t cookie;
-  };
-  // lint: allow(hotpath-alloc) watchdog escalation path, not the hot path
-  std::vector<Stalled> flagged;
-  {
-    LockGuard guard(rndv_lock_);
-    for (auto& [cookie, st] : rndv_sends_) {
-      if (!st->stall_flagged && st->born_ns != 0 && st->born_ns < horizon) {
-        st->stall_flagged = true;
-        flagged.push_back(Stalled{st->dst, cookie});
-      }
-    }
-    for (auto& [cookie, st] : rndv_recvs_) {
-      if (!st->stall_flagged && st->born_ns != 0 && st->born_ns < horizon) {
-        st->stall_flagged = true;
-        flagged.push_back(Stalled{st->status.source, cookie});
-      }
-    }
-  }
-  for (const auto& s : flagged) {
-    spc_.add(Counter::kWatchdogStalls);
-    tracer_.record(trace::Event::kWatchdogStall, static_cast<std::uint32_t>(s.peer),
-                   static_cast<std::uint32_t>(s.cookie));
-    report_error(common::Error{common::ErrorCode::kStalledRendezvous, id_, s.peer,
-                               s.cookie});
-  }
-  return flagged.size();
 }
 
 std::size_t Rank::handle_packets(fabric::Packet* pkts, std::size_t n) {

@@ -28,7 +28,6 @@ Config apply_chaos_env(Config cfg) {
       "fault_reorder",  "fault_corrupt",    "fault_seed",
       "reliable",       "rto_ns",           "rto_max_ns",
       "max_retries",    "reliability_window", "send_retry_limit",
-      "watchdog_interval_ns", "watchdog_stall_sweeps", "rndv_stall_ns",
       // ft knobs ride along so a chaos job can arm the failure detector
       // (FAIRMPI_FT=1) across a whole suite without touching call sites.
       "ft",             "ft_heartbeat_ns",  "ft_suspect_ns",

@@ -42,9 +42,6 @@ void FailureDetector::poll(std::uint64_t now_ns, std::vector<int>& probes,
         // Recovered: traffic resumed before the strikes ran out.
         c.state = PeerState::kAlive;
         c.strikes = 0;
-        int hint = p;
-        suspect_hint_.compare_exchange_strong(hint, -1, std::memory_order_relaxed,
-                                              std::memory_order_relaxed);
         tracer_.record(trace::Event::kPeerSuspect, static_cast<std::uint32_t>(p), 0);
       }
       // Advertise our own liveness on a sender-side cadence, NOT gated on
@@ -65,7 +62,6 @@ void FailureDetector::poll(std::uint64_t now_ns, std::vector<int>& probes,
       c.last_probe_ns = now_ns;
       spc_.add(Counter::kFtSuspects);
       tracer_.record(trace::Event::kPeerSuspect, static_cast<std::uint32_t>(p), 1);
-      suspect_hint_.store(p, std::memory_order_relaxed);
       probes.push_back(p);
       continue;
     }
@@ -87,7 +83,6 @@ void FailureDetector::poll(std::uint64_t now_ns, std::vector<int>& probes,
     spc_.record(spc::Hist::kFtDetectionMs, ms);
     tracer_.record(trace::Event::kPeerDead, static_cast<std::uint32_t>(p),
                    static_cast<std::uint32_t>(ms));
-    suspect_hint_.store(p, std::memory_order_relaxed);
     newly_dead.push_back(p);
   }
 }

@@ -147,8 +147,12 @@ void Universe::export_chrome_trace(std::ostream& os) const {
 }
 
 void Universe::dump_observability(std::ostream& os) const {
+  // The clock every age below is read against; a reader of two dumps uses
+  // it to tell whether the oldest rendezvous is still the same transfer.
+  const std::uint64_t now = now_ns();
   os << "{\n";
   os << "  \"obs_enabled\": " << (obs::enabled() ? "true" : "false") << ",\n";
+  os << "  \"dumped_at_ns\": " << now << ",\n";
   os << "  \"config\": {\n"
      << "    \"num_ranks\": " << num_ranks() << ",\n"
      << "    \"num_instances\": " << cfg_.num_instances << ",\n"
@@ -182,6 +186,10 @@ void Universe::dump_observability(std::ostream& os) const {
        << ", \"instances\": [";
     for (int i = 0; i < rank.pool().size(); ++i) {
       using spc::CriMetric;
+      // Two lock-free reads, racy against the instance's producers and its
+      // consumer: a CRI whose backlog stays while `delivered - rx_backlog`
+      // does not move between two dumps is not being drained.
+      fabric::NetworkContext& ctx = rank.pool().instance(i).context();
       os << (i == 0 ? "" : ",") << "\n      {\"id\": " << i
          << ", \"injections\": " << snap.get(CriMetric::kInjections, i)
          << ", \"packets_drained\": " << snap.get(CriMetric::kPacketsDrained, i)
@@ -195,9 +203,27 @@ void Universe::dump_observability(std::ostream& os) const {
          << ", \"submit_cas_retries\": " << snap.get(CriMetric::kSubmitCasRetries, i)
          << ", \"submit_flush_hist\": ";
       emit_hist(os, snap.hist(spc::CriHist::kSubmitFlush, i));
-      os << "}";
+      os << ", \"delivered\": " << ctx.delivered()
+         << ", \"rx_backlog\": " << ctx.rx().size_approx() << "}";
     }
-    os << "\n    ], \"ft\": ";
+    // Live rendezvous transfers (tombstoned ones are settled and excluded),
+    // read under the registry lock, and the age of the oldest.
+    std::size_t rndv_pending = 0;
+    std::uint64_t oldest_born = now;
+    {
+      LockGuard guard(rank.rndv_lock_);
+      const auto scan = [&](const auto& registry) {
+        for (const auto& [cookie, st] : registry) {
+          if (st->failed) continue;
+          ++rndv_pending;
+          oldest_born = std::min(oldest_born, st->born_ns);
+        }
+      };
+      scan(rank.rndv_sends_);
+      scan(rank.rndv_recvs_);
+    }
+    os << "\n    ], \"rndv_pending\": " << rndv_pending
+       << ", \"rndv_oldest_age_ns\": " << now - oldest_born << ", \"ft\": ";
     // Liveness view (null with ft off): this rank's verdict on every peer,
     // plus the detection-latency histogram (bucket i: confirmed < 2^i ms
     // after last contact; last bucket overflows).

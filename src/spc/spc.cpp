@@ -35,7 +35,6 @@ const char* counter_name(Counter c) noexcept {
     case Counter::kAcksSent: return "AcksSent";
     case Counter::kAcksReceived: return "AcksReceived";
     case Counter::kReliabilityErrors: return "ReliabilityErrors";
-    case Counter::kWatchdogStalls: return "WatchdogStalls";
     case Counter::kSubmitQueued: return "SubmitQueued";
     case Counter::kSubmitRingFull: return "SubmitRingFull";
     case Counter::kSubmitCasRetries: return "SubmitCasRetries";

@@ -20,7 +20,6 @@ const char* event_name(Event e) noexcept {
     case Event::kRndvRts: return "RndvRts";
     case Event::kRndvDone: return "RndvDone";
     case Event::kRetransmit: return "Retransmit";
-    case Event::kWatchdogStall: return "WatchdogStall";
     case Event::kAckSent: return "AckSent";
     case Event::kAckRecv: return "AckRecv";
     case Event::kCsumDrop: return "CsumDrop";

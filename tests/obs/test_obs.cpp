@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -66,6 +67,23 @@ std::vector<std::size_t> array_lengths(const std::string& json, const std::strin
                                              std::count(body.begin(), body.end(), ',')));
   }
   return out;
+}
+
+/// Every unsigned value exported under `"key": N`, in document order.
+std::vector<std::uint64_t> values_of(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\": ";
+  std::vector<std::uint64_t> out;
+  for (std::size_t at = json.find(needle); at != std::string::npos;
+       at = json.find(needle, at + 1)) {
+    out.push_back(std::strtoull(json.c_str() + at + needle.size(), nullptr, 10));
+  }
+  return out;
+}
+
+std::string dump(const Universe& uni) {
+  std::ostringstream os;
+  uni.dump_observability(os);
+  return os.str();
 }
 
 const obs::ClassContention* find_class(const std::vector<obs::ClassContention>& all,
@@ -329,9 +347,14 @@ TEST(ObsExport, DumpObservabilityHasAllSections) {
   constexpr std::size_t kRows = 4;
   for (const char* key :
        {"injections", "packets_drained", "completions_drained", "own_trylock_misses",
-        "orphan_sweeps", "drain_visits", "submit_claimed", "submit_cas_retries"}) {
+        "orphan_sweeps", "drain_visits", "submit_claimed", "submit_cas_retries",
+        "delivered", "rx_backlog"}) {
     EXPECT_EQ(count_key(json, key), kRows) << key;
   }
+  // Every rank row carries the rendezvous facts; the dump carries its clock.
+  EXPECT_EQ(count_key(json, "rndv_pending"), 2u);
+  EXPECT_EQ(count_key(json, "rndv_oldest_age_ns"), 2u);
+  EXPECT_EQ(count_key(json, "dumped_at_ns"), 1u);
   EXPECT_EQ(array_lengths(json, "drain_hist"), std::vector<std::size_t>(kRows, 7));
   EXPECT_EQ(array_lengths(json, "submit_flush_hist"), std::vector<std::size_t>(kRows, 7));
   // Every contention row carries the same six keys.
@@ -358,6 +381,58 @@ TEST(ObsExport, DumpObservabilityFtSectionSchema) {
   EXPECT_EQ(count_key(json, "deaths"), 2u);
   EXPECT_EQ(array_lengths(json, "detection_latency_ms_hist"),
             std::vector<std::size_t>(2, 8));
+}
+
+// --- Obs.*: stall facts read when the export is dumped ---
+
+// A packet parked in rank 1's RX ring, with rank 1 never progressed: its
+// CRI shows a backlog whose `delivered` does not move between two dumps.
+TEST(Obs, ExportShowsFrozenBacklog) {
+  ScopedChaosEnvClear env;
+  Config cfg;
+  cfg.num_ranks = 2;
+  Universe uni(cfg);
+  const std::uint32_t payload = 42;
+  uni.rank(0).world().send(1, /*tag=*/0, &payload, sizeof payload);
+
+  const std::string before = dump(uni);
+  const std::string after = dump(uni);
+  // One CRI per rank: row 1 is rank 1's.
+  const std::vector<std::uint64_t> backlog0 = values_of(before, "rx_backlog");
+  const std::vector<std::uint64_t> backlog1 = values_of(after, "rx_backlog");
+  const std::vector<std::uint64_t> delivered0 = values_of(before, "delivered");
+  const std::vector<std::uint64_t> delivered1 = values_of(after, "delivered");
+  ASSERT_EQ(backlog0.size(), 2u);
+  ASSERT_EQ(delivered1.size(), 2u);
+  EXPECT_GE(backlog0[1], 1u);
+  EXPECT_GE(backlog1[1], 1u);
+  EXPECT_GE(delivered0[1], 1u);
+  EXPECT_EQ(delivered1[1], delivered0[1]);
+}
+
+// A 64 KiB rendezvous send that rank 1 never matches: rank 0 exports one
+// pending transfer, and its age grows by exactly the time between dumps.
+TEST(Obs, ExportShowsAgingRendezvous) {
+  ScopedChaosEnvClear env;
+  Config cfg;
+  cfg.num_ranks = 2;
+  Universe uni(cfg);
+  std::vector<std::byte> big(64 * 1024);
+  Request req;
+  uni.rank(0).isend(kWorldComm, 1, /*tag=*/0, big.data(), big.size(), req);
+  ASSERT_FALSE(req.done());
+
+  const std::string before = dump(uni);
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const std::string after = dump(uni);
+  EXPECT_EQ(values_of(before, "rndv_pending"), (std::vector<std::uint64_t>{1, 0}));
+  EXPECT_EQ(values_of(after, "rndv_pending"), (std::vector<std::uint64_t>{1, 0}));
+  const std::uint64_t age0 = values_of(before, "rndv_oldest_age_ns")[0];
+  const std::uint64_t age1 = values_of(after, "rndv_oldest_age_ns")[0];
+  const std::uint64_t elapsed =
+      values_of(after, "dumped_at_ns")[0] - values_of(before, "dumped_at_ns")[0];
+  EXPECT_GE(elapsed, 1'000'000u);
+  EXPECT_EQ(age1 - age0, elapsed);  // the same transfer, older
 }
 
 // --- declared last on purpose: exhausts the process-global class registry ---

@@ -42,10 +42,8 @@ class ScopedChaosEnvClear {
       "FAIRMPI_RELIABLE",        "FAIRMPI_RTO_NS",
       "FAIRMPI_RTO_MAX_NS",      "FAIRMPI_MAX_RETRIES",
       "FAIRMPI_RELIABILITY_WINDOW", "FAIRMPI_SEND_RETRY_LIMIT",
-      "FAIRMPI_WATCHDOG_INTERVAL_NS", "FAIRMPI_WATCHDOG_STALL_SWEEPS",
-      "FAIRMPI_RNDV_STALL_NS",   "FAIRMPI_FT",
-      "FAIRMPI_FT_HEARTBEAT_NS", "FAIRMPI_FT_SUSPECT_NS",
-      "FAIRMPI_FT_STRIKES",
+      "FAIRMPI_FT",              "FAIRMPI_FT_HEARTBEAT_NS",
+      "FAIRMPI_FT_SUSPECT_NS",   "FAIRMPI_FT_STRIKES",
   };
   std::vector<std::pair<const char*, std::string>> saved_;
 };

@@ -139,12 +139,11 @@ HOTPATH_FILES = {
     "include/fairmpi/common/slab_pool.hpp",
     "include/fairmpi/common/mpsc_ring.hpp",
     "include/fairmpi/common/intrusive_list.hpp",
-    # Reliability/fault/watchdog paths run from progress() and the send
+    # Reliability/fault paths run from progress() and the send
     # path; their allocations must be gated on fault injection being on
     # (or annotated as cold outcomes).
     "src/p2p/reliability.cpp",
     "include/fairmpi/p2p/reliability.hpp",
-    "src/progress/watchdog.cpp",
     "src/fabric/faults.cpp",
     # Counter and observability hooks run on every message, inside every
     # lock acquisition and every CRI drain; the only allocation allowed is

@@ -20,7 +20,18 @@ Two roles, combinable in one invocation:
                            CI uses it to assert the profiler attributes
                            blocked time where the design says it must go.
 
-Exit status: 0 ok, 1 validation/requirement failure, 2 usage error.
+  --diff BEFORE.json AFTER.json
+                           Compare two dump_observability() snapshots of
+                           one universe, AFTER taken later, and name what
+                           did not move between them: every CRI with an RX
+                           backlog in both dumps whose consumption
+                           (delivered - rx_backlog) did not advance, and
+                           every rank whose oldest pending rendezvous is
+                           the same transfer, older in AFTER. Exits 1 when
+                           it names anything.
+
+Exit status: 0 ok, 1 validation/requirement failure or a named stall,
+2 usage error.
 Stdlib only (json/argparse) — runs on a bare CI runner.
 """
 
@@ -33,7 +44,7 @@ import sys
 VALID_PHASES = {"M", "i", "n", "B", "E", "X", "b", "e"}
 EXPECTED_EVENT_NAMES = {
     "Send", "RecvPost", "RecvDone", "Progress", "RmaPut", "RmaGet", "RmaFlush",
-    "RndvRts", "RndvDone", "Retransmit", "WatchdogStall",
+    "RndvRts", "RndvDone", "Retransmit",
     "AckSent", "AckRecv", "CsumDrop", "CriDrain",
     "PeerSuspect", "PeerDead", "CommRevoke",
     "OverloadShed", "OverloadPause", "Cancel", "Deadline",
@@ -64,8 +75,10 @@ COLL_SPC_NAMES = (
 INSTANCE_KEYS = (
     "id", "injections", "packets_drained", "completions_drained",
     "own_trylock_misses", "orphan_sweeps", "drain_visits", "submit_claimed",
-    "submit_cas_retries",
+    "submit_cas_retries", "delivered", "rx_backlog",
 )
+# Per-rank stall facts, read under the rendezvous lock at dump time.
+RANK_KEYS = ("rank", "instances", "rndv_pending", "rndv_oldest_age_ns")
 # Per-CRI cells written whether or not obs is on: each is the only record
 # of an always-on rank SPC (spc::rollup), so they read non-zero in a
 # snapshot taken with obs off. The other per-CRI cells are obs-only.
@@ -205,6 +218,7 @@ def schema_drift(doc: dict) -> list[str]:
         out += missing_fields(c, CONTENTION_KEYS, {}, f"contention row {c.get('name')!r}")
     for rank in doc["ranks"]:
         r = rank.get("rank")
+        out += missing_fields(rank, RANK_KEYS, {}, f"rank row r{r}")
         for inst in rank.get("instances", []):
             out += missing_fields(inst, INSTANCE_KEYS, INSTANCE_HIST_LENGTHS,
                                   f"r{r}.cri{inst.get('id')}")
@@ -213,19 +227,25 @@ def schema_drift(doc: dict) -> list[str]:
     return out
 
 
-def report_obs(path: str, require_wait: list[str]) -> None:
+def load_snapshot(path: str) -> dict:
+    """A dump_observability() snapshot, failing on unreadable JSON or drift."""
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         fail(f"{path}: not readable JSON: {exc}")
 
-    for key in ("obs_enabled", "contention", "ranks", "spc_total"):
+    for key in ("obs_enabled", "dumped_at_ns", "contention", "ranks", "spc_total"):
         if key not in doc:
             fail(f"{path}: missing top-level key {key!r}")
     drift = schema_drift(doc)
     if drift:
         fail(f"{path}: schema drift: " + "; ".join(drift))
+    return doc
+
+
+def report_obs(path: str, require_wait: list[str]) -> None:
+    doc = load_snapshot(path)
 
     cfg = doc.get("config", {})
     print(f"fairmpi observability report — {path}")
@@ -262,15 +282,21 @@ def report_obs(path: str, require_wait: list[str]) -> None:
                 str(inst["completions_drained"]), str(inst["drain_visits"]),
                 str(inst["own_trylock_misses"]), str(inst["orphan_sweeps"]),
                 "/".join(str(h) for h in hist),
+                str(inst["delivered"]), str(inst["rx_backlog"]),
             ])
     print("per-CRI utilization:")
     print(render_table(
         ["instance", "inject", "pkts-out", "comps-out", "visits",
-         "own-miss", "sweeps", "batch-hist(1/2/4/8/16/32/33+)"],
+         "own-miss", "sweeps", "batch-hist(1/2/4/8/16/32/33+)",
+         "delivered", "rx-backlog"],
         util_rows))
     print(f"  always on, even with obs off: {', '.join(ALWAYS_ON_INSTANCE_KEYS)}.")
     print("  visits and own-miss count only instances whose work word was set:"
           " an idle instance is never try-locked.")
+    for rank in doc["ranks"]:
+        if rank["rndv_pending"]:
+            print(f"  r{rank['rank']}: {rank['rndv_pending']} rendezvous pending, "
+                  f"oldest {fmt_ns(rank['rndv_oldest_age_ns'])}")
     print()
 
     # --- per-CRI submission ring (lock-free injection path, DESIGN.md §5f) ---
@@ -372,6 +398,58 @@ def report_obs(path: str, require_wait: list[str]) -> None:
         print(f"\nobs_report: wait-time attribution OK for: {', '.join(require_wait)}")
 
 
+# -------------------------------------------------------------------- diff
+
+
+def stalls_between(before: dict, after: dict) -> list[str]:
+    """What did not move between two snapshots of one universe."""
+    out = []
+    earlier = {rank["rank"]: rank for rank in before["ranks"]}
+    for rank in after["ranks"]:
+        prev = earlier.get(rank["rank"])
+        if prev is None:
+            continue
+        r = rank["rank"]
+        # Consumption, not arrival: a frozen consumer keeps its count while
+        # its producers may still push, and a draining one advances it
+        # however many packets arrive.
+        prev_cris = {inst["id"]: inst for inst in prev["instances"]}
+        for inst in rank["instances"]:
+            old = prev_cris.get(inst["id"])
+            if old is None or old["rx_backlog"] == 0 or inst["rx_backlog"] == 0:
+                continue
+            consumed = inst["delivered"] - inst["rx_backlog"]
+            if consumed <= old["delivered"] - old["rx_backlog"]:
+                out.append(f"r{r}.cri{inst['id']}: rx_backlog {old['rx_backlog']} -> "
+                           f"{inst['rx_backlog']}, delivered {old['delivered']} -> "
+                           f"{inst['delivered']}: nothing consumed between dumps")
+        # The same transfer has the same birth time in both dumps.
+        if prev["rndv_pending"] == 0 or rank["rndv_pending"] == 0:
+            continue
+        born = after["dumped_at_ns"] - rank["rndv_oldest_age_ns"]
+        if (born == before["dumped_at_ns"] - prev["rndv_oldest_age_ns"]
+                and rank["rndv_oldest_age_ns"] > prev["rndv_oldest_age_ns"]):
+            out.append(f"r{r}: oldest rendezvous pending for "
+                       f"{fmt_ns(rank['rndv_oldest_age_ns'])} "
+                       f"({fmt_ns(prev['rndv_oldest_age_ns'])} in the earlier dump), "
+                       f"{rank['rndv_pending']} pending")
+    return out
+
+
+def diff_obs(before_path: str, after_path: str) -> None:
+    before = load_snapshot(before_path)
+    after = load_snapshot(after_path)
+    if after["dumped_at_ns"] <= before["dumped_at_ns"]:
+        fail(f"{after_path} was not dumped after {before_path}")
+    stalls = stalls_between(before, after)
+    elapsed = fmt_ns(after["dumped_at_ns"] - before["dumped_at_ns"])
+    for msg in stalls:
+        print(f"obs_report: STALL: {msg}", file=sys.stderr)
+    if stalls:
+        raise SystemExit(1)
+    print(f"obs_report: diff OK — every backlog drained or moved in {elapsed}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--validate", metavar="TRACE_JSON",
@@ -381,10 +459,12 @@ def main() -> int:
     parser.add_argument("--require-wait", action="append", default=[],
                         metavar="CLASS",
                         help="with --report: fail unless CLASS has wait_ns > 0")
+    parser.add_argument("--diff", nargs=2, metavar=("BEFORE_JSON", "AFTER_JSON"),
+                        help="name what did not move between two snapshots")
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args()
 
-    if not args.validate and not args.report:
+    if not args.validate and not args.report and not args.diff:
         parser.print_usage(sys.stderr)
         return 2
     if args.require_wait and not args.report:
@@ -395,6 +475,8 @@ def main() -> int:
         validate_trace(args.validate, args.verbose)
     if args.report:
         report_obs(args.report, args.require_wait)
+    if args.diff:
+        diff_obs(*args.diff)
     return 0
 
 
