@@ -25,8 +25,6 @@ enum class ErrorCode : std::uint8_t {
   kRetryExhausted,        ///< retransmit limit reached without an ack
   kPeerFailed,            ///< ft: operation targeted a confirmed-dead rank
   kCommRevoked,           ///< ft: operation on a revoked communicator
-  kReceiverOverloaded,    ///< overload: receiver shed the message (NACK)
-  kLocalOverloaded,       ///< overload: local cap refused the op at admission
   kCancelled,             ///< request cancelled by the application
   kDeadlineExceeded,      ///< per-op deadline expired before completion
   kQuiesceTimeout,        ///< quiesce gave up with backlog still pending
@@ -44,8 +42,6 @@ inline const char* error_code_name(ErrorCode c) noexcept {
     case ErrorCode::kRetryExhausted: return "RetryExhausted";
     case ErrorCode::kPeerFailed: return "PeerFailed";
     case ErrorCode::kCommRevoked: return "CommRevoked";
-    case ErrorCode::kReceiverOverloaded: return "ReceiverOverloaded";
-    case ErrorCode::kLocalOverloaded: return "LocalOverloaded";
     case ErrorCode::kCancelled: return "Cancelled";
     case ErrorCode::kDeadlineExceeded: return "DeadlineExceeded";
     case ErrorCode::kQuiesceTimeout: return "QuiesceTimeout";

@@ -7,7 +7,6 @@
 
 #include "fairmpi/cri/cri.hpp"
 #include "fairmpi/fabric/fabric.hpp"
-#include "fairmpi/overload/overload.hpp"
 #include "fairmpi/progress/progress.hpp"
 
 namespace fairmpi {
@@ -124,31 +123,29 @@ struct Config {
 
   /// Per-peer unexpected-queue depth cap (0 = unbounded, the historical
   /// behaviour). Universe auto-enables `reliable` whenever it is nonzero.
-  /// Under both policies a packet parks out of sequence only while its
-  /// distance ahead of the in-order frontier plus the queue depth stays
-  /// below the cap; otherwise it is deferred and re-presented by its
-  /// sender. That keeps the queue within the cap. With the queue at cap
-  /// `unexpected_policy` decides: kShed drops the in-sequence head and
-  /// NACKs the sender (whose tracked op fails typed kReceiverOverloaded);
-  /// kQueue leaves every packet unanswered, so the sender's retransmit
-  /// clock re-presents it once the consumer drains.
+  /// A packet parks out of sequence only while its distance ahead of the
+  /// in-order frontier plus the queue depth stays below the cap; otherwise
+  /// it is deferred and re-presented by its sender. That keeps the queue
+  /// within the cap. With the queue at cap every packet is left
+  /// unanswered, so the sender's retransmit clock re-presents it once the
+  /// consumer drains. No message is dropped: a send that must not wait
+  /// for a slow receiver carries a deadline (`op_deadline_ns`).
   std::size_t unexpected_cap = 0;
-  overload::Policy unexpected_policy = overload::Policy::kShed;
 
   /// Payload-pool in-use byte cap (process global, like the pool itself;
   /// 0 = unbounded), charged where eager payloads, tracked copies,
   /// retransmit clones and fabric duplicates are made. A refused eager
-  /// send follows the policy: kQueue spins the sender (progressing) until
-  /// buffers recycle; kShed fails the op typed kLocalOverloaded. A refused
-  /// retransmit waits for the next rto (a stream's lowest unacked packet is
-  /// never refused); a refused duplicate is not sent.
+  /// send spins (progressing) until buffers recycle, before its sequence
+  /// number is ticketed; its deadline, a cancel or the send budget ends
+  /// the wait typed. A refused retransmit waits for the next rto (a
+  /// stream's lowest unacked packet is never refused); a refused
+  /// duplicate is not sent.
   std::uint64_t payload_pool_cap_bytes = 0;
-  overload::Policy payload_pool_policy = overload::Policy::kQueue;
 
   /// In-flight reliability-tracker entry cap, checked before track() (0 =
-  /// only the reliability_window gate applies). Policies as for the pool.
+  /// only the reliability_window gate applies). A refused send waits as
+  /// for the pool.
   std::size_t tracker_cap = 0;
-  overload::Policy tracker_policy = overload::Policy::kQueue;
 
   /// Default deadline applied by the *_checked ops (and through them every
   /// collective) as now + this many ns; 0 = no deadline. Explicit

@@ -31,6 +31,7 @@
 #include "fairmpi/cri/cri.hpp"
 #include "fairmpi/fabric/fabric.hpp"
 #include "fairmpi/ft/failure_detector.hpp"
+#include "fairmpi/overload/overload.hpp"
 #include "fairmpi/p2p/comm_state.hpp"
 #include "fairmpi/p2p/reliability.hpp"
 #include "fairmpi/p2p/rendezvous.hpp"
@@ -185,8 +186,8 @@ class Rank final : public progress::PacketSink,
   /// The ack/retransmit tracker (null unless Config::reliable) — test hook.
   p2p::ReliabilityTracker* reliability() noexcept { return tracker_.get(); }
 
-  /// The resolved overload caps and policies (DESIGN.md §5h); null when
-  /// no cap is configured, so the uncapped hot path pays one null check.
+  /// The resolved overload caps (DESIGN.md §5h); null when no cap is
+  /// configured, so the uncapped hot path pays one null check.
   const overload::Limits* overload_limits() const noexcept {
     return limits_.enabled() ? &limits_ : nullptr;
   }
@@ -283,21 +284,16 @@ class Rank final : public progress::PacketSink,
   /// One injection attempt with no tracking and no backpressure loop: used
   /// for retransmits and acks, whose loss the protocol already absorbs.
   bool inject_raw(int dst, fabric::Packet&& pkt);
-  /// Answer `hdr`'s packet with an ack (kSendPacketAck), an overload NACK
-  /// (kSendPacketNack) or a deferral notice (kSendPacketDefer, DESIGN.md
-  /// §5h) echoing its key. An ack may extend its stream's run in `acks`
-  /// (p2p::queue_ack).
+  /// Answer `hdr`'s packet with an ack (kSendPacketAck) or a deferral
+  /// notice (kSendPacketDefer, DESIGN.md §5h) echoing its key. An ack may
+  /// extend its stream's run in `acks` (p2p::queue_ack).
   static void answer(AckBatch& acks, const fabric::WireHeader& hdr,
                      p2p::ControlMsg::Kind kind);
   /// Put `msgs` on the rank's ack queue, for flush_acks to send.
   void enqueue_acks(const p2p::ControlMsg* msgs, std::size_t n);
-  /// Inject one notice as its kAck/kNack/kDefer packet (single attempt);
-  /// false when the peer's lane is full.
+  /// Inject one notice as its kAck/kDefer packet (single attempt); false
+  /// when the peer's lane is full.
   bool send_notice(const p2p::ControlMsg& msg);
-  /// Process an inbound NACK: retire the named tracker entry, surface the
-  /// failure typed kReceiverOverloaded, and fail the owning rendezvous
-  /// send when the NACKed packet was an RTS.
-  void handle_nack(const fabric::WireHeader& hdr);
 
   // --- overload control & deadlines (DESIGN.md §5h) ---
   /// Expire posted receives (per match engine) and tombstone + fail

@@ -34,7 +34,6 @@ enum class Opcode : std::uint16_t {
   kRndvData,     ///< rendezvous payload fragment
   kAck,          ///< reliability acknowledgement (echoes the acked key)
   kHeartbeat,    ///< ft liveness probe (header-only; never acked or tracked)
-  kNack,         ///< overload shed notice (echoes the shed packet's key)
   kDefer,        ///< park-limit deferral notice (echoes the deferred packet's key)
 };
 

@@ -54,18 +54,16 @@
 namespace fairmpi::match {
 
 /// Receiver-side admission verdict for one incoming eager/RTS packet,
-/// reported back to the rank so the ack-vs-NACK decision happens *after*
-/// matching (DESIGN.md §5h): acking a shed packet would silently retire the
-/// sender's reliability entry and the overload would never surface typed.
+/// reported back to the rank so the answer (ack, defer or nothing) is
+/// chosen *after* matching (DESIGN.md §5h): acking a packet the engine held
+/// back would retire the sender's reliability entry and lose the message.
 enum class Admission : std::uint8_t {
-  kAdmitted = 0,   ///< delivered, parked, or queued unexpected — ack it
-  kDuplicate,      ///< duplicate of an already-accepted packet — re-ack it
-  kShed,           ///< dropped at admission (first time) — NACK it
-  kShedDuplicate,  ///< retransmit of a shed packet — NACK again, no recount
-  kDeferred,       ///< beyond the park limit — answer kDefer; the sender
-                   ///< re-presents the packet on its base rto
-  kPaused,         ///< kQueue with the queue at cap — answer nothing; the
-                   ///< sender's backed-off retransmit clock re-presents it
+  kAdmitted = 0,  ///< delivered, parked, or queued unexpected — ack it
+  kDuplicate,     ///< duplicate of an already-accepted packet — re-ack it
+  kDeferred,      ///< beyond the park limit — answer kDefer; the sender
+                  ///< re-presents the packet on its base rto
+  kPaused,        ///< the queue is at cap — answer nothing; the sender's
+                  ///< backed-off retransmit clock re-presents it
 };
 
 /// Reorder ring bounds per (comm, src) stream. The ring starts at
@@ -175,8 +173,8 @@ class MatchEngine : public p2p::CancelScope {
   /// are moved from. Returns the number of receive requests completed
   /// (out-of-sequence drains can complete several per packet). When
   /// `verdicts` is non-null, verdicts[i] receives the overload verdict for
-  /// pkts[i] (ack vs. NACK — see Admission above); without limits
-  /// installed it is always kAdmitted/kDuplicate.
+  /// pkts[i] (see Admission above); without limits installed it is always
+  /// kAdmitted/kDuplicate.
   std::size_t incoming(fabric::Packet* pkts, std::size_t n, Admission* verdicts);
 
   /// One incoming envelope: a run of one.
@@ -225,8 +223,7 @@ class MatchEngine : public p2p::CancelScope {
 
   /// Install overload admission (done once by the owning Rank before any
   /// traffic; null keeps the engine bit-exact with the historical
-  /// behaviour). The tracer, when given, records kOverloadShed /
-  /// kOverloadPause events.
+  /// behaviour). The tracer, when given, records kOverloadPause events.
   void set_overload(const overload::Limits* lim, trace::Tracer* tracer = nullptr) noexcept {
     lim_ = lim;
     tracer_ = tracer;
@@ -303,13 +300,6 @@ class MatchEngine : public p2p::CancelScope {
     void grow(std::uint32_t new_cap);
   };
 
-  /// Shed-sequence memory depth per peer. A retransmit of a shed packet
-  /// must be re-NACKed, not re-acked (an ack silently retires the sender's
-  /// tracker entry and the shed never surfaces typed). 64 entries bound the
-  /// memory because the sender's reliability_window bounds how many seqs it
-  /// can have outstanding against us at once.
-  static constexpr std::uint32_t kShedMemory = 64;
-
   struct PeerState {
     std::uint32_t expected_seq = 0;
     ReorderRing reorder;                            ///< parked arrivals (lazy)
@@ -323,8 +313,6 @@ class MatchEngine : public p2p::CancelScope {
     std::array<PostedList, kTagBins> posted;
     PostedList posted_any_tag;  ///< source-specific ANY_TAG receives
     bool dead = false;  ///< ft: source confirmed dead (fail_source ran)
-    std::array<std::uint32_t, kShedMemory> shed_seqs{};  ///< re-NACK ring
-    std::uint32_t shed_n = 0;  ///< total sheds (ring write cursor)
 
     /// Is the future packet `seq` already parked (a retransmit whose ack
     /// was lost)? Within the ring's capacity it may sit in its slot; a
@@ -347,14 +335,6 @@ class MatchEngine : public p2p::CancelScope {
       for (PostedList& list : posted) f(list);
       f(posted_any_tag);
     }
-
-    bool was_shed(std::uint32_t seq) const noexcept {
-      const std::uint32_t live = shed_n < kShedMemory ? shed_n : kShedMemory;
-      for (std::uint32_t i = 0; i < live; ++i) {
-        if (shed_seqs[i] == seq) return true;
-      }
-      return false;
-    }
   };
 
   // The private pipeline below threads a spc::CounterSet::Cursor through so
@@ -362,12 +342,8 @@ class MatchEngine : public p2p::CancelScope {
 
   /// Match one in-order packet against the posted queues; deliver or store
   /// as unexpected. Returns 1 on delivery, 0 otherwise. Lock held.
-  /// `direct` marks the packet the caller just received off the wire (not
-  /// a reorder-ring drain): only direct packets may be shed, because a
-  /// drained packet was already acked when it parked — shedding it now
-  /// would be silent loss. `admission` (may be null) reports the verdict.
-  std::size_t match_one(spc::CounterSet::Cursor& ctr, fabric::Packet&& pkt,
-                        bool direct, Admission* admission) FAIRMPI_REQUIRES(lock_);
+  std::size_t match_one(spc::CounterSet::Cursor& ctr, fabric::Packet&& pkt)
+      FAIRMPI_REQUIRES(lock_);
 
   /// Unexpected-queue bookkeeping: the bin and its occupied bit, per-peer
   /// depth and engine total. Lock held.

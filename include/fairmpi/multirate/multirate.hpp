@@ -59,7 +59,8 @@ struct FailureCounts {
   /// Errors the ranks reported to their error sink, so sends need no
   /// tally of their own: every failed eager send lands here (fail-fast on
   /// a dead peer or a revoked communicator, injection failures, and late
-  /// ones such as retry exhaustion or a receiver's shed).
+  /// ones such as retry exhaustion). Receives the end-of-run drain cancels
+  /// as surplus are not failures.
   ByCode reported{};
 
   std::uint64_t total() const noexcept;
@@ -75,7 +76,10 @@ struct MultirateResult {
 
 /// Run the pairwise pattern once. Uses real threads; intended for
 /// host-scale validation (a 2-core container cannot reproduce 20-pair
-/// scaling — use the model backend for paper-scale sweeps).
+/// scaling — use the model backend for paper-scale sweeps). Both patterns
+/// end with a drain: once the receivers leave the timed loop the senders
+/// stop and publish their send counts, and the receivers keep receiving
+/// until every sent message has arrived, so no send outlives its receiver.
 MultirateResult run_pairwise(const MultirateConfig& cfg);
 
 /// Incast pattern: N sender threads on rank 0 all target ONE receiver

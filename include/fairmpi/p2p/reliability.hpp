@@ -129,14 +129,6 @@ class ReliabilityTracker {
   /// budget exhausted before the packet ever hit the wire).
   void untrack(const PacketKey& key) { (void)ack(key); }
 
-  /// The receiver refused the packet at admission (Opcode::kNack,
-  /// DESIGN.md §5h): retire the entry like an ack, but report it so the
-  /// caller fails the op typed kReceiverOverloaded. False when the entry
-  /// is unknown (a re-NACK of an already-failed shed, or an ack raced in).
-  /// `out` (may be null) receives the failure record.
-  struct Failure;
-  bool nack(const PacketKey& key, Failure* out);
-
   /// The receiver deferred the packet at its park limit (Opcode::kDefer,
   /// DESIGN.md §5h): it arrived, so refund the retry its transmission was
   /// charged and re-present it one base rto from now. No-op when unknown.

@@ -61,13 +61,10 @@ struct RndvSendState {
   std::uint32_t comm = 0;
   Request* request = nullptr;  ///< completes when all fragments are injected
   std::uint64_t born_ns = 0;   ///< registration time (exported rndv age)
-  std::uint32_t rts_seq = 0;   ///< the RTS packet's seq — identifies this
-                               ///< transfer when the receiver NACKs the RTS
-                               ///< (overload shed, DESIGN.md §5h)
-  /// Cancelled / deadline-expired / NACKed before the receiver's ack
-  /// arrived. Set under the rendezvous registry lock; the kSendData drain
-  /// checks it after claiming the state and discards instead of streaming
-  /// fragments from a buffer the settled owner may already have freed.
+  /// Cancelled or deadline-expired before the receiver's ack arrived. Set
+  /// under the rendezvous registry lock; the kSendData drain checks it
+  /// after claiming the state and discards instead of streaming fragments
+  /// from a buffer the settled owner may already have freed.
   bool failed = false;
 };
 
@@ -112,7 +109,6 @@ struct ControlMsg {
     kSendAck,         ///< rendezvous clear-to-send
     kSendData,        ///< rendezvous data burst
     kSendPacketAck,   ///< reliability ack echoing a received packet's key
-    kSendPacketNack,  ///< overload NACK echoing a shed packet's key (§5h)
     kSendPacketDefer, ///< deferral notice echoing a deferred packet's key (§5h)
   };
   Kind kind = Kind::kNone;
@@ -130,14 +126,14 @@ struct ControlMsg {
 /// a handful of compares under the queue lock.
 inline constexpr std::size_t kAckLookback = 8;
 
-/// Queue a reliability notice (kSendPacketAck/Nack/Defer) on an ack queue
+/// Queue a reliability notice (kSendPacketAck/Defer) on an ack queue
 /// (ranged acks, DESIGN.md §5c): the rank's std::deque, or one drain's
 /// NoticeBatch, so both build runs by the same rule. A plain ack extends
 /// its stream's queued run when it names the run's next seq; a stream is
 /// one (peer, comm, acked opcode, imm). The newest entry of the stream
-/// among the last kAckLookback decides: a NACK, a deferral, a gap or a run
-/// at kMaxAckRun there starts a new entry, so no run spans one of them.
-/// NACKs and deferrals are never merged.
+/// among the last kAckLookback decides: a deferral, a gap or a run at
+/// kMaxAckRun there starts a new entry, so no run spans one of them.
+/// Deferrals are never merged.
 template <class Queue>
 void queue_ack(Queue& q, const ControlMsg& msg) {
   if (msg.kind == ControlMsg::Kind::kSendPacketAck) {

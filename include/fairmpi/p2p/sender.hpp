@@ -45,8 +45,7 @@ struct SendPolicy {
   /// payload-pool and reliability-tracker caps to the window in the one
   /// admission loop that runs *before* the sequence number is ticketed, so
   /// a refused send never leaves a hole in the peer's ordered stream.
-  /// kQueue caps wait (progressing) like the window; kShed caps fail the op
-  /// typed kLocalOverloaded.
+  /// A refused cap waits (progressing) like the window.
   const overload::Limits* limits = nullptr;
   /// Absolute per-op deadline on the engine clock (now_ns; 0 = none): every
   /// wait loop abandons the send typed kDeadlineExceeded once passed.

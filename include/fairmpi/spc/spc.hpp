@@ -79,10 +79,7 @@ enum class Counter : int {
   kFtDeaths,               ///< peers confirmed dead
   kFtPeerFailedOps,        ///< operations completed with kPeerFailed
   kFtRevokedOps,           ///< operations refused/failed on a revoked comm
-  kOverloadShedMessages,   ///< messages dropped at admission (kShed policy)
-  kOverloadNacksSent,      ///< receiver-side NACKs queued for shed packets
-  kOverloadNacksReceived,  ///< sender-side NACKs processed (op failed typed)
-  kOverloadPausedPackets,  ///< packets refused unanswered at cap (kQueue policy)
+  kOverloadPausedPackets,  ///< packets refused unanswered at the unexpected cap
   kCancelledOps,           ///< requests settled kCancelled
   kDeadlineExceededOps,    ///< requests settled kDeadlineExceeded
   kQuiesceTimeouts,        ///< quiesce calls that gave up with backlog

@@ -41,8 +41,7 @@ enum class Event : std::uint8_t {
   kPeerSuspect, ///< a = peer rank, b = 1 entered suspect / 0 recovered
   kPeerDead,    ///< a = peer rank, b = detection latency (ms)
   kCommRevoke,  ///< a = communicator id, b = posted receives failed
-  kOverloadShed,   ///< a = source rank, b = packet seq (admission drop)
-  kOverloadPause,  ///< a = source rank, b = packet seq (kQueue refusal at cap)
+  kOverloadPause,  ///< a = source rank, b = packet seq (refusal at the cap)
   kCancel,         ///< a = peer rank (+1, 0 = ANY), b = tag
   kDeadline,       ///< a = peer rank (+1, 0 = ANY), b = tag
   kCollOp,         ///< a = collective op id (coll::detail), b = tag lane

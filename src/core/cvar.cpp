@@ -34,18 +34,6 @@ bool parse_prob(std::string_view text, double& out) {
   return true;
 }
 
-bool parse_policy(std::string_view text, overload::Policy& out) {
-  if (text == "queue") {
-    out = overload::Policy::kQueue;
-    return true;
-  }
-  if (text == "shed") {
-    out = overload::Policy::kShed;
-    return true;
-  }
-  return false;
-}
-
 bool parse_bool(std::string_view text, bool& out) {
   if (text == "0" || text == "false" || text == "off") {
     out = false;
@@ -201,21 +189,16 @@ bool apply_cvar(Config& cfg, std::string_view name, std::string_view value) {
     cfg.unexpected_cap = static_cast<std::size_t>(u);
     return true;
   }
-  if (name == "unexpected_policy") return parse_policy(value, cfg.unexpected_policy);
   if (name == "payload_pool_cap") {
     if (!parse_u64(value, u)) return false;
     cfg.payload_pool_cap_bytes = u;
     return true;
-  }
-  if (name == "payload_pool_policy") {
-    return parse_policy(value, cfg.payload_pool_policy);
   }
   if (name == "tracker_cap") {
     if (!parse_u64(value, u)) return false;
     cfg.tracker_cap = static_cast<std::size_t>(u);
     return true;
   }
-  if (name == "tracker_policy") return parse_policy(value, cfg.tracker_policy);
   if (name == "op_deadline_ns") {
     if (!parse_u64(value, u)) return false;
     cfg.op_deadline_ns = u;
@@ -246,9 +229,7 @@ Config config_from_env(Config base) {
       "send_retry_limit",
       "trace",         "trace_entries",   "obs",
       "ft",            "ft_heartbeat_ns", "ft_suspect_ns",   "ft_strikes",
-      "unexpected_cap", "unexpected_policy",
-      "payload_pool_cap", "payload_pool_policy",
-      "tracker_cap",   "tracker_policy",
+      "unexpected_cap", "payload_pool_cap", "tracker_cap",
       "op_deadline_ns",
       "coll_segment_bytes", "coll_rsag_min_bytes",
   };
@@ -301,12 +282,8 @@ std::string list_cvars(const Config& cfg) {
      << "ft_suspect_ns     = " << cfg.ft_suspect_ns << '\n'
      << "ft_strikes        = " << cfg.ft_strikes << '\n'
      << "unexpected_cap    = " << cfg.unexpected_cap << '\n'
-     << "unexpected_policy = " << overload::policy_name(cfg.unexpected_policy) << '\n'
      << "payload_pool_cap  = " << cfg.payload_pool_cap_bytes << '\n'
-     << "payload_pool_policy = " << overload::policy_name(cfg.payload_pool_policy)
-     << '\n'
      << "tracker_cap       = " << cfg.tracker_cap << '\n'
-     << "tracker_policy    = " << overload::policy_name(cfg.tracker_policy) << '\n'
      << "op_deadline_ns    = " << cfg.op_deadline_ns << '\n'
      << "coll_segment_bytes = " << cfg.coll_segment_bytes << '\n'
      << "coll_rsag_min_bytes = " << cfg.coll_rsag_min_bytes << '\n';

@@ -18,11 +18,8 @@ namespace {
 overload::Limits limits_from(const Config& cfg) noexcept {
   overload::Limits lim;
   lim.unexpected_cap = cfg.unexpected_cap;
-  lim.unexpected_policy = cfg.unexpected_policy;
   lim.pool_cap_bytes = cfg.payload_pool_cap_bytes;
-  lim.pool_policy = cfg.payload_pool_policy;
   lim.tracker_cap = cfg.tracker_cap;
-  lim.tracker_policy = cfg.tracker_policy;
   return lim;
 }
 
@@ -277,16 +274,12 @@ bool Rank::send_notice(const p2p::ControlMsg& msg) {
   // sender can retire its tracked clone; a kAck names a run of `count`
   // consecutive seqs from the key's, the count riding as a 4-byte
   // payload. Unreliable by design — if this ack is lost the peer
-  // retransmits and we re-ack. A NACK (overload shed, §5h) and a
-  // deferral notice carry one key; only the opcode differs, so the
-  // sender can fail the op typed, or keep it and re-present it soon,
-  // instead of retiring it.
+  // retransmits and we re-ack. A deferral notice (§5h) carries one key
+  // under its own opcode, so the sender keeps the packet and re-presents
+  // it soon instead of retiring it.
   const bool is_ack = msg.kind == p2p::ControlMsg::Kind::kSendPacketAck;
-  const bool is_nack = msg.kind == p2p::ControlMsg::Kind::kSendPacketNack;
   fabric::Packet ack;
-  ack.hdr.opcode = is_ack    ? fabric::Opcode::kAck
-                   : is_nack ? fabric::Opcode::kNack
-                             : fabric::Opcode::kDefer;
+  ack.hdr.opcode = is_ack ? fabric::Opcode::kAck : fabric::Opcode::kDefer;
   ack.hdr.src_rank = static_cast<std::uint16_t>(id_);
   ack.hdr.comm_id = msg.comm;
   ack.hdr.tag = static_cast<std::int32_t>(msg.ack_opcode);
@@ -455,37 +448,6 @@ void Rank::fail_rendezvous_peer(int peer) {
 }
 
 // --- overload control & deadlines (DESIGN.md §5h) ---
-
-void Rank::handle_nack(const fabric::WireHeader& hdr) {
-  const p2p::PacketKey key = p2p::key_of_ack(hdr);
-  p2p::ReliabilityTracker::Failure f;
-  if (!tracker_->nack(key, &f)) return;  // duplicate NACK, or an ack raced in
-  report_error(common::Error{common::ErrorCode::kReceiverOverloaded, id_,
-                             static_cast<int>(key.peer), key.seq});
-  if (key.opcode != static_cast<std::uint16_t>(fabric::Opcode::kRndvRts)) return;
-  // The receiver shed our RTS at admission: no RndvAck will ever arrive,
-  // so the NACK is this transfer's only possible terminal event — claim
-  // the send state by extraction (same ownership rule as the kSendData
-  // drain) and fail the request typed.
-  p2p::Request* victim = nullptr;
-  std::unique_ptr<p2p::RndvSendState> dead;
-  {
-    LockGuard guard(rndv_lock_);
-    for (auto it = rndv_sends_.begin(); it != rndv_sends_.end(); ++it) {
-      if (it->second->dst == static_cast<int>(key.peer) &&
-          it->second->comm == key.comm && it->second->rts_seq == key.seq &&
-          !it->second->failed) {
-        victim = it->second->request;
-        dead = std::move(it->second);
-        rndv_sends_.erase(it);
-        break;
-      }
-    }
-  }
-  if (victim != nullptr) {
-    (void)victim->fail(common::ErrorCode::kReceiverOverloaded);
-  }
-}
 
 void Rank::arm_service(std::uint64_t due) noexcept {
   // Pairs with the fence in service(): either that step's scan sees what
@@ -675,18 +637,12 @@ std::size_t Rank::match_run(fabric::Packet* pkts, std::size_t n, AckBatch& acks)
   const std::size_t delivered = eng.incoming(pkts, n, verdicts.data());
   for (std::size_t i = 0; i < n; ++i) {
     switch (verdicts[i]) {
-      case match::Admission::kShed:
-        spc_.add(Counter::kOverloadNacksSent);
-        [[fallthrough]];
-      case match::Admission::kShedDuplicate:
-        answer(acks, hdrs[i], p2p::ControlMsg::Kind::kSendPacketNack);
-        break;
       case match::Admission::kDeferred:
         answer(acks, hdrs[i], p2p::ControlMsg::Kind::kSendPacketDefer);
         break;
       case match::Admission::kPaused:
         // Answer nothing: the sender's backed-off retransmit clock is the
-        // backpressure (§5h kQueue).
+        // backpressure (§5h).
         break;
       case match::Admission::kAdmitted:
       case match::Admission::kDuplicate:
@@ -722,13 +678,6 @@ std::size_t Rank::receive(fabric::Packet&& pkt, AckBatch& acks) {
       (void)tracker_->ack_range(p2p::key_of_ack(pkt.hdr), count);
       return 0;
     }
-    if (pkt.hdr.opcode == fabric::Opcode::kNack) {
-      // Receiver shed the packet at admission (§5h): fail the tracked op
-      // typed kReceiverOverloaded instead of retrying into the overload.
-      spc_.add(Counter::kOverloadNacksReceived);
-      handle_nack(pkt.hdr);
-      return 0;
-    }
     if (pkt.hdr.opcode == fabric::Opcode::kDefer) {
       // The receiver holds the packet back at its park limit (§5h): it
       // arrived, so re-present it on the base rto, uncharged.
@@ -741,9 +690,8 @@ std::size_t Rank::receive(fabric::Packet&& pkt, AckBatch& acks) {
     // admission verdicts.)
     answer(acks, pkt.hdr, p2p::ControlMsg::Kind::kSendPacketAck);
   } else if (pkt.hdr.opcode == fabric::Opcode::kAck ||
-             pkt.hdr.opcode == fabric::Opcode::kNack ||
              pkt.hdr.opcode == fabric::Opcode::kDefer) {
-    // Reliability off: there is no tracker to retire the (n)ack against.
+    // Reliability off: there is no tracker to retire the notice against.
     spc_.add(Counter::kHeaderDrops);
     return 0;
   }
@@ -755,7 +703,6 @@ std::size_t Rank::receive(fabric::Packet&& pkt, AckBatch& acks) {
     case fabric::Opcode::kEager:
     case fabric::Opcode::kRndvRts:  // envelopes: match_run
     case fabric::Opcode::kAck:
-    case fabric::Opcode::kNack:
     case fabric::Opcode::kDefer:
     case fabric::Opcode::kHeartbeat:
     case fabric::Opcode::kInvalid:

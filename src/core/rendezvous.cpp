@@ -31,11 +31,7 @@ void Rank::rndv_isend(CommId comm, int dst, int tag, const void* buf, std::size_
   state->comm = comm;
   state->request = &req;
   state->born_ns = now_ns();
-  // Seq is ticketed before registration so the state records its RTS key:
-  // a receiver-side shed NACKs {kRndvRts, dst, comm, rts_seq} and
-  // handle_nack must find this transfer by exactly that key.
-  state->rts_seq = comm_state(comm).next_seq(dst);
-  const std::uint32_t rts_seq = state->rts_seq;
+  const std::uint32_t rts_seq = comm_state(comm).next_seq(dst);
 
   std::uint64_t cookie = 0;
   {
@@ -302,7 +298,6 @@ void Rank::drain_control() {
         break;
       }
       case ControlMsg::Kind::kSendPacketAck:
-      case ControlMsg::Kind::kSendPacketNack:
       case ControlMsg::Kind::kSendPacketDefer:
         // Handled by flush_acks ((n)acks ride their own queue); kept in
         // the enum so the message layout stays shared.

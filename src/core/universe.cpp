@@ -40,16 +40,15 @@ Config apply_chaos_env(Config cfg) {
       // Overload-control caps (§5h) ride along so a memory-pressure chaos
       // job can squeeze a whole suite under tiny caps without touching
       // call sites. Additive: unset means uncapped, exactly as before.
-      "unexpected_cap", "unexpected_policy", "payload_pool_cap",
-      "payload_pool_policy", "tracker_cap",  "tracker_policy",
+      "unexpected_cap", "payload_pool_cap", "tracker_cap",
       "op_deadline_ns",
   };
   apply_env_cvars(cfg, kChaosKnobs);
   // A lossy fabric without the reliability protocol cannot keep MPI
   // semantics; switching faults on implies switching reliability on. So
-  // does an unexpected-queue cap: kShed answers with NACKs and kQueue
-  // defers onto the retransmit clock, and without acks either one would
-  // be silent loss (DESIGN.md §5h).
+  // does an unexpected-queue cap: it defers and pauses packets onto the
+  // retransmit clock, and without acks that would be silent loss
+  // (DESIGN.md §5h).
   if (cfg.faults.any() || cfg.unexpected_cap != 0) cfg.reliable = true;
   // "FAIRMPI_TRACE=1" alone should record something exportable.
   if (cfg.trace_enabled && cfg.trace_entries == 0) cfg.trace_entries = 1 << 16;

@@ -115,8 +115,7 @@ MatchEngine::Unexpected* MatchEngine::find_unexpected(int src, int tag, PeerStat
   return best;
 }
 
-std::size_t MatchEngine::match_one(spc::CounterSet::Cursor& ctr, fabric::Packet&& pkt,
-                                   bool direct, Admission* admission) {
+std::size_t MatchEngine::match_one(spc::CounterSet::Cursor& ctr, fabric::Packet&& pkt) {
   const int src = static_cast<int>(pkt.hdr.src_rank);
   const int tag = pkt.hdr.tag;
   PeerState& ps = peer(src);
@@ -153,35 +152,8 @@ std::size_t MatchEngine::match_one(spc::CounterSet::Cursor& ctr, fabric::Packet&
     return 1;
   }
 
-  // No posted receive: the message goes unexpected — the resource bounded
-  // admission caps (DESIGN.md §5h). At cap incoming() paused every kQueue
-  // packet, so only a kShed head reaches here; it is shed. A reorder-drain
-  // packet (direct=false) was acked when it parked, so shedding it would be
-  // silent loss: it is admitted, and incoming()'s park limit bounds how
-  // many follow the head. The uncapped configuration pays one null-pointer
-  // branch here.
-  if (lim_ != nullptr && direct) {
-    if (lim_->unexpected_cap != 0 && lim_->unexpected_policy == overload::Policy::kShed &&
-        ps.unexpected_n >= lim_->unexpected_cap) {
-      // Shed at admission. The sequence number stays consumed (the caller
-      // already advanced expected_seq), so the retransmit hits the
-      // duplicate path — the shed ring there re-NACKs it. The rank answers
-      // this packet with kNack instead of an ack, failing the sender's
-      // tracked op typed kReceiverOverloaded.
-      ps.shed_seqs[ps.shed_n % kShedMemory] = pkt.hdr.seq;
-      ++ps.shed_n;
-      ctr.add(Counter::kOverloadShedMessages);
-      if (tracer_ != nullptr) {
-        tracer_->record(trace::Event::kOverloadShed,
-                        static_cast<std::uint32_t>(src), pkt.hdr.seq);
-      }
-      if (admission != nullptr) *admission = Admission::kShed;
-      fabric::Packet drop = std::move(pkt);
-      static_cast<void>(drop);
-      return 0;
-    }
-  }
-
+  // No posted receive: the message goes unexpected. Under a cap,
+  // match_arrival's admission already bounds the queue (DESIGN.md §5h).
   ctr.add(Counter::kUnexpectedMessages);
   Unexpected* node = unexpected_pool_.acquire();
   node->arrival = arrival_stamp_++;
@@ -256,24 +228,21 @@ std::size_t MatchEngine::match_arrival(spc::CounterSet::Cursor& ctr, fabric::Pac
   PeerState& ps = peer(src);
   // §5h admission: hold a packet back *before* the sequence stream consumes
   // it, so the sender re-presents it later (a cap implies `reliable`, so
-  // its retransmit clock always runs). The policies differ only at the
-  // queue's cap: kQueue pauses every packet unanswered, so the backed-off
-  // retransmit clock waits out the slow consumer and a receiver waiting on
-  // the head can always get it; kShed admits the head to match_one, which
-  // NACKs it unless a posted receive takes it. Below that, one park limit
-  // for both policies: a packet parks only while its distance ahead of the
-  // in-order frontier plus the unexpected count stays below the cap, else
-  // it is deferred and answered kDefer, so its sender re-presents it on the
-  // base rto, uncharged. The head admits parked packets unconditionally
-  // when it drains them (they were acked when they parked), but each
-  // admitted head or drained packet moves the frontier and the queue by
-  // one, so unexpected + farthest parked distance never grows while
-  // anything is parked: fewer than cap packets park and the unexpected
-  // queue never exceeds cap.
+  // its retransmit clock always runs). With the queue at cap every packet
+  // pauses unanswered, so the backed-off retransmit clock waits out the
+  // slow consumer. Below the cap, a packet parks only while its distance
+  // ahead of the in-order frontier plus the unexpected count stays below
+  // the cap, else it is deferred and answered kDefer, so its sender
+  // re-presents it on the base rto, uncharged. The head admits parked
+  // packets unconditionally when it drains them (they were acked when they
+  // parked), but each admitted head or drained packet moves the frontier
+  // and the queue by one, so unexpected + farthest parked distance never
+  // grows while anything is parked: fewer than cap packets park and the
+  // unexpected queue never exceeds cap.
   if (admission != nullptr && lim_ != nullptr && lim_->unexpected_cap != 0) {
     const std::size_t cap = lim_->unexpected_cap;
-    if (ps.unexpected_n >= cap && lim_->unexpected_policy == overload::Policy::kQueue) {
-      // Counted and traced per refused packet, as a kShed shed is.
+    if (ps.unexpected_n >= cap) {
+      // Counted and traced per refused packet.
       ctr.add(Counter::kOverloadPausedPackets);
       if (tracer_ != nullptr) {
         tracer_->record(trace::Event::kOverloadPause, static_cast<std::uint32_t>(src),
@@ -304,17 +273,9 @@ std::size_t MatchEngine::match_arrival(spc::CounterSet::Cursor& ctr, fabric::Pac
       fresh = ps.seen->mark(pkt.hdr.seq);
     }
     if (fresh) {
-      completions = match_one(ctr, std::move(pkt), /*direct=*/true, admission);
+      completions = match_one(ctr, std::move(pkt));
     } else {
-      // The SeenTracker marked the seq when the original arrived — which
-      // includes originals that were then shed. Those must be re-NACKed,
-      // not re-acked (an ack would retire the sender's tracker entry and
-      // the shed would never surface typed).
-      if (admission != nullptr && ps.was_shed(pkt.hdr.seq)) {
-        *admission = Admission::kShedDuplicate;
-      } else if (admission != nullptr) {
-        *admission = Admission::kDuplicate;
-      }
+      if (admission != nullptr) *admission = Admission::kDuplicate;
       ctr.add(Counter::kDupDiscards);
     }
   } else {
@@ -330,14 +291,7 @@ std::size_t MatchEngine::match_arrival(spc::CounterSet::Cursor& ctr, fabric::Pac
       if (reliable_) {
         const bool already_parked = future && ps.holds(seq);
         if (!future || already_parked) {
-          // A shed consumes its seq (expected_seq advanced past it), so a
-          // retransmit of a shed packet lands here as !future. Re-NACK it
-          // from the shed ring; any other repeat re-acks as a duplicate.
-          if (admission != nullptr && !future && ps.was_shed(seq)) {
-            *admission = Admission::kShedDuplicate;
-          } else if (admission != nullptr) {
-            *admission = Admission::kDuplicate;
-          }
+          if (admission != nullptr) *admission = Admission::kDuplicate;
           ctr.add(Counter::kDupDiscards);
         } else {
           ctr.add(Counter::kOutOfSequence);
@@ -350,18 +304,17 @@ std::size_t MatchEngine::match_arrival(spc::CounterSet::Cursor& ctr, fabric::Pac
       }
     } else {
       ++ps.expected_seq;
-      completions += match_one(ctr, std::move(pkt), /*direct=*/true, admission);
+      completions += match_one(ctr, std::move(pkt));
       // Drain parked messages that are now in order: ring first (the
-      // common case), then the spill map.
-      // Drained packets were acked when they parked, so they pass
-      // direct=false (never shed) and report no admission verdict.
+      // common case), then the spill map. Drained packets were acked when
+      // they parked, so they report no admission verdict.
       for (;;) {
         const std::uint32_t e = ps.expected_seq;
         if (ps.reorder.parked(e)) {
           fabric::Packet next = ps.reorder.take(e);
           --reorder_total_;
           ++ps.expected_seq;
-          completions += match_one(ctr, std::move(next), /*direct=*/false, nullptr);
+          completions += match_one(ctr, std::move(next));
           continue;
         }
         if (!ps.spill.empty()) {
@@ -371,7 +324,7 @@ std::size_t MatchEngine::match_arrival(spc::CounterSet::Cursor& ctr, fabric::Pac
             ps.spill.erase(it);
             --reorder_total_;
             ++ps.expected_seq;
-            completions += match_one(ctr, std::move(next), /*direct=*/false, nullptr);
+            completions += match_one(ctr, std::move(next));
             continue;
           }
         }

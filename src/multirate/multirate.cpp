@@ -4,11 +4,13 @@
 #include <array>
 #include <atomic>
 #include <barrier>
+#include <deque>
 #include <fstream>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "fairmpi/common/align.hpp"
 #include "fairmpi/common/error.hpp"
 #include "fairmpi/common/timing.hpp"
 #include "fairmpi/core/universe.hpp"
@@ -139,6 +141,94 @@ class FailureTally {
   Cells reported_{};
 };
 
+/// End of run for the senders and receivers of one message stream, so no
+/// sent message is left without a receiver. When its receivers leave the
+/// timed loop, each sender stops and publishes how many messages it sent;
+/// the receivers keep receiving (and the senders keep progressing, for
+/// retransmits) until every one of them has arrived. A reliable stream
+/// loses no message, so the count is reached; only a retransmit-exhausted
+/// packet, a sequence hole, can hold it back (ROADMAP item 1).
+class alignas(kCacheLine) DrainBook {
+ public:
+  DrainBook(int receivers, int senders) : receivers_(receivers), senders_(senders) {}
+
+  /// A receiver left its timed loop; senders stop once all have.
+  void receiver_stopped() noexcept { receivers_.fetch_sub(1, std::memory_order_release); }
+  bool stopping() const noexcept { return receivers_.load(std::memory_order_acquire) == 0; }
+
+  /// A stopped sender's final count of messages sent.
+  void publish(std::uint64_t sent) noexcept {
+    sent_.fetch_add(sent, std::memory_order_relaxed);
+    senders_.fetch_sub(1, std::memory_order_release);
+  }
+
+  /// Count `n` settled receives: a message each that succeeded, else a
+  /// failure.
+  void note(const Request* reqs, std::size_t n, FailureTally& failures) noexcept {
+    std::uint64_t ok = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (reqs[i].failed()) failures.recv(reqs[i]); else ++ok;
+    }
+    received_.fetch_add(ok, std::memory_order_relaxed);
+  }
+
+  /// Every sender has published and every message it sent was received.
+  bool drained() const noexcept {
+    // Acquire on the sender count orders the published totals before it.
+    return senders_.load(std::memory_order_acquire) == 0 &&
+           received_.load(std::memory_order_relaxed) >= sent_.load(std::memory_order_relaxed);
+  }
+
+  /// Hold a stopped sender's rank in progress until the book drains, so
+  /// the receivers get the retransmits of whatever the fabric dropped.
+  void progress_until_drained(Rank& rank) const {
+    SpinWait waiter;
+    while (!drained()) {
+      if (rank.progress() == 0) waiter.pause(); else waiter.reset();
+    }
+  }
+
+  /// A receiver's drain after its timed loop: post `reqs` a window at a
+  /// time through `post(i)`, calling `ack()` for each window that fills,
+  /// until the book has every sent message. The receives then still
+  /// posted are surplus: cancelled and not counted as failures.
+  template <typename Post, typename Ack>
+  void receive_until_drained(Rank& rank, std::vector<Request>& reqs, FailureTally& failures,
+                             Post post, Ack ack) {
+    std::vector<char> settled(reqs.size());
+    while (!drained()) {
+      for (std::size_t i = 0; i < reqs.size(); ++i) post(i);
+      std::fill(settled.begin(), settled.end(), 0);
+      std::size_t n = 0;
+      SpinWait waiter;
+      while (n < reqs.size() && !drained()) {
+        for (std::size_t i = 0; i < reqs.size(); ++i) {
+          if (settled[i] == 0 && reqs[i].done()) {
+            settled[i] = 1;
+            ++n;
+            note(&reqs[i], 1, failures);
+          }
+        }
+        if (rank.progress() == 0) waiter.pause(); else waiter.reset();
+      }
+      if (n == reqs.size()) ack();
+      for (std::size_t i = 0; i < reqs.size(); ++i) {
+        if (settled[i] != 0 || reqs[i].cancel()) continue;
+        // Lost the cancel to a match: a message beyond the published
+        // counts, which only a sender that miscounted could produce.
+        while (!reqs[i].done()) rank.progress();
+        note(&reqs[i], 1, failures);
+      }
+    }
+  }
+
+ private:
+  std::atomic<int> receivers_;
+  std::atomic<int> senders_;
+  std::atomic<std::uint64_t> sent_{0};
+  std::atomic<std::uint64_t> received_{0};
+};
+
 }  // namespace
 
 std::uint64_t FailureCounts::total() const noexcept {
@@ -185,10 +275,19 @@ MultirateResult run_pairwise(const MultirateConfig& cfg) {
 
   std::atomic<bool> timing{false};
   std::atomic<bool> stop{false};
-  std::atomic<int> receivers_done{0};
   std::atomic<std::uint64_t> delivered{0};
   // +1 for the coordinator thread that runs the clock.
   std::barrier sync(cfg.pairs * 2 + 1);
+
+  // One drain book per stream a receiver can take from: a pair's own,
+  // except that ANY_TAG receivers on the shared communicator take from
+  // every sender, so all pairs share one book.
+  const bool shared_book = cfg.any_tag && !cfg.comm_per_pair && !cfg.process_mode;
+  std::deque<DrainBook> books;
+  for (int b = 0; b < (shared_book ? 1 : cfg.pairs); ++b) {
+    books.emplace_back(shared_book ? cfg.pairs : 1, shared_book ? cfg.pairs : 1);
+  }
+  const auto book_of = [&](int p) -> DrainBook& { return books[shared_book ? 0 : p]; };
 
   // Window-credit flow control: the receiver acknowledges every consumed
   // window with a zero-byte message; the sender keeps at most kCredit
@@ -197,9 +296,9 @@ MultirateResult run_pairwise(const MultirateConfig& cfg) {
   constexpr int kCredit = 2;
   constexpr int kAckTagBase = 1 << 20;
 
-  // Ack requests outlive the sender threads: a sender that bails out early
-  // (all receivers done) may leave acks posted in the matching engine, and
-  // another thread's progress call must not touch freed requests.
+  // Ack requests outlive the sender threads: a stopped sender may leave
+  // acks posted in the matching engine, and another thread's progress call
+  // must not touch freed requests.
   std::vector<std::vector<std::unique_ptr<Request>>> ack_storage(
       static_cast<std::size_t>(cfg.pairs));
 
@@ -211,26 +310,28 @@ MultirateResult run_pairwise(const MultirateConfig& cfg) {
     Request req;
     auto& acks = ack_storage[static_cast<std::size_t>(p)];
     std::size_t next_wait = 0;
-    auto all_receivers_done = [&] {
-      return receivers_done.load(std::memory_order_acquire) >= cfg.pairs;
-    };
-    while (!all_receivers_done()) {
-      for (int i = 0; i < cfg.window && !all_receivers_done(); ++i) {
+    DrainBook& book = book_of(p);
+    std::uint64_t sent = 0;
+    while (!book.stopping()) {
+      for (int i = 0; i < cfg.window && !book.stopping(); ++i) {
         ep.sender->isend(ep.comm, dst, ep.tag, payload.data(), n, req);
+        if (!req.failed()) ++sent;
       }
       acks.push_back(std::make_unique<Request>());
       ep.sender->irecv(ep.comm, dst, ack_tag, nullptr, 0, *acks.back());
       if (acks.size() - next_wait >= kCredit) {
         Request& pending = *acks[next_wait];
-        // The receiver stops acknowledging once stopped; bail out then.
+        // A stopped receiver acks only the windows it fills; leave then.
         SpinWait waiter;
-        while (!pending.done() && !all_receivers_done()) {
+        while (!pending.done() && !book.stopping()) {
           if (ep.sender->progress() == 0) waiter.pause(); else waiter.reset();
         }
         failures.recv(pending);
         ++next_wait;
       }
     }
+    book.publish(sent);
+    book.progress_until_drained(*ep.sender);
   };
 
   auto receiver_fn = [&](int p) {
@@ -244,24 +345,27 @@ MultirateResult run_pairwise(const MultirateConfig& cfg) {
     for (auto& r : reqs) ptrs.push_back(&r);
     std::vector<std::uint8_t> buf((n ? n : 1) * static_cast<std::size_t>(cfg.window));
 
+    const auto post = [&](std::size_t i) {
+      ep.receiver->irecv(ep.comm, src, tag, buf.data() + i * (n ? n : 1), n, reqs[i]);
+    };
+    Request ack;
+    const auto send_ack = [&] { ep.receiver->isend(ep.comm, src, ack_tag, nullptr, 0, ack); };
+    DrainBook& book = book_of(p);
+
     sync.arrive_and_wait();
     std::uint64_t my_count = 0;
-    Request ack;
     while (!stop.load(std::memory_order_acquire)) {
-      for (int i = 0; i < cfg.window; ++i) {
-        ep.receiver->irecv(ep.comm, src, tag,
-                           buf.data() + static_cast<std::size_t>(i) * (n ? n : 1), n,
-                           reqs[static_cast<std::size_t>(i)]);
-      }
+      for (std::size_t i = 0; i < reqs.size(); ++i) post(i);
       ep.receiver->wait_all(ptrs.data(), ptrs.size());
-      for (const Request& r : reqs) failures.recv(r);
-      ep.receiver->isend(ep.comm, src, ack_tag, nullptr, 0, ack);
+      book.note(reqs.data(), reqs.size(), failures);
+      send_ack();
       if (timing.load(std::memory_order_acquire)) {
         my_count += static_cast<std::uint64_t>(cfg.window);
       }
     }
     delivered.fetch_add(my_count, std::memory_order_relaxed);
-    receivers_done.fetch_add(1, std::memory_order_release);
+    book.receiver_stopped();
+    book.receive_until_drained(*ep.receiver, reqs, failures, post, send_ack);
   };
 
   std::vector<std::thread> threads;
@@ -324,7 +428,7 @@ MultirateResult run_incast(const MultirateConfig& cfg) {
 
   std::atomic<bool> timing{false};
   std::atomic<bool> stop{false};
-  std::atomic<bool> receiver_done{false};
+  DrainBook book(1, cfg.pairs);
   std::atomic<std::uint64_t> delivered{0};
   // Aggregate flow control: senders stay at most kMaxInFlight messages
   // ahead of the receiver's consumption, bounding the unexpected-queue
@@ -339,7 +443,8 @@ MultirateResult run_incast(const MultirateConfig& cfg) {
     sync.arrive_and_wait();
     Request req;
     SpinWait waiter;
-    while (!receiver_done.load(std::memory_order_acquire)) {
+    std::uint64_t sent = 0;
+    while (!book.stopping()) {
       if (injected.load(std::memory_order_relaxed) -
               consumed.load(std::memory_order_acquire) >=
           kMaxInFlight) {
@@ -350,7 +455,10 @@ MultirateResult run_incast(const MultirateConfig& cfg) {
       waiter.reset();
       sender_rank.isend(kWorldComm, 1, kTag, payload.data(), n, req);
       injected.fetch_add(1, std::memory_order_relaxed);
+      if (!req.failed()) ++sent;
     }
+    book.publish(sent);
+    book.progress_until_drained(sender_rank);
   };
 
   auto receiver_fn = [&] {
@@ -358,23 +466,23 @@ MultirateResult run_incast(const MultirateConfig& cfg) {
     std::vector<Request*> ptrs;
     for (auto& r : reqs) ptrs.push_back(&r);
     std::vector<std::uint8_t> buf((n ? n : 1) * static_cast<std::size_t>(cfg.window));
+    const auto post = [&](std::size_t i) {
+      receiver_rank.irecv(kWorldComm, 0, kTag, buf.data() + i * (n ? n : 1), n, reqs[i]);
+    };
     sync.arrive_and_wait();
     std::uint64_t my_count = 0;
     while (!stop.load(std::memory_order_acquire)) {
-      for (int i = 0; i < cfg.window; ++i) {
-        receiver_rank.irecv(kWorldComm, 0, kTag,
-                            buf.data() + static_cast<std::size_t>(i) * (n ? n : 1), n,
-                            reqs[static_cast<std::size_t>(i)]);
-      }
+      for (std::size_t i = 0; i < reqs.size(); ++i) post(i);
       receiver_rank.wait_all(ptrs.data(), ptrs.size());
-      for (const Request& r : reqs) failures.recv(r);
+      book.note(reqs.data(), reqs.size(), failures);
       consumed.fetch_add(static_cast<std::uint64_t>(cfg.window), std::memory_order_release);
       if (timing.load(std::memory_order_acquire)) {
         my_count += static_cast<std::uint64_t>(cfg.window);
       }
     }
     delivered.store(my_count, std::memory_order_relaxed);
-    receiver_done.store(true, std::memory_order_release);
+    book.receiver_stopped();
+    book.receive_until_drained(receiver_rank, reqs, failures, post, [] {});
   };
 
   std::vector<std::thread> threads;

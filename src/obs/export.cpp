@@ -262,12 +262,8 @@ void Universe::dump_observability(std::ostream& os) const {
          << ", \"tracker_in_flight\": "
          << (rank.tracker_ != nullptr ? rank.tracker_->in_flight() : 0)
          << ", \"unexpected_cap\": " << lim->unexpected_cap
-         << ", \"unexpected_policy\": \"" << overload::policy_name(lim->unexpected_policy)
-         << "\", \"pool_cap_bytes\": " << lim->pool_cap_bytes
-         << ", \"pool_policy\": \"" << overload::policy_name(lim->pool_policy)
-         << "\", \"tracker_cap\": " << lim->tracker_cap
-         << ", \"tracker_policy\": \"" << overload::policy_name(lim->tracker_policy)
-         << "\"}";
+         << ", \"pool_cap_bytes\": " << lim->pool_cap_bytes
+         << ", \"tracker_cap\": " << lim->tracker_cap << "}";
     }
     os << ", \"spc\": ";
     emit_spc(os, snap, "    ");

@@ -115,19 +115,6 @@ std::size_t ReliabilityTracker::ack_range(const PacketKey& first, std::uint32_t 
   return retired;
 }
 
-bool ReliabilityTracker::nack(const PacketKey& key, Failure* out) {
-  Shard& shard = shard_of(key);
-  LockGuard guard(shard.lock);
-  const Entry* e = shard.inflight.find(key);
-  if (e == nullptr) return false;
-  if (out != nullptr) {
-    *out = Failure{key, e->retries, common::ErrorCode::kReceiverOverloaded};
-  }
-  shard.inflight.erase(key);
-  in_flight_.fetch_sub(1, std::memory_order_relaxed);
-  return true;
-}
-
 void ReliabilityTracker::defer(const PacketKey& key, std::uint64_t now_ns) {
   Shard& shard = shard_of(key);
   LockGuard guard(shard.lock);

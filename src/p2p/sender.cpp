@@ -87,38 +87,26 @@ common::ErrorCode eager_send(CommState& comm, cri::CriPool& pool,
   pkt.hdr.tag = tag;
 
   // One admission loop (DESIGN.md §5h), before the sequence number is
-  // ticketed: a send that leaves it typed (shed, deadline, cancel, budget,
-  // peer death) never leaves a hole in the peer's ordered stream. Three
-  // caps, in order:
-  //   - the reliability window, an in-flight cap that always waits (acks
-  //     self-clock a flood; a peer that never acks is the same livelock as
-  //     one that never drains, so it burns the same retry budget);
+  // ticketed: a send that leaves it typed (deadline, cancel, budget, peer
+  // death) never leaves a hole in the peer's ordered stream. Three caps,
+  // in order, and each refused one waits:
+  //   - the reliability window (acks self-clock a flood; a peer that never
+  //     acks is the same livelock as one that never drains, so it burns
+  //     the same retry budget);
   //   - the tracker cap, and
   //   - the payload-pool cap, charged where the payload buffer is made;
   //     the tracker's retransmit master shares that buffer, so it charges
   //     nothing.
-  // At a refused cap that cap's policy decides: kShed fails the send typed
-  // kLocalOverloaded, kQueue waits. Uncapped, unreliable sends pass on the
-  // first iteration.
+  // Uncapped, unreliable sends pass on the first iteration.
   const overload::Limits* lim = policy.limits;
   const std::uint64_t pool_cap = lim != nullptr ? lim->pool_cap_bytes : 0;
+  const std::size_t tracker_cap = lim != nullptr ? lim->tracker_cap : 0;
   for (;;) {
-    overload::Policy at_cap = overload::Policy::kQueue;
     const std::size_t in_flight = policy.tracker != nullptr ? policy.tracker->in_flight() : 0;
-    if (policy.window != 0 && in_flight >= policy.window) {
-      // the window always waits
-    } else if (lim != nullptr && lim->tracker_at_cap(in_flight)) {
-      at_cap = lim->tracker_policy;
-    } else if (pkt.set_payload(buf, n, pool_cap)) {
-      break;
-    } else {
-      // Only a pool cap refuses a buffer, so `lim` is set.
-      at_cap = lim->pool_policy;
-    }
-    if (at_cap == overload::Policy::kShed) {
-      req.fail(common::ErrorCode::kLocalOverloaded);
-      return common::ErrorCode::kLocalOverloaded;
-    }
+    const bool refused = (policy.window != 0 && in_flight >= policy.window) ||
+                         (tracker_cap != 0 && in_flight >= tracker_cap) ||
+                         !pkt.set_payload(buf, n, pool_cap);
+    if (!refused) break;
     const common::ErrorCode rc = wait_tick(nullptr);
     if (rc != common::ErrorCode::kOk) return rc;
   }

@@ -45,9 +45,6 @@ const char* counter_name(Counter c) noexcept {
     case Counter::kFtDeaths: return "FtDeaths";
     case Counter::kFtPeerFailedOps: return "FtPeerFailedOps";
     case Counter::kFtRevokedOps: return "FtRevokedOps";
-    case Counter::kOverloadShedMessages: return "OverloadShedMessages";
-    case Counter::kOverloadNacksSent: return "OverloadNacksSent";
-    case Counter::kOverloadNacksReceived: return "OverloadNacksReceived";
     case Counter::kOverloadPausedPackets: return "OverloadPausedPackets";
     case Counter::kCancelledOps: return "CancelledOps";
     case Counter::kDeadlineExceededOps: return "DeadlineExceededOps";

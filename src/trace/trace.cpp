@@ -27,7 +27,6 @@ const char* event_name(Event e) noexcept {
     case Event::kPeerSuspect: return "PeerSuspect";
     case Event::kPeerDead: return "PeerDead";
     case Event::kCommRevoke: return "CommRevoke";
-    case Event::kOverloadShed: return "OverloadShed";
     case Event::kOverloadPause: return "OverloadPause";
     case Event::kCancel: return "Cancel";
     case Event::kDeadline: return "Deadline";

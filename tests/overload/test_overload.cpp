@@ -1,7 +1,7 @@
 // Overload control & graceful degradation tests (DESIGN.md §5h): bounded
-// admission (kShed with receiver NACKs, kQueue with sender backpressure),
-// sender-side pool/tracker caps, request cancellation, per-op deadlines,
-// quiesce timeout diagnostics, and the observability surface.
+// admission (the receiver pauses or defers, the sender waits), sender-side
+// pool/tracker caps, request cancellation, per-op deadlines, quiesce
+// timeout diagnostics, and the observability surface.
 //
 // Every blocking drive is wall-clock bounded, so a regression that
 // reintroduces a hang fails the test instead of wedging the suite. Suite
@@ -73,172 +73,98 @@ struct ErrorCapture {
   bool saw(ErrorCode code) { return count(code) != 0; }
 };
 
-// --- bounded admission: kShed (receiver drops + NACKs) ---
+// --- bounded admission: the queue at cap pauses, nothing is lost ---
 
-TEST(Overload, ShedFloodExactAccounting) {
-  // One producer floods a consumer that posts nothing: the first `cap`
-  // messages park as unexpected, every later one is shed and NACKed. The
-  // flood must stay fully accounted: admitted + shed == sent, every shed
-  // surfaced typed kReceiverOverloaded at the sender, and the export must
-  // show the full queue, then the empty one after the drain.
-  // Pins its own fabric: the chaos env profile would override it.
-  test_support::ScopedChaosEnvClear clear_env;
-  constexpr std::size_t kCap = 8;
-  constexpr int kSent = 64;
-  Config cfg;
-  cfg.reliable = true;  // NACKs need the reliability tracker
-  cfg.unexpected_cap = kCap;
-  cfg.unexpected_policy = overload::Policy::kShed;
-  // Slow retransmit clock: a pristine fabric needs none, and an early
-  // retransmit racing its own NACK would only add (correct but noisy)
-  // shed-duplicate traffic to the accounting below.
-  cfg.rto_ns = 2'000'000'000ULL;
-  cfg.rto_max_ns = 4'000'000'000ULL;
-  Universe uni(cfg);
-  ErrorCapture sender_errors;
-  uni.rank(0).set_error_sink(ErrorCapture::sink, &sender_errors);
-
-  std::atomic<bool> sent_all{false};
-  std::thread producer([&] {
-    char byte = 'x';
-    for (int i = 0; i < kSent; ++i) {
-      Request req;
-      uni.rank(0).isend(kWorldComm, 1, /*tag=*/5, &byte, 1, req);
-      uni.rank(0).wait(req);  // eager: completes at injection
-    }
-    sent_all.store(true, std::memory_order_release);
-  });
-  // Consumer progresses (so it sheds + NACKs) but posts no receives until
-  // the flood is over and every sender-side tracker entry is settled.
-  ASSERT_TRUE(drive(uni, {0, 1}, [&] {
-    return sent_all.load(std::memory_order_acquire) &&
-           sender_errors.count(ErrorCode::kReceiverOverloaded) ==
-               kSent - kCap;
-  }));
-  producer.join();
-
-  auto& match = uni.rank(1).comm_state(kWorldComm).match();
-  EXPECT_EQ(match.unexpected_count(), kCap);
-  const auto consumer = uni.rank(1).counters().snapshot();
-  EXPECT_EQ(consumer.get(Counter::kOverloadShedMessages), kSent - kCap);
-  EXPECT_EQ(consumer.get(Counter::kOverloadNacksSent), kSent - kCap);
-  // The export reads the still-full queue at dump time: one peer at cap.
-  EXPECT_NE(overload_export(uni, 1).find("\"unexpected_total\": 8, \"peers_at_cap\": 1,"),
-            std::string::npos)
-      << overload_export(uni, 1);
-
-  // Drain: exactly the admitted messages are deliverable.
-  std::size_t delivered = 0;
-  for (std::size_t i = 0; i < kCap; ++i) {
-    Request req;
-    char got = 0;
-    uni.rank(1).irecv(kWorldComm, 0, 5, &got, 1, req);
-    ASSERT_TRUE(drive(uni, {0, 1}, [&] { return req.done(); }));
-    if (!req.failed()) ++delivered;
-  }
-  EXPECT_EQ(delivered, kCap);
-  // Exact accounting: Σ admitted + Σ shed == Σ sent.
-  const auto after = uni.rank(1).counters().snapshot();
-  EXPECT_EQ(after.get(Counter::kMessagesReceived) +
-                after.get(Counter::kOverloadShedMessages),
-            static_cast<std::uint64_t>(kSent));
-  // Drained: the export reads the empty queue, with no sampling window.
-  EXPECT_NE(overload_export(uni, 1).find("\"unexpected_total\": 0, \"peers_at_cap\": 0,"),
-            std::string::npos)
-      << overload_export(uni, 1);
-}
-
-TEST(Overload, ShedMultiProducerPerPeerCap) {
+TEST(Overload, QueueMultiProducerPerPeerCap) {
   // 3 producers vs 1 slow consumer (the seeded 4:1 incast): the cap is
-  // per-peer, so each producer gets its own admitted quota and its own
-  // shed count; the totals must still balance exactly.
-  // Pins its own fabric: the chaos env profile would override it.
-  test_support::ScopedChaosEnvClear clear_env;
+  // per-peer, so while the consumer idles each producer fills its own
+  // quota and no more, and one aggressive peer cannot consume another's.
+  // Every later packet is paused unanswered; once the consumer reads,
+  // the retransmit clock re-presents them, so every message arrives
+  // exactly once, in order per producer, and no send fails.
+  // Pins its own fabric and cap: the chaos env profile would override them.
+  test_support::ScopedChaosEnvClear clear_env(/*caps=*/true);
   constexpr std::size_t kCap = 4;
-  constexpr int kPerProducer = 32;
+  constexpr std::uint32_t kPerProducer = 32;
   Config cfg;
   cfg.num_ranks = 4;
-  cfg.reliable = true;
   cfg.unexpected_cap = kCap;
-  cfg.unexpected_policy = overload::Policy::kShed;
-  cfg.rto_ns = 2'000'000'000ULL;
-  cfg.rto_max_ns = 4'000'000'000ULL;
+  cfg.rto_ns = 200'000;  // paused packets re-present promptly
+  cfg.rto_max_ns = 2'000'000;
+  cfg.max_retries = 1'000'000;  // pausing is backpressure, not exhaustion
   Universe uni(cfg);
   std::vector<ErrorCapture> errors(3);
   for (int r = 1; r < 4; ++r) {
     uni.rank(r).set_error_sink(ErrorCapture::sink, &errors[r - 1]);
   }
 
-  std::atomic<int> done_producers{0};
   std::vector<std::thread> producers;
   for (int r = 1; r < 4; ++r) {
     producers.emplace_back([&, r] {
-      char byte = static_cast<char>('a' + r);
-      for (int i = 0; i < kPerProducer; ++i) {
+      for (std::uint32_t i = 0; i < kPerProducer; ++i) {
+        const std::uint32_t value = static_cast<std::uint32_t>(r) * 1000 + i;
         Request req;
-        uni.rank(r).isend(kWorldComm, 0, /*tag=*/9, &byte, 1, req);
+        uni.rank(r).isend(kWorldComm, 0, /*tag=*/9, &value, sizeof value, req);
         uni.rank(r).wait(req);
       }
-      done_producers.fetch_add(1, std::memory_order_release);
     });
   }
-  ASSERT_TRUE(drive(uni, {0, 1, 2, 3}, [&] {
-    if (done_producers.load(std::memory_order_acquire) != 3) return false;
-    std::size_t nacked = 0;
-    for (auto& e : errors) nacked += e.count(ErrorCode::kReceiverOverloaded);
-    return nacked == 3 * (kPerProducer - kCap);
-  }));
-  for (auto& t : producers) t.join();
-
   auto& match = uni.rank(0).comm_state(kWorldComm).match();
+  ASSERT_TRUE(drive(uni, {0, 1, 2, 3}, [&] { return match.peers_at_cap() == 3; }));
   EXPECT_EQ(match.unexpected_count(), 3 * kCap);
-  // Every producer was shed the same amount — the cap is per-peer, so one
-  // aggressive peer cannot consume another's quota.
-  for (auto& e : errors) {
-    EXPECT_EQ(e.count(ErrorCode::kReceiverOverloaded), kPerProducer - kCap);
-  }
-  // Drain everything admitted and balance the books.
-  for (std::size_t i = 0; i < 3 * kCap; ++i) {
+
+  // Read everything: each producer's messages once each, in send order.
+  std::vector<std::uint32_t> next(4, 0);
+  for (std::uint32_t i = 0; i < 3 * kPerProducer; ++i) {
     Request req;
-    char got = 0;
-    uni.rank(0).irecv(kWorldComm, kAnySource, 9, &got, 1, req);
-    ASSERT_TRUE(drive(uni, {0, 1, 2, 3}, [&] { return req.done(); }));
-    EXPECT_FALSE(req.failed());
+    std::uint32_t got = 0;
+    uni.rank(0).irecv(kWorldComm, kAnySource, 9, &got, sizeof got, req);
+    ASSERT_TRUE(drive(uni, {0, 1, 2, 3}, [&] { return req.done(); })) << i;
+    ASSERT_FALSE(req.failed());
+    const std::size_t src = static_cast<std::size_t>(req.status().source);
+    ASSERT_TRUE(src >= 1 && src <= 3) << src;
+    EXPECT_EQ(got, src * 1000 + next[src]);
+    ++next[src];
   }
-  const auto snap = uni.rank(0).counters().snapshot();
-  EXPECT_EQ(snap.get(Counter::kMessagesReceived) +
-                snap.get(Counter::kOverloadShedMessages),
-            static_cast<std::uint64_t>(3 * kPerProducer));
+  for (auto& t : producers) t.join();
+  for (int r = 1; r < 4; ++r) EXPECT_EQ(next[static_cast<std::size_t>(r)], kPerProducer);
+  // Nothing beyond the sent messages: every tracked send was acked and no
+  // copy waits in the queues.
+  ASSERT_TRUE(drive(uni, {0, 1, 2, 3}, [&] {
+    for (int r = 1; r < 4; ++r) {
+      if (uni.rank(r).reliability()->in_flight() != 0) return false;
+    }
+    return true;
+  }));
+  EXPECT_EQ(match.unexpected_count(), 0u);
+  EXPECT_EQ(match.reorder_buffered(), 0u);
+  EXPECT_EQ(uni.rank(0).counters().get(Counter::kMessagesReceived), 3 * kPerProducer);
+  for (auto& e : errors) EXPECT_TRUE(e.errors.empty());
 }
 
-// --- bounded admission: one park limit for both policies ---
+// --- bounded admission: one park limit ---
 
 /// One capped flood: rank 0 sends kSent messages to a slow consumer on
 /// rank 1 that reads one at a time, sampling its queues on every progress
-/// visit. Under both policies the receiver defers a packet whose distance
-/// ahead of the in-order frontier plus the unexpected count reaches the
-/// cap, so fewer than kCap packets ever park and the queue never exceeds
-/// kCap, on any placement and on a lossy fabric. The policies differ only
-/// with the queue at cap: kQueue pauses every packet unanswered, so
-/// nothing is lost; kShed NACKs the in-sequence head, so the books balance
-/// as received + shed == sent with every shed surfaced typed exactly once
-/// at the sender. With `fill_first` the consumer posts
-/// nothing until the queue is refused at cap (kQueue pauses a packet, kShed
-/// sheds one), so the bound is checked with the queue full;
-/// without it the consumer streams from the start, so fresh packets keep
-/// arriving while a deferred head waits. A nonzero `drop` runs the flood
-/// over a seeded lossy fabric, where gaps in the sequence stream are
-/// normal and parking is what the park limit bounds.
-void check_queue_flood(overload::Policy policy, bool fill_first, double drop) {
+/// visit. The receiver defers a packet whose distance ahead of the
+/// in-order frontier plus the unexpected count reaches the cap, so fewer
+/// than kCap packets ever park and the queue never exceeds kCap, on any
+/// placement and on a lossy fabric. With the queue at cap every packet is
+/// paused unanswered, so nothing is lost and no send fails. With
+/// `fill_first` the consumer posts nothing until a packet is paused at
+/// cap, so the bound is checked with the queue full; without it the
+/// consumer streams from the start, so fresh packets keep arriving while a
+/// deferred head waits. A nonzero `drop` runs the flood over a seeded
+/// lossy fabric, where gaps in the sequence stream are normal and parking
+/// is what the park limit bounds.
+void check_queue_flood(bool fill_first, double drop) {
   constexpr std::size_t kCap = 16;
   constexpr int kSent = 256;
-  const bool shed_policy = policy == overload::Policy::kShed;
   // A lossy row pins its own fabric: the chaos env profile would override it.
   std::optional<test_support::ScopedChaosEnvClear> clear_env;
   if (drop > 0.0) clear_env.emplace();
   Config cfg;
   cfg.unexpected_cap = kCap;  // implies reliable: deferral needs the retransmit clock
-  cfg.unexpected_policy = policy;
   cfg.faults.drop = drop;
   cfg.faults.seed = 7;
   cfg.rto_ns = 200'000;      // fast retries so deferrals re-present quickly
@@ -247,9 +173,6 @@ void check_queue_flood(overload::Policy policy, bool fill_first, double drop) {
   Universe uni(cfg);
   ErrorCapture sender_errors;
   uni.rank(0).set_error_sink(ErrorCapture::sink, &sender_errors);
-  const auto shed = [&] {
-    return static_cast<int>(uni.rank(1).counters().get(Counter::kOverloadShedMessages));
-  };
 
   std::atomic<int> received{0};
   std::atomic<bool> consumer_stuck{false};
@@ -263,28 +186,20 @@ void check_queue_flood(overload::Policy policy, bool fill_first, double drop) {
       max_unexpected = std::max(max_unexpected, match.unexpected_count());
       max_parked = std::max(max_parked, match.reorder_buffered());
     };
-    // Fill: progress without posting until the peer is refused at cap.
-    const Counter refused =
-        shed_policy ? Counter::kOverloadShedMessages : Counter::kOverloadPausedPackets;
+    // Fill: progress without posting until a packet is paused at cap.
     const std::uint64_t fill_deadline = now_ns() + 10'000'000'000ULL;
-    while (fill_first && uni.rank(1).counters().get(refused) == 0 &&
+    while (fill_first && uni.rank(1).counters().get(Counter::kOverloadPausedPackets) == 0 &&
            now_ns() < fill_deadline) {
       progress_and_sample();
     }
-    // Drain: the slow consumer reads one message at a time until every
-    // sent message is either received or shed.
-    const auto balanced = [&] {
-      return received.load(std::memory_order_acquire) + shed() >= kSent;
-    };
-    while (!balanced()) {
+    // Drain: the slow consumer reads one message at a time until it has
+    // every sent message.
+    while (received.load(std::memory_order_acquire) < kSent) {
       Request req;
       char got = 0;
       uni.rank(1).irecv(kWorldComm, 0, /*tag=*/3, &got, 1, req);
       const std::uint64_t deadline = now_ns() + 10'000'000'000ULL;
-      while (!req.done() && !balanced() && now_ns() < deadline) progress_and_sample();
-      // The last messages were shed: nothing is left for this receive.
-      if (!req.done() && balanced()) (void)req.cancel();
-      if (req.done() && req.error() == ErrorCode::kCancelled) break;
+      while (!req.done() && now_ns() < deadline) progress_and_sample();
       if (!req.done() || req.failed()) {
         consumer_stuck.store(true, std::memory_order_release);
         break;
@@ -311,57 +226,33 @@ void check_queue_flood(overload::Policy policy, bool fill_first, double drop) {
   }
   consumer.join();
   ASSERT_FALSE(consumer_stuck.load(std::memory_order_acquire));
-  ASSERT_EQ(received.load(std::memory_order_acquire) + shed(), kSent);
-  // A NACK can be lost on a lossy fabric; the retransmit it provokes is
-  // re-NACKed, so keep both ranks progressing until every shed surfaced.
-  ASSERT_TRUE(drive(uni, {0, 1}, [&] {
-    return static_cast<int>(sender_errors.count(ErrorCode::kReceiverOverloaded)) == shed();
-  }));
+  ASSERT_EQ(received.load(std::memory_order_acquire), kSent);
 
   ::testing::Test::RecordProperty("max_unexpected", static_cast<int>(max_unexpected));
   ::testing::Test::RecordProperty("max_parked", static_cast<int>(max_parked));
-  ::testing::Test::RecordProperty("shed", shed());
-  const auto snap = uni.rank(1).counters().snapshot();
   if (fill_first) {
-    // The queue was refused at cap with the consumer not posting.
-    EXPECT_GE(snap.get(shed_policy ? Counter::kOverloadShedMessages
-                                   : Counter::kOverloadPausedPackets),
-              1u);
+    // A packet was paused at cap with the consumer not posting.
+    EXPECT_GE(uni.rank(1).counters().get(Counter::kOverloadPausedPackets), 1u);
     EXPECT_GE(max_unexpected, kCap);
   }
   // The invariants: fewer than kCap parked, the queue within kCap.
   EXPECT_LE(max_unexpected, kCap);
   EXPECT_LT(max_parked, kCap);
-  if (!shed_policy) {
-    // Zero loss, zero shed: kQueue never drops.
-    EXPECT_EQ(snap.get(Counter::kOverloadShedMessages), 0u);
-    EXPECT_EQ(snap.get(Counter::kOverloadNacksSent), 0u);
-  }
-  // Every shed surfaced typed exactly once, and nothing else failed:
-  // deferral never strands a delivered packet's re-ack behind the cap (the
-  // sender would end in kRetryExhausted).
-  EXPECT_EQ(sender_errors.errors.size(), static_cast<std::size_t>(shed()))
-      << sender_errors.errors.size() << " sender errors, " << shed() << " shed";
+  // Nothing failed: deferral never strands a delivered packet's re-ack
+  // behind the cap (the sender would end in kRetryExhausted).
+  EXPECT_TRUE(sender_errors.errors.empty()) << sender_errors.errors.size() << " sender errors";
 }
 
 TEST(Overload, QueuePolicyBoundsQueueWithoutLoss) {
-  check_queue_flood(overload::Policy::kQueue, /*fill_first=*/true, /*drop=*/0.0);
+  check_queue_flood(/*fill_first=*/true, /*drop=*/0.0);
 }
 
 TEST(Overload, QueuePolicyBoundsQueueWhileStreaming) {
-  check_queue_flood(overload::Policy::kQueue, /*fill_first=*/false, /*drop=*/0.0);
+  check_queue_flood(/*fill_first=*/false, /*drop=*/0.0);
 }
 
 TEST(Overload, QueuePolicyBoundsQueueOnLossyFabric) {
-  check_queue_flood(overload::Policy::kQueue, /*fill_first=*/true, /*drop=*/0.2);
-}
-
-TEST(Overload, ShedPolicyBoundsQueueWhileStreaming) {
-  check_queue_flood(overload::Policy::kShed, /*fill_first=*/false, /*drop=*/0.0);
-}
-
-TEST(Overload, ShedPolicyBoundsQueueOnLossyFabric) {
-  check_queue_flood(overload::Policy::kShed, /*fill_first=*/true, /*drop=*/0.2);
+  check_queue_flood(/*fill_first=*/true, /*drop=*/0.2);
 }
 
 // A drain hands the match engine whole runs of envelopes under one lock
@@ -387,113 +278,68 @@ TEST(Overload, RunCrossingTheCapMatchesOneAtATime) {
     pkt.hdr.seq = a.seq;
     return pkt;
   };
-  for (const overload::Policy policy : {overload::Policy::kShed, overload::Policy::kQueue}) {
-    SCOPED_TRACE(policy == overload::Policy::kShed ? "kShed" : "kQueue");
-    overload::Limits lim;
-    lim.unexpected_cap = 4;
-    lim.unexpected_policy = policy;
-    struct Side {
-      explicit Side(const overload::Limits& l) : lim(l), eng(3, false, spc, true) {
-        eng.set_overload(&lim);
-      }
-      spc::CounterSet spc;
-      const overload::Limits lim;
-      match::MatchEngine eng;
-      std::vector<match::Admission> verdicts;
-    };
-    Side single(lim);
-    Side run(lim);
-    for (const Arrival& a : script) {
-      match::Admission v = match::Admission::kAdmitted;
-      single.eng.incoming(make(a), &v);
-      single.verdicts.push_back(v);
+  overload::Limits lim;
+  lim.unexpected_cap = 4;
+  struct Side {
+    explicit Side(const overload::Limits& l) : lim(l), eng(3, false, spc, true) {
+      eng.set_overload(&lim);
     }
-    std::vector<fabric::Packet> pkts;
-    for (const Arrival& a : script) pkts.push_back(make(a));
-    run.verdicts.assign(pkts.size(), match::Admission::kAdmitted);
-    run.eng.incoming(pkts.data(), pkts.size(), run.verdicts.data());
-
-    EXPECT_EQ(run.verdicts, single.verdicts);
-    const auto refused = policy == overload::Policy::kShed ? match::Admission::kShed
-                                                           : match::Admission::kPaused;
-    EXPECT_NE(std::count(run.verdicts.begin(), run.verdicts.end(), refused), 0);
-    // Each refusal is counted once, per packet, under both policies.
-    const auto verdicts_of = [&](match::Admission a) {
-      return static_cast<std::uint64_t>(std::count(run.verdicts.begin(), run.verdicts.end(), a));
-    };
-    EXPECT_EQ(run.spc.get(Counter::kOverloadPausedPackets),
-              verdicts_of(match::Admission::kPaused));
-    EXPECT_EQ(run.spc.get(Counter::kOverloadShedMessages),
-              verdicts_of(match::Admission::kShed));
-    EXPECT_NE(std::count(run.verdicts.begin(), run.verdicts.end(),
-                         match::Admission::kDeferred),
-              0);
-    for (int c = 0; c < spc::kNumCounters; ++c) {
-      const auto counter = static_cast<Counter>(c);
-      if (counter == Counter::kMatchTimeNs) continue;  // wall time, not behaviour
-      EXPECT_EQ(run.spc.get(counter), single.spc.get(counter)) << "counter " << c;
-    }
-    EXPECT_EQ(run.eng.unexpected_count(), single.eng.unexpected_count());
-    EXPECT_EQ(run.eng.reorder_buffered(), single.eng.reorder_buffered());
-    EXPECT_EQ(run.eng.peers_at_cap(), single.eng.peers_at_cap());
+    spc::CounterSet spc;
+    const overload::Limits lim;
+    match::MatchEngine eng;
+    std::vector<match::Admission> verdicts;
+  };
+  Side single(lim);
+  Side run(lim);
+  for (const Arrival& a : script) {
+    match::Admission v = match::Admission::kAdmitted;
+    single.eng.incoming(make(a), &v);
+    single.verdicts.push_back(v);
   }
+  std::vector<fabric::Packet> pkts;
+  for (const Arrival& a : script) pkts.push_back(make(a));
+  run.verdicts.assign(pkts.size(), match::Admission::kAdmitted);
+  run.eng.incoming(pkts.data(), pkts.size(), run.verdicts.data());
+
+  EXPECT_EQ(run.verdicts, single.verdicts);
+  const auto verdicts_of = [&](match::Admission a) {
+    return static_cast<std::uint64_t>(std::count(run.verdicts.begin(), run.verdicts.end(), a));
+  };
+  EXPECT_NE(verdicts_of(match::Admission::kPaused), 0u);
+  // Each refusal is counted once, per packet.
+  EXPECT_EQ(run.spc.get(Counter::kOverloadPausedPackets),
+            verdicts_of(match::Admission::kPaused));
+  EXPECT_NE(verdicts_of(match::Admission::kDeferred), 0u);
+  for (int c = 0; c < spc::kNumCounters; ++c) {
+    const auto counter = static_cast<Counter>(c);
+    if (counter == Counter::kMatchTimeNs) continue;  // wall time, not behaviour
+    EXPECT_EQ(run.spc.get(counter), single.spc.get(counter)) << "counter " << c;
+  }
+  EXPECT_EQ(run.eng.unexpected_count(), single.eng.unexpected_count());
+  EXPECT_EQ(run.eng.reorder_buffered(), single.eng.reorder_buffered());
+  EXPECT_EQ(run.eng.peers_at_cap(), single.eng.peers_at_cap());
 }
 
 TEST(Overload, UnexpectedCapImpliesReliable) {
-  // Without acks a shed packet is silent loss and a deferred one is never
-  // re-presented, so any unexpected-queue cap switches reliability on.
-  for (const overload::Policy policy : {overload::Policy::kShed, overload::Policy::kQueue}) {
-    Config cfg;
-    cfg.unexpected_cap = 4;
-    cfg.unexpected_policy = policy;
-    ASSERT_FALSE(cfg.reliable);
-    Universe uni(cfg);
-    ASSERT_TRUE(uni.config().reliable) << overload::policy_name(policy);
-  }
+  // Without acks a paused or deferred packet is never re-presented, so
+  // any unexpected-queue cap switches reliability on.
+  Config cfg;
+  cfg.unexpected_cap = 4;
+  ASSERT_FALSE(cfg.reliable);
+  Universe uni(cfg);
+  ASSERT_TRUE(uni.config().reliable);
 }
 
 // --- sender-side admission: payload-pool and tracker caps ---
-
-TEST(Overload, PoolCapShedFailsLocalTyped) {
-  // Pins its own fabric: the chaos env profile would override it.
-  test_support::ScopedChaosEnvClear clear_env;
-  fabric::reset_payload_pool_high_water();
-  Config cfg;
-  cfg.payload_pool_cap_bytes = 1;  // any charged payload saturates the cap
-  cfg.payload_pool_policy = overload::Policy::kShed;
-  Universe uni(cfg);
-  // Payloads <= kInlineBytes ride inline in the ring slot and never touch
-  // the pool — the cap only sees pooled bytes, so send bigger than that.
-  std::vector<char> payload(256, 'p');
-  Request first;
-  uni.rank(0).isend(kWorldComm, 1, 1, payload.data(), payload.size(), first);
-  uni.rank(0).wait(first);
-  EXPECT_FALSE(first.failed());  // pool was empty at admission
-  Request second;
-  uni.rank(0).isend(kWorldComm, 1, 1, payload.data(), payload.size(), second);
-  uni.rank(0).wait(second);
-  EXPECT_TRUE(second.failed());
-  EXPECT_EQ(second.error(), ErrorCode::kLocalOverloaded);
-  // Draining the first message releases its payload; sends work again.
-  std::vector<char> got(256);
-  Request rreq;
-  uni.rank(1).irecv(kWorldComm, 0, 1, got.data(), got.size(), rreq);
-  ASSERT_TRUE(drive(uni, {0, 1}, [&] { return rreq.done(); }));
-  Request third;
-  uni.rank(0).isend(kWorldComm, 1, 1, payload.data(), payload.size(), third);
-  uni.rank(0).wait(third);
-  EXPECT_FALSE(third.failed());
-}
 
 TEST(Overload, PoolHighWaterStaysWithinCap) {
   fabric::reset_payload_pool_high_water();
   constexpr std::uint64_t kPoolCap = 8 * 1024;
   Config cfg;
   cfg.payload_pool_cap_bytes = kPoolCap;
-  cfg.payload_pool_policy = overload::Policy::kQueue;
   Universe uni(cfg);
-  // Consumer preposts everything so the flood drains; the cap + kQueue
-  // throttle keeps the pool's high-water bounded the whole way.
+  // Consumer preposts everything so the flood drains; the cap's sender
+  // wait keeps the pool's high-water bounded the whole way.
   constexpr int kSent = 128;
   std::thread consumer([&] {
     std::vector<char> got(512);
@@ -513,34 +359,6 @@ TEST(Overload, PoolHighWaterStaysWithinCap) {
   // admitted charge passes the cap, by at most its own size.
   EXPECT_LT(fabric::payload_pool_stats().high_water_bytes,
             kPoolCap + fabric::payload_charge(payload.size()));
-}
-
-TEST(Overload, TrackerCapShedFailsLocalTyped) {
-  Config cfg;
-  cfg.reliable = true;
-  cfg.tracker_cap = 2;
-  cfg.tracker_policy = overload::Policy::kShed;
-  cfg.rto_ns = 2'000'000'000ULL;
-  cfg.rto_max_ns = 4'000'000'000ULL;  // no retransmit noise while the peer idles
-  Universe uni(cfg);
-  char byte = 't';
-  Request a, b, c;
-  uni.rank(0).isend(kWorldComm, 1, 1, &byte, 1, a);
-  uni.rank(0).isend(kWorldComm, 1, 1, &byte, 1, b);
-  EXPECT_FALSE(a.failed());
-  EXPECT_FALSE(b.failed());
-  // Two unacked entries in flight (the peer never progressed): at cap.
-  uni.rank(0).isend(kWorldComm, 1, 1, &byte, 1, c);
-  uni.rank(0).wait(c);
-  EXPECT_TRUE(c.failed());
-  EXPECT_EQ(c.error(), ErrorCode::kLocalOverloaded);
-  // Let the peer ack; the tracker drains and admission reopens.
-  ASSERT_TRUE(drive(uni, {0, 1}, [&] {
-    Request probe;
-    uni.rank(0).isend(kWorldComm, 1, 1, &byte, 1, probe);
-    uni.rank(0).wait(probe);
-    return !probe.failed();
-  }));
 }
 
 // --- request cancellation ---
@@ -647,23 +465,36 @@ TEST(Deadline, BlockedSendExpiresTyped) {
   EXPECT_GE(uni.rank(0).counters().snapshot().get(Counter::kDeadlineExceededOps), 1u);
 }
 
-TEST(Deadline, WindowExpiryLeavesNoSequenceHole) {
-  // A send that leaves the window gate typed — its deadline passed, or
-  // another thread cancelled it — must not have consumed a sequence
-  // number: admission runs before the ticket, so the next message on the
-  // link still matches instead of parking behind a hole forever.
+// Every sender-side gate (the reliability window, the tracker cap, the
+// payload-pool cap) waits, and its typed ways out are the op's deadline and
+// a cancel. A send that leaves the wait either way must not have consumed a
+// sequence number: admission runs before the ticket, so the next message on
+// the link still matches instead of parking behind a hole forever. Runs one
+// row per exit for the given gate.
+enum class Gate { kWindow, kTracker, kPool };
+
+void check_gate_exits_leave_no_hole(Gate gate) {
+  // Pins its own caps: the chaos env profile would override them.
+  test_support::ScopedChaosEnvClear clear_env(/*caps=*/true);
   for (const bool cancel : {false, true}) {
-    SCOPED_TRACE(cancel ? "cancel" : "deadline");
+    SCOPED_TRACE(std::string(gate == Gate::kWindow    ? "window"
+                             : gate == Gate::kTracker ? "tracker_cap"
+                                                      : "payload_pool_cap") +
+                 (cancel ? " / cancel" : " / deadline"));
     Config cfg;
     cfg.reliable = true;
-    cfg.reliability_window = 1;
     cfg.send_retry_limit = 0;  // unbounded retries: only the exit under test ends the wait
+    if (gate == Gate::kWindow) cfg.reliability_window = 1;
+    if (gate == Gate::kTracker) cfg.tracker_cap = 1;
+    if (gate == Gate::kPool) cfg.payload_pool_cap_bytes = 1;  // one payload fills it
     Universe uni(cfg);
-    char a_byte = 'a';
+    // Bigger than fabric::kInlineBytes, so each payload is charged to the
+    // pool (the pool row's gate).
+    std::vector<char> a_payload(256, 'a');
     Request a;
-    uni.rank(0).isend(kWorldComm, 1, 1, &a_byte, 1, a);  // fills the window
+    uni.rank(0).isend(kWorldComm, 1, 1, a_payload.data(), a_payload.size(), a);  // fills the gate
     EXPECT_FALSE(a.failed());
-    char b_byte = 'b';
+    std::vector<char> b_payload(256, 'b');
     Request b;
     if (cancel) {
       // Cancel once b is blocked in the gate (it has started waiting).
@@ -674,30 +505,47 @@ TEST(Deadline, WindowExpiryLeavesNoSequenceHole) {
         }
         (void)b.cancel();
       });
-      uni.rank(0).isend(kWorldComm, 1, 1, &b_byte, 1, b);
+      uni.rank(0).isend(kWorldComm, 1, 1, b_payload.data(), b_payload.size(), b);
       canceller.join();
       EXPECT_EQ(b.error(), ErrorCode::kCancelled);
     } else {
-      uni.rank(0).isend(kWorldComm, 1, 1, &b_byte, 1, b, now_ns() + 2'000'000);
+      uni.rank(0).isend(kWorldComm, 1, 1, b_payload.data(), b_payload.size(), b,
+                        now_ns() + 2'000'000);
       uni.rank(0).wait(b);
       EXPECT_EQ(b.error(), ErrorCode::kDeadlineExceeded);
     }
-    // Receive a: its ack reopens the window.
-    char got = 0;
+    // Receive a: its ack reopens the window and the tracker, and its
+    // buffers leave the pool.
+    std::vector<char> got(256);
     Request ra;
-    uni.rank(1).irecv(kWorldComm, 0, 1, &got, 1, ra);
+    uni.rank(1).irecv(kWorldComm, 0, 1, got.data(), got.size(), ra);
     ASSERT_TRUE(drive(uni, {0, 1}, [&] { return ra.done(); }));
-    EXPECT_EQ(got, 'a');
+    EXPECT_EQ(got[0], 'a');
     // c must match: b left no hole in the sequence stream.
     char c_byte = 'c';
     Request rc;
-    uni.rank(1).irecv(kWorldComm, 0, 2, &got, 1, rc);
+    uni.rank(1).irecv(kWorldComm, 0, 2, got.data(), got.size(), rc);
     Request c;
     uni.rank(0).isend(kWorldComm, 1, 2, &c_byte, 1, c);
     ASSERT_TRUE(drive(uni, {0, 1}, [&] { return rc.done(); }));
     EXPECT_FALSE(rc.failed());
-    EXPECT_EQ(got, 'c');
+    EXPECT_EQ(got[0], 'c');
   }
+}
+
+TEST(Deadline, WindowExpiryLeavesNoSequenceHole) {
+  check_gate_exits_leave_no_hole(Gate::kWindow);
+}
+
+// The two cap tests keep the names they had when a cap could shed a send
+// with kLocalOverloaded; now the cap waits, and deadline and cancel are the
+// typed exits they check.
+TEST(Overload, TrackerCapShedFailsLocalTyped) {
+  check_gate_exits_leave_no_hole(Gate::kTracker);
+}
+
+TEST(Overload, PoolCapShedFailsLocalTyped) {
+  check_gate_exits_leave_no_hole(Gate::kPool);
 }
 
 TEST(Deadline, RendezvousRaceSettlesExactlyOnce) {
@@ -834,12 +682,10 @@ TEST(Overload, QuiesceTimeoutReportsBacklog) {
 
 TEST(Overload, ObservabilityExportsOverloadState) {
   // Pins its own caps: the chaos env profile would override them.
-  test_support::ScopedChaosEnvClear clear_env;
+  test_support::ScopedChaosEnvClear clear_env(/*caps=*/true);
   {
     Config cfg;
     cfg.unexpected_cap = 8;
-    cfg.unexpected_policy = overload::Policy::kShed;
-    cfg.reliable = true;
     Universe uni(cfg);
     std::ostringstream os;
     uni.dump_observability(os);
@@ -848,19 +694,19 @@ TEST(Overload, ObservabilityExportsOverloadState) {
     EXPECT_NE(json.find("\"unexpected_total\": 0, \"peers_at_cap\": 0, "
                         "\"tracker_in_flight\": 0,"),
               std::string::npos);
-    EXPECT_NE(json.find("\"unexpected_policy\": \"shed\""), std::string::npos);
+    EXPECT_NE(json.find("\"unexpected_cap\": 8, \"pool_cap_bytes\": 0, \"tracker_cap\": 0}"),
+              std::string::npos);
     EXPECT_NE(json.find("\"payload_pool\""), std::string::npos);
     EXPECT_NE(json.find("\"high_water_bytes\""), std::string::npos);
   }
 
-  // kQueue: rank 1 posts nothing, so the queue fills and one more packet
+  // Rank 1 posts nothing, so the queue fills and one more packet
   // is paused unanswered. The export reads the full queue (one peer at
   // cap); after the drain, which the paused packet's retransmit completes,
   // it reads the empty one.
   constexpr std::size_t kCap = 4;
   Config cfg;
   cfg.unexpected_cap = kCap;
-  cfg.unexpected_policy = overload::Policy::kQueue;
   cfg.rto_ns = 200'000;  // the paused packet re-presents quickly
   cfg.rto_max_ns = 2'000'000;
   Universe uni(cfg);
@@ -878,7 +724,6 @@ TEST(Overload, ObservabilityExportsOverloadState) {
   const std::string full = overload_export(uni, 1);
   EXPECT_NE(full.find("\"unexpected_total\": 4, \"peers_at_cap\": 1,"), std::string::npos)
       << full;
-  EXPECT_NE(full.find("\"unexpected_policy\": \"queue\""), std::string::npos) << full;
 
   for (std::size_t i = 0; i <= kCap; ++i) {
     Request req;

@@ -367,13 +367,6 @@ class ReferenceTracker {
     for (std::uint32_t i = 0; i < count; ++i, ++key.seq) n += map_.erase(key);
     return n;
   }
-  bool nack(const PacketKey& key, ReliabilityTracker::Failure* out) {
-    const auto it = map_.find(key);
-    if (it == map_.end()) return false;
-    *out = {key, it->second.retries, common::ErrorCode::kReceiverOverloaded};
-    map_.erase(it);
-    return true;
-  }
   void defer(const PacketKey& key, std::uint64_t now) {
     const auto it = map_.find(key);
     if (it == map_.end()) return;
@@ -500,11 +493,6 @@ TEST(ReliabilityTracker, TableMatchesReferenceMap) {
       const PacketKey key = pick();
       const auto count = static_cast<std::uint32_t>(1 + rng() % kMaxAckRun);
       ASSERT_EQ(t.ack_range(key, count), ref.ack_range(key, count)) << "op " << op;
-    } else if (dice < 70) {
-      const PacketKey key = pick();
-      ReliabilityTracker::Failure got, want;
-      ASSERT_EQ(t.nack(key, &got), ref.nack(key, &want)) << "op " << op;
-      expect_same_failures({got}, {want}, op);
     } else if (dice < 75) {
       const PacketKey key = pick();
       t.defer(key, now);
@@ -656,8 +644,6 @@ TEST(AckQueue, NackOrDeferSplitsRunAndIsNeverMerged) {
   queue_ack(q, notice(1, 0));
   queue_ack(q, notice(1, 1, Kind::kSendPacketDefer));
   queue_ack(q, notice(1, 1));  // the deferred packet, re-presented
-  queue_ack(q, notice(1, 2, Kind::kSendPacketNack));
-  queue_ack(q, notice(1, 3, Kind::kSendPacketNack));
   queue_ack(q, notice(1, 4, Kind::kSendPacketDefer));
   queue_ack(q, notice(1, 5, Kind::kSendPacketDefer));
   queue_ack(q, notice(1, 6));
@@ -665,8 +651,6 @@ TEST(AckQueue, NackOrDeferSplitsRunAndIsNeverMerged) {
   EXPECT_EQ(runs(q), (std::vector<AckRun>{{Kind::kSendPacketAck, 1, 0, 1},
                                        {Kind::kSendPacketDefer, 1, 1, 1},
                                        {Kind::kSendPacketAck, 1, 1, 1},
-                                       {Kind::kSendPacketNack, 1, 2, 1},
-                                       {Kind::kSendPacketNack, 1, 3, 1},
                                        {Kind::kSendPacketDefer, 1, 4, 1},
                                        {Kind::kSendPacketDefer, 1, 5, 1},
                                        {Kind::kSendPacketAck, 1, 6, 2}}));
@@ -696,7 +680,7 @@ TEST(AckQueue, DrainBatchMergesLikeTheRankQueue) {
   NoticeBatch<64> batch;
   for (std::uint32_t seq = 0; seq < 20; ++seq) {
     for (const ControlMsg& m : {notice(1, seq), notice(2, seq / 2 * 3),
-                                notice(3, seq, seq % 7 == 3 ? Kind::kSendPacketNack
+                                notice(3, seq, seq % 7 == 3 ? Kind::kSendPacketDefer
                                                             : Kind::kSendPacketAck)}) {
       queue_ack(q, m);
       queue_ack(batch, m);

@@ -6,9 +6,11 @@
 // fabric). Tests whose fault model is programmatic and seeded — or whose
 // assertions only hold on a pristine fabric, such as injection/drain
 // conservation — clear that profile first so they stay deterministic under
-// any environment.
+// any environment. Tests that pin their own overload caps clear the cap
+// knobs too.
 #pragma once
 
+#include <cstddef>
 #include <cstdlib>
 #include <string>
 #include <utility>
@@ -18,13 +20,9 @@ namespace fairmpi::test_support {
 
 class ScopedChaosEnvClear {
  public:
-  ScopedChaosEnvClear() {
-    for (const char* name : kVars) {
-      const char* value = std::getenv(name);
-      saved_.emplace_back(name, value == nullptr ? std::string()
-                                                 : std::string(value));
-      if (value != nullptr) ::unsetenv(name);
-    }
+  explicit ScopedChaosEnvClear(bool caps = false) {
+    clear(kVars);
+    if (caps) clear(kCapVars);
   }
   ~ScopedChaosEnvClear() {
     for (const auto& [name, value] : saved_) {
@@ -35,6 +33,16 @@ class ScopedChaosEnvClear {
   ScopedChaosEnvClear& operator=(const ScopedChaosEnvClear&) = delete;
 
  private:
+  template <std::size_t N>
+  void clear(const char* const (&names)[N]) {
+    for (const char* name : names) {
+      const char* value = std::getenv(name);
+      saved_.emplace_back(name, value == nullptr ? std::string()
+                                                 : std::string(value));
+      if (value != nullptr) ::unsetenv(name);
+    }
+  }
+
   static constexpr const char* kVars[] = {
       "FAIRMPI_FAULT_DROP",      "FAIRMPI_FAULT_DUP",
       "FAIRMPI_FAULT_DELAY",     "FAIRMPI_FAULT_REORDER",
@@ -44,6 +52,9 @@ class ScopedChaosEnvClear {
       "FAIRMPI_RELIABILITY_WINDOW", "FAIRMPI_SEND_RETRY_LIMIT",
       "FAIRMPI_FT",              "FAIRMPI_FT_HEARTBEAT_NS",
       "FAIRMPI_FT_SUSPECT_NS",   "FAIRMPI_FT_STRIKES",
+  };
+  static constexpr const char* kCapVars[] = {
+      "FAIRMPI_UNEXPECTED_CAP", "FAIRMPI_PAYLOAD_POOL_CAP", "FAIRMPI_TRACKER_CAP",
   };
   std::vector<std::pair<const char*, std::string>> saved_;
 };

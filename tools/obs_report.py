@@ -47,7 +47,7 @@ EXPECTED_EVENT_NAMES = {
     "RndvRts", "RndvDone", "Retransmit",
     "AckSent", "AckRecv", "CsumDrop", "CriDrain",
     "PeerSuspect", "PeerDead", "CommRevoke",
-    "OverloadShed", "OverloadPause", "Cancel", "Deadline",
+    "OverloadPause", "Cancel", "Deadline",
     "CollOp",
 }
 
@@ -55,7 +55,6 @@ EXPECTED_EVENT_NAMES = {
 # spc_total is missing any of these — exporter/schema drift would otherwise
 # silently blind the memory-pressure chaos job's accounting.
 OVERLOAD_SPC_NAMES = (
-    "OverloadShedMessages", "OverloadNacksSent", "OverloadNacksReceived",
     "OverloadPausedPackets",
     "CancelledOps", "DeadlineExceededOps", "QuiesceTimeouts",
 )
@@ -327,11 +326,9 @@ def report_obs(path: str, require_wait: list[str]) -> None:
         overload_rows.append([
             f"r{rank['rank']}", str(ov["unexpected_total"]),
             str(ov["peers_at_cap"]), str(ov["tracker_in_flight"]),
-            f"{ov['unexpected_cap']}/{ov['unexpected_policy']}",
-            f"{ov['pool_cap_bytes']}/{ov['pool_policy']}",
-            f"{ov['tracker_cap']}/{ov['tracker_policy']}",
-            str(spc.get("OverloadShedMessages", 0)),
-            str(spc.get("OverloadNacksSent", 0)),
+            str(ov["unexpected_cap"]), str(ov["pool_cap_bytes"]),
+            str(ov["tracker_cap"]),
+            str(spc.get("OverloadPausedPackets", 0)),
             str(spc.get("CancelledOps", 0)),
             str(spc.get("DeadlineExceededOps", 0)),
         ])
@@ -339,8 +336,7 @@ def report_obs(path: str, require_wait: list[str]) -> None:
         print("overload control (per capped rank):")
         print(render_table(
             ["rank", "unexpected", "at-cap", "trk-in-flight", "unexp-cap",
-             "pool-cap", "trk-cap",
-             "shed", "nacks", "cancels", "deadlines"],
+             "pool-cap", "trk-cap", "paused", "cancels", "deadlines"],
             overload_rows))
         pool = doc.get("payload_pool", {})
         print(f"  payload_pool: in_use={pool.get('in_use_bytes')}B "
