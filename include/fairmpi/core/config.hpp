@@ -84,11 +84,12 @@ struct Config {
   std::uint64_t rto_max_ns = 16'000'000;
   int max_retries = 12;
 
-  /// Send window: max tracked-unacked packets before an eager send blocks
-  /// (progressing) until acks drain the backlog. Bounds the retransmit
-  /// burst a sweep can emit and makes floods self-clocking; without it a
-  /// sender can park thousands of unacked packets against an 8-entry ring
-  /// and every sweep becomes a storm. 0 = unbounded.
+  /// Send window: max tracked-unacked packets of one stream (peer, comm),
+  /// counted per tracker shard (streams on one shard share it, §5c),
+  /// before its eager sends wait (progressing) until acks drain the
+  /// backlog. Bounds a sweep's retransmit burst and self-clocks floods;
+  /// without it a sender can park thousands of unacked packets against an
+  /// 8-entry ring and every sweep becomes a storm. 0 = unbounded.
   std::size_t reliability_window = 64;
 
   /// EAGAIN retry budget for one injection (eager_send / control sends):
@@ -142,9 +143,9 @@ struct Config {
   /// duplicate is not sent.
   std::uint64_t payload_pool_cap_bytes = 0;
 
-  /// In-flight reliability-tracker entry cap, checked before track() (0 =
-  /// only the reliability_window gate applies). A refused send waits as
-  /// for the pool.
+  /// In-flight reliability-tracker entry cap over the whole rank, checked
+  /// before track() (0 = only the per-stream window applies). A refused
+  /// send waits as for the pool.
   std::size_t tracker_cap = 0;
 
   /// Default deadline applied by the *_checked ops (and through them every

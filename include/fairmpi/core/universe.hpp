@@ -173,7 +173,8 @@ class Rank final : public progress::PacketSink,
   /// Blocking probe: progress until a matching message is available.
   Status probe(CommId comm, int src, int tag);
 
-  /// One explicit progress call (normally implicit in wait/test).
+  /// One explicit progress call (normally implicit in wait/test): request
+  /// completions plus tracked packets acks retired.
   std::size_t progress();
 
   // --- internals exposed for substrates, benches and tests ---
@@ -210,7 +211,7 @@ class Rank final : public progress::PacketSink,
   // PacketSink. A batch's reliability notices go out together right after
   // it; only those a full ring refuses wait in the rank's ack queue
   // (DESIGN.md §5c "Per-drain acks").
-  std::size_t handle_packets(fabric::Packet* pkts, std::size_t n) override;
+  std::size_t handle_packets(fabric::Packet* pkts, std::size_t n, std::size_t& acked) override;
   std::size_t handle_completion(const fabric::Completion& c) override;
 
   // RendezvousHook (called by the matching engine, match lock held)
@@ -279,8 +280,9 @@ class Rank final : public progress::PacketSink,
   /// notice joins `acks`, in run order.
   std::size_t match_run(fabric::Packet* pkts, std::size_t n, AckBatch& acks);
   /// Dispatch one validated packet that is not an envelope; its
-  /// reliability notice, if any, joins `acks`.
-  std::size_t receive(fabric::Packet&& pkt, AckBatch& acks);
+  /// reliability notice, if any, joins `acks`, and the tracked packets a
+  /// kAck retires add to `acked`.
+  std::size_t receive(fabric::Packet&& pkt, AckBatch& acks, std::size_t& acked);
   /// One injection attempt with no tracking and no backpressure loop: used
   /// for retransmits and acks, whose loss the protocol already absorbs.
   bool inject_raw(int dst, fabric::Packet&& pkt);

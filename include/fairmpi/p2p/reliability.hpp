@@ -175,11 +175,32 @@ class ReliabilityTracker {
   /// True once fail_peer(peer) has run (fail-fast gate for new tracks).
   bool peer_failed(int peer) const noexcept;
 
-  /// Tracked-but-unacked entry count (relaxed). The send window gate: a
-  /// sender blocks (progressing) while this is at Config::reliability_window
-  /// so retransmit bursts stay bounded and acks self-clock the flood.
+  /// Tracked-but-unacked entries in the shard of stream (peer, comm): the
+  /// send window gate. A sender waits (progressing) while this is at
+  /// Config::reliability_window, so acks self-clock the stream; streams
+  /// that hash to one shard share its window.
+  std::size_t in_flight(int peer, std::uint32_t comm) const noexcept {
+    // lint: allow(relaxed-sync) admission hint: the count is written under the shard lock
+    return shards_[shard_index(peer, comm)].tracked.load(std::memory_order_relaxed);
+  }
+  /// The sum over the shards: the tracker cap, the export and quiesce.
   std::size_t in_flight() const noexcept {
-    return in_flight_.load(std::memory_order_relaxed);
+    std::size_t n = 0;
+    // lint: allow(relaxed-sync) a sum of per-shard counts, each written under its lock
+    for (const Shard& s : shards_) n += s.tracked.load(std::memory_order_relaxed);
+    return n;
+  }
+
+  /// Shard count: a power of two, so senders on distinct streams rarely
+  /// share a lock or a window, and a sweep stays a short walk.
+  static constexpr unsigned kShardBits = 4;
+  static constexpr std::size_t kShards = std::size_t{1} << kShardBits;
+
+  /// The shard of stream (peer, comm). Fibonacci hashing: consecutive
+  /// communicator ids toward one peer land on distinct shards.
+  static std::size_t shard_index(std::uint16_t peer, std::uint32_t comm) noexcept {
+    const std::uint32_t x = (comm ^ (static_cast<std::uint32_t>(peer) << 16)) * 0x9E3779B9u;
+    return x >> (32 - kShardBits);
   }
 
  private:
@@ -206,6 +227,7 @@ class ReliabilityTracker {
     std::pair<Entry*, bool> claim(const PacketKey& key);
     /// True when `key` was present.
     bool erase(const PacketKey& key) noexcept;
+    std::size_t size() const noexcept { return size_; }
 
     /// Visit every entry as f(key, entry). No insert or erase inside f.
     template <class F>
@@ -232,15 +254,15 @@ class ReliabilityTracker {
     std::size_t size_ = 0;
   };
 
-  /// Shard count: a power of two, so senders on distinct streams rarely
-  /// share a lock, and a sweep stays a short walk.
-  static constexpr unsigned kShardBits = 4;
-  static constexpr std::size_t kShards = std::size_t{1} << kShardBits;
-
-  /// One lock and one table, on lines of their own.
+  /// One lock and one table, on lines of their own, and the table's size,
+  /// stored under the lock so a window check reads it with no lock or RMW.
   struct alignas(kCacheLine) Shard {
     RankedLock<Spinlock> lock{debug::LockRank::kReliability, "p2p.reliability"};
     Table inflight FAIRMPI_GUARDED_BY(lock);
+    std::atomic<std::size_t> tracked{0};
+    void publish() FAIRMPI_REQUIRES(lock) {
+      tracked.store(inflight.size(), std::memory_order_relaxed);
+    }
   };
 
   /// Erase the entries of failures[first..] from `shard`, which a walk of
@@ -248,12 +270,8 @@ class ReliabilityTracker {
   void erase_failures(Shard& shard, const std::vector<Failure>& failures, std::size_t first)
       FAIRMPI_REQUIRES(shard.lock);
 
-  /// The shard of stream (peer, comm). Fibonacci hashing: consecutive
-  /// communicator ids toward one peer land on distinct shards.
   Shard& shard_of(const PacketKey& key) noexcept {
-    const std::uint32_t x = (key.comm ^ (static_cast<std::uint32_t>(key.peer) << 16)) *
-                            0x9E3779B9u;
-    return shards_[x >> (32 - kShardBits)];
+    return shards_[shard_index(key.peer, key.comm)];
   }
 
   const std::uint64_t rto_ns_;
@@ -268,7 +286,6 @@ class ReliabilityTracker {
   /// ever retransmits.
   std::array<std::atomic<std::uint64_t>, (std::size_t{1} << 16) / 64> failed_peers_{};
   std::atomic<std::uint64_t>& due_;
-  std::atomic<std::size_t> in_flight_{0};
 };
 
 }  // namespace fairmpi::p2p

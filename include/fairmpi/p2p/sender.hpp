@@ -23,10 +23,11 @@ struct SendPolicy {
   /// 0 = retry forever. Bounding this turns a peer that never drains its
   /// ring from a livelock into a reported error.
   std::uint64_t retry_limit = 0;
-  /// Max tracked-unacked packets before a send waits (progressing, before
-  /// its sequence number is ticketed) until acks open the window; 0 =
-  /// unbounded. Self-clocks a flood: without it thousands of unacked
-  /// packets turn every sweep into a retransmit storm.
+  /// Max tracked-unacked packets in the stream's tracker shard before a
+  /// send waits (progressing, before its sequence number is ticketed)
+  /// until acks open the window; 0 = unbounded. Self-clocks a flood:
+  /// without it thousands of unacked packets turn every sweep into a
+  /// retransmit storm.
   std::size_t window = 0;
   /// Full-rank progress hook for the wait loops. The engine alone cannot
   /// transmit deferred acks (they leave via the rank's control drain), so

@@ -10,8 +10,9 @@
 //
 //   * kConcurrent — Algorithm 2: every thread may progress. A thread
 //     try-locks its *own* instance first (per the pool's assignment
-//     policy); only when that instance yields no completions does it sweep
-//     the other instances, from a thread-local rotating start, which both
+//     policy); only when that instance yields nothing (no completion, no
+//     ack that retired a tracked packet) does it sweep the other
+//     instances, from a thread-local rotating start, which both
 //     avoids convoying and guarantees that orphaned instances (e.g. whose
 //     dedicated thread exited) are still progressed eventually. RMA flush
 //     (rma/window.cpp) runs the same pass: its own instance first, the
@@ -62,11 +63,13 @@ class PacketSink {
  public:
   virtual ~PacketSink() = default;
   /// Handle one drained batch of `n` (at most ProgressEngine::kMaxDrainBatch)
-  /// packets in arrival order; returns user-visible completions. The
-  /// drained instance's lock is already released, so the sink may inject.
+  /// packets in arrival order; returns user-visible completions and adds
+  /// to `acked` the tracked packets its acks retired. The drained
+  /// instance's lock is already released, so the sink may inject.
   /// core::Rank answers the batch's reliability notices once, after its
   /// last packet (DESIGN.md §5c "Per-drain acks").
-  virtual std::size_t handle_packets(fabric::Packet* pkts, std::size_t n) = 0;
+  virtual std::size_t handle_packets(fabric::Packet* pkts, std::size_t n,
+                                     std::size_t& acked) = 0;
   /// Handle one completion-queue event; returns completions (usually 1).
   virtual std::size_t handle_completion(const fabric::Completion& c) = 0;
 };
@@ -87,19 +90,22 @@ class ProgressEngine {
 
   ProgressMode mode() const noexcept { return mode_; }
 
-  /// One progress call. Returns the number of completions harvested
-  /// (0 does not imply quiescence — the engine may have been busy).
-  std::size_t progress();
+  /// What one visit, one Alg. 2 pass of visits, or one progress call did.
+  struct Visit {
+    std::size_t completions = 0;
+    std::size_t acked = 0;  ///< tracked packets acks retired: Alg. 2 progress, not completions
+    bool drained = false;  ///< a lock was taken and the instance drained
+    bool refused = false;  ///< a try_lock failed on an instance whose word was set
+
+    bool productive() const noexcept { return completions != 0 || acked != 0; }
+  };
+
+  /// One progress call (unproductive does not imply quiescence: the
+  /// engine may have been busy).
+  Visit progress();
 
   /// How a visit takes the instance lock.
   enum class Take : std::uint8_t { kTry, kBlock };
-
-  /// What one visit, or one Alg. 2 pass of visits, did.
-  struct Visit {
-    std::size_t completions = 0;
-    bool drained = false;  ///< a lock was taken and the instance drained
-    bool refused = false;  ///< a try_lock failed on an instance whose word was set
-  };
 
   /// The one instance visit: gate on the work word (unset: return at once),
   /// take the lock (try or block), drain, release, dispatch. `sweep` marks
@@ -107,8 +113,8 @@ class ProgressEngine {
   Visit visit(cri::CommResourceInstance& inst, Take take, bool sweep);
 
   /// One Algorithm 2 pass: the caller's own instance, then — only when it
-  /// yields no completions — the others from a thread-local rotating
-  /// start, stopping at the first that yields. Used by progress() in
+  /// is not productive — the others from a thread-local rotating start,
+  /// stopping at the first productive one. Used by progress() in
   /// concurrent mode and by RMA flush. Counts try-lock refusals.
   Visit pass();
 
@@ -133,10 +139,10 @@ class ProgressEngine {
   /// Observability bookkeeping for one finished drain visit (lock already
   /// released): the obs-only per-CRI cells + the kCriDrain trace event.
   void note_drain(cri::CommResourceInstance& inst, const DrainBatch& b, bool sweep);
-  /// Hand a drained batch to the sink; returns completions.
-  std::size_t dispatch(DrainBatch& b);
+  /// Hand a drained batch to the sink; adds its haul to `v`.
+  void dispatch(DrainBatch& b, Visit& v);
 
-  std::size_t progress_serial();
+  Visit progress_serial();
 
   cri::CriPool& pool_;
   PacketSink& sink_;

@@ -54,7 +54,8 @@ enum class Counter : int {
   kPostedQueueDepth,       ///< posted receives inspected by arrival searches (sum)
   kUnexpectedQueueDepth,   ///< unexpected messages inspected by post searches (sum)
   kOosBufferPeak,          ///< high-water mark of the reorder buffer (max, not sum)
-  kSendBackpressure,       ///< sends that had to retry on a full RX ring
+  kSendBackpressure,       ///< injection retries on a full RX ring (the fabric's EAGAIN)
+  kSendAdmissionWaits,     ///< send wait ticks at the window, tracker or pool cap (§5h)
   kProgressCalls,          ///< entries into the progress engine
   kProgressCompletions,    ///< completions harvested by progress
   kInstanceTrylockFail,    ///< failed try_lock on a CRI (Alg. 2 skip)

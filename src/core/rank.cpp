@@ -228,7 +228,7 @@ std::size_t Rank::progress() {
   // Deferred rendezvous protocol work first (runs with no engine lock
   // held — see p2p/rendezvous.hpp), then the progress engine proper.
   drain_control();
-  const std::size_t completions = engine_.progress();
+  const progress::ProgressEngine::Visit v = engine_.progress();
   // Services run after the drain, so a message that arrived this visit
   // matches before its receive's deadline is checked. Until one is due,
   // this is two relaxed loads and at most one clock read.
@@ -242,10 +242,10 @@ std::size_t Rank::progress() {
   // lock) leave now — waiting for the next drain_control would add an rto
   // of latency per hop under load.
   flush_acks();
-  if (completions != 0) {
-    tracer_.record(trace::Event::kProgress, static_cast<std::uint32_t>(completions));
+  if (v.completions != 0) {
+    tracer_.record(trace::Event::kProgress, static_cast<std::uint32_t>(v.completions));
   }
-  return completions;
+  return v.completions + v.acked;
 }
 
 bool Rank::inject_raw(int dst, fabric::Packet&& pkt) {
@@ -555,7 +555,7 @@ bool Rank::cancel_request(p2p::Request* req) {
   return true;
 }
 
-std::size_t Rank::handle_packets(fabric::Packet* pkts, std::size_t n) {
+std::size_t Rank::handle_packets(fabric::Packet* pkts, std::size_t n, std::size_t& acked) {
   FAIRMPI_CHECK(n <= AckBatch::capacity());
   std::size_t completions = 0;
   AckBatch acks;
@@ -589,7 +589,7 @@ std::size_t Rank::handle_packets(fabric::Packet* pkts, std::size_t n) {
       first = i;
       len = 1;
     } else {
-      completions += receive(std::move(pkt), acks);
+      completions += receive(std::move(pkt), acks, acked);
     }
   }
   end_run();
@@ -653,7 +653,7 @@ std::size_t Rank::match_run(fabric::Packet* pkts, std::size_t n, AckBatch& acks)
   return delivered;
 }
 
-std::size_t Rank::receive(fabric::Packet&& pkt, AckBatch& acks) {
+std::size_t Rank::receive(fabric::Packet&& pkt, AckBatch& acks, std::size_t& acked) {
   if (pkt.hdr.opcode == fabric::Opcode::kHeartbeat) {
     // Consumed before the ack path on purpose: heartbeats are pure liveness
     // evidence — never acked, never tracked; a lost one is recovered by the
@@ -675,7 +675,7 @@ std::size_t Rank::receive(fabric::Packet&& pkt, AckBatch& acks) {
       }
       spc_.add(Counter::kAcksReceived);
       tracer_.record(trace::Event::kAckRecv, pkt.hdr.src_rank, pkt.hdr.seq);
-      (void)tracker_->ack_range(p2p::key_of_ack(pkt.hdr), count);
+      acked += tracker_->ack_range(p2p::key_of_ack(pkt.hdr), count);
       return 0;
     }
     if (pkt.hdr.opcode == fabric::Opcode::kDefer) {

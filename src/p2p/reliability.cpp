@@ -95,7 +95,7 @@ void ReliabilityTracker::track(int dst, const fabric::Packet& pkt, std::uint64_t
   e->rto_ns = rto_ns_;
   e->deadline_ns = deadline;
   fabric::clone_packet(pkt, e->pkt);
-  if (fresh) in_flight_.fetch_add(1, std::memory_order_relaxed);
+  if (fresh) shard.publish();
   // Lowered under the shard lock, after the insert: a sweep that missed
   // the entry has raised the gate before this lowers it.
   lower_due(due_, deadline);
@@ -110,8 +110,8 @@ std::size_t ReliabilityTracker::ack_range(const PacketKey& first, std::uint32_t 
     for (std::uint32_t i = 0; i < count; ++i, ++key.seq) {
       retired += shard.inflight.erase(key) ? 1 : 0;
     }
+    if (retired != 0) shard.publish();
   }
-  if (retired != 0) in_flight_.fetch_sub(retired, std::memory_order_relaxed);
   return retired;
 }
 
@@ -131,8 +131,7 @@ void ReliabilityTracker::erase_failures(Shard& shard, const std::vector<Failure>
   for (std::size_t i = first; i < failures.size(); ++i) {
     shard.inflight.erase(failures[i].key);
   }
-  const std::size_t n = failures.size() - first;
-  if (n != 0) in_flight_.fetch_sub(n, std::memory_order_relaxed);
+  if (failures.size() != first) shard.publish();
 }
 
 std::uint64_t ReliabilityTracker::sweep(std::uint64_t now_ns, std::vector<Resend>& resends,

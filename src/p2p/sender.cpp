@@ -27,9 +27,9 @@ common::ErrorCode eager_send(CommState& comm, cri::CriPool& pool,
     return common::ErrorCode::kPeerFailed;
   }
 
-  const auto make_progress = [&]() -> std::size_t {
-    return policy.progress != nullptr ? policy.progress(policy.progress_user)
-                                      : engine.progress();
+  const auto make_progress = [&]() -> bool {
+    return policy.progress != nullptr ? policy.progress(policy.progress_user) != 0
+                                      : engine.progress().productive();
   };
   const auto expired = [&]() {
     // lint: allow(hotpath-clock) read only when a deadline is set, in a wait loop
@@ -50,7 +50,6 @@ common::ErrorCode eager_send(CommState& comm, cri::CriPool& pool,
   // wire from this loop's point of view; a clone a concurrent sweep
   // already re-injected is at-least-once semantics as usual).
   const auto wait_tick = [&](const PacketKey* tracked) -> common::ErrorCode {
-    counters.add(Counter::kSendBackpressure);
     if (policy.retry_limit != 0 && ++attempts >= policy.retry_limit) {
       if (tracked != nullptr) policy.tracker->untrack(*tracked);
       if (req.fail(common::ErrorCode::kSendBudgetExhausted)) {
@@ -76,7 +75,7 @@ common::ErrorCode eager_send(CommState& comm, cri::CriPool& pool,
       }
       return common::ErrorCode::kDeadlineExceeded;
     }
-    if (make_progress() == 0) waiter.pause(); else waiter.reset();
+    if (make_progress()) waiter.reset(); else waiter.pause();
     return common::ErrorCode::kOk;
   };
 
@@ -90,23 +89,25 @@ common::ErrorCode eager_send(CommState& comm, cri::CriPool& pool,
   // ticketed: a send that leaves it typed (deadline, cancel, budget, peer
   // death) never leaves a hole in the peer's ordered stream. Three caps,
   // in order, and each refused one waits:
-  //   - the reliability window (acks self-clock a flood; a peer that never
-  //     acks is the same livelock as one that never drains, so it burns
-  //     the same retry budget);
-  //   - the tracker cap, and
+  //   - the reliability window of this stream's tracker shard (acks
+  //     self-clock a flood; a peer that never acks is the same livelock as
+  //     one that never drains, so it burns the same retry budget);
+  //   - the rank-wide tracker cap, and
   //   - the payload-pool cap, charged where the payload buffer is made;
   //     the tracker's retransmit master shares that buffer, so it charges
   //     nothing.
   // Uncapped, unreliable sends pass on the first iteration.
+  ReliabilityTracker* const tracker = policy.tracker;
   const overload::Limits* lim = policy.limits;
   const std::uint64_t pool_cap = lim != nullptr ? lim->pool_cap_bytes : 0;
-  const std::size_t tracker_cap = lim != nullptr ? lim->tracker_cap : 0;
+  const std::size_t window = tracker != nullptr ? policy.window : 0;
+  const std::size_t tracker_cap = tracker != nullptr && lim != nullptr ? lim->tracker_cap : 0;
   for (;;) {
-    const std::size_t in_flight = policy.tracker != nullptr ? policy.tracker->in_flight() : 0;
-    const bool refused = (policy.window != 0 && in_flight >= policy.window) ||
-                         (tracker_cap != 0 && in_flight >= tracker_cap) ||
+    const bool refused = (window != 0 && tracker->in_flight(dst, comm.id()) >= window) ||
+                         (tracker_cap != 0 && tracker->in_flight() >= tracker_cap) ||
                          !pkt.set_payload(buf, n, pool_cap);
     if (!refused) break;
+    counters.add(Counter::kSendAdmissionWaits);
     const common::ErrorCode rc = wait_tick(nullptr);
     if (rc != common::ErrorCode::kOk) return rc;
   }
@@ -124,7 +125,7 @@ common::ErrorCode eager_send(CommState& comm, cri::CriPool& pool,
   // hands the packet back intact, so the master and the wire packet never
   // diverge. After the ticket only the injection EAGAIN loop below remains.
   // lint: allow(hotpath-clock) the tracker's rto start, reliable sends only
-  if (policy.tracker != nullptr) policy.tracker->track(dst, pkt, now_ns());
+  if (tracker != nullptr) tracker->track(dst, pkt, now_ns());
   for (;;) {
     const int k = pool.id_for_thread();
     cri::CommResourceInstance& inst = pool.instance(k);
@@ -140,9 +141,9 @@ common::ErrorCode eager_send(CommState& comm, cri::CriPool& pool,
     // make progress on our own resources (the peer may be blocked on *our*
     // ring in a bidirectional flood), then retry — spinning while young,
     // yielding once saturated so a descheduled peer can run.
+    counters.add(Counter::kSendBackpressure);
     const PacketKey key = key_of(dst, pkt.hdr);
-    const common::ErrorCode rc =
-        wait_tick(policy.tracker != nullptr ? &key : nullptr);
+    const common::ErrorCode rc = wait_tick(tracker != nullptr ? &key : nullptr);
     if (rc != common::ErrorCode::kOk) return rc;
   }
 

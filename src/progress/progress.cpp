@@ -65,13 +65,11 @@ void ProgressEngine::note_drain(cri::CommResourceInstance& inst, const DrainBatc
   }
 }
 
-std::size_t ProgressEngine::dispatch(DrainBatch& b) {
-  std::size_t completions = 0;
+void ProgressEngine::dispatch(DrainBatch& b, Visit& v) {
   for (std::size_t i = 0; i < b.n_comps; ++i) {
-    completions += sink_.handle_completion(b.comps[i]);
+    v.completions += sink_.handle_completion(b.comps[i]);
   }
-  if (b.n_pkts != 0) completions += sink_.handle_packets(b.pkts.data(), b.n_pkts);
-  return completions;
+  if (b.n_pkts != 0) v.completions += sink_.handle_packets(b.pkts.data(), b.n_pkts, v.acked);
 }
 
 ProgressEngine::Visit ProgressEngine::visit(cri::CommResourceInstance& inst, Take take,
@@ -93,25 +91,27 @@ ProgressEngine::Visit ProgressEngine::visit(cri::CommResourceInstance& inst, Tak
   }
   v.drained = true;
   note_drain(inst, b, sweep);
-  v.completions = dispatch(b);
+  dispatch(b, v);
   return v;
 }
 
-std::size_t ProgressEngine::progress_serial() {
+ProgressEngine::Visit ProgressEngine::progress_serial() {
+  Visit result;
   // Traditional design: one thread in the engine; others return at once.
   if (!serial_gate_.try_lock()) {
     spc_.add(Counter::kInstanceTrylockFail);
-    return 0;
+    return result;
   }
   LockGuard adopt(serial_gate_, adopt_lock);
   // The gate already excludes other progress threads, but send paths also
   // take instance locks, so each visit still locks its instance — only for
   // the ring pops, not the dispatch.
-  std::size_t completions = 0;
   for (int i = 0; i < pool_.size(); ++i) {
-    completions += visit(pool_.instance(i), Take::kBlock, /*sweep=*/false).completions;
+    const Visit v = visit(pool_.instance(i), Take::kBlock, /*sweep=*/false);
+    result.completions += v.completions;
+    result.acked += v.acked;
   }
-  return completions;
+  return result;
 }
 
 ProgressEngine::Visit ProgressEngine::pass() {
@@ -119,7 +119,11 @@ ProgressEngine::Visit ProgressEngine::pass() {
   const int own = pool_.id_for_thread();
   Visit result = visit(pool_.instance(own), Take::kTry, /*sweep=*/false);
   if (result.refused) spc_.add(spc::CriMetric::kOwnTrylockMisses, own);  // rolls up
-  if (result.completions != 0) return result;
+  // An ack that retired tracked packets is progress, as a completion is
+  // (Alg. 2 counts CQ events, and an ack is one): own-instance acks answer
+  // this rank's own sends, so they dry up when its senders stop, and the
+  // sweep below runs again (DESIGN.md §5j "Acks end the pass").
+  if (result.productive()) return result;
   // ... and only if it yielded nothing, sweep the others (every instance
   // whose word is set gets visited: orphaned-CRI liveness). The start
   // rotates per thread, so sweepers share no counter.
@@ -134,20 +138,20 @@ ProgressEngine::Visit ProgressEngine::pass() {
       result.refused = true;
       spc_.add(Counter::kInstanceTrylockFail);
     }
-    if (v.completions != 0) {
+    if (v.productive()) {
       result.completions = v.completions;
+      result.acked = v.acked;
       break;
     }
   }
   return result;
 }
 
-std::size_t ProgressEngine::progress() {
+ProgressEngine::Visit ProgressEngine::progress() {
   spc_.add(Counter::kProgressCalls);
-  const std::size_t completions =
-      mode_ == ProgressMode::kSerial ? progress_serial() : pass().completions;
-  if (completions != 0) spc_.add(Counter::kProgressCompletions, completions);
-  return completions;
+  const Visit v = mode_ == ProgressMode::kSerial ? progress_serial() : pass();
+  if (v.completions != 0) spc_.add(Counter::kProgressCompletions, v.completions);
+  return v;
 }
 
 }  // namespace fairmpi::progress

@@ -21,6 +21,7 @@ const char* counter_name(Counter c) noexcept {
     case Counter::kUnexpectedQueueDepth: return "UnexpectedQueueDepth";
     case Counter::kOosBufferPeak: return "OosBufferPeak";
     case Counter::kSendBackpressure: return "SendBackpressure";
+    case Counter::kSendAdmissionWaits: return "SendAdmissionWaits";
     case Counter::kProgressCalls: return "ProgressCalls";
     case Counter::kProgressCompletions: return "ProgressCompletions";
     case Counter::kInstanceTrylockFail: return "InstanceTrylockFail";

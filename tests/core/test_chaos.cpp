@@ -366,5 +366,32 @@ TEST(RangedAck, RefusedAckFallsBackToRankQueue) {
   for (Request& r : reqs) uni.rank(0).wait(r);
 }
 
+// --- the send window (DESIGN.md §5c): one per stream, in its tracker shard ---
+
+TEST(Reliability, WindowIsPerStream) {
+  // A window of one, rank 1 idle (nothing is ever acked): a send on comm A
+  // fills A's window, and a send on comm B, whose stream lands on another
+  // tracker shard, still passes. A tracker cap of one stays rank-wide, so
+  // under it B waits out its deadline.
+  ScopedChaosEnvClear env(ScopedChaosEnvClear::Knobs::kFaultsAndCaps);
+  for (const std::size_t cap : {std::size_t{0}, std::size_t{1}}) {
+    SCOPED_TRACE("tracker_cap " + std::to_string(cap));
+    Config cfg = ranged_ack_config(1);
+    cfg.tracker_cap = cap;
+    Universe uni(cfg);
+    const CommId a = uni.create_communicator();
+    const CommId b = uni.create_communicator();
+    ASSERT_NE(p2p::ReliabilityTracker::shard_index(1, a),
+              p2p::ReliabilityTracker::shard_index(1, b));
+    const std::uint32_t v = 0;
+    uni.rank(0).comm(a).send(1, 7, &v, sizeof v);  // fills A's window
+    Request req;
+    uni.rank(0).isend(b, 1, 7, &v, sizeof v, req, now_ns() + 50'000'000);
+    uni.rank(0).wait(req);
+    EXPECT_EQ(req.error(), cap == 0 ? ErrorCode::kOk : ErrorCode::kDeadlineExceeded);
+    EXPECT_EQ(uni.rank(0).reliability()->in_flight(), cap == 0 ? 2u : 1u);
+  }
+}
+
 }  // namespace
 }  // namespace fairmpi

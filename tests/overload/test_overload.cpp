@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -30,6 +29,8 @@ namespace {
 using common::Error;
 using common::ErrorCode;
 using spc::Counter;
+constexpr auto kCapsOnly = test_support::ScopedChaosEnvClear::Knobs::kCaps;
+constexpr auto kFaultsAndCaps = test_support::ScopedChaosEnvClear::Knobs::kFaultsAndCaps;
 
 /// Drive the given ranks' progress loops until `pred` holds; false on a
 /// 5 s wall-clock timeout (the no-hang guard every test here leans on).
@@ -83,7 +84,7 @@ TEST(Overload, QueueMultiProducerPerPeerCap) {
   // the retransmit clock re-presents them, so every message arrives
   // exactly once, in order per producer, and no send fails.
   // Pins its own fabric and cap: the chaos env profile would override them.
-  test_support::ScopedChaosEnvClear clear_env(/*caps=*/true);
+  test_support::ScopedChaosEnvClear clear_env(kFaultsAndCaps);
   constexpr std::size_t kCap = 4;
   constexpr std::uint32_t kPerProducer = 32;
   Config cfg;
@@ -160,9 +161,9 @@ TEST(Overload, QueueMultiProducerPerPeerCap) {
 void check_queue_flood(bool fill_first, double drop) {
   constexpr std::size_t kCap = 16;
   constexpr int kSent = 256;
-  // A lossy row pins its own fabric: the chaos env profile would override it.
-  std::optional<test_support::ScopedChaosEnvClear> clear_env;
-  if (drop > 0.0) clear_env.emplace();
+  // Every row pins its cap, and a lossy row its fabric too: the chaos env
+  // profile would override them. A no-drop row keeps the env's faults.
+  test_support::ScopedChaosEnvClear clear_env(drop > 0.0 ? kFaultsAndCaps : kCapsOnly);
   Config cfg;
   cfg.unexpected_cap = kCap;  // implies reliable: deferral needs the retransmit clock
   cfg.faults.drop = drop;
@@ -333,6 +334,8 @@ TEST(Overload, UnexpectedCapImpliesReliable) {
 // --- sender-side admission: payload-pool and tracker caps ---
 
 TEST(Overload, PoolHighWaterStaysWithinCap) {
+  // Pins its own cap; the env's fault profile stays (see below).
+  test_support::ScopedChaosEnvClear clear_env(kCapsOnly);
   fabric::reset_payload_pool_high_water();
   constexpr std::uint64_t kPoolCap = 8 * 1024;
   Config cfg;
@@ -475,7 +478,7 @@ enum class Gate { kWindow, kTracker, kPool };
 
 void check_gate_exits_leave_no_hole(Gate gate) {
   // Pins its own caps: the chaos env profile would override them.
-  test_support::ScopedChaosEnvClear clear_env(/*caps=*/true);
+  test_support::ScopedChaosEnvClear clear_env(kFaultsAndCaps);
   for (const bool cancel : {false, true}) {
     SCOPED_TRACE(std::string(gate == Gate::kWindow    ? "window"
                              : gate == Gate::kTracker ? "tracker_cap"
@@ -498,9 +501,9 @@ void check_gate_exits_leave_no_hole(Gate gate) {
     Request b;
     if (cancel) {
       // Cancel once b is blocked in the gate (it has started waiting).
-      const std::uint64_t waits = uni.rank(0).counters().get(Counter::kSendBackpressure);
+      const std::uint64_t waits = uni.rank(0).counters().get(Counter::kSendAdmissionWaits);
       std::thread canceller([&] {
-        while (uni.rank(0).counters().get(Counter::kSendBackpressure) == waits) {
+        while (uni.rank(0).counters().get(Counter::kSendAdmissionWaits) == waits) {
           std::this_thread::yield();
         }
         (void)b.cancel();
@@ -682,7 +685,7 @@ TEST(Overload, QuiesceTimeoutReportsBacklog) {
 
 TEST(Overload, ObservabilityExportsOverloadState) {
   // Pins its own caps: the chaos env profile would override them.
-  test_support::ScopedChaosEnvClear clear_env(/*caps=*/true);
+  test_support::ScopedChaosEnvClear clear_env(kFaultsAndCaps);
   {
     Config cfg;
     cfg.unexpected_cap = 8;
@@ -738,6 +741,8 @@ TEST(Overload, ObservabilityExportsOverloadState) {
 }
 
 TEST(Overload, UncappedGovernorReportsNull) {
+  // Uncapped on purpose: an env cap would make it capped.
+  test_support::ScopedChaosEnvClear clear_env(kCapsOnly);
   Universe uni(Config{});
   EXPECT_EQ(uni.rank(0).overload_limits(), nullptr);
   std::ostringstream os;

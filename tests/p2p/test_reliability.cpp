@@ -2,12 +2,13 @@
 // claim-then-confirm retry accounting (sweeps claim entries; only confirmed
 // retransmits charge the budget and back off), retry exhaustion, ranged
 // acks (the receiver's run merging and the tracker's ack_range), and the
-// shard table checked against a reference map.
+// shard table and its per-shard counts checked against a reference map.
 #include "fairmpi/p2p/reliability.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstring>
 #include <deque>
@@ -421,6 +422,14 @@ class ReferenceTracker {
     }
   }
   std::size_t size() const { return map_.size(); }
+  /// Entries per tracker shard.
+  std::array<std::size_t, ReliabilityTracker::kShards> shard_sizes() const {
+    std::array<std::size_t, ReliabilityTracker::kShards> n{};
+    for (const auto& entry : map_) {
+      ++n[ReliabilityTracker::shard_index(entry.first.peer, entry.first.comm)];
+    }
+    return n;
+  }
 
  private:
   struct Ref {
@@ -470,6 +479,18 @@ TEST(ReliabilityTracker, TableMatchesReferenceMap) {
   for (const PacketKey& k : keys_homed_at(0xfff, 48, 1'000'000)) pool.push_back(k);
   for (const PacketKey& k : keys_homed_at(0x7ff, 48, 1'000'000)) pool.push_back(k);
 
+  // One stream per shard to read its count through: consecutive comms
+  // toward peer 1 reach every shard.
+  std::array<std::uint32_t, ReliabilityTracker::kShards> probe_comm{};
+  std::array<bool, ReliabilityTracker::kShards> probed{};
+  for (std::uint32_t comm = 0, found = 0; found < ReliabilityTracker::kShards; ++comm) {
+    const std::size_t shard = ReliabilityTracker::shard_index(1, comm);
+    if (probed[shard]) continue;
+    probed[shard] = true;
+    probe_comm[shard] = comm;
+    ++found;
+  }
+
   std::mt19937_64 rng(0x7ab1e);
   const auto pick = [&] { return pool[rng() % pool.size()]; };
   std::uint64_t now = 0;
@@ -514,6 +535,11 @@ TEST(ReliabilityTracker, TableMatchesReferenceMap) {
       expect_same_failures(got, want, op);
     }
     ASSERT_EQ(t.in_flight(), ref.size()) << "op " << op;
+    const auto shard_sizes = ref.shard_sizes();
+    for (std::size_t shard = 0; shard < ReliabilityTracker::kShards; ++shard) {
+      ASSERT_EQ(t.in_flight(1, probe_comm[shard]), shard_sizes[shard])
+          << "op " << op << ", shard " << shard;
+    }
     peak = std::max(peak, ref.size());
   }
   EXPECT_GT(peak, 256u);  // the tables grew several times over

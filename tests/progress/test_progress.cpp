@@ -23,7 +23,7 @@ fabric::Packet make_pkt(std::uint32_t seq) {
 /// probe mutual-exclusion properties of the engine designs.
 class CountingSink : public PacketSink {
  public:
-  std::size_t handle_packets(fabric::Packet*, std::size_t n) override {
+  std::size_t handle_packets(fabric::Packet*, std::size_t n, std::size_t&) override {
     for (std::size_t i = 0; i < n; ++i) handle_one();
     return n;
   }
@@ -77,17 +77,17 @@ TEST_F(ProgressTest, SerialDrainsAllInstances) {
   inject(0, 3);
   inject(2, 2);
   inject(3, 1);
-  EXPECT_EQ(engine_->progress(), 6u);
+  EXPECT_EQ(engine_->progress().completions, 6u);
   EXPECT_EQ(sink_.packets.load(), 6u);
-  EXPECT_EQ(engine_->progress(), 0u);
+  EXPECT_EQ(engine_->progress().completions, 0u);
 }
 
 TEST_F(ProgressTest, SerialRespectsBatchLimitPerInstance) {
   build(1, cri::Assignment::kRoundRobin, ProgressMode::kSerial, /*batch=*/4);
   inject(0, 10);
-  EXPECT_EQ(engine_->progress(), 4u);
-  EXPECT_EQ(engine_->progress(), 4u);
-  EXPECT_EQ(engine_->progress(), 2u);
+  EXPECT_EQ(engine_->progress().completions, 4u);
+  EXPECT_EQ(engine_->progress().completions, 4u);
+  EXPECT_EQ(engine_->progress().completions, 2u);
 }
 
 TEST_F(ProgressTest, SerialGateExcludesSecondThread) {
@@ -100,11 +100,11 @@ TEST_F(ProgressTest, SerialGateExcludesSecondThread) {
   while (sink_.concurrent_now.load() == 0) {
   }
   inject(0, 1);
-  EXPECT_EQ(engine_->progress(), 0u);  // gate busy -> immediate return
+  EXPECT_EQ(engine_->progress().completions, 0u);  // gate busy -> immediate return
   EXPECT_GE(spc_.get(Counter::kInstanceTrylockFail), 1u);
   holder.join();
   sink_.hold_ns = 0;
-  EXPECT_EQ(engine_->progress(), 1u);  // second packet still there
+  EXPECT_EQ(engine_->progress().completions, 1u);  // second packet still there
 }
 
 TEST_F(ProgressTest, ConcurrentAllowsParallelExtraction) {
@@ -126,7 +126,7 @@ TEST_F(ProgressTest, ConcurrentOwnInstanceFirst) {
   build(4, cri::Assignment::kDedicated, ProgressMode::kConcurrent);
   const int own = pool_->dedicated_id();
   inject(own, 1);
-  EXPECT_EQ(engine_->progress(), 1u);
+  EXPECT_EQ(engine_->progress().completions, 1u);
   // Fallback sweep not needed: only own instance was touched.
 }
 
@@ -138,7 +138,7 @@ TEST_F(ProgressTest, ConcurrentFallbackSweepFindsOrphanedInstances) {
   const int orphan = (own + 2) % 4;
   inject(orphan, 5);
   std::size_t total = 0;
-  for (int i = 0; i < 10 && total < 5; ++i) total += engine_->progress();
+  for (int i = 0; i < 10 && total < 5; ++i) total += engine_->progress().completions;
   EXPECT_EQ(total, 5u);
 }
 
@@ -153,10 +153,10 @@ TEST_F(ProgressTest, ConcurrentSkipsLockedInstanceAndMovesOn) {
   // Hold our own instance's lock: progress must skip it (try-lock) and
   // still find the other instance's packet via the sweep.
   pool_->instance(own).lock().lock();
-  EXPECT_EQ(engine_->progress(), 1u);
+  EXPECT_EQ(engine_->progress().completions, 1u);
   pool_->instance(own).lock().unlock();
   EXPECT_GE(spc_.get(Counter::kInstanceTrylockFail), 1u);
-  EXPECT_EQ(engine_->progress(), 1u);  // the skipped packet is still there
+  EXPECT_EQ(engine_->progress().completions, 1u);  // the skipped packet is still there
 }
 
 TEST_F(ProgressTest, CompletionQueueDrainedBeforePackets) {
@@ -166,7 +166,7 @@ TEST_F(ProgressTest, CompletionQueueDrainedBeforePackets) {
   // CountingSink ignores the cookie; use the real kind routing only.
   ASSERT_TRUE(fabric_->nic(0).context(0).try_push_completion(comp));
   inject(0, 2);
-  EXPECT_EQ(engine_->progress(), 3u);
+  EXPECT_EQ(engine_->progress().completions, 3u);
   EXPECT_EQ(sink_.completions.load(), 1u);
   EXPECT_EQ(sink_.packets.load(), 2u);
 }
@@ -216,7 +216,7 @@ TEST(Progress, DrainAfterBatchCapSeesLaterPublishes) {
   ProgressEngine engine(pool, sink, ProgressMode::kConcurrent, spc, /*batch=*/64);
   fabric::RxQueue& rx = fabric.nic(0).context(0).rx();
   for (std::uint32_t i = 0; i < 70; ++i) ASSERT_TRUE(rx.try_push(make_pkt(i)));
-  EXPECT_EQ(engine.progress(), 64u);
+  EXPECT_EQ(engine.progress().completions, 64u);
   for (std::uint32_t i = 70; i < 75; ++i) ASSERT_TRUE(rx.try_push(make_pkt(i)));
   engine.progress();
   engine.progress();
@@ -281,7 +281,7 @@ TEST(Progress, WorkWordNeverStrandsAPublish) {
     for (int t = 0; t < 2; ++t) {
       consumers.emplace_back([&] {
         while (!stop.load(std::memory_order_acquire)) {
-          if (engine.progress() == 0) std::this_thread::yield();
+          if (!engine.progress().productive()) std::this_thread::yield();
         }
       });
     }

@@ -188,5 +188,66 @@ TEST(Progress, DrainMatchesEachCommRunUnderOneLock) {
   }
 }
 
+TEST(Progress, AckRetirementEndsThePass) {
+  // Alg. 2 counts an ack that retires tracked packets as progress, as it
+  // counts a completion: a pass whose own instance held only acks returns
+  // without sweeping the other instance, and the call reports work, so
+  // wait loops reset their backoff.
+  test_support::ScopedChaosEnvClear clear_env(
+      test_support::ScopedChaosEnvClear::Knobs::kFaultsAndCaps);
+  Config cfg;
+  cfg.reliable = true;
+  cfg.num_instances = 2;
+  cfg.progress_mode = progress::ProgressMode::kConcurrent;
+  cfg.rto_ns = 60'000'000'000ULL;  // no retransmit during the test
+  cfg.rto_max_ns = 60'000'000'000ULL;
+  Universe uni(cfg);
+  Rank& rank = uni.rank(0);
+  const int own = rank.pool().id_for_thread();
+  fabric::NetworkContext& other = uni.fabric().nic(0).context(1 - own);
+
+  const std::uint32_t v = 5;
+  rank.world().send(1, 7, &v, sizeof v);  // seq 0 toward idle rank 1, tracked
+  ASSERT_EQ(rank.reliability()->in_flight(), 1u);
+  std::uint32_t got = 0;
+  Request recv;
+  rank.irecv(kWorldComm, 1, 8, &got, sizeof got, recv);
+
+  // Rank 1's ack of seq 0 on our own instance; a message from rank 1 that
+  // matches the posted receive on the other.
+  fabric::Packet ack;
+  ack.hdr.opcode = fabric::Opcode::kAck;
+  ack.hdr.src_rank = 1;
+  ack.hdr.comm_id = kWorldComm;
+  ack.hdr.tag = static_cast<std::int32_t>(fabric::Opcode::kEager);
+  const std::uint32_t count = 1;
+  ack.set_payload(&count, sizeof count);
+  fabric::stamp_checksum(ack);
+  ASSERT_TRUE(uni.fabric().nic(0).context(own).rx().try_push(std::move(ack)));
+  fabric::Packet msg;
+  msg.hdr.opcode = fabric::Opcode::kEager;
+  msg.hdr.src_rank = 1;
+  msg.hdr.comm_id = kWorldComm;
+  msg.hdr.tag = 8;
+  msg.set_payload(&v, sizeof v);
+  fabric::stamp_checksum(msg);
+  ASSERT_TRUE(other.rx().try_push(std::move(msg)));
+  const std::size_t backlog = other.rx().size_approx();
+  const std::uint64_t delivered = other.delivered();
+  ASSERT_EQ(backlog, 1u);
+
+  EXPECT_NE(rank.progress(), 0u);
+  EXPECT_EQ(rank.reliability()->in_flight(), 0u);  // the ack retired the send
+  EXPECT_EQ(other.rx().size_approx(), backlog);    // and the pass ended there
+  EXPECT_EQ(other.delivered(), delivered);
+  EXPECT_FALSE(recv.done());
+  EXPECT_EQ(rank.counters().get(Counter::kProgressCompletions), 0u);
+
+  // Its own instance dry, the next pass sweeps the other.
+  rank.wait(recv);
+  EXPECT_FALSE(recv.failed());
+  EXPECT_EQ(got, v);
+}
+
 }  // namespace
 }  // namespace fairmpi

@@ -7,7 +7,8 @@
 // assertions only hold on a pristine fabric, such as injection/drain
 // conservation — clear that profile first so they stay deterministic under
 // any environment. Tests that pin their own overload caps clear the cap
-// knobs too.
+// knobs too, and a test that pins only its caps keeps the env's fault
+// profile (Knobs::kCaps).
 #pragma once
 
 #include <cstddef>
@@ -20,9 +21,13 @@ namespace fairmpi::test_support {
 
 class ScopedChaosEnvClear {
  public:
-  explicit ScopedChaosEnvClear(bool caps = false) {
-    clear(kVars);
-    if (caps) clear(kCapVars);
+  /// Which knobs the scope clears: the fault/reliability profile, the
+  /// overload caps, or both.
+  enum class Knobs { kFaults, kCaps, kFaultsAndCaps };
+
+  explicit ScopedChaosEnvClear(Knobs knobs = Knobs::kFaults) {
+    if (knobs != Knobs::kCaps) clear(kVars);
+    if (knobs != Knobs::kFaults) clear(kCapVars);
   }
   ~ScopedChaosEnvClear() {
     for (const auto& [name, value] : saved_) {

@@ -55,7 +55,7 @@ EXPECTED_EVENT_NAMES = {
 # spc_total is missing any of these — exporter/schema drift would otherwise
 # silently blind the memory-pressure chaos job's accounting.
 OVERLOAD_SPC_NAMES = (
-    "OverloadPausedPackets",
+    "OverloadPausedPackets", "SendAdmissionWaits",
     "CancelledOps", "DeadlineExceededOps", "QuiesceTimeouts",
 )
 
