@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "fairmpi/common/error.hpp"
 #include "fairmpi/core/config.hpp"
@@ -66,12 +67,21 @@ struct FailureCounts {
   std::uint64_t total() const noexcept;
 };
 
+/// One message stream's end-of-run totals, warmup and drain included.
+struct StreamTotals {
+  std::uint64_t sent = 0;      ///< sends that did not fail
+  std::uint64_t received = 0;  ///< receives that succeeded
+};
+
 struct MultirateResult {
   double msg_rate = 0.0;          ///< delivered messages per wall second
   std::uint64_t delivered = 0;    ///< during the timed region
   double duration_s = 0.0;        ///< actual measured duration
   spc::Snapshot receiver_spc;     ///< receiver-side SPC delta (Table II)
   FailureCounts failures;
+  /// One entry per drained stream: per pair, or one for all pairs when
+  /// ANY_TAG receivers share a communicator (and one for the incast).
+  std::vector<StreamTotals> streams;
 };
 
 /// Run the pairwise pattern once. Uses real threads; intended for

@@ -39,72 +39,98 @@
 
 namespace fairmpi::spc {
 
+/// The rank SPCs, one row each: X(name, kind, doc). The enumerator is
+/// k<name> and counter_name() returns "<name>"; rows are never reordered
+/// (benches and exports read counters by name, snapshots by position).
+/// kind is Sum, or HighWater for a max-style mark that merges and resets
+/// differently. MatchTimeNs is a sampled estimate: unbiased, but a picked
+/// section that is preempted counts 64 times over, so short or
+/// oversubscribed runs read noisy.
+#define FAIRMPI_SPC_COUNTERS(X)                                                              \
+  X(MessagesSent, Sum, "completed two-sided sends")                                          \
+  X(MessagesReceived, Sum, "matched + delivered two-sided receives")                         \
+  X(BytesSent, Sum, "payload bytes injected")                                                \
+  X(BytesReceived, Sum, "payload bytes delivered")                                           \
+  X(UnexpectedMessages, Sum, "arrived before a matching receive was posted")                 \
+  X(OutOfSequence, Sum, "arrived with seq != expected (buffered)")                           \
+  X(MatchTimeNs, Sum, "time holding a matching lock, 1 section in 64 sampled, scaled by 64") \
+  X(MatchAttempts, Sum, "entries into the matching critical section")                        \
+  X(PostedQueueDepth, Sum, "posted receives inspected by arrival searches")                  \
+  X(UnexpectedQueueDepth, Sum, "unexpected messages inspected by post searches")             \
+  X(OosBufferPeak, HighWater, "high-water mark of the reorder buffer")                       \
+  X(SendBackpressure, Sum, "injection retries on a full RX ring (the fabric's EAGAIN)")      \
+  X(SendAdmissionWaits, Sum, "send wait ticks at the window, tracker or pool cap (§5h)")     \
+  X(ProgressCalls, Sum, "entries into the progress engine")                                  \
+  X(ProgressCompletions, Sum, "completions harvested by progress")                           \
+  X(InstanceTrylockFail, Sum, "failed try_lock on a CRI (Alg. 2 skip)")                      \
+  X(RmaPuts, Sum, "one-sided put operations")                                                \
+  X(RmaGets, Sum, "one-sided get operations")                                                \
+  X(RmaAccumulates, Sum, "one-sided accumulate operations")                                  \
+  X(RmaFlushes, Sum, "passive-target flush operations")                                      \
+  X(HeaderDrops, Sum, "inbound packets failing structural validation")                       \
+  X(CsumDrops, Sum, "inbound packets failing checksum verification")                         \
+  X(DupDiscards, Sum, "duplicate deliveries discarded (exactly-once)")                       \
+  X(Retransmits, Sum, "packets re-injected after an ack timeout")                            \
+  X(AcksSent, Sum, "reliability ack packets injected (one per run, not per packet acked)")   \
+  X(AcksReceived, Sum, "well-formed reliability ack packets processed")                      \
+  X(ReliabilityErrors, Sum, "typed errors surfaced (budget/retry exhaustion)")               \
+  X(SubmitQueued, Sum, "injections routed through a submission ring")                        \
+  X(SubmitRingFull, Sum, "submission attempts bounced off a full ring")                      \
+  X(SubmitCasRetries, Sum, "submission-ring tail-CAS collisions")                            \
+  X(RmaFlushAllBusy, Sum, "RMA flush passes where a held lock refused a CRI with work")      \
+  X(FtHeartbeatsSent, Sum, "ft liveness probes injected on idle links")                      \
+  X(FtHeartbeatsReceived, Sum, "ft liveness probes consumed")                                \
+  X(FtSuspects, Sum, "peers that entered the suspect state")                                 \
+  X(FtDeaths, Sum, "peers confirmed dead")                                                   \
+  X(FtPeerFailedOps, Sum, "operations completed with kPeerFailed")                           \
+  X(FtRevokedOps, Sum, "operations refused/failed on a revoked comm")                        \
+  X(OverloadPausedPackets, Sum, "packets refused unanswered at the unexpected cap")          \
+  X(CancelledOps, Sum, "requests settled kCancelled")                                        \
+  X(DeadlineExceededOps, Sum, "requests settled kDeadlineExceeded")                          \
+  X(QuiesceTimeouts, Sum, "quiesce calls that gave up with backlog")                         \
+  X(CollOps, Sum, "collective operations entered (any algorithm)")                           \
+  X(CollRounds, Sum, "tree/ring rounds executed across collectives")                         \
+  X(CollSegments, Sum, "pipeline segments sent (segmented algorithms)")                      \
+  X(CollLaneAcquires, Sum, "collective tag lanes acquired")                                  \
+  X(CollLaneWaits, Sum, "lane acquisitions that had to spin for a free lane")                \
+  X(CollBinomialOps, Sum, "collectives run with the binomial-tree algorithm")                \
+  X(CollRsagOps, Sum, "allreduces run as reduce-scatter + allgather")                        \
+  X(CollPipelinedOps, Sum, "collectives run with pipelined segmentation")                    \
+  X(ReservedTagRejects, Sum, "user ops refused for a tag in the reserved block")
+
 enum class Counter : int {
-  kMessagesSent = 0,       ///< completed two-sided sends
-  kMessagesReceived,       ///< matched + delivered two-sided receives
-  kBytesSent,              ///< payload bytes injected
-  kBytesReceived,          ///< payload bytes delivered
-  kUnexpectedMessages,     ///< arrived before a matching receive was posted
-  kOutOfSequence,          ///< arrived with seq != expected (buffered)
-  /// Time holding a matching lock: a sampled estimate (1 section in 64,
-  /// scaled by 64). Unbiased, but a picked section that is preempted
-  /// counts 64 times over, so short or oversubscribed runs read noisy.
-  kMatchTimeNs,
-  kMatchAttempts,          ///< entries into the matching critical section
-  kPostedQueueDepth,       ///< posted receives inspected by arrival searches (sum)
-  kUnexpectedQueueDepth,   ///< unexpected messages inspected by post searches (sum)
-  kOosBufferPeak,          ///< high-water mark of the reorder buffer (max, not sum)
-  kSendBackpressure,       ///< injection retries on a full RX ring (the fabric's EAGAIN)
-  kSendAdmissionWaits,     ///< send wait ticks at the window, tracker or pool cap (§5h)
-  kProgressCalls,          ///< entries into the progress engine
-  kProgressCompletions,    ///< completions harvested by progress
-  kInstanceTrylockFail,    ///< failed try_lock on a CRI (Alg. 2 skip)
-  kRmaPuts,                ///< one-sided put operations
-  kRmaGets,                ///< one-sided get operations
-  kRmaAccumulates,         ///< one-sided accumulate operations
-  kRmaFlushes,             ///< passive-target flush operations
-  kHeaderDrops,            ///< inbound packets failing structural validation
-  kCsumDrops,              ///< inbound packets failing checksum verification
-  kDupDiscards,            ///< duplicate deliveries discarded (exactly-once)
-  kRetransmits,            ///< packets re-injected after an ack timeout
-  kAcksSent,               ///< reliability ack packets injected (one per run, not per packet acked)
-  kAcksReceived,           ///< well-formed reliability ack packets processed
-  kReliabilityErrors,      ///< typed errors surfaced (budget/retry exhaustion)
-  kSubmitQueued,           ///< injections routed through a submission ring
-  kSubmitRingFull,         ///< submission attempts bounced off a full ring
-  kSubmitCasRetries,       ///< submission-ring tail-CAS collisions
-  kRmaFlushAllBusy,        ///< RMA flush passes where a held lock refused a CRI with work
-  kFtHeartbeatsSent,       ///< ft liveness probes injected on idle links
-  kFtHeartbeatsReceived,   ///< ft liveness probes consumed
-  kFtSuspects,             ///< peers that entered the suspect state
-  kFtDeaths,               ///< peers confirmed dead
-  kFtPeerFailedOps,        ///< operations completed with kPeerFailed
-  kFtRevokedOps,           ///< operations refused/failed on a revoked comm
-  kOverloadPausedPackets,  ///< packets refused unanswered at the unexpected cap
-  kCancelledOps,           ///< requests settled kCancelled
-  kDeadlineExceededOps,    ///< requests settled kDeadlineExceeded
-  kQuiesceTimeouts,        ///< quiesce calls that gave up with backlog
-  kCollOps,                ///< collective operations entered (any algorithm)
-  kCollRounds,             ///< tree/ring rounds executed across collectives
-  kCollSegments,           ///< pipeline segments sent (segmented algorithms)
-  kCollLaneAcquires,       ///< collective tag lanes acquired
-  kCollLaneWaits,          ///< lane acquisitions that had to spin for a free lane
-  kCollBinomialOps,        ///< collectives run with the binomial-tree algorithm
-  kCollRsagOps,            ///< allreduces run as reduce-scatter + allgather
-  kCollPipelinedOps,       ///< collectives run with pipelined segmentation
-  kReservedTagRejects,     ///< user ops refused for a tag in the reserved block
+#define FAIRMPI_SPC_ENUM(name, kind, doc) k##name,
+  FAIRMPI_SPC_COUNTERS(FAIRMPI_SPC_ENUM)
+#undef FAIRMPI_SPC_ENUM
   kCount
 };
 
 constexpr int kNumCounters = static_cast<int>(Counter::kCount);
 
-/// Human-readable counter name ("OutOfSequence", ...).
-const char* counter_name(Counter c) noexcept;
+enum class CounterKind : std::uint8_t { kSum, kHighWater };
+
+struct CounterInfo {
+  const char* name;
+  CounterKind kind;
+  const char* doc;
+};
+
+inline constexpr CounterInfo kCounters[] = {
+#define FAIRMPI_SPC_INFO(name, kind, doc) {#name, CounterKind::k##kind, doc},
+    FAIRMPI_SPC_COUNTERS(FAIRMPI_SPC_INFO)
+#undef FAIRMPI_SPC_INFO
+};
+
+/// Counter name ("OutOfSequence", ...); "Unknown" out of range.
+constexpr const char* counter_name(Counter c) noexcept {
+  const auto i = static_cast<std::size_t>(c);
+  return i < std::size(kCounters) ? kCounters[i].name : "Unknown";
+}
 
 /// True for max-style (high-water) counters, which merge/reset differently
 /// from sums.
 constexpr bool is_high_water(Counter c) noexcept {
-  return c == Counter::kOosBufferPeak;
+  return kCounters[static_cast<std::size_t>(c)].kind == CounterKind::kHighWater;
 }
 
 /// Bucket of a log2 histogram with `buckets` cells: 0 lands in bucket 0,
@@ -114,37 +140,55 @@ constexpr int log2_bucket(std::uint64_t v, int buckets) noexcept {
   return b < buckets ? b : buckets - 1;
 }
 
-/// Per-CRI cells of a rank's registry, labelled by instance id. Metrics
-/// marked "obs" are recorded only while obs::enabled(); the others are the
-/// single write behind an always-on rank SPC (see rollup()).
+/// Per-CRI cells of a rank's registry, labelled by instance id, one row
+/// each: X(name, export key, rollup, doc). Metrics marked "obs" are
+/// recorded only while obs::enabled(); the others are the single write
+/// behind an always-on rank SPC, their rollup (Count: none). The rank
+/// total reads the Counter's own cell plus every label's cell, so
+/// InstanceTrylockFail still counts sweep, serial-gate and RMA misses.
+#define FAIRMPI_SPC_CRI_METRICS(X)                                                                 \
+  X(Injections, "injections", Count, "packets / RMA CQ events handed to the instance (obs)")       \
+  X(PacketsDrained, "packets_drained", Count, "packets popped by progress visits (obs)")           \
+  X(CompletionsDrained, "completions_drained", Count, "CQ events popped by progress visits (obs)") \
+  X(OwnTrylockMisses, "own_trylock_misses", InstanceTrylockFail,                                   \
+    "Alg. 2 try_lock misses on the thread's own instance, work word set")                          \
+  X(OrphanSweeps, "orphan_sweeps", Count, "non-empty visits by a non-owner thread (obs)")          \
+  X(DrainVisits, "drain_visits", Count,                                                            \
+    "visits that passed the work-word gate, empty or not (obs)")                                   \
+  X(SubmitClaimed, "submit_claimed", SubmitQueued, "submission-ring slots claimed by producers")   \
+  X(SubmitCasRetries, "submit_cas_retries", SubmitCasRetries, "producer tail-CAS collisions")
+
 enum class CriMetric : int {
-  kInjections = 0,     ///< packets / RMA CQ events handed to the instance (obs)
-  kPacketsDrained,     ///< packets popped by progress visits (obs)
-  kCompletionsDrained, ///< CQ events popped by progress visits (obs)
-  kOwnTrylockMisses,   ///< Alg. 2 try_lock misses on the thread's own instance, work word set
-  kOrphanSweeps,       ///< non-empty visits by a non-owner thread (obs)
-  kDrainVisits,        ///< visits that passed the work-word gate, empty or not (obs)
-  kSubmitClaimed,      ///< submission-ring slots claimed by producers
-  kSubmitCasRetries,   ///< producer tail-CAS collisions
+#define FAIRMPI_SPC_ENUM(name, key, rollup, doc) k##name,
+  FAIRMPI_SPC_CRI_METRICS(FAIRMPI_SPC_ENUM)
+#undef FAIRMPI_SPC_ENUM
   kCount
 };
 inline constexpr int kNumCriMetrics = static_cast<int>(CriMetric::kCount);
 
-/// The rank SPC a per-CRI metric sums into (Counter::kCount: none). The
-/// rank total reads the Counter's own cell plus every label's cell, so
-/// kInstanceTrylockFail still counts sweep, serial-gate and RMA misses.
+struct CriMetricInfo {
+  const char* key;  ///< its cell's key in a dump_observability() instance row
+  Counter rollup;
+  const char* doc;
+};
+
+inline constexpr CriMetricInfo kCriMetrics[] = {
+#define FAIRMPI_SPC_INFO(name, key, rollup, doc) {key, Counter::k##rollup, doc},
+    FAIRMPI_SPC_CRI_METRICS(FAIRMPI_SPC_INFO)
+#undef FAIRMPI_SPC_INFO
+};
+
+/// The rank SPC a per-CRI metric sums into (Counter::kCount: none).
 constexpr Counter rollup(CriMetric m) noexcept {
-  switch (m) {
-    case CriMetric::kOwnTrylockMisses: return Counter::kInstanceTrylockFail;
-    case CriMetric::kSubmitClaimed: return Counter::kSubmitQueued;
-    case CriMetric::kSubmitCasRetries: return Counter::kSubmitCasRetries;
-    default: return Counter::kCount;
-  }
+  return kCriMetrics[static_cast<std::size_t>(m)].rollup;
 }
 
 /// Per-CRI batch-size histograms (obs). A batch of n >= 1 lands in
 /// log2_bucket(n - 1): 1 | 2 | 3-4 | 5-8 | 9-16 | 17-32 | 33+.
 enum class CriHist : int { kDrainBatch = 0, kSubmitFlush, kCount };
+/// Each CriHist's key in a dump_observability() instance row.
+inline constexpr const char* kCriHistKeys[] = {"drain_hist", "submit_flush_hist"};
+static_assert(std::size(kCriHistKeys) == static_cast<std::size_t>(CriHist::kCount));
 inline constexpr int kBatchHistBuckets = 7;
 
 /// Unlabelled rank histograms (always on): value v lands in

@@ -13,7 +13,9 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -22,32 +24,56 @@
 
 namespace fairmpi::trace {
 
+/// The trace events, one row each: X(name, meaning of a, meaning of b).
+/// The enumerator is k<name> and event_name() returns "<name>"; None marks
+/// a slot nothing was recorded in.
+#define FAIRMPI_TRACE_EVENTS(X)                                      \
+  X(None, "-", "-")                                                  \
+  X(Send, "destination rank", "tag")                                 \
+  X(RecvPost, "source filter (+1, 0 = ANY)", "tag filter")           \
+  X(RecvDone, "source rank", "tag")                                  \
+  X(Progress, "completions harvested", "-")                          \
+  X(RmaPut, "target rank", "low 32 bits of size")                    \
+  X(RmaGet, "target rank", "low 32 bits of size")                    \
+  X(RmaFlush, "pending ops at entry", "-")                           \
+  X(RndvRts, "destination rank", "low 32 bits of total")             \
+  X(RndvDone, "peer rank", "low 32 bits of total")                   \
+  X(Retransmit, "peer rank", "packet seq")                           \
+  X(AckSent, "peer rank", "cumulative seq acked (reliability)")      \
+  X(AckRecv, "peer rank", "cumulative seq acked (reliability)")      \
+  X(CsumDrop, "peer rank", "packet seq (checksum fault dropped)")    \
+  X(CriDrain, "instance index", "batch size (packets+completions)")  \
+  X(PeerSuspect, "peer rank", "1 entered suspect / 0 recovered")     \
+  X(PeerDead, "peer rank", "detection latency (ms)")                 \
+  X(CommRevoke, "communicator id", "posted receives failed")         \
+  X(OverloadPause, "source rank", "packet seq (refusal at the cap)") \
+  X(Cancel, "peer rank (+1, 0 = ANY)", "tag")                        \
+  X(Deadline, "peer rank (+1, 0 = ANY)", "tag")                      \
+  X(CollOp, "collective op id (coll::detail)", "tag lane")
+
 enum class Event : std::uint8_t {
-  kNone = 0,
-  kSend,        ///< a = destination rank, b = tag
-  kRecvPost,    ///< a = source filter (+1, 0 = ANY), b = tag filter
-  kRecvDone,    ///< a = source rank, b = tag
-  kProgress,    ///< a = completions harvested
-  kRmaPut,      ///< a = target rank, b = low 32 bits of size
-  kRmaGet,      ///< a = target rank, b = low 32 bits of size
-  kRmaFlush,    ///< a = pending ops at entry
-  kRndvRts,     ///< a = destination rank, b = low 32 bits of total
-  kRndvDone,    ///< a = peer rank, b = low 32 bits of total
-  kRetransmit,  ///< a = peer rank, b = packet seq
-  kAckSent,     ///< a = peer rank, b = cumulative seq acked (reliability)
-  kAckRecv,     ///< a = peer rank, b = cumulative seq acked (reliability)
-  kCsumDrop,    ///< a = peer rank, b = packet seq (checksum fault dropped)
-  kCriDrain,    ///< a = instance index, b = batch size (packets+completions)
-  kPeerSuspect, ///< a = peer rank, b = 1 entered suspect / 0 recovered
-  kPeerDead,    ///< a = peer rank, b = detection latency (ms)
-  kCommRevoke,  ///< a = communicator id, b = posted receives failed
-  kOverloadPause,  ///< a = source rank, b = packet seq (refusal at the cap)
-  kCancel,         ///< a = peer rank (+1, 0 = ANY), b = tag
-  kDeadline,       ///< a = peer rank (+1, 0 = ANY), b = tag
-  kCollOp,         ///< a = collective op id (coll::detail), b = tag lane
+#define FAIRMPI_TRACE_ENUM(name, a, b) k##name,
+  FAIRMPI_TRACE_EVENTS(FAIRMPI_TRACE_ENUM)
+#undef FAIRMPI_TRACE_ENUM
 };
 
-const char* event_name(Event e) noexcept;
+struct EventInfo {
+  const char* name;
+  const char* a;  ///< what Entry::a holds
+  const char* b;  ///< what Entry::b holds
+};
+
+inline constexpr EventInfo kEvents[] = {
+#define FAIRMPI_TRACE_INFO(name, a, b) {#name, a, b},
+    FAIRMPI_TRACE_EVENTS(FAIRMPI_TRACE_INFO)
+#undef FAIRMPI_TRACE_INFO
+};
+
+/// Event name ("Send", ...); "Unknown" out of range.
+constexpr const char* event_name(Event e) noexcept {
+  const auto i = static_cast<std::size_t>(e);
+  return i < std::size(kEvents) ? kEvents[i].name : "Unknown";
+}
 
 /// Per-thread attribution for exported traces: the recording thread's slot
 /// (common/thread_slot.hpp), or kNoTraceTid for unregistered threads.

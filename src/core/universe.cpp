@@ -15,35 +15,17 @@ std::vector<int> contexts_per_rank(const Config& cfg) {
   return std::vector<int>(static_cast<std::size_t>(cfg.num_ranks), cfg.num_instances);
 }
 
-/// Chaos-testing hook: the fault/reliability knobs are also honoured from
-/// the environment for universes built from a programmatic Config (tests,
-/// benches), so a CI job can replay an entire suite over a lossy fabric
-/// without touching each call site. Only fault-model knobs are read here —
-/// topology/design knobs from the environment stay the job of
+/// Chaos-testing hook: the fault/reliability, ft, observability, cap and
+/// deadline cvars (every group but kDesign, see cvar.hpp) are also honoured
+/// from the environment for universes built from a programmatic Config
+/// (tests, benches), so a CI job can replay an entire suite over a lossy
+/// fabric, armed, traced or squeezed under tiny caps without touching each
+/// call site. Topology/design knobs from the environment stay the job of
 /// config_from_env, so a test's explicitly constructed design is never
-/// silently overridden.
+/// silently overridden. The additive groups never alter the communication
+/// design under test: unset means off or uncapped, exactly as before.
 Config apply_chaos_env(Config cfg) {
-  static constexpr const char* kChaosKnobs[] = {
-      "fault_drop",     "fault_dup",        "fault_delay",
-      "fault_reorder",  "fault_corrupt",    "fault_seed",
-      "reliable",       "rto_ns",           "rto_max_ns",
-      "max_retries",    "reliability_window", "send_retry_limit",
-      // ft knobs ride along so a chaos job can arm the failure detector
-      // (FAIRMPI_FT=1) across a whole suite without touching call sites.
-      "ft",             "ft_heartbeat_ns",  "ft_suspect_ns",
-      "ft_strikes",
-      // Observability knobs ride along for the same reason: FAIRMPI_TRACE=1
-      // FAIRMPI_OBS=1 must instrument a test/bench binary that builds its
-      // Config programmatically, without touching each call site. They are
-      // additive-only (never alter the communication design under test).
-      "trace",          "trace_entries",    "obs",
-      // Overload-control caps (§5h) ride along so a memory-pressure chaos
-      // job can squeeze a whole suite under tiny caps without touching
-      // call sites. Additive: unset means uncapped, exactly as before.
-      "unexpected_cap", "payload_pool_cap", "tracker_cap",
-      "op_deadline_ns",
-  };
-  apply_env_cvars(cfg, kChaosKnobs);
+  apply_env_cvars(cfg, read_by_chaos_hook);
   // A lossy fabric without the reliability protocol cannot keep MPI
   // semantics; switching faults on implies switching reliability on. So
   // does an unexpected-queue cap: it defers and pauses packets onto the

@@ -172,6 +172,11 @@ class alignas(kCacheLine) DrainBook {
     received_.fetch_add(ok, std::memory_order_relaxed);
   }
 
+  /// The book's totals; final once drained().
+  StreamTotals totals() const noexcept {
+    return {sent_.load(std::memory_order_relaxed), received_.load(std::memory_order_relaxed)};
+  }
+
   /// Every sender has published and every message it sent was received.
   bool drained() const noexcept {
     // Acquire on the sender count orders the published totals before it.
@@ -407,6 +412,7 @@ MultirateResult run_pairwise(const MultirateConfig& cfg) {
   res.msg_rate = static_cast<double>(res.delivered) / elapsed;
   res.receiver_spc = spc_after.delta_since(spc_before);
   res.failures = failures.counts();
+  for (const DrainBook& book : books) res.streams.push_back(book.totals());
   return res;
 }
 
@@ -509,6 +515,7 @@ MultirateResult run_incast(const MultirateConfig& cfg) {
   res.msg_rate = static_cast<double>(res.delivered) / elapsed;
   res.receiver_spc = receiver_rank.counters().snapshot().delta_since(before);
   res.failures = failures.counts();
+  res.streams.push_back(book.totals());
   return res;
 }
 

@@ -12,6 +12,8 @@
 //   kCriDrain     -> additionally an "n" (async instant) event on an async
 //                    lane per (rank, instance) — cat "cri", id "<instance>" —
 //                    so each CRI renders as its own track of drain activity
+//   otherData     -> {"schema": ...}: the counter, CRI-metric and event
+//                    names, as dump_observability() carries them too
 //
 // Timestamps: trace::Entry records steady-clock ns, shared by all ranks of
 // the in-process universe; the exporter rebases to the earliest entry and
@@ -75,6 +77,28 @@ void emit_spc(std::ostream& os, const spc::Snapshot& snap, const char* indent) {
        << "\": " << snap.values[static_cast<std::size_t>(c)];
   }
   os << "\n" << indent << "}";
+}
+
+/// `rows`' names as a JSON array, in table order.
+template <class Rows, class Row>
+void emit_names(std::ostream& os, const Rows& rows, const char* Row::*name) {
+  os << '[';
+  for (std::size_t i = 0; i < std::size(rows); ++i) {
+    os << (i == 0 ? "\"" : ", \"") << rows[i].*name << '"';
+  }
+  os << ']';
+}
+
+/// The names an export is read by, each family in its table's order:
+/// obs_report.py checks a file against the schema it carries.
+void emit_schema(std::ostream& os) {
+  os << "{\"counters\": ";
+  emit_names(os, spc::kCounters, &spc::CounterInfo::name);
+  os << ", \"cri_metrics\": ";
+  emit_names(os, spc::kCriMetrics, &spc::CriMetricInfo::key);
+  os << ", \"events\": ";
+  emit_names(os, trace::kEvents, &trace::EventInfo::name);
+  os << '}';
 }
 
 template <std::size_t N>
@@ -143,7 +167,9 @@ void Universe::export_chrome_trace(std::ostream& os) const {
       }
     }
   }
-  os << "\n],\"displayTimeUnit\":\"ns\"}\n";
+  os << "\n],\"displayTimeUnit\":\"ns\",\"otherData\":{\"schema\":";
+  emit_schema(os);
+  os << "}}\n";
 }
 
 void Universe::dump_observability(std::ostream& os) const {
@@ -153,6 +179,9 @@ void Universe::dump_observability(std::ostream& os) const {
   os << "{\n";
   os << "  \"obs_enabled\": " << (obs::enabled() ? "true" : "false") << ",\n";
   os << "  \"dumped_at_ns\": " << now << ",\n";
+  os << "  \"schema\": ";
+  emit_schema(os);
+  os << ",\n";
   os << "  \"config\": {\n"
      << "    \"num_ranks\": " << num_ranks() << ",\n"
      << "    \"num_instances\": " << cfg_.num_instances << ",\n"
@@ -185,24 +214,19 @@ void Universe::dump_observability(std::ostream& os) const {
     os << (r == 0 ? "" : ",") << "\n    {\"rank\": " << rank.id()
        << ", \"instances\": [";
     for (int i = 0; i < rank.pool().size(); ++i) {
-      using spc::CriMetric;
       // Two lock-free reads, racy against the instance's producers and its
       // consumer: a CRI whose backlog stays while `delivered - rx_backlog`
       // does not move between two dumps is not being drained.
       fabric::NetworkContext& ctx = rank.pool().instance(i).context();
-      os << (i == 0 ? "" : ",") << "\n      {\"id\": " << i
-         << ", \"injections\": " << snap.get(CriMetric::kInjections, i)
-         << ", \"packets_drained\": " << snap.get(CriMetric::kPacketsDrained, i)
-         << ", \"completions_drained\": " << snap.get(CriMetric::kCompletionsDrained, i)
-         << ", \"own_trylock_misses\": " << snap.get(CriMetric::kOwnTrylockMisses, i)
-         << ", \"orphan_sweeps\": " << snap.get(CriMetric::kOrphanSweeps, i)
-         << ", \"drain_visits\": " << snap.get(CriMetric::kDrainVisits, i)
-         << ", \"drain_hist\": ";
-      emit_hist(os, snap.hist(spc::CriHist::kDrainBatch, i));
-      os << ", \"submit_claimed\": " << snap.get(CriMetric::kSubmitClaimed, i)
-         << ", \"submit_cas_retries\": " << snap.get(CriMetric::kSubmitCasRetries, i)
-         << ", \"submit_flush_hist\": ";
-      emit_hist(os, snap.hist(spc::CriHist::kSubmitFlush, i));
+      os << (i == 0 ? "" : ",") << "\n      {\"id\": " << i;
+      for (int m = 0; m < spc::kNumCriMetrics; ++m) {
+        os << ", \"" << spc::kCriMetrics[m].key
+           << "\": " << snap.get(static_cast<spc::CriMetric>(m), i);
+      }
+      for (int h = 0; h < static_cast<int>(spc::CriHist::kCount); ++h) {
+        os << ", \"" << spc::kCriHistKeys[h] << "\": ";
+        emit_hist(os, snap.hist(static_cast<spc::CriHist>(h), i));
+      }
       os << ", \"delivered\": " << ctx.delivered()
          << ", \"rx_backlog\": " << ctx.rx().size_approx() << "}";
     }

@@ -7,63 +7,6 @@
 
 namespace fairmpi::spc {
 
-const char* counter_name(Counter c) noexcept {
-  switch (c) {
-    case Counter::kMessagesSent: return "MessagesSent";
-    case Counter::kMessagesReceived: return "MessagesReceived";
-    case Counter::kBytesSent: return "BytesSent";
-    case Counter::kBytesReceived: return "BytesReceived";
-    case Counter::kUnexpectedMessages: return "UnexpectedMessages";
-    case Counter::kOutOfSequence: return "OutOfSequence";
-    case Counter::kMatchTimeNs: return "MatchTimeNs";
-    case Counter::kMatchAttempts: return "MatchAttempts";
-    case Counter::kPostedQueueDepth: return "PostedQueueDepth";
-    case Counter::kUnexpectedQueueDepth: return "UnexpectedQueueDepth";
-    case Counter::kOosBufferPeak: return "OosBufferPeak";
-    case Counter::kSendBackpressure: return "SendBackpressure";
-    case Counter::kSendAdmissionWaits: return "SendAdmissionWaits";
-    case Counter::kProgressCalls: return "ProgressCalls";
-    case Counter::kProgressCompletions: return "ProgressCompletions";
-    case Counter::kInstanceTrylockFail: return "InstanceTrylockFail";
-    case Counter::kRmaPuts: return "RmaPuts";
-    case Counter::kRmaGets: return "RmaGets";
-    case Counter::kRmaAccumulates: return "RmaAccumulates";
-    case Counter::kRmaFlushes: return "RmaFlushes";
-    case Counter::kHeaderDrops: return "HeaderDrops";
-    case Counter::kCsumDrops: return "CsumDrops";
-    case Counter::kDupDiscards: return "DupDiscards";
-    case Counter::kRetransmits: return "Retransmits";
-    case Counter::kAcksSent: return "AcksSent";
-    case Counter::kAcksReceived: return "AcksReceived";
-    case Counter::kReliabilityErrors: return "ReliabilityErrors";
-    case Counter::kSubmitQueued: return "SubmitQueued";
-    case Counter::kSubmitRingFull: return "SubmitRingFull";
-    case Counter::kSubmitCasRetries: return "SubmitCasRetries";
-    case Counter::kRmaFlushAllBusy: return "RmaFlushAllBusy";
-    case Counter::kFtHeartbeatsSent: return "FtHeartbeatsSent";
-    case Counter::kFtHeartbeatsReceived: return "FtHeartbeatsReceived";
-    case Counter::kFtSuspects: return "FtSuspects";
-    case Counter::kFtDeaths: return "FtDeaths";
-    case Counter::kFtPeerFailedOps: return "FtPeerFailedOps";
-    case Counter::kFtRevokedOps: return "FtRevokedOps";
-    case Counter::kOverloadPausedPackets: return "OverloadPausedPackets";
-    case Counter::kCancelledOps: return "CancelledOps";
-    case Counter::kDeadlineExceededOps: return "DeadlineExceededOps";
-    case Counter::kQuiesceTimeouts: return "QuiesceTimeouts";
-    case Counter::kCollOps: return "CollOps";
-    case Counter::kCollRounds: return "CollRounds";
-    case Counter::kCollSegments: return "CollSegments";
-    case Counter::kCollLaneAcquires: return "CollLaneAcquires";
-    case Counter::kCollLaneWaits: return "CollLaneWaits";
-    case Counter::kCollBinomialOps: return "CollBinomialOps";
-    case Counter::kCollRsagOps: return "CollRsagOps";
-    case Counter::kCollPipelinedOps: return "CollPipelinedOps";
-    case Counter::kReservedTagRejects: return "ReservedTagRejects";
-    case Counter::kCount: break;
-  }
-  return "Unknown";
-}
-
 std::uint64_t Snapshot::get(CriMetric m, int cri) const noexcept {
   const std::size_t i = CounterSet::index(m, cri) - kNumCounters;
   return i < cells.size() ? cells[i] : 0;

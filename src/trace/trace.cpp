@@ -7,34 +7,6 @@
 
 namespace fairmpi::trace {
 
-const char* event_name(Event e) noexcept {
-  switch (e) {
-    case Event::kNone: return "None";
-    case Event::kSend: return "Send";
-    case Event::kRecvPost: return "RecvPost";
-    case Event::kRecvDone: return "RecvDone";
-    case Event::kProgress: return "Progress";
-    case Event::kRmaPut: return "RmaPut";
-    case Event::kRmaGet: return "RmaGet";
-    case Event::kRmaFlush: return "RmaFlush";
-    case Event::kRndvRts: return "RndvRts";
-    case Event::kRndvDone: return "RndvDone";
-    case Event::kRetransmit: return "Retransmit";
-    case Event::kAckSent: return "AckSent";
-    case Event::kAckRecv: return "AckRecv";
-    case Event::kCsumDrop: return "CsumDrop";
-    case Event::kCriDrain: return "CriDrain";
-    case Event::kPeerSuspect: return "PeerSuspect";
-    case Event::kPeerDead: return "PeerDead";
-    case Event::kCommRevoke: return "CommRevoke";
-    case Event::kOverloadPause: return "OverloadPause";
-    case Event::kCancel: return "Cancel";
-    case Event::kDeadline: return "Deadline";
-    case Event::kCollOp: return "CollOp";
-  }
-  return "Unknown";
-}
-
 Tracer::Tracer(std::size_t capacity)
     : capacity_(capacity == 0 ? 0 : next_pow2(capacity)),
       mask_(capacity_ == 0 ? 0 : capacity_ - 1),

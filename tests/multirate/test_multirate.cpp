@@ -9,7 +9,9 @@
 #include <cstdlib>
 
 #include "fairmpi/common/error.hpp"
+#include "fairmpi/core/cvar.hpp"
 #include "fairmpi/rmamt/rmamt.hpp"
+#include "support/scoped_chaos_env.hpp"
 
 namespace fairmpi {
 namespace {
@@ -18,27 +20,31 @@ using multirate::MultirateConfig;
 using multirate::run_pairwise;
 using spc::Counter;
 
-/// True when the chaos CI profile injects faults via the environment: the
-/// "no out-of-sequence arrivals" assertions below describe a pristine
-/// fabric and are legitimately violated by injected reordering (delivery
-/// counts — the exactly-once property — still must hold).
-bool chaos_env() {
-  for (const char* v : {"FAIRMPI_FAULT_DROP", "FAIRMPI_FAULT_DUP",
-                        "FAIRMPI_FAULT_DELAY", "FAIRMPI_FAULT_REORDER",
-                        "FAIRMPI_FAULT_CORRUPT"}) {
-    if (std::getenv(v) != nullptr) return true;
+/// True when the environment sets any cvar `pick` selects.
+template <class Pick>
+bool env_sets(Pick pick) {
+  for (const CvarInfo& cvar : kCvars) {
+    if (pick(cvar) && std::getenv(test_support::cvar_env_name(cvar).c_str()) != nullptr) {
+      return true;
+    }
   }
   return false;
 }
 
-/// True when the environment caps the unexpected queue or the payload
-/// pool (the overload-chaos CI legs): a receiver at its cap then pauses or
-/// defers packets by design.
+/// True when the chaos CI profile injects faults via the environment (a
+/// fault probability is set): the "no out-of-sequence arrivals" assertions
+/// below describe a pristine fabric and are legitimately violated by
+/// injected reordering (delivery counts — the exactly-once property —
+/// still must hold).
+bool chaos_env() {
+  return env_sets([](const CvarInfo& c) { return c.kind == CvarKind::kProb; });
+}
+
+/// True when the environment sets an overload cap (the overload-chaos CI
+/// legs): a receiver at its cap pauses or defers packets by design, and a
+/// send waits at a sender-side cap.
 bool capped_env() {
-  for (const char* v : {"FAIRMPI_UNEXPECTED_CAP", "FAIRMPI_PAYLOAD_POOL_CAP"}) {
-    if (std::getenv(v) != nullptr) return true;
-  }
-  return false;
+  return env_sets([](const CvarInfo& c) { return c.group == CvarGroup::kCap; });
 }
 
 /// True for the ends DESIGN.md §5h gives a send waiting at a cap: the
@@ -101,11 +107,19 @@ TEST(Multirate, TwoPairsSharedCommUnderCap) {
   // Each receiver keeps receiving until its sender has stopped, so one
   // tag's leftover messages never fill the shared cap in front of the
   // message the other pair's receiver waits on (ROADMAP item 1).
+  // At cap 8 nearly every out-of-sequence arrival waits out a retransmit
+  // timeout, so the timed region's count depends on the CPU share the
+  // run gets; what must hold on any schedule is that the run ends and
+  // every pair's stream delivers each sent message once.
   MultirateConfig cfg = quick(2);
   cfg.engine.unexpected_cap = 8;
   const auto res = run_pairwise(cfg);
   expect_no_unplanned_failures(res);
-  EXPECT_GT(res.delivered, 200u);
+  ASSERT_EQ(res.streams.size(), 2u);
+  for (const multirate::StreamTotals& stream : res.streams) {
+    EXPECT_EQ(stream.received, stream.sent);
+    EXPECT_GT(stream.received, 0u);
+  }
 }
 
 TEST(Multirate, CommPerPairMode) {

@@ -540,14 +540,11 @@ TEST(Deadline, WindowExpiryLeavesNoSequenceHole) {
   check_gate_exits_leave_no_hole(Gate::kWindow);
 }
 
-// The two cap tests keep the names they had when a cap could shed a send
-// with kLocalOverloaded; now the cap waits, and deadline and cancel are the
-// typed exits they check.
-TEST(Overload, TrackerCapShedFailsLocalTyped) {
+TEST(Overload, TrackerCapWaitExitsLeaveNoHole) {
   check_gate_exits_leave_no_hole(Gate::kTracker);
 }
 
-TEST(Overload, PoolCapShedFailsLocalTyped) {
+TEST(Overload, PoolCapWaitExitsLeaveNoHole) {
   check_gate_exits_leave_no_hole(Gate::kPool);
 }
 

@@ -11,57 +11,54 @@
 // profile (Knobs::kCaps).
 #pragma once
 
-#include <cstddef>
+#include <cctype>
 #include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "fairmpi/core/cvar.hpp"
+
 namespace fairmpi::test_support {
+
+/// The environment variable a control variable is read from.
+inline std::string cvar_env_name(const CvarInfo& cvar) {
+  std::string out = "FAIRMPI_";
+  for (const char* p = cvar.name; *p != '\0'; ++p) {
+    out.push_back(static_cast<char>(std::toupper(static_cast<unsigned char>(*p))));
+  }
+  return out;
+}
 
 class ScopedChaosEnvClear {
  public:
-  /// Which knobs the scope clears: the fault/reliability profile, the
-  /// overload caps, or both.
+  /// Which knobs the scope clears: the fault/reliability profile (the
+  /// CvarGroup::kFault rows), the overload caps (kCap), or both.
   enum class Knobs { kFaults, kCaps, kFaultsAndCaps };
 
   explicit ScopedChaosEnvClear(Knobs knobs = Knobs::kFaults) {
-    if (knobs != Knobs::kCaps) clear(kVars);
-    if (knobs != Knobs::kFaults) clear(kCapVars);
+    for (const CvarInfo& cvar : kCvars) {
+      if ((cvar.group == CvarGroup::kFault && knobs != Knobs::kCaps) ||
+          (cvar.group == CvarGroup::kCap && knobs != Knobs::kFaults)) {
+        clear(cvar_env_name(cvar));
+      }
+    }
   }
   ~ScopedChaosEnvClear() {
-    for (const auto& [name, value] : saved_) {
-      if (!value.empty()) ::setenv(name, value.c_str(), 1);
-    }
+    for (const auto& [name, value] : saved_) ::setenv(name.c_str(), value.c_str(), 1);
   }
   ScopedChaosEnvClear(const ScopedChaosEnvClear&) = delete;
   ScopedChaosEnvClear& operator=(const ScopedChaosEnvClear&) = delete;
 
  private:
-  template <std::size_t N>
-  void clear(const char* const (&names)[N]) {
-    for (const char* name : names) {
-      const char* value = std::getenv(name);
-      saved_.emplace_back(name, value == nullptr ? std::string()
-                                                 : std::string(value));
-      if (value != nullptr) ::unsetenv(name);
-    }
+  void clear(std::string name) {
+    const char* value = std::getenv(name.c_str());
+    if (value == nullptr) return;
+    saved_.emplace_back(name, value);
+    ::unsetenv(name.c_str());
   }
 
-  static constexpr const char* kVars[] = {
-      "FAIRMPI_FAULT_DROP",      "FAIRMPI_FAULT_DUP",
-      "FAIRMPI_FAULT_DELAY",     "FAIRMPI_FAULT_REORDER",
-      "FAIRMPI_FAULT_CORRUPT",   "FAIRMPI_FAULT_SEED",
-      "FAIRMPI_RELIABLE",        "FAIRMPI_RTO_NS",
-      "FAIRMPI_RTO_MAX_NS",      "FAIRMPI_MAX_RETRIES",
-      "FAIRMPI_RELIABILITY_WINDOW", "FAIRMPI_SEND_RETRY_LIMIT",
-      "FAIRMPI_FT",              "FAIRMPI_FT_HEARTBEAT_NS",
-      "FAIRMPI_FT_SUSPECT_NS",   "FAIRMPI_FT_STRIKES",
-  };
-  static constexpr const char* kCapVars[] = {
-      "FAIRMPI_UNEXPECTED_CAP", "FAIRMPI_PAYLOAD_POOL_CAP", "FAIRMPI_TRACKER_CAP",
-  };
-  std::vector<std::pair<const char*, std::string>> saved_;
+  std::vector<std::pair<std::string, std::string>> saved_;
 };
 
 }  // namespace fairmpi::test_support

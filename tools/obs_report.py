@@ -8,13 +8,16 @@ Two roles, combinable in one invocation:
                            top-level object schema, per-event required keys,
                            phase-specific constraints ("M" metadata, "i"
                            instants, "n" async instants), monotone-sane
-                           timestamps, and that every (pid, tid) carrying
-                           events also carries thread_name metadata.
+                           timestamps, that every (pid, tid) carrying
+                           events also carries thread_name metadata, and
+                           that every event name is in the schema the trace
+                           carries (otherData.schema.events).
 
   --report OBS.json        Render Universe::dump_observability() output as
                            lock-contention and per-CRI utilization tables,
-                           after rejecting schema drift (missing keys,
-                           wrong histogram lengths).
+                           after rejecting schema drift: missing keys, wrong
+                           histogram lengths, or a spc/spc_total object that
+                           lacks a counter of the dump's own schema.
                            --require-wait CLASS (repeatable) turns "class
                            CLASS recorded zero wait time" into a failure —
                            CI uses it to assert the profiler attributes
@@ -42,40 +45,13 @@ import json
 import sys
 
 VALID_PHASES = {"M", "i", "n", "B", "E", "X", "b", "e"}
-EXPECTED_EVENT_NAMES = {
-    "Send", "RecvPost", "RecvDone", "Progress", "RmaPut", "RmaGet", "RmaFlush",
-    "RndvRts", "RndvDone", "Retransmit",
-    "AckSent", "AckRecv", "CsumDrop", "CriDrain",
-    "PeerSuspect", "PeerDead", "CommRevoke",
-    "OverloadPause", "Cancel", "Deadline",
-    "CollOp",
-}
-
-# Overload-control SPCs (DESIGN.md §5h): --report fails if a snapshot's
-# spc_total is missing any of these — exporter/schema drift would otherwise
-# silently blind the memory-pressure chaos job's accounting.
-OVERLOAD_SPC_NAMES = (
-    "OverloadPausedPackets", "SendAdmissionWaits",
-    "CancelledOps", "DeadlineExceededOps", "QuiesceTimeouts",
-)
-
-# Collective SPCs (DESIGN.md §5i): same drift guard as the §5h set — the
-# coll-mt CI job's accounting and the collectives table below read these.
-COLL_SPC_NAMES = (
-    "CollOps", "CollRounds", "CollSegments", "CollLaneAcquires",
-    "CollLaneWaits", "CollBinomialOps", "CollRsagOps", "CollPipelinedOps",
-    "ReservedTagRejects",
-)
-
 
 # dump_observability() schema (DESIGN.md §5d): --report fails before
 # rendering if a per-CRI row, contention row or ft section lacks a key, or
-# a histogram changes length (its buckets are read by position).
-INSTANCE_KEYS = (
-    "id", "injections", "packets_drained", "completions_drained",
-    "own_trylock_misses", "orphan_sweeps", "drain_visits", "submit_claimed",
-    "submit_cas_retries", "delivered", "rx_backlog",
-)
+# a histogram changes length (its buckets are read by position). The
+# counter, per-CRI metric and event names come from the "schema" block
+# each export carries; the keys below are not engine tables.
+SCHEMA_LISTS = ("counters", "cri_metrics", "events")
 # Per-rank stall facts, read under the rendezvous lock at dump time.
 RANK_KEYS = ("rank", "instances", "rndv_pending", "rndv_oldest_age_ns")
 # Per-CRI cells written whether or not obs is on: each is the only record
@@ -114,6 +90,8 @@ def validate_trace(path: str, verbose: bool) -> None:
     instants = 0
     async_lanes: set[tuple[int, str]] = set()
     unknown_names: set[str] = set()
+    other = doc.get("otherData")
+    event_names = set(read_schema(other if isinstance(other, dict) else {}, path)["events"])
 
     for i, ev in enumerate(events):
         where = f"{path}: traceEvents[{i}]"
@@ -150,7 +128,7 @@ def validate_trace(path: str, verbose: bool) -> None:
                 fail(f"{where}: instant event without tid")
             event_threads.add((ev["pid"], ev["tid"]))
             instants += 1
-            if name not in EXPECTED_EVENT_NAMES:
+            if name not in event_names:
                 unknown_names.add(name)
         elif ph == "n":
             if "id" not in ev:
@@ -163,7 +141,7 @@ def validate_trace(path: str, verbose: bool) -> None:
     if orphans:
         fail(f"{path}: threads with events but no thread_name metadata: {sorted(orphans)}")
     if unknown_names:
-        fail(f"{path}: unknown event names (exporter/schema drift): {sorted(unknown_names)}")
+        fail(f"{path}: event names not in its schema: {sorted(unknown_names)}")
 
     print(f"obs_report: {path}: OK — {len(events)} events "
           f"({instants} instants, {len(named_threads)} named threads, "
@@ -210,16 +188,26 @@ def missing_fields(row: dict, keys, hist_lengths: dict[str, int], where: str) ->
     return out
 
 
+def read_schema(doc: dict, path: str) -> dict:
+    """The name lists an export carries, failing when they are absent."""
+    schema = doc.get("schema")
+    if not isinstance(schema, dict) or not all(
+            isinstance(schema.get(k), list) for k in SCHEMA_LISTS):
+        fail(f"{path}: missing schema with {', '.join(SCHEMA_LISTS)} name lists")
+    return schema
+
+
 def schema_drift(doc: dict) -> list[str]:
-    """Every failure of the §5d snapshot schema (see INSTANCE_KEYS & co.)."""
+    """Every failure of the §5d snapshot schema (see RANK_KEYS & co.)."""
     out = []
+    instance_keys = ("id", *doc["schema"]["cri_metrics"], "delivered", "rx_backlog")
     for c in doc["contention"]:
         out += missing_fields(c, CONTENTION_KEYS, {}, f"contention row {c.get('name')!r}")
     for rank in doc["ranks"]:
         r = rank.get("rank")
         out += missing_fields(rank, RANK_KEYS, {}, f"rank row r{r}")
         for inst in rank.get("instances", []):
-            out += missing_fields(inst, INSTANCE_KEYS, INSTANCE_HIST_LENGTHS,
+            out += missing_fields(inst, instance_keys, INSTANCE_HIST_LENGTHS,
                                   f"r{r}.cri{inst.get('id')}")
         if rank.get("ft") is not None:
             out += missing_fields(rank["ft"], FT_KEYS, FT_HIST_LENGTHS, f"r{r}.ft")
@@ -237,6 +225,7 @@ def load_snapshot(path: str) -> dict:
     for key in ("obs_enabled", "dumped_at_ns", "contention", "ranks", "spc_total"):
         if key not in doc:
             fail(f"{path}: missing top-level key {key!r}")
+    read_schema(doc, path)
     drift = schema_drift(doc)
     if drift:
         fail(f"{path}: schema drift: " + "; ".join(drift))
@@ -245,6 +234,15 @@ def load_snapshot(path: str) -> dict:
 
 def report_obs(path: str, require_wait: list[str]) -> None:
     doc = load_snapshot(path)
+    # Every counter object must carry every schema counter: the tables
+    # below read them by name, and the chaos jobs' accounting depends on
+    # them.
+    counters = doc["schema"]["counters"]
+    for where, spc in [("spc_total", doc["spc_total"])] + [
+            (f"r{rank['rank']}.spc", rank.get("spc", {})) for rank in doc["ranks"]]:
+        missing = [name for name in counters if name not in spc]
+        if missing:
+            fail(f"{path}: {where} lacks schema counters {missing}")
 
     cfg = doc.get("config", {})
     print(f"fairmpi observability report — {path}")
@@ -315,22 +313,19 @@ def report_obs(path: str, require_wait: list[str]) -> None:
             submit_rows))
 
     # --- overload control (DESIGN.md §5h) ---
-    # Older snapshots (pre-§5h) have no overload/payload_pool keys; the
-    # per-rank view is null when no cap is configured.
+    # The per-rank view is null when no cap is configured.
     overload_rows = []
     for rank in doc["ranks"]:
         ov = rank.get("overload")
         if ov is None:
             continue
-        spc = rank.get("spc", {})
+        spc = rank["spc"]
         overload_rows.append([
             f"r{rank['rank']}", str(ov["unexpected_total"]),
             str(ov["peers_at_cap"]), str(ov["tracker_in_flight"]),
             str(ov["unexpected_cap"]), str(ov["pool_cap_bytes"]),
-            str(ov["tracker_cap"]),
-            str(spc.get("OverloadPausedPackets", 0)),
-            str(spc.get("CancelledOps", 0)),
-            str(spc.get("DeadlineExceededOps", 0)),
+            str(ov["tracker_cap"]), str(spc["OverloadPausedPackets"]),
+            str(spc["CancelledOps"]), str(spc["DeadlineExceededOps"]),
         ])
     if overload_rows:
         print("overload control (per capped rank):")
@@ -344,21 +339,16 @@ def report_obs(path: str, require_wait: list[str]) -> None:
         print()
 
     # --- collectives (DESIGN.md §5i) ---
-    # Only rendered once any rank ran a collective; pre-§5i snapshots (or
-    # p2p-only runs) skip the table.
+    # Only rendered once any rank ran a collective; p2p-only runs skip the
+    # table.
     coll_rows = []
     for rank in doc["ranks"]:
-        spc = rank.get("spc", {})
-        if not spc.get("CollOps"):
+        spc = rank["spc"]
+        if not spc["CollOps"]:
             continue
-        coll_rows.append([
-            f"r{rank['rank']}", str(spc.get("CollOps", 0)),
-            str(spc.get("CollRounds", 0)), str(spc.get("CollSegments", 0)),
-            str(spc.get("CollBinomialOps", 0)), str(spc.get("CollRsagOps", 0)),
-            str(spc.get("CollPipelinedOps", 0)),
-            str(spc.get("CollLaneAcquires", 0)), str(spc.get("CollLaneWaits", 0)),
-            str(spc.get("ReservedTagRejects", 0)),
-        ])
+        coll_rows.append([f"r{rank['rank']}"] + [str(spc[name]) for name in (
+            "CollOps", "CollRounds", "CollSegments", "CollBinomialOps", "CollRsagOps",
+            "CollPipelinedOps", "CollLaneAcquires", "CollLaneWaits", "ReservedTagRejects")])
     if coll_rows:
         print("collectives (per rank):")
         print(render_table(
@@ -369,15 +359,6 @@ def report_obs(path: str, require_wait: list[str]) -> None:
 
     # --- requirements ---
     failures = []
-    # Schema-drift guard: a snapshot that carries spc_total must carry the
-    # §5h counters — the chaos jobs' accounting depends on them.
-    spc_total = doc.get("spc_total", {})
-    for name in OVERLOAD_SPC_NAMES:
-        if name not in spc_total:
-            failures.append(f"spc_total is missing overload counter {name!r}")
-    for name in COLL_SPC_NAMES:
-        if name not in spc_total:
-            failures.append(f"spc_total is missing coll counter {name!r}")
     by_name = {c["name"]: c for c in doc["contention"]}
     for want in require_wait:
         c = by_name.get(want)
