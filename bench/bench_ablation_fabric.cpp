@@ -1,7 +1,7 @@
 // Ablation: fabric building blocks — RX ring throughput under different
 // producer counts, inline vs heap payload transfer, the retransmit clone,
-// the reliability tracker's track/ack cycle, the wire checksum, and the
-// end-to-end injection path through an endpoint.
+// the reliability tracker's track/ack cycle, the wire checksum, the summed
+// payload copy, and the end-to-end injection path through an endpoint.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -28,6 +28,7 @@ using fairmpi::fabric::SubmitRing;
 using fairmpi::fabric::SubmitTicket;
 using fairmpi::fabric::WireHeader;
 using fairmpi::fabric::clone_packet;
+using fairmpi::fabric::stamp_checksum;
 using fairmpi::fabric::wire_checksum;
 
 void BM_RingPushPopSingleThread(benchmark::State& state) {
@@ -253,6 +254,27 @@ void BM_WireChecksum(benchmark::State& state) {
                           static_cast<std::int64_t>(sizeof hdr + payload.size()));
 }
 BENCHMARK(BM_WireChecksum)->Arg(64)->Arg(4096)->Arg(32768);
+
+/// A reliable sender's two passes over its payload, summed 0 vs 1: a plain
+/// copy into a pool buffer then the full stamp (the stamp re-reads every
+/// byte, under the CRI lock in the engine), vs. the copy that sums as it
+/// goes then the stamp that adds only the header to the cached sum.
+void BM_SetPayloadAndStamp(benchmark::State& state) {
+  const std::string payload(static_cast<std::size_t>(state.range(0)), 'x');
+  const bool summed = state.range(1) != 0;
+  for (auto _ : state) {
+    Packet pkt;
+    pkt.hdr.opcode = Opcode::kEager;
+    pkt.set_payload(payload.data(), payload.size(), /*pool_cap=*/0, summed);
+    stamp_checksum(pkt);
+    benchmark::DoNotOptimize(pkt.hdr.csum);
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SetPayloadAndStamp)
+    ->ArgNames({"bytes", "summed"})
+    ->ArgsProduct({{4096, 32768}, {0, 1}});
 
 void BM_EndpointInjection(benchmark::State& state) {
   Fabric fabric({1, 1});

@@ -76,13 +76,29 @@ inline std::atomic<std::uint32_t>& payload_refs(const std::byte* p) noexcept {
       const_cast<std::byte*>(p) - kPayloadRefOffset));
 }
 
+/// Bytes ahead of every payload pointer that hold the buffer's cached
+/// payload sum (copy_and_sum), the 8 bytes before the reference count.
+inline constexpr std::size_t kPayloadSumOffset = 2 * sizeof(std::uint64_t);
+
+/// The cached-sum value of a buffer whose bytes were not summed, or were
+/// written since. No real sum reaches it: a u32 payload_size keeps every
+/// partial sum below 2^62.
+inline constexpr std::uint64_t kNoSum = ~std::uint64_t{0};
+
+/// Copy `n` bytes from `src` to `dst` and return their partial
+/// ones'-complement sum, unfolded, as wire_checksum adds payload words:
+/// the payload half of a checksum, made in the copy's one pass over the
+/// bytes (wire.cpp).
+std::uint64_t copy_and_sum(std::byte* dst, const void* src, std::size_t n) noexcept;
+
 /// Shared, immutable payload bytes (DESIGN.md §5c "Shared payloads"). A
 /// handle is move-only; share() makes another handle on the same bytes, so
 /// a retransmit master, its retransmits and a fabric duplicate all carry
-/// the wire packet's buffer instead of a copy. The count lives just ahead
-/// of the bytes; the last handle dropped returns them to the pool. Only a
-/// buffer's sole handle may write it (Packet::mutable_payload copies
-/// first otherwise).
+/// the wire packet's buffer instead of a copy. The count, and beside it
+/// the cached checksum sum, live just ahead of the bytes; the last handle
+/// dropped returns them to the pool. Only a buffer's sole handle may write
+/// it (Packet::mutable_payload copies first otherwise), so the sum, set
+/// before the first share(), holds for every handle.
 class PayloadBuffer {
  public:
   PayloadBuffer() = default;
@@ -125,6 +141,14 @@ class PayloadBuffer {
     if (p_ != nullptr) release_payload(std::exchange(p_, nullptr), cls_);
   }
 
+  /// The payload sum cached when the bytes were copied in, or kNoSum. Set
+  /// only through a sole handle, before the buffer is shared.
+  std::uint64_t cached_sum() const noexcept {
+    std::uint64_t sum = 0;
+    std::memcpy(&sum, p_ - kPayloadSumOffset, sizeof sum);
+    return sum;
+  }
+
   friend bool operator==(const PayloadBuffer& b, std::nullptr_t) noexcept {
     return b.p_ == nullptr;
   }
@@ -136,7 +160,15 @@ class PayloadBuffer {
   PayloadBuffer(std::byte* p, std::int8_t cls) noexcept : p_(p), cls_(cls) {}
 
   /// Writable bytes: a fresh buffer, or one that unique() just vouched for.
-  std::byte* writable() noexcept { return p_; }
+  /// Any write may change the bytes, so the cached sum is forgotten.
+  std::byte* writable() noexcept {
+    set_sum(kNoSum);
+    return p_;
+  }
+
+  void set_sum(std::uint64_t sum) noexcept {
+    std::memcpy(p_ - kPayloadSumOffset, &sum, sizeof sum);
+  }
 
   std::byte* p_ = nullptr;
   std::int8_t cls_ = -1;
@@ -262,8 +294,12 @@ struct Packet {
 
   /// Copy `n` payload bytes in, choosing inline vs pooled-heap storage.
   /// False when a nonzero `pool_cap` refuses the pooled buffer
-  /// (make_payload); the packet must then not be sent.
-  bool set_payload(const void* data, std::size_t n, std::uint64_t pool_cap = 0) {
+  /// (make_payload); the packet must then not be sent. With `summed`, a
+  /// heap payload's checksum sum is made in the copy and cached in the
+  /// buffer, so stamp_checksum adds only the header: reliable senders,
+  /// whose packets the fabric stamps, pass true.
+  bool set_payload(const void* data, std::size_t n, std::uint64_t pool_cap = 0,
+                   bool summed = false) {
     hdr.payload_size = static_cast<std::uint32_t>(n);
     if (n == 0) return true;
     if (n <= kInlineBytes) {
@@ -273,7 +309,12 @@ struct Packet {
     }
     heap = make_payload(n, pool_cap);
     if (heap == nullptr) return false;
-    std::memcpy(heap.writable(), data, n);
+    std::byte* dst = heap.writable();
+    if (summed) {
+      heap.set_sum(copy_and_sum(dst, data, n));
+    } else {
+      std::memcpy(dst, data, n);
+    }
     return true;
   }
 
@@ -286,6 +327,7 @@ struct Packet {
   /// first (a retransmit master or a duplicate must never see the write);
   /// that copy is charged like any payload, refusably under a nonzero
   /// `pool_cap`, and a refused copy returns null with the packet unchanged.
+  /// The buffer's cached sum is forgotten (PayloadBuffer::writable).
   std::byte* mutable_payload(std::uint64_t pool_cap = 0) {
     const std::size_t n = hdr.payload_size;
     if (n == 0) return nullptr;
@@ -310,11 +352,13 @@ std::uint16_t wire_checksum(const WireHeader& hdr, const std::byte* payload,
                             std::size_t n) noexcept;
 
 /// Stamp pkt.hdr.csum; called by the fabric at injection when checksums are
-/// enabled (before fault injection, so corruption is detectable).
+/// enabled (before fault injection, so corruption is detectable). A heap
+/// payload with a cached sum (set_payload's `summed`) adds only the header.
 void stamp_checksum(Packet& pkt) noexcept;
 
-/// Recompute and compare. A packet whose payload pointer is inconsistent
-/// with payload_size fails structural validation before this is called.
+/// Recompute over every byte and compare; never reads a cached sum. A
+/// packet whose payload pointer is inconsistent with payload_size fails
+/// structural validation before this is called.
 bool verify_checksum(const Packet& pkt) noexcept;
 
 /// Copy `pkt` into `out` for duplication and retransmit tracking: the

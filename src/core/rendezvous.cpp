@@ -287,7 +287,9 @@ void Rank::drain_control() {
           data.hdr.comm_id = msg.comm;
           data.hdr.seq = index++;
           data.hdr.imm = msg.remote_cookie;  // receiver-side cookie
-          data.set_payload(state->data + offset, static_cast<std::size_t>(chunk));
+          // Reliable: sum the fragment in its copy (Packet::set_payload).
+          data.set_payload(state->data + offset, static_cast<std::size_t>(chunk),
+                           /*pool_cap=*/0, /*summed=*/tracker_ != nullptr);
           inject_control(msg.peer, std::move(data));
           offset += chunk;
         }

@@ -6,8 +6,9 @@
 // buffers through per-thread caches with zero allocator calls; the arena's
 // global-lock handoff keeps cross-thread release (packet freed by the
 // receiver's progress thread) TSan-clean. A pooled slot is one header cache
-// line, whose last bytes hold the buffer's reference count, followed by the
-// payload; the last handle's release returns the slot.
+// line, whose last 16 bytes hold the buffer's cached checksum sum and its
+// reference count, followed by the payload; the last handle's release
+// returns the slot.
 
 #include "fairmpi/fabric/wire.hpp"
 
@@ -125,19 +126,23 @@ inline void uncharge_pool_bytes(std::uint64_t n) noexcept {
   }
 }
 
-/// Huge (>64 KiB) payloads come from plain new[] with a 16-byte header
+/// Huge (>64 KiB) payloads come from plain new[] with a 32-byte header
 /// ahead of the caller-visible pointer: the byte count, so the release can
-/// credit the exact size, then the reference count. 16 keeps the payload's
-/// effective alignment at new[]'s.
-constexpr std::size_t kHugeHeader = 16;
-static_assert(kHugeHeader - kPayloadRefOffset >= sizeof(std::uint64_t) &&
-                  kSlotHeader >= kPayloadRefOffset,
-              "the reference count overlaps neither the byte count nor the payload");
+/// credit the exact size, 8 unused bytes, the cached sum, then the
+/// reference count. 32 keeps the payload's effective alignment at new[]'s.
+constexpr std::size_t kHugeHeader = 32;
+static_assert(kPayloadSumOffset >= kPayloadRefOffset + sizeof(std::uint64_t) &&
+                  kHugeHeader - kPayloadSumOffset >= sizeof(std::uint64_t) &&
+                  kSlotHeader >= kPayloadSumOffset,
+              "the sum and the reference count overlap neither each other, the "
+              "byte count nor the payload");
 
-/// Start the reference count of a fresh buffer at one handle.
+/// Start the reference count of a fresh buffer at one handle, with no
+/// cached sum.
 std::byte* init_refs(std::byte* p) noexcept {
   // lint: allow(hotpath-alloc) placement new into the buffer's own header
   ::new (p - kPayloadRefOffset) std::atomic<std::uint32_t>(1);
+  std::memcpy(p - kPayloadSumOffset, &kNoSum, sizeof kNoSum);
   return p;
 }
 
@@ -202,50 +207,60 @@ PayloadBuffer make_payload(std::size_t n, std::uint64_t pool_cap) {
 namespace {
 
 // One source, compiled once per vector width and picked at load time by the
-// CPU (an ifunc): the checksum loop is the largest single cost of a reliable
-// 4 KiB message on each side of the wire. The clones are of wire_checksum,
-// not of add_words, so add_words inlines into each: one checksum costs one
-// indirect call, and the 32-byte header sum stays unrolled (a clone per
-// add_words call cost a 64-byte packet 6 ns). Elsewhere the function builds
-// once for the baseline target, and so it does under TSan, whose
-// instrumented ifunc resolver would run during relocation, before the TSan
-// runtime is up, and crash the process.
+// CPU (an ifunc): a word loop over the payload was the largest single cost
+// of a reliable 4 KiB message on each side of the wire. The sender makes
+// its pass in copy_and_sum, as the payload is copied in outside the CRI
+// lock, and the stamp under the lock adds only the header; the receiver's
+// verify pass is the first read of the bytes on its core, which an
+// unreliable receive pays in its copy anyway. The clones are of
+// wire_checksum and copy_and_sum, not of add_words, so add_words inlines
+// into each: one checksum costs one indirect call, and the 32-byte header
+// sum stays unrolled (a clone per add_words call cost a 64-byte packet
+// 6 ns). Elsewhere the functions build once for the baseline target, and
+// so they do under TSan, whose instrumented ifunc resolver would run
+// during relocation, before the TSan runtime is up, and crash the process.
 #if defined(__x86_64__) && defined(__GNUC__) && defined(__linux__) && !defined(FAIRMPI_TSAN)
 #define FAIRMPI_VECTOR_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
 #else
 #define FAIRMPI_VECTOR_CLONES
 #endif
 
-/// Add `n` bytes to a ones'-complement accumulator, 8 bytes per step. Each
-/// word enters as its two 32-bit halves, so the 64-bit accumulator cannot
-/// carry out (a u32 payload_size bounds the word count far below 2^31) and
-/// the loop has no carry chain — it vectorizes. The tail is zero-padded.
+/// One 8-byte word into a ones'-complement accumulator, as its two 32-bit
+/// halves, so the 64-bit accumulator cannot carry out (a u32 payload_size
+/// bounds the word count far below 2^31) and a word loop has no carry
+/// chain: it vectorizes.
+inline std::uint64_t add_word(std::uint64_t acc, std::uint64_t w) noexcept {
+  return acc + (w & 0xffffffffu) + (w >> 32);
+}
+
+/// Add `n` bytes to a ones'-complement accumulator, 8 bytes per step. The
+/// tail is zero-padded.
 std::uint64_t add_words(std::uint64_t acc, const void* data, std::size_t n) noexcept {
   const auto* p = static_cast<const unsigned char*>(data);
   for (; n >= 8; p += 8, n -= 8) {
     std::uint64_t w;
     std::memcpy(&w, p, 8);
-    acc += (w & 0xffffffffu) + (w >> 32);
+    acc = add_word(acc, w);
   }
   if (n != 0) {
     std::uint64_t w = 0;
     std::memcpy(&w, p, n);
-    acc += (w & 0xffffffffu) + (w >> 32);
+    acc = add_word(acc, w);
   }
   return acc;
 }
 
-}  // namespace
-
-FAIRMPI_VECTOR_CLONES
-std::uint16_t wire_checksum(const WireHeader& hdr, const std::byte* payload,
-                            std::size_t n) noexcept {
+/// The header's share of the sum, its csum field zeroed.
+std::uint64_t header_sum(const WireHeader& hdr) noexcept {
   WireHeader h = hdr;
   h.csum = 0;
-  std::uint64_t acc = add_words(0, &h, sizeof h);  // 32 B: no tail, stays aligned
-  acc = add_words(acc, payload, n);
-  // Fold 64 -> 16 bits with end-around carry (2^16 == 1 mod 0xffff); two
-  // rounds at each width suffice for the bounds the first round leaves.
+  return add_words(0, &h, sizeof h);  // 32 B: no tail, stays aligned
+}
+
+/// Fold 64 -> 16 bits with end-around carry (2^16 == 1 mod 0xffff) and
+/// complement; two rounds at each width suffice for the bounds the first
+/// round leaves.
+std::uint16_t fold(std::uint64_t acc) noexcept {
   acc = (acc & 0xffffffffu) + (acc >> 32);
   acc = (acc & 0xffffffffu) + (acc >> 32);
   acc = (acc & 0xffffu) + (acc >> 16);
@@ -253,8 +268,40 @@ std::uint16_t wire_checksum(const WireHeader& hdr, const std::byte* payload,
   return static_cast<std::uint16_t>(~acc & 0xffffu);
 }
 
+}  // namespace
+
+FAIRMPI_VECTOR_CLONES
+std::uint16_t wire_checksum(const WireHeader& hdr, const std::byte* payload,
+                            std::size_t n) noexcept {
+  return fold(add_words(header_sum(hdr), payload, n));
+}
+
+FAIRMPI_VECTOR_CLONES
+std::uint64_t copy_and_sum(std::byte* __restrict dst, const void* __restrict src,
+                           std::size_t n) noexcept {
+  const auto* s = static_cast<const unsigned char*>(src);
+  auto* d = reinterpret_cast<unsigned char*>(dst);
+  std::uint64_t acc = 0;
+  for (; n >= 8; s += 8, d += 8, n -= 8) {
+    std::uint64_t w;
+    std::memcpy(&w, s, 8);
+    std::memcpy(d, &w, 8);
+    acc = add_word(acc, w);
+  }
+  if (n != 0) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, s, n);
+    std::memcpy(d, s, n);
+    acc = add_word(acc, w);
+  }
+  return acc;
+}
+
 void stamp_checksum(Packet& pkt) noexcept {
-  pkt.hdr.csum = wire_checksum(pkt.hdr, pkt.payload(), pkt.hdr.payload_size);
+  const std::size_t n = pkt.hdr.payload_size;
+  const std::uint64_t cached = n > kInlineBytes ? pkt.heap.cached_sum() : kNoSum;
+  pkt.hdr.csum = cached != kNoSum ? fold(header_sum(pkt.hdr) + cached)
+                                  : wire_checksum(pkt.hdr, pkt.payload(), n);
 }
 
 bool verify_checksum(const Packet& pkt) noexcept {

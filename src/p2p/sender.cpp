@@ -97,6 +97,9 @@ common::ErrorCode eager_send(CommState& comm, cri::CriPool& pool,
   //     the tracker's retransmit master shares that buffer, so it charges
   //     nothing.
   // Uncapped, unreliable sends pass on the first iteration.
+  // A reliable send sums its payload in the copy, here outside the CRI
+  // lock: the fabric's stamp under the lock then adds only the header,
+  // and every retransmit and duplicate shares the buffer and its sum.
   ReliabilityTracker* const tracker = policy.tracker;
   const overload::Limits* lim = policy.limits;
   const std::uint64_t pool_cap = lim != nullptr ? lim->pool_cap_bytes : 0;
@@ -105,7 +108,7 @@ common::ErrorCode eager_send(CommState& comm, cri::CriPool& pool,
   for (;;) {
     const bool refused = (window != 0 && tracker->in_flight(dst, comm.id()) >= window) ||
                          (tracker_cap != 0 && tracker->in_flight() >= tracker_cap) ||
-                         !pkt.set_payload(buf, n, pool_cap);
+                         !pkt.set_payload(buf, n, pool_cap, /*summed=*/tracker != nullptr);
     if (!refused) break;
     counters.add(Counter::kSendAdmissionWaits);
     const common::ErrorCode rc = wait_tick(nullptr);

@@ -7,6 +7,7 @@
 // the suite itself is executed under the CI chaos profile.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -201,6 +202,73 @@ TEST(Chaos, RendezvousIntegrityUnderCorruption) {
   EXPECT_GT(total.get(Counter::kRetransmits), 0u);
   EXPECT_EQ(total.get(Counter::kReliabilityErrors), 0u);
   EXPECT_GT(uni.fabric().injector()->stats().corrupted.load(), 0u);
+}
+
+TEST(Chaos, LosslessReliableRunDropsNoChecksum) {
+  // Reliable senders stamp heap payloads from the sum cached when the
+  // payload was copied in; the receiver sums every byte. On a lossless
+  // fabric the two must agree on every packet: eager payloads, one past
+  // the largest pool class, and rendezvous fragments, pooled and huge. A
+  // wrong cached sum would be retransmitted with the buffer forever, so
+  // each op carries a deadline and the test fails instead of hanging.
+  ScopedChaosEnvClear env;
+  Config cfg;
+  cfg.num_ranks = 2;
+  cfg.reliable = true;
+  cfg.eager_limit = 128 * 1024;
+  cfg.op_deadline_ns = 20'000'000'000;
+  const std::vector<std::size_t> eager = {65, 4096, 4097, 32768, 70000};
+  const std::vector<std::size_t> frags = {4096, 70000};
+  constexpr std::size_t kRndvBytes = 160 * 1024;
+  constexpr int kRounds = 20;
+  std::vector<std::byte> out(kRndvBytes);
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = static_cast<std::byte>(i * 131 + 17);
+  std::vector<std::byte> in(kRndvBytes);
+
+  {
+    Universe uni(cfg);
+    std::thread sender([&] {
+      auto w0 = uni.rank(0).world();
+      for (int r = 0; r < kRounds; ++r) {
+        for (const std::size_t n : eager) {
+          EXPECT_EQ(w0.send_checked(1, /*tag=*/0, out.data(), n), ErrorCode::kOk) << n << " B";
+        }
+      }
+    });
+    const auto receive_all = [&] {
+      auto w1 = uni.rank(1).world();
+      for (int r = 0; r < kRounds; ++r) {
+        for (const std::size_t n : eager) {
+          Status st;
+          ASSERT_EQ(w1.recv_checked(0, 0, in.data(), in.size(), &st), ErrorCode::kOk)
+              << n << " B, round " << r;
+          ASSERT_EQ(st.size, n);
+          ASSERT_EQ(std::memcmp(in.data(), out.data(), n), 0) << n << " B, round " << r;
+        }
+      }
+    };
+    receive_all();
+    sender.join();
+    EXPECT_EQ(uni.aggregate_counters().get(Counter::kCsumDrops), 0u) << "eager";
+  }
+
+  for (const std::size_t frag : frags) {
+    Config rcfg = cfg;
+    rcfg.rndv_frag_bytes = frag;
+    Universe uni(rcfg);
+    std::thread sender([&] {
+      EXPECT_EQ(uni.rank(0).world().send_checked(1, /*tag=*/1, out.data(), out.size()),
+                ErrorCode::kOk);
+    });
+    std::fill(in.begin(), in.end(), std::byte{0});
+    Status st;
+    const ErrorCode rc = uni.rank(1).world().recv_checked(0, 1, in.data(), in.size(), &st);
+    sender.join();
+    ASSERT_EQ(rc, ErrorCode::kOk) << "fragments of " << frag;
+    ASSERT_EQ(st.size, kRndvBytes);
+    EXPECT_EQ(std::memcmp(in.data(), out.data(), kRndvBytes), 0) << "fragments of " << frag;
+    EXPECT_EQ(uni.aggregate_counters().get(Counter::kCsumDrops), 0u) << "fragments of " << frag;
+  }
 }
 
 TEST(Chaos, SendBudgetExhaustionIsTypedNotLivelock) {

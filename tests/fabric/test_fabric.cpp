@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstring>
@@ -102,9 +103,10 @@ std::uint16_t reference_checksum(const WireHeader& hdr, const std::byte* payload
                                  std::size_t n) {
   WireHeader h = hdr;
   h.csum = 0;
-  std::vector<unsigned char> bytes(sizeof h + n);
+  std::vector<unsigned char> bytes(sizeof h);
   std::memcpy(bytes.data(), &h, sizeof h);
-  if (n != 0) std::memcpy(bytes.data() + sizeof h, payload, n);
+  const auto* p = reinterpret_cast<const unsigned char*>(payload);
+  if (n != 0) bytes.insert(bytes.end(), p, p + n);
   if (bytes.size() % 2 != 0) bytes.push_back(0);
   std::uint32_t sum = 0;
   for (std::size_t i = 0; i < bytes.size(); i += 2) {
@@ -162,8 +164,8 @@ TEST(Wire, ChecksumMatchesReferenceAtEveryTailLength) {
             reference_checksum(h, ones.data(), ones.size()));
 }
 
-/// The wire_checksum clone the loader picked on this CPU (wire.cpp's
-/// FAIRMPI_VECTOR_CLONES), for the log.
+/// The wire_checksum and copy_and_sum clone the loader picked on this CPU
+/// (wire.cpp's FAIRMPI_VECTOR_CLONES), for the log.
 const char* checksum_clone() {
 #if defined(__x86_64__) && defined(__GNUC__) && defined(__linux__) && !defined(FAIRMPI_TSAN)
   if (__builtin_cpu_supports("avx512f")) return "avx512f";
@@ -199,6 +201,123 @@ TEST(Wire, ChecksumMatchesReferenceAtEveryAlignment) {
       ASSERT_EQ(wire_checksum(h, p, n), reference_checksum(h, p, n))
           << "offset " << off << " length " << n;
     }
+  }
+}
+
+/// The partial sum copy_and_sum must return, built byte by byte: every
+/// 4-byte little-endian unit of the zero-padded bytes, added into 64 bits.
+std::uint64_t reference_partial_sum(const std::byte* p, std::size_t n) {
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < n; i += 4) {
+    std::uint32_t unit = 0;
+    for (std::size_t b = 0; b < 4 && i + b < n; ++b) {
+      unit |= static_cast<std::uint32_t>(std::to_integer<unsigned>(p[i + b])) << (8 * b);
+    }
+    sum += unit;
+  }
+  return sum;
+}
+
+TEST(Wire, SummedCopyMatchesReferenceAtEveryTailAndAlignment) {
+  if constexpr (std::endian::native != std::endian::little) {
+    GTEST_SKIP() << "the references sum little-endian words";
+  }
+  std::cout << "copy_and_sum clone: " << checksum_clone() << "\n";
+  constexpr std::size_t kHuge = (std::size_t{1} << 16) + 1000;  // past the largest pool class
+  constexpr std::size_t kOffsets = 64;
+  constexpr std::size_t kGuard = 16;
+  std::vector<std::byte> src(kOffsets + kHuge);
+  std::uint32_t x = 0x85ebca6bu;
+  for (auto& b : src) {
+    x ^= x << 13;
+    x ^= x >> 17;
+    x ^= x << 5;
+    b = static_cast<std::byte>(x);
+  }
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 200; ++n) lengths.push_back(n);
+  lengths.push_back(4096);
+  lengths.push_back(kHuge);
+  std::vector<std::byte> dst(kOffsets + kHuge + kGuard);
+  for (std::size_t off = 0; off < kOffsets; ++off) {
+    const std::byte* p = src.data() + off;
+    for (const std::size_t n : lengths) {
+      // The kernel alone, at a destination offset of its own: the bytes
+      // land, nothing past them is written, and the sum is the reference's.
+      const std::size_t dst_off = (off * 7) % kOffsets;
+      std::fill_n(dst.begin() + static_cast<std::ptrdiff_t>(dst_off), n + kGuard, std::byte{0xa5});
+      ASSERT_EQ(copy_and_sum(dst.data() + dst_off, p, n), reference_partial_sum(p, n))
+          << "offset " << off << " length " << n;
+      ASSERT_EQ(std::memcmp(dst.data() + dst_off, p, n), 0) << "offset " << off << " length " << n;
+      for (std::size_t g = 0; g < kGuard; ++g) {
+        ASSERT_EQ(dst[dst_off + n + g], std::byte{0xa5}) << "offset " << off << " length " << n;
+      }
+      // Through a packet: a summed set_payload, then the stamp that adds
+      // only the header to the cached sum.
+      Packet pkt;
+      pkt.hdr = sample_header(static_cast<std::uint32_t>(n));
+      ASSERT_TRUE(pkt.set_payload(p, n, /*pool_cap=*/0, /*summed=*/true));
+      if (n > kInlineBytes) {
+        ASSERT_NE(pkt.heap.cached_sum(), kNoSum) << "length " << n;
+      }
+      stamp_checksum(pkt);
+      ASSERT_EQ(pkt.hdr.csum, reference_checksum(pkt.hdr, p, n))
+          << "offset " << off << " length " << n;
+      ASSERT_TRUE(verify_checksum(pkt));
+    }
+  }
+}
+
+TEST(Wire, CachedSumNeverOutlivesAWrite) {
+  if constexpr (std::endian::native != std::endian::little) {
+    GTEST_SKIP() << "the reference sums little-endian words";
+  }
+  const auto expect_stamp_matches_bytes = [](Packet& pkt, const char* what) {
+    stamp_checksum(pkt);
+    EXPECT_EQ(pkt.hdr.csum, reference_checksum(pkt.hdr, pkt.payload(), pkt.hdr.payload_size))
+        << what << ", " << pkt.hdr.payload_size << " B";
+  };
+  for (const std::size_t n : {std::size_t{4096}, (std::size_t{1} << 16) + 8}) {
+    std::vector<std::byte> body(n);
+    for (std::size_t i = 0; i < n; ++i) body[i] = static_cast<std::byte>(i * 131 + 7);
+
+    // A sole handle writes in place: the sum it cached is forgotten.
+    Packet pkt;
+    pkt.hdr = sample_header(static_cast<std::uint32_t>(n));
+    ASSERT_TRUE(pkt.set_payload(body.data(), n, 0, /*summed=*/true));
+    ASSERT_NE(pkt.heap.cached_sum(), kNoSum);
+    expect_stamp_matches_bytes(pkt, "summed");
+    const std::byte* before = pkt.payload();
+    std::byte* w = pkt.mutable_payload();
+    ASSERT_EQ(w, before);  // unique: no copy
+    EXPECT_EQ(pkt.heap.cached_sum(), kNoSum);
+    w[n / 2] ^= std::byte{0x5a};
+    expect_stamp_matches_bytes(pkt, "unique write");
+
+    // A clone of a summed packet shares the buffer and its sum.
+    Packet summed;
+    summed.hdr = sample_header(static_cast<std::uint32_t>(n));
+    ASSERT_TRUE(summed.set_payload(body.data(), n, 0, /*summed=*/true));
+    stamp_checksum(summed);
+    Packet clone;
+    clone_packet(summed, clone);
+    clone.hdr.csum = 0;
+    EXPECT_EQ(clone.heap.cached_sum(), summed.heap.cached_sum());
+    stamp_checksum(clone);
+    EXPECT_EQ(clone.hdr.csum, summed.hdr.csum) << n << " B";
+
+    // A shared buffer is copied before the write: the writer re-stamps
+    // over its new bytes, and the other handle keeps the old bytes and
+    // their sum.
+    std::byte* mine = clone.mutable_payload();
+    ASSERT_NE(mine, summed.payload());
+    EXPECT_EQ(clone.heap.cached_sum(), kNoSum);
+    mine[1] ^= std::byte{0x01};
+    expect_stamp_matches_bytes(clone, "shared write");
+    EXPECT_NE(clone.hdr.csum, summed.hdr.csum);
+    EXPECT_NE(summed.heap.cached_sum(), kNoSum);
+    EXPECT_EQ(std::memcmp(summed.payload(), body.data(), n), 0);
+    expect_stamp_matches_bytes(summed, "other handle");
   }
 }
 

@@ -13,13 +13,15 @@
 namespace fairmpi::fabric {
 namespace {
 
-Packet make_packet(std::uint32_t seq, const std::string& payload = "payload") {
+/// `summed` caches a heap payload's checksum sum, as a reliable sender does.
+Packet make_packet(std::uint32_t seq, const std::string& payload = "payload",
+                   bool summed = false) {
   Packet pkt;
   pkt.hdr.opcode = Opcode::kEager;
   pkt.hdr.src_rank = 0;
   pkt.hdr.tag = 7;
   pkt.hdr.seq = seq;
-  pkt.set_payload(payload.data(), payload.size());
+  pkt.set_payload(payload.data(), payload.size(), /*pool_cap=*/0, summed);
   return pkt;
 }
 
@@ -228,33 +230,37 @@ TEST(FaultInjector, CorruptionIsDetectedByChecksum) {
   // Invariant: every single-bit flip corrupt_packet can make is detected.
   // Its flip space is every header bit except the 4-byte payload_size
   // field, plus every payload bit; sizes straddle the 8-byte word, the
-  // inline/heap boundary and a page.
+  // inline/heap boundary and a page. The summed rows stamp from the sum
+  // cached at copy time, as a reliable sender's packets are stamped.
   constexpr std::size_t kHdr = sizeof(WireHeader);
   const std::size_t size_off = offsetof(WireHeader, payload_size);
-  for (const std::size_t n : {0, 1, 7, 8, 63, 64, 65, 4095, 4096, 4097}) {
-    std::string body(n, '\0');
-    for (std::size_t i = 0; i < n; ++i) body[i] = static_cast<char>(i * 131 + 7);
-    Packet pkt = make_packet(0x2a, body);
-    pkt.hdr.comm_id = 0x12345;
-    pkt.hdr.imm = 0xfeedfacecafebeefULL;
-    stamp_checksum(pkt);
-    ASSERT_TRUE(verify_checksum(pkt));
-    std::size_t missed = 0;
-    for (std::size_t byte = 0; byte < kHdr + n; ++byte) {
-      if (byte >= size_off && byte < size_off + sizeof(std::uint32_t)) continue;
-      for (int bit = 0; bit < 8; ++bit) {
-        const auto mask = static_cast<unsigned char>(1u << bit);
-        unsigned char* p = byte < kHdr
-                               ? reinterpret_cast<unsigned char*>(&pkt.hdr) + byte
-                               : reinterpret_cast<unsigned char*>(pkt.mutable_payload()) +
-                                     (byte - kHdr);
-        *p ^= mask;
-        if (verify_checksum(pkt)) ++missed;
-        *p ^= mask;
+  for (const bool summed : {false, true}) {
+    for (const std::size_t n : {0, 1, 7, 8, 63, 64, 65, 4095, 4096, 4097}) {
+      if (summed && n <= kInlineBytes) continue;  // inline bytes are never summed
+      std::string body(n, '\0');
+      for (std::size_t i = 0; i < n; ++i) body[i] = static_cast<char>(i * 131 + 7);
+      Packet pkt = make_packet(0x2a, body, summed);
+      pkt.hdr.comm_id = 0x12345;
+      pkt.hdr.imm = 0xfeedfacecafebeefULL;
+      stamp_checksum(pkt);
+      ASSERT_TRUE(verify_checksum(pkt));
+      std::size_t missed = 0;
+      for (std::size_t byte = 0; byte < kHdr + n; ++byte) {
+        if (byte >= size_off && byte < size_off + sizeof(std::uint32_t)) continue;
+        for (int bit = 0; bit < 8; ++bit) {
+          const auto mask = static_cast<unsigned char>(1u << bit);
+          unsigned char* p = byte < kHdr
+                                 ? reinterpret_cast<unsigned char*>(&pkt.hdr) + byte
+                                 : reinterpret_cast<unsigned char*>(pkt.mutable_payload()) +
+                                       (byte - kHdr);
+          *p ^= mask;
+          if (verify_checksum(pkt)) ++missed;
+          *p ^= mask;
+        }
       }
+      EXPECT_EQ(missed, 0u) << "payload " << n << " B" << (summed ? ", summed" : "");
+      EXPECT_TRUE(verify_checksum(pkt));
     }
-    EXPECT_EQ(missed, 0u) << "payload " << n << " B";
-    EXPECT_TRUE(verify_checksum(pkt));
   }
 
   // And through the injector itself: corrupt = 1.0 must never slip by.
@@ -272,6 +278,19 @@ TEST(FaultInjector, CorruptionIsDetectedByChecksum) {
     EXPECT_FALSE(verify_checksum(batch.pkts[0])) << "packet " << i;
   }
   EXPECT_EQ(inj.stats().corrupted.load(), 100u);
+
+  // Summed heap payloads: the corrupt fault writes the packet's buffer,
+  // which forgets the cached sum, and the verify reads every byte.
+  const std::string page(4096, 'p');
+  for (int i = 0; i < 100; ++i) {
+    Packet pkt = make_packet(static_cast<std::uint32_t>(i), page, /*summed=*/true);
+    stamp_checksum(pkt);
+    FaultInjector::Batch batch;
+    inj.process(0, 1, std::move(pkt), batch);
+    ASSERT_EQ(batch.n, 1u);
+    EXPECT_FALSE(verify_checksum(batch.pkts[0])) << "summed packet " << i;
+  }
+  EXPECT_EQ(inj.stats().corrupted.load(), 200u);
 }
 
 TEST(FaultInjector, KillRankAtEatsFromTheNthInjection) {

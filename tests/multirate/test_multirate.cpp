@@ -1,5 +1,5 @@
 // Host-scale runs of the real-backend benchmarks: small configurations,
-// short durations — these validate plumbing (no hangs, sane rates, SPC
+// short durations — these validate plumbing (no hangs, drained streams, SPC
 // deltas), not paper-scale performance shapes.
 #include "fairmpi/multirate/multirate.hpp"
 
@@ -70,6 +70,20 @@ void expect_no_unplanned_failures(const multirate::MultirateResult& res) {
   }
 }
 
+/// What must hold on any schedule, however little CPU the run gets: the
+/// run ends, and each of its `streams` streams received every message it
+/// sent, and sent some. A floor on the timed region's count or rate would
+/// measure the CPU share the test got instead (one CPU shared by four
+/// test processes starves it).
+void expect_every_stream_delivered(const multirate::MultirateResult& res,
+                                   std::size_t streams) {
+  ASSERT_EQ(res.streams.size(), streams);
+  for (const multirate::StreamTotals& stream : res.streams) {
+    EXPECT_EQ(stream.received, stream.sent);
+    EXPECT_GT(stream.received, 0u);
+  }
+}
+
 MultirateConfig quick(int pairs) {
   MultirateConfig cfg;
   cfg.pairs = pairs;
@@ -81,8 +95,7 @@ MultirateConfig quick(int pairs) {
 TEST(Multirate, SinglePairDeliversAtPlausibleRate) {
   const auto res = run_pairwise(quick(1));
   expect_no_unplanned_failures(res);
-  EXPECT_GT(res.delivered, 100u);
-  EXPECT_GT(res.msg_rate, 1e4);
+  expect_every_stream_delivered(res, 1);
   if (!chaos_env()) {
     EXPECT_EQ(res.receiver_spc.get(Counter::kOutOfSequence), 0u);  // one sender
   }
@@ -94,7 +107,7 @@ TEST(Multirate, TwoPairsSharedCommCompletes) {
   cfg.engine.assignment = cri::Assignment::kRoundRobin;
   const auto res = run_pairwise(cfg);
   expect_no_unplanned_failures(res);
-  EXPECT_GT(res.delivered, 200u);
+  expect_every_stream_delivered(res, 2);
   // Receiver-side SPC saw the traffic. A receiver preempted between its
   // window's wait_all and the timing check counts that window although its
   // messages landed before the SPC baseline: at most one window per pair.
@@ -108,18 +121,12 @@ TEST(Multirate, TwoPairsSharedCommUnderCap) {
   // tag's leftover messages never fill the shared cap in front of the
   // message the other pair's receiver waits on (ROADMAP item 1).
   // At cap 8 nearly every out-of-sequence arrival waits out a retransmit
-  // timeout, so the timed region's count depends on the CPU share the
-  // run gets; what must hold on any schedule is that the run ends and
-  // every pair's stream delivers each sent message once.
+  // timeout.
   MultirateConfig cfg = quick(2);
   cfg.engine.unexpected_cap = 8;
   const auto res = run_pairwise(cfg);
   expect_no_unplanned_failures(res);
-  ASSERT_EQ(res.streams.size(), 2u);
-  for (const multirate::StreamTotals& stream : res.streams) {
-    EXPECT_EQ(stream.received, stream.sent);
-    EXPECT_GT(stream.received, 0u);
-  }
+  expect_every_stream_delivered(res, 2);
 }
 
 TEST(Multirate, CommPerPairMode) {
@@ -129,7 +136,7 @@ TEST(Multirate, CommPerPairMode) {
   cfg.engine.num_instances = 2;
   const auto res = run_pairwise(cfg);
   expect_no_unplanned_failures(res);
-  EXPECT_GT(res.delivered, 200u);
+  expect_every_stream_delivered(res, 2);
 }
 
 TEST(Multirate, AnyTagAndOvertaking) {
@@ -139,7 +146,7 @@ TEST(Multirate, AnyTagAndOvertaking) {
   cfg.engine.allow_overtaking = true;
   const auto res = run_pairwise(cfg);
   expect_no_unplanned_failures(res);
-  EXPECT_GT(res.delivered, 200u);
+  expect_every_stream_delivered(res, 2);
   if (!chaos_env()) {
     EXPECT_EQ(res.receiver_spc.get(Counter::kOutOfSequence), 0u);
   }
@@ -150,7 +157,7 @@ TEST(Multirate, ProcessMode) {
   cfg.process_mode = true;
   const auto res = run_pairwise(cfg);
   expect_no_unplanned_failures(res);
-  EXPECT_GT(res.delivered, 200u);
+  expect_every_stream_delivered(res, 2);
   if (!chaos_env()) {
     EXPECT_EQ(res.receiver_spc.get(Counter::kOutOfSequence), 0u);  // private streams
   }
@@ -161,7 +168,7 @@ TEST(Multirate, PayloadBytesFlow) {
   cfg.payload_bytes = 1024;
   const auto res = run_pairwise(cfg);
   expect_no_unplanned_failures(res);
-  EXPECT_GT(res.delivered, 50u);
+  expect_every_stream_delivered(res, 1);
   EXPECT_GE(res.receiver_spc.get(Counter::kBytesReceived), res.delivered * 1024);
 }
 
@@ -169,7 +176,7 @@ TEST(MultirateIncast, SingleSenderDelivers) {
   MultirateConfig cfg = quick(1);
   const auto res = multirate::run_incast(cfg);
   expect_no_unplanned_failures(res);
-  EXPECT_GT(res.delivered, 100u);
+  expect_every_stream_delivered(res, 1);
   if (!chaos_env()) {
     EXPECT_EQ(res.receiver_spc.get(Counter::kOutOfSequence), 0u);  // one stream
   }
@@ -181,7 +188,7 @@ TEST(MultirateIncast, ManySendersShareOneStream) {
   cfg.engine.assignment = cri::Assignment::kRoundRobin;
   const auto res = multirate::run_incast(cfg);
   expect_no_unplanned_failures(res);
-  EXPECT_GT(res.delivered, 100u);
+  expect_every_stream_delivered(res, 1);
   // Three senders racing on one sequence stream: out-of-sequence arrivals
   // are near-certain (the §II-C worst case the pattern exists to show).
   EXPECT_GT(res.receiver_spc.get(Counter::kOutOfSequence), 0u);
@@ -193,7 +200,7 @@ TEST(MultirateIncast, OvertakingRemovesTheStreamPenalty) {
   cfg.engine.allow_overtaking = true;
   const auto res = multirate::run_incast(cfg);
   expect_no_unplanned_failures(res);
-  EXPECT_GT(res.delivered, 100u);
+  expect_every_stream_delivered(res, 1);
   if (!chaos_env()) {
     EXPECT_EQ(res.receiver_spc.get(Counter::kOutOfSequence), 0u);
   }
