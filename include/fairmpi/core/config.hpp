@@ -124,13 +124,12 @@ struct Config {
 
   /// Per-peer unexpected-queue depth cap (0 = unbounded, the historical
   /// behaviour). Universe auto-enables `reliable` whenever it is nonzero.
-  /// A packet parks out of sequence only while its distance ahead of the
-  /// in-order frontier plus the queue depth stays below the cap; otherwise
-  /// it is deferred and re-presented by its sender. That keeps the queue
-  /// within the cap. With the queue at cap every packet is left
-  /// unanswered, so the sender's retransmit clock re-presents it once the
-  /// consumer drains. No message is dropped: a send that must not wait
-  /// for a slow receiver carries a deadline (`op_deadline_ns`).
+  /// A packet is held while the queue depth plus its distance ahead of
+  /// the in-order frontier reaches the cap (with the queue at cap, every
+  /// packet); a held packet is deferred and re-presented by its sender one
+  /// base rto later, uncharged. That keeps the queue within the cap. No
+  /// message is dropped and none fails for a slow consumer: a send that
+  /// must not wait for one carries a deadline (`op_deadline_ns`).
   std::size_t unexpected_cap = 0;
 
   /// Payload-pool in-use byte cap (process global, like the pool itself;
@@ -145,7 +144,7 @@ struct Config {
 
   /// In-flight reliability-tracker entry cap over the whole rank, checked
   /// before track() (0 = only the per-stream window applies). A refused
-  /// send waits as for the pool.
+  /// send waits as at the window: its deadline or a cancel ends the wait.
   std::size_t tracker_cap = 0;
 
   /// Default deadline applied by the *_checked ops (and through them every

@@ -34,7 +34,7 @@ enum class Opcode : std::uint16_t {
   kRndvData,     ///< rendezvous payload fragment
   kAck,          ///< reliability acknowledgement (echoes the acked key)
   kHeartbeat,    ///< ft liveness probe (header-only; never acked or tracked)
-  kDefer,        ///< park-limit deferral notice (echoes the deferred packet's key)
+  kDefer,        ///< deferral notice (echoes the key of a packet held at the cap)
 };
 
 /// Last opcode value that is valid on the wire (header validation).

@@ -54,16 +54,14 @@
 namespace fairmpi::match {
 
 /// Receiver-side admission verdict for one incoming eager/RTS packet,
-/// reported back to the rank so the answer (ack, defer or nothing) is
-/// chosen *after* matching (DESIGN.md §5h): acking a packet the engine held
-/// back would retire the sender's reliability entry and lose the message.
+/// reported back to the rank so the answer (ack or defer) is chosen
+/// *after* matching (DESIGN.md §5h): acking a packet the engine held back
+/// would retire the sender's reliability entry and lose the message.
 enum class Admission : std::uint8_t {
   kAdmitted = 0,  ///< delivered, parked, or queued unexpected — ack it
   kDuplicate,     ///< duplicate of an already-accepted packet — re-ack it
-  kDeferred,      ///< beyond the park limit — answer kDefer; the sender
-                  ///< re-presents the packet on its base rto
-  kPaused,        ///< the queue is at cap — answer nothing; the sender's
-                  ///< backed-off retransmit clock re-presents it
+  kHeld,          ///< refused at the unexpected cap — answer kDefer; the
+                  ///< sender re-presents the packet on its base rto
 };
 
 /// Reorder ring bounds per (comm, src) stream. The ring starts at

@@ -11,24 +11,24 @@
 //
 //   resource                 cap cvar            at cap
 //   ---------------------    -----------------   ------------------------
-//   per-peer unexpected      unexpected_cap      packet paused (resent)
+//   per-peer unexpected      unexpected_cap      packet held (deferred)
 //   payload-pool bytes       payload_pool_cap    sender waits
 //   reliability in-flight    tracker_cap         sender waits
 //
 // One admission rule per side of the wire:
 //
-//   * Receiver: a packet parks out of sequence only while its distance
-//     ahead of the in-order frontier plus the unexpected depth stays below
-//     the cap; otherwise it is deferred (Opcode::kDefer, echoing the key
-//     like an ack; a cap implies `reliable`, so the sender re-presents it).
-//     So fewer than cap packets park and the unexpected queue never
-//     exceeds the cap. With the queue at cap every packet is left
-//     unanswered, so the sender's retransmit clock re-presents it once the
-//     consumer drains.
+//   * Receiver: a packet is held while the unexpected depth plus its
+//     distance ahead of the in-order frontier (0 for the head) reaches the
+//     cap, so with the queue at cap every packet is held. A held packet is
+//     deferred (Opcode::kDefer, echoing the key like an ack; a cap implies
+//     `reliable`), and its sender re-presents it one base rto later,
+//     uncharged. So fewer than cap packets park and the unexpected queue
+//     never exceeds the cap.
 //   * Sender: one admission loop runs before the sequence number is
 //     ticketed — the reliability window, then the tracker and pool caps.
 //     A refused send waits (progressing) until pressure drains; its typed
-//     exits are the op's deadline, cancel, the send budget and peer death.
+//     exits are the op's deadline, cancel and peer death, plus the send
+//     budget at the pool cap.
 //
 // `Limits` is the whole per-rank control block: the resolved caps,
 // immutable after construction, so it takes no lock and no rank

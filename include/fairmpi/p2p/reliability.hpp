@@ -129,10 +129,10 @@ class ReliabilityTracker {
   /// budget exhausted before the packet ever hit the wire).
   void untrack(const PacketKey& key) { (void)ack(key); }
 
-  /// The receiver deferred the packet at its park limit (Opcode::kDefer,
-  /// DESIGN.md §5h): it arrived, so refund the retry its transmission was
-  /// charged and re-present it one base rto from now. No-op when unknown.
-  void defer(const PacketKey& key, std::uint64_t now_ns);
+  /// The receiver held the packet at its unexpected cap (Opcode::kDefer,
+  /// DESIGN.md §5h): it arrived, so restart its retry count and re-present
+  /// it one base rto from now. False (and a no-op) when unknown.
+  bool defer(const PacketKey& key, std::uint64_t now_ns);
 
   struct Resend {
     int dst = 0;

@@ -21,7 +21,8 @@ struct SendPolicy {
   ReliabilityTracker* tracker = nullptr;
   /// Max EAGAIN retries before the send fails typed (kSendBudgetExhausted);
   /// 0 = retry forever. Bounding this turns a peer that never drains its
-  /// ring from a livelock into a reported error.
+  /// ring from a livelock into a reported error. Only injection and the
+  /// pool-cap wait charge it.
   std::uint64_t retry_limit = 0;
   /// Max tracked-unacked packets in the stream's tracker shard before a
   /// send waits (progressing, before its sequence number is ticketed)

@@ -84,7 +84,7 @@ namespace fairmpi::spc {
   X(FtDeaths, Sum, "peers confirmed dead")                                                   \
   X(FtPeerFailedOps, Sum, "operations completed with kPeerFailed")                           \
   X(FtRevokedOps, Sum, "operations refused/failed on a revoked comm")                        \
-  X(OverloadPausedPackets, Sum, "packets refused unanswered at the unexpected cap")          \
+  X(OverloadPausedPackets, Sum, "packets held (deferred) at the unexpected cap")             \
   X(CancelledOps, Sum, "requests settled kCancelled")                                        \
   X(DeadlineExceededOps, Sum, "requests settled kDeadlineExceeded")                          \
   X(QuiesceTimeouts, Sum, "quiesce calls that gave up with backlog")                         \

@@ -46,7 +46,7 @@ namespace fairmpi::trace {
   X(PeerSuspect, "peer rank", "1 entered suspect / 0 recovered")     \
   X(PeerDead, "peer rank", "detection latency (ms)")                 \
   X(CommRevoke, "communicator id", "posted receives failed")         \
-  X(OverloadPause, "source rank", "packet seq (refusal at the cap)") \
+  X(OverloadPause, "source rank", "packet seq (held at the cap)")    \
   X(Cancel, "peer rank (+1, 0 = ANY)", "tag")                        \
   X(Deadline, "peer rank (+1, 0 = ANY)", "tag")                      \
   X(CollOp, "collective op id (coll::detail)", "tag lane")

@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "fairmpi/common/error.hpp"
@@ -14,6 +15,12 @@ namespace fairmpi {
 using spc::Counter;
 
 namespace {
+
+// Deferrals this thread handled since its last progress() return. A
+// deferral answers a tracked send as an ack does, so it is progress to a
+// wait loop, but it never ends an Alg. 2 pass: a held packet draws one per
+// base rto for as long as it is held (DESIGN.md §5j).
+thread_local std::size_t t_deferrals = 0;
 
 overload::Limits limits_from(const Config& cfg) noexcept {
   overload::Limits lim;
@@ -245,7 +252,7 @@ std::size_t Rank::progress() {
   if (v.completions != 0) {
     tracer_.record(trace::Event::kProgress, static_cast<std::uint32_t>(v.completions));
   }
-  return v.completions + v.acked;
+  return v.completions + v.acked + std::exchange(t_deferrals, 0);
 }
 
 bool Rank::inject_raw(int dst, fabric::Packet&& pkt) {
@@ -636,19 +643,9 @@ std::size_t Rank::match_run(fabric::Packet* pkts, std::size_t n, AckBatch& acks)
   for (std::size_t i = 0; i < n; ++i) fabric::copy_header(hdrs[i], pkts[i].hdr);
   const std::size_t delivered = eng.incoming(pkts, n, verdicts.data());
   for (std::size_t i = 0; i < n; ++i) {
-    switch (verdicts[i]) {
-      case match::Admission::kDeferred:
-        answer(acks, hdrs[i], p2p::ControlMsg::Kind::kSendPacketDefer);
-        break;
-      case match::Admission::kPaused:
-        // Answer nothing: the sender's backed-off retransmit clock is the
-        // backpressure (§5h).
-        break;
-      case match::Admission::kAdmitted:
-      case match::Admission::kDuplicate:
-        answer(acks, hdrs[i], p2p::ControlMsg::Kind::kSendPacketAck);
-        break;
-    }
+    answer(acks, hdrs[i],
+           verdicts[i] == match::Admission::kHeld ? p2p::ControlMsg::Kind::kSendPacketDefer
+                                                  : p2p::ControlMsg::Kind::kSendPacketAck);
   }
   return delivered;
 }
@@ -679,9 +676,9 @@ std::size_t Rank::receive(fabric::Packet&& pkt, AckBatch& acks, std::size_t& ack
       return 0;
     }
     if (pkt.hdr.opcode == fabric::Opcode::kDefer) {
-      // The receiver holds the packet back at its park limit (§5h): it
-      // arrived, so re-present it on the base rto, uncharged.
-      tracker_->defer(p2p::key_of_ack(pkt.hdr), now_ns());
+      // The receiver held the packet at its unexpected cap (§5h): restart
+      // its retry count and re-present it on the base rto.
+      if (tracker_->defer(p2p::key_of_ack(pkt.hdr), now_ns())) ++t_deferrals;
       return 0;
     }
     // Ack every structurally valid packet — duplicates included, because

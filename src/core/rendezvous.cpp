@@ -301,7 +301,7 @@ void Rank::drain_control() {
       }
       case ControlMsg::Kind::kSendPacketAck:
       case ControlMsg::Kind::kSendPacketDefer:
-        // Handled by flush_acks ((n)acks ride their own queue); kept in
+        // Handled by flush_acks (notices ride their own queue); kept in
         // the enum so the message layout stays shared.
         break;
       case ControlMsg::Kind::kNone:

@@ -28,9 +28,9 @@ Config apply_chaos_env(Config cfg) {
   apply_env_cvars(cfg, read_by_chaos_hook);
   // A lossy fabric without the reliability protocol cannot keep MPI
   // semantics; switching faults on implies switching reliability on. So
-  // does an unexpected-queue cap: it defers and pauses packets onto the
-  // retransmit clock, and without acks that would be silent loss
-  // (DESIGN.md §5h).
+  // does an unexpected-queue cap: it holds packets back for their sender's
+  // retransmit clock to re-present, and without acks that would be silent
+  // loss (DESIGN.md §5h).
   if (cfg.faults.any() || cfg.unexpected_cap != 0) cfg.reliable = true;
   // "FAIRMPI_TRACE=1" alone should record something exportable.
   if (cfg.trace_enabled && cfg.trace_entries == 0) cfg.trace_entries = 1 << 16;

@@ -228,11 +228,11 @@ std::size_t MatchEngine::match_arrival(spc::CounterSet::Cursor& ctr, fabric::Pac
   PeerState& ps = peer(src);
   // §5h admission: hold a packet back *before* the sequence stream consumes
   // it, so the sender re-presents it later (a cap implies `reliable`, so
-  // its retransmit clock always runs). With the queue at cap every packet
-  // pauses unanswered, so the backed-off retransmit clock waits out the
-  // slow consumer. Below the cap, a packet parks only while its distance
-  // ahead of the in-order frontier plus the unexpected count stays below
-  // the cap, else it is deferred and answered kDefer, so its sender
+  // its retransmit clock always runs). One rule: a packet is held while
+  // the unexpected count plus its distance ahead of the in-order frontier
+  // reaches the cap. The distance is 0 for the head, for a stale repeat and
+  // for every packet under overtaking, so with the queue at cap every
+  // packet is held. A held packet is answered kDefer, so its sender
   // re-presents it on the base rto, uncharged. The head admits parked
   // packets unconditionally when it drains them (they were acked when they
   // parked), but each admitted head or drained packet moves the frontier
@@ -240,21 +240,16 @@ std::size_t MatchEngine::match_arrival(spc::CounterSet::Cursor& ctr, fabric::Pac
   // grows while anything is parked: fewer than cap packets park and the
   // unexpected queue never exceeds cap.
   if (admission != nullptr && lim_ != nullptr && lim_->unexpected_cap != 0) {
-    const std::size_t cap = lim_->unexpected_cap;
-    if (ps.unexpected_n >= cap) {
-      // Counted and traced per refused packet.
+    const auto ahead = static_cast<std::int32_t>(pkt.hdr.seq - ps.expected_seq);
+    const std::size_t past = allow_overtaking_ || ahead < 0 ? 0 : static_cast<std::size_t>(ahead);
+    if (ps.unexpected_n + past >= lim_->unexpected_cap) {
+      // Counted and traced per held packet.
       ctr.add(Counter::kOverloadPausedPackets);
       if (tracer_ != nullptr) {
         tracer_->record(trace::Event::kOverloadPause, static_cast<std::uint32_t>(src),
                         pkt.hdr.seq);
       }
-      *admission = Admission::kPaused;
-      return 0;
-    }
-    const std::int32_t ahead = static_cast<std::int32_t>(pkt.hdr.seq - ps.expected_seq);
-    if (!allow_overtaking_ && ahead > 0 &&
-        static_cast<std::size_t>(ahead) + ps.unexpected_n >= cap) {
-      *admission = Admission::kDeferred;
+      *admission = Admission::kHeld;
       return 0;
     }
   }

@@ -115,15 +115,19 @@ std::size_t ReliabilityTracker::ack_range(const PacketKey& first, std::uint32_t 
   return retired;
 }
 
-void ReliabilityTracker::defer(const PacketKey& key, std::uint64_t now_ns) {
+bool ReliabilityTracker::defer(const PacketKey& key, std::uint64_t now_ns) {
   Shard& shard = shard_of(key);
   LockGuard guard(shard.lock);
   Entry* e = shard.inflight.find(key);
-  if (e == nullptr) return;
-  if (e->retries > 0) --e->retries;
+  if (e == nullptr) return false;
+  // The receiver answered, so the packet is not lost: the budget counts
+  // transmissions in a row that got no answer, and notices that lag behind
+  // a slow-draining sender's resends cannot exhaust a held packet.
+  e->retries = 0;
   e->rto_ns = rto_ns_;
   e->deadline_ns = now_ns + rto_ns_;
   lower_due(due_, e->deadline_ns);
+  return true;
 }
 
 void ReliabilityTracker::erase_failures(Shard& shard, const std::vector<Failure>& failures,

@@ -43,14 +43,14 @@ common::ErrorCode eager_send(CommState& comm, cri::CriPool& pool,
   // on any progress.
   common::Backoff waiter;
 
-  // One iteration of any wait loop: charge the retry budget, escape typed
-  // on peer death / external cancel / deadline expiry, otherwise progress
-  // and back off. `tracked` non-null = the packet is in the reliability
-  // table and an abandoned send must untrack it (it never reached the
-  // wire from this loop's point of view; a clone a concurrent sweep
-  // already re-injected is at-least-once semantics as usual).
-  const auto wait_tick = [&](const PacketKey* tracked) -> common::ErrorCode {
-    if (policy.retry_limit != 0 && ++attempts >= policy.retry_limit) {
+  // One iteration of any wait loop: charge the retry budget if `budgeted`,
+  // escape typed on peer death / external cancel / deadline expiry,
+  // otherwise progress and back off. `tracked` non-null = the packet is in
+  // the reliability table and an abandoned send must untrack it (it never
+  // reached the wire from this loop's point of view; a clone a concurrent
+  // sweep already re-injected is at-least-once semantics as usual).
+  const auto wait_tick = [&](const PacketKey* tracked, bool budgeted) -> common::ErrorCode {
+    if (budgeted && policy.retry_limit != 0 && ++attempts >= policy.retry_limit) {
       if (tracked != nullptr) policy.tracker->untrack(*tracked);
       if (req.fail(common::ErrorCode::kSendBudgetExhausted)) {
         counters.add(Counter::kReliabilityErrors);
@@ -90,12 +90,14 @@ common::ErrorCode eager_send(CommState& comm, cri::CriPool& pool,
   // death) never leaves a hole in the peer's ordered stream. Three caps,
   // in order, and each refused one waits:
   //   - the reliability window of this stream's tracker shard (acks
-  //     self-clock a flood; a peer that never acks is the same livelock as
-  //     one that never drains, so it burns the same retry budget);
+  //     self-clock a flood);
   //   - the rank-wide tracker cap, and
   //   - the payload-pool cap, charged where the payload buffer is made;
   //     the tracker's retransmit master shares that buffer, so it charges
   //     nothing.
+  // Only the pool wait burns the retry budget: other streams' payloads may
+  // hold the pool indefinitely, while the window and the tracker cap open
+  // as their own entries retire.
   // Uncapped, unreliable sends pass on the first iteration.
   // A reliable send sums its payload in the copy, here outside the CRI
   // lock: the fabric's stamp under the lock then adds only the header,
@@ -106,12 +108,11 @@ common::ErrorCode eager_send(CommState& comm, cri::CriPool& pool,
   const std::size_t window = tracker != nullptr ? policy.window : 0;
   const std::size_t tracker_cap = tracker != nullptr && lim != nullptr ? lim->tracker_cap : 0;
   for (;;) {
-    const bool refused = (window != 0 && tracker->in_flight(dst, comm.id()) >= window) ||
-                         (tracker_cap != 0 && tracker->in_flight() >= tracker_cap) ||
-                         !pkt.set_payload(buf, n, pool_cap, /*summed=*/tracker != nullptr);
-    if (!refused) break;
+    const bool tracker_full = (window != 0 && tracker->in_flight(dst, comm.id()) >= window) ||
+                              (tracker_cap != 0 && tracker->in_flight() >= tracker_cap);
+    if (!tracker_full && pkt.set_payload(buf, n, pool_cap, /*summed=*/tracker != nullptr)) break;
     counters.add(Counter::kSendAdmissionWaits);
-    const common::ErrorCode rc = wait_tick(nullptr);
+    const common::ErrorCode rc = wait_tick(nullptr, /*budgeted=*/!tracker_full);
     if (rc != common::ErrorCode::kOk) return rc;
   }
   waiter.reset();
@@ -146,7 +147,7 @@ common::ErrorCode eager_send(CommState& comm, cri::CriPool& pool,
     // yielding once saturated so a descheduled peer can run.
     counters.add(Counter::kSendBackpressure);
     const PacketKey key = key_of(dst, pkt.hdr);
-    const common::ErrorCode rc = wait_tick(tracker != nullptr ? &key : nullptr);
+    const common::ErrorCode rc = wait_tick(tracker != nullptr ? &key : nullptr, /*budgeted=*/true);
     if (rc != common::ErrorCode::kOk) return rc;
   }
 

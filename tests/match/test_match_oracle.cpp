@@ -278,7 +278,7 @@ void MatchOracle::run_script(Arrivals arrivals) {
     run_want += ref.arrive({src, tag, seq});
   };
   const auto flush = [&] {
-    std::vector<Admission> verdicts(run.size(), Admission::kPaused);
+    std::vector<Admission> verdicts(run.size(), Admission::kHeld);
     if (arrivals == Arrivals::kRuns) {
       ASSERT_EQ(eng.incoming(run.data(), run.size(), verdicts.data()), run_want) << op;
     } else {

@@ -1,5 +1,5 @@
 // Overload control & graceful degradation tests (DESIGN.md §5h): bounded
-// admission (the receiver pauses or defers, the sender waits), sender-side
+// admission (the receiver holds and defers, the sender waits), sender-side
 // pool/tracker caps, request cancellation, per-op deadlines, quiesce
 // timeout diagnostics, and the observability surface.
 //
@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstring>
 #include <sstream>
@@ -74,14 +75,14 @@ struct ErrorCapture {
   bool saw(ErrorCode code) { return count(code) != 0; }
 };
 
-// --- bounded admission: the queue at cap pauses, nothing is lost ---
+// --- bounded admission: the queue at cap holds, nothing is lost ---
 
 TEST(Overload, QueueMultiProducerPerPeerCap) {
   // 3 producers vs 1 slow consumer (the seeded 4:1 incast): the cap is
   // per-peer, so while the consumer idles each producer fills its own
   // quota and no more, and one aggressive peer cannot consume another's.
-  // Every later packet is paused unanswered; once the consumer reads,
-  // the retransmit clock re-presents them, so every message arrives
+  // Every later packet is held and deferred, so its sender re-presents it
+  // on the base rto until the consumer reads: every message arrives
   // exactly once, in order per producer, and no send fails.
   // Pins its own fabric and cap: the chaos env profile would override them.
   test_support::ScopedChaosEnvClear clear_env(kFaultsAndCaps);
@@ -90,9 +91,9 @@ TEST(Overload, QueueMultiProducerPerPeerCap) {
   Config cfg;
   cfg.num_ranks = 4;
   cfg.unexpected_cap = kCap;
-  cfg.rto_ns = 200'000;  // paused packets re-present promptly
+  cfg.rto_ns = 200'000;  // held packets re-present promptly
   cfg.rto_max_ns = 2'000'000;
-  cfg.max_retries = 1'000'000;  // pausing is backpressure, not exhaustion
+  cfg.max_retries = 1'000'000;
   Universe uni(cfg);
   std::vector<ErrorCapture> errors(3);
   for (int r = 1; r < 4; ++r) {
@@ -147,30 +148,42 @@ TEST(Overload, QueueMultiProducerPerPeerCap) {
 
 /// One capped flood: rank 0 sends kSent messages to a slow consumer on
 /// rank 1 that reads one at a time, sampling its queues on every progress
-/// visit. The receiver defers a packet whose distance ahead of the
-/// in-order frontier plus the unexpected count reaches the cap, so fewer
-/// than kCap packets ever park and the queue never exceeds kCap, on any
-/// placement and on a lossy fabric. With the queue at cap every packet is
-/// paused unanswered, so nothing is lost and no send fails. With
-/// `fill_first` the consumer posts nothing until a packet is paused at
-/// cap, so the bound is checked with the queue full; without it the
-/// consumer streams from the start, so fresh packets keep arriving while a
-/// deferred head waits. A nonzero `drop` runs the flood over a seeded
-/// lossy fabric, where gaps in the sequence stream are normal and parking
-/// is what the park limit bounds.
-void check_queue_flood(bool fill_first, double drop) {
+/// visit. The receiver holds a packet while the unexpected count plus its
+/// distance ahead of the in-order frontier reaches the cap and answers it
+/// with a deferral, so fewer than kCap packets ever park and the queue
+/// never exceeds kCap, on any placement and on a lossy fabric; nothing is
+/// lost and no send fails.
+struct Flood {
+  /// The consumer posts nothing until its queue is at cap and a packet has
+  /// been held, so the bound is checked with the queue full. Without it
+  /// the consumer streams from the start, so fresh packets keep arriving
+  /// while a held head waits.
+  bool fill_first = false;
+  /// Nonzero: a seeded lossy fabric, where gaps in the sequence stream are
+  /// normal and parking is what the park limit bounds.
+  double drop = 0.0;
+  /// Nonzero: after the fill, the consumer keeps progressing without
+  /// posting this long, at the default rto, rto_max and max_retries. The
+  /// stall outlasts that retry budget (about 128 ms), so a hold must not
+  /// charge it.
+  std::uint64_t stall_ns = 0;
+};
+
+void check_queue_flood(const Flood& flood) {
   constexpr std::size_t kCap = 16;
   constexpr int kSent = 256;
   // Every row pins its cap, and a lossy row its fabric too: the chaos env
   // profile would override them. A no-drop row keeps the env's faults.
-  test_support::ScopedChaosEnvClear clear_env(drop > 0.0 ? kFaultsAndCaps : kCapsOnly);
+  test_support::ScopedChaosEnvClear clear_env(flood.drop > 0.0 ? kFaultsAndCaps : kCapsOnly);
   Config cfg;
   cfg.unexpected_cap = kCap;  // implies reliable: deferral needs the retransmit clock
-  cfg.faults.drop = drop;
+  cfg.faults.drop = flood.drop;
   cfg.faults.seed = 7;
-  cfg.rto_ns = 200'000;      // fast retries so deferrals re-present quickly
-  cfg.rto_max_ns = 2'000'000;
-  cfg.max_retries = 1'000'000;  // deferral is backpressure, not exhaustion
+  if (flood.stall_ns == 0) {
+    cfg.rto_ns = 200'000;  // fast retries so deferrals re-present quickly
+    cfg.rto_max_ns = 2'000'000;
+    cfg.max_retries = 1'000'000;
+  }
   Universe uni(cfg);
   ErrorCapture sender_errors;
   uni.rank(0).set_error_sink(ErrorCapture::sink, &sender_errors);
@@ -187,12 +200,19 @@ void check_queue_flood(bool fill_first, double drop) {
       max_unexpected = std::max(max_unexpected, match.unexpected_count());
       max_parked = std::max(max_parked, match.reorder_buffered());
     };
-    // Fill: progress without posting until a packet is paused at cap.
+    // Fill: progress without posting until the queue is at cap and a
+    // packet has been held.
     const std::uint64_t fill_deadline = now_ns() + 10'000'000'000ULL;
-    while (fill_first && uni.rank(1).counters().get(Counter::kOverloadPausedPackets) == 0 &&
+    while (flood.fill_first &&
+           (match.peers_at_cap() == 0 ||
+            uni.rank(1).counters().get(Counter::kOverloadPausedPackets) == 0) &&
            now_ns() < fill_deadline) {
       progress_and_sample();
     }
+    // Stall: a consumer busy elsewhere still progresses, so held packets
+    // keep being answered.
+    const std::uint64_t stall_end = now_ns() + flood.stall_ns;
+    while (now_ns() < stall_end) progress_and_sample();
     // Drain: the slow consumer reads one message at a time until it has
     // every sent message.
     while (received.load(std::memory_order_acquire) < kSent) {
@@ -226,34 +246,44 @@ void check_queue_flood(bool fill_first, double drop) {
     uni.rank(0).progress();
   }
   consumer.join();
+  // Nothing failed: a hold never charges the retry budget, so no send
+  // ends kRetryExhausted and leaves the hole the consumer would wait on.
+  EXPECT_TRUE(sender_errors.errors.empty())
+      << sender_errors.errors.size() << " sender errors, "
+      << sender_errors.count(ErrorCode::kRetryExhausted) << " of them RetryExhausted";
   ASSERT_FALSE(consumer_stuck.load(std::memory_order_acquire));
   ASSERT_EQ(received.load(std::memory_order_acquire), kSent);
 
   ::testing::Test::RecordProperty("max_unexpected", static_cast<int>(max_unexpected));
   ::testing::Test::RecordProperty("max_parked", static_cast<int>(max_parked));
-  if (fill_first) {
-    // A packet was paused at cap with the consumer not posting.
+  ::testing::Test::RecordProperty(
+      "retransmits", static_cast<int>(uni.rank(0).counters().get(Counter::kRetransmits)));
+  if (flood.fill_first) {
+    // A packet was held with the consumer not posting and the queue full.
     EXPECT_GE(uni.rank(1).counters().get(Counter::kOverloadPausedPackets), 1u);
     EXPECT_GE(max_unexpected, kCap);
   }
   // The invariants: fewer than kCap parked, the queue within kCap.
   EXPECT_LE(max_unexpected, kCap);
   EXPECT_LT(max_parked, kCap);
-  // Nothing failed: deferral never strands a delivered packet's re-ack
-  // behind the cap (the sender would end in kRetryExhausted).
-  EXPECT_TRUE(sender_errors.errors.empty()) << sender_errors.errors.size() << " sender errors";
 }
 
 TEST(Overload, QueuePolicyBoundsQueueWithoutLoss) {
-  check_queue_flood(/*fill_first=*/true, /*drop=*/0.0);
+  check_queue_flood({.fill_first = true});
 }
 
 TEST(Overload, QueuePolicyBoundsQueueWhileStreaming) {
-  check_queue_flood(/*fill_first=*/false, /*drop=*/0.0);
+  check_queue_flood({.fill_first = false});
 }
 
 TEST(Overload, QueuePolicyBoundsQueueOnLossyFabric) {
-  check_queue_flood(/*fill_first=*/true, /*drop=*/0.2);
+  check_queue_flood({.fill_first = true, .drop = 0.2});
+}
+
+TEST(Overload, QueuePolicyBoundsQueueThroughConsumerStall) {
+  // A consumer that stalls 1 s at the cap outlasts the default retry
+  // budget; every held packet still arrives and no send fails.
+  check_queue_flood({.fill_first = true, .stall_ns = 1'000'000'000ULL});
 }
 
 // A drain hands the match engine whole runs of envelopes under one lock
@@ -266,8 +296,9 @@ TEST(Overload, RunCrossingTheCapMatchesOneAtATime) {
     std::uint32_t seq;
   };
   // Source 1 fills the cap of 4 (one packet parks on the way), then keeps
-  // coming: in order, far ahead (deferred) and as repeats of an admitted
-  // and of a refused seq. Source 2 interleaves below the cap.
+  // coming, held with its queue full: in order, ahead, and as repeats of
+  // an admitted and of a held seq. Source 2 interleaves below the cap, and
+  // one of its packets is held past the park limit.
   const std::vector<Arrival> script = {
       {1, 0}, {1, 1}, {2, 0}, {1, 3}, {1, 2}, {1, 4}, {2, 1}, {1, 5}, {1, 6},
       {1, 8}, {1, 7}, {2, 3}, {2, 6}, {1, 9}, {1, 2}, {1, 5}, {2, 2}, {1, 10}};
@@ -303,14 +334,17 @@ TEST(Overload, RunCrossingTheCapMatchesOneAtATime) {
   run.eng.incoming(pkts.data(), pkts.size(), run.verdicts.data());
 
   EXPECT_EQ(run.verdicts, single.verdicts);
-  const auto verdicts_of = [&](match::Admission a) {
-    return static_cast<std::uint64_t>(std::count(run.verdicts.begin(), run.verdicts.end(), a));
-  };
-  EXPECT_NE(verdicts_of(match::Admission::kPaused), 0u);
-  // Each refusal is counted once, per packet.
+  // Both causes of a hold occur. Script index 5 ({1, 4}) is source 1's
+  // head with its queue full; index 12 ({2, 6}) is 4 past source 2's
+  // frontier with only 2 queued, so the park limit holds it.
+  ASSERT_EQ(run.verdicts.size(), script.size());
+  EXPECT_EQ(run.verdicts[5], match::Admission::kHeld);
+  EXPECT_EQ(run.verdicts[12], match::Admission::kHeld);
+  EXPECT_EQ(run.verdicts[11], match::Admission::kAdmitted);  // {2, 3} parks
+  // Each hold is counted once, per packet, whatever its cause.
   EXPECT_EQ(run.spc.get(Counter::kOverloadPausedPackets),
-            verdicts_of(match::Admission::kPaused));
-  EXPECT_NE(verdicts_of(match::Admission::kDeferred), 0u);
+            static_cast<std::uint64_t>(
+                std::count(run.verdicts.begin(), run.verdicts.end(), match::Admission::kHeld)));
   for (int c = 0; c < spc::kNumCounters; ++c) {
     const auto counter = static_cast<Counter>(c);
     if (counter == Counter::kMatchTimeNs) continue;  // wall time, not behaviour
@@ -322,8 +356,8 @@ TEST(Overload, RunCrossingTheCapMatchesOneAtATime) {
 }
 
 TEST(Overload, UnexpectedCapImpliesReliable) {
-  // Without acks a paused or deferred packet is never re-presented, so
-  // any unexpected-queue cap switches reliability on.
+  // Without acks a held packet is never re-presented, so any
+  // unexpected-queue cap switches reliability on.
   Config cfg;
   cfg.unexpected_cap = 4;
   ASSERT_FALSE(cfg.reliable);
@@ -548,6 +582,69 @@ TEST(Overload, PoolCapWaitExitsLeaveNoHole) {
   check_gate_exits_leave_no_hole(Gate::kPool);
 }
 
+TEST(Overload, DeferralIsProgressToTheSender) {
+  // A deferral answers one of the sender's tracked sends, as an ack does,
+  // so the progress call that handles it reports progress: a sender
+  // waiting at its window keeps draining its held packets' notices
+  // instead of backing off while they queue.
+  test_support::ScopedChaosEnvClear clear_env(kFaultsAndCaps);
+  Config cfg;
+  cfg.unexpected_cap = 1;
+  Universe uni(cfg);
+  char byte = 'h';
+  for (int i = 0; i < 2; ++i) {
+    Request req;
+    uni.rank(0).isend(kWorldComm, 1, 4, &byte, 1, req);
+    uni.rank(0).wait(req);
+  }
+  // The first message fills rank 1's queue and is acked; the second is held.
+  ASSERT_TRUE(drive(uni, {0, 1}, [&] {
+    return uni.rank(0).reliability()->in_flight() == 1 &&
+           uni.rank(1).counters().get(Counter::kOverloadPausedPackets) != 0;
+  }));
+  // Nothing completes on rank 0 any more: only a deferral makes progress.
+  EXPECT_TRUE(drive(uni, {1}, [&] { return uni.rank(0).progress() != 0; }));
+}
+
+TEST(Overload, WindowWaitChargesNoSendBudget) {
+  // A send waiting at the reliability window waits for its receiver as at
+  // any cap: the send budget bounds injection and the pool wait, so a
+  // receiver slower than the budget fails no send.
+  test_support::ScopedChaosEnvClear clear_env(kFaultsAndCaps);
+  Config cfg;
+  cfg.reliable = true;
+  cfg.reliability_window = 1;
+  cfg.send_retry_limit = 16;
+  cfg.rto_ns = 1'000'000'000ULL;  // a's retransmits play no part
+  cfg.rto_max_ns = 2'000'000'000ULL;
+  Universe uni(cfg);
+  char a_byte = 'a';
+  Request a;
+  uni.rank(0).isend(kWorldComm, 1, 1, &a_byte, 1, a);  // fills the window
+  ASSERT_FALSE(a.failed());
+  char b_byte = 'b';
+  Request b;
+  std::thread sender([&] { uni.rank(0).isend(kWorldComm, 1, 1, &b_byte, 1, b); });
+  // b waits at the window well past its budget before rank 1 reads.
+  const std::uint64_t deadline = now_ns() + 5'000'000'000ULL;
+  while (uni.rank(0).counters().get(Counter::kSendAdmissionWaits) < 4 * cfg.send_retry_limit &&
+         now_ns() < deadline) {
+    std::this_thread::yield();
+  }
+  std::array<char, 2> got{};
+  Request ra;
+  Request rb;
+  uni.rank(1).irecv(kWorldComm, 0, 1, &got[0], 1, ra);
+  uni.rank(1).irecv(kWorldComm, 0, 1, &got[1], 1, rb);
+  const bool delivered = drive(uni, {1}, [&] { return ra.done() && rb.done(); });
+  (void)b.cancel();  // a no-op once b is sent; ends its wait if it is stuck
+  sender.join();
+  ASSERT_TRUE(delivered);
+  EXPECT_EQ(b.error(), ErrorCode::kOk);
+  EXPECT_EQ(got[0], 'a');
+  EXPECT_EQ(got[1], 'b');
+}
+
 TEST(Deadline, RendezvousRaceSettlesExactlyOnce) {
   // Deadline expiry races rendezvous completion: whichever settles first
   // wins the one-shot CAS; the loser must neither double-settle nor leave
@@ -701,13 +798,13 @@ TEST(Overload, ObservabilityExportsOverloadState) {
   }
 
   // Rank 1 posts nothing, so the queue fills and one more packet
-  // is paused unanswered. The export reads the full queue (one peer at
-  // cap); after the drain, which the paused packet's retransmit completes,
-  // it reads the empty one.
+  // is held. The export reads the full queue (one peer at cap); after the
+  // drain, which the held packet's re-presentation completes, it reads the
+  // empty one.
   constexpr std::size_t kCap = 4;
   Config cfg;
   cfg.unexpected_cap = kCap;
-  cfg.rto_ns = 200'000;  // the paused packet re-presents quickly
+  cfg.rto_ns = 200'000;  // the held packet re-presents quickly
   cfg.rto_max_ns = 2'000'000;
   Universe uni(cfg);
   char byte = 'q';

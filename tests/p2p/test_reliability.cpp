@@ -240,6 +240,37 @@ TEST(ReliabilityTracker, UnconfirmedSweepsNeverExhaust) {
   EXPECT_EQ(t.in_flight(), 1u);  // still tracked, still recoverable
 }
 
+TEST(ReliabilityTracker, DeferralRestartsTheRetryCount) {
+  // A deferral (the receiver held the packet at its cap) answers every
+  // transmission still in flight, so the budget restarts: a held packet
+  // whose notices lag behind its resends is never exhausted by them. The
+  // base rto re-arms from the notice.
+  std::atomic<std::uint64_t> due{kNever};
+  ReliabilityTracker t(/*rto_ns=*/100, /*rto_max_ns=*/1000, /*max_retries=*/2, due);
+  const Packet pkt = make_packet(10);
+  const PacketKey key = key_of(1, pkt.hdr);
+  t.track(1, pkt, 0);
+
+  std::vector<ReliabilityTracker::Resend> resends;
+  std::vector<ReliabilityTracker::Failure> failures;
+  std::uint64_t now = 0;
+  const auto resend = [&] {
+    now += 10000;
+    t.sweep(now, resends, failures);
+    t.confirm_retransmit(key, now);
+  };
+  resend();
+  resend();  // two charged, both unanswered: the budget is spent
+  now += 10;
+  t.defer(key, now);  // one late notice answers both
+  EXPECT_EQ(t.sweep(now, resends, failures), now + 100);
+  resend();
+  resend();
+  EXPECT_EQ(resends.size(), 4u);
+  EXPECT_TRUE(failures.empty());
+  EXPECT_EQ(t.in_flight(), 1u);
+}
+
 TEST(ReliabilityTracker, MaxRetriesZeroFailsFastWithoutResending) {
   // Fail-fast mode: the first unacked rto expiry fails the entry typed and
   // never retransmits. No resend clone may be emitted.
@@ -368,12 +399,13 @@ class ReferenceTracker {
     for (std::uint32_t i = 0; i < count; ++i, ++key.seq) n += map_.erase(key);
     return n;
   }
-  void defer(const PacketKey& key, std::uint64_t now) {
+  bool defer(const PacketKey& key, std::uint64_t now) {
     const auto it = map_.find(key);
-    if (it == map_.end()) return;
-    if (it->second.retries > 0) --it->second.retries;
+    if (it == map_.end()) return false;
+    it->second.retries = 0;
     it->second.rto = rto_;
     it->second.deadline = now + rto_;
+    return true;
   }
   void confirm(const PacketKey& key, std::uint64_t now) {
     const auto it = map_.find(key);
@@ -516,8 +548,7 @@ TEST(ReliabilityTracker, TableMatchesReferenceMap) {
       ASSERT_EQ(t.ack_range(key, count), ref.ack_range(key, count)) << "op " << op;
     } else if (dice < 75) {
       const PacketKey key = pick();
-      t.defer(key, now);
-      ref.defer(key, now);
+      ASSERT_EQ(t.defer(key, now), ref.defer(key, now)) << "op " << op;
     } else if (dice < 90) {
       const PacketKey key = pick();
       t.confirm_retransmit(key, now);

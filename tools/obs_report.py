@@ -331,7 +331,7 @@ def report_obs(path: str, require_wait: list[str]) -> None:
         print("overload control (per capped rank):")
         print(render_table(
             ["rank", "unexpected", "at-cap", "trk-in-flight", "unexp-cap",
-             "pool-cap", "trk-cap", "paused", "cancels", "deadlines"],
+             "pool-cap", "trk-cap", "held", "cancels", "deadlines"],
             overload_rows))
         pool = doc.get("payload_pool", {})
         print(f"  payload_pool: in_use={pool.get('in_use_bytes')}B "
